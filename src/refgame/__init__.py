@@ -58,12 +58,8 @@ from .rsa import (
     Scenario,
     answer_support,
     listener_probs,
-    literal_listener,
-    literal_speaker,
     noun_pairs,
     parse_model_spec,
-    pragmatic_listener,
-    pragmatic_speaker,
     predict,
     scenario_scores,
     speaker_probs,

@@ -98,6 +98,37 @@ class NormalizedAssociation:
         object.__setattr__(self, "zero_mask", _freeze(mask))
 
 
+class Tables(dict):
+    """Normalized matrices keyed by metric, all over one lexicon.
+
+    Build with Tables.of, which validates once; looking up a metric that
+    is not present raises a DataError naming it.
+    """
+
+    @classmethod
+    def of(cls, tables) -> "Tables":
+        """A Tables from a Tables (returned as is), a single matrix, or a
+        mapping from metric to matrix."""
+        if isinstance(tables, cls):
+            return tables
+        if isinstance(tables, NormalizedAssociation):
+            tables = {tables.metric: tables}
+        tables = cls(tables)
+        if not tables:
+            raise DataError("no matrices supplied")
+        lexicon = tables.lexicon
+        if any(table.lexicon != lexicon for table in tables.values()):
+            raise DataError("matrices disagree on the lexicon")
+        return tables
+
+    @property
+    def lexicon(self) -> Lexicon:
+        return next(iter(self.values())).lexicon
+
+    def __missing__(self, metric):
+        raise DataError(f"no matrix supplied for metric '{metric}'")
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

@@ -13,13 +13,11 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .association import (
-    AssociationMatrix,
-    NormalizedAssociation,
+    Tables,
     bigram_association,
     cosine_association,
     load_association,
@@ -32,9 +30,11 @@ from .association import (
 )
 from .errors import DataError
 from .evaluation import (
+    _aligned_table,
     load_responses,
     model_agreement,
     metric_rank_correlation,
+    read_jsonl,
     render_matrix,
     render_score_reports,
     score_responses,
@@ -61,6 +61,7 @@ from .rsa import (
     SPEAKER,
     configuration_from_record,
     parse_model_spec,
+    predict,
     scenario_from_record,
 )
 
@@ -111,40 +112,22 @@ class _UsageError(Exception):
     """Bad flag values detected after argparse: exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility sidecar for one command invocation."""
-
-    command: str
-    settings: dict
-    seed: int | None
-    inputs: dict
-    version: str
-
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "settings": self.settings,
-            "seed": self.seed,
-            "inputs": self.inputs,
-            "version": self.version,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def _sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _write_manifest(output: str, command: str, settings: dict, seed: int | None, inputs) -> None:
-    manifest = RunManifest(
-        command=command,
-        settings=settings,
-        seed=seed,
-        inputs={str(p): _sha256(p) for p in inputs},
-        version=__version__,
+    """Write the reproducibility sidecar <output>.manifest.json."""
+    manifest = {
+        "command": command,
+        "settings": settings,
+        "seed": seed,
+        "inputs": {str(p): _sha256(p) for p in inputs},
+        "version": __version__,
+    }
+    Path(str(output) + ".manifest.json").write_text(
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     )
-    Path(str(output) + ".manifest.json").write_text(manifest.to_json())
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -162,9 +145,14 @@ def _parse_spec(text: str, role: str):
         raise _UsageError(str(exc)) from None
 
 
-def _load_matrices(entries) -> dict[str, NormalizedAssociation]:
+def _matrix_paths(entries) -> list[str]:
+    """The file paths of --matrix flags ("metric=path" or bare path)."""
+    return [entry.split("=", 1)[-1] for entry in entries]
+
+
+def _load_matrices(entries) -> Tables:
     """Load --matrix flags ("metric=path" or bare path) into a metric map."""
-    tables: dict[str, NormalizedAssociation] = {}
+    tables = {}
     for entry in entries:
         label = None
         path = entry
@@ -177,14 +165,7 @@ def _load_matrices(entries) -> dict[str, NormalizedAssociation]:
         if norm.metric in tables:
             raise DataError(f"metric '{norm.metric}' supplied twice")
         tables[norm.metric] = norm
-    if not tables:
-        raise _UsageError("at least one --matrix is required")
-    lexicons = [t.lexicon for t in tables.values()]
-    first = lexicons[0]
-    for other in lexicons[1:]:
-        if other.nouns != first.nouns or other.adjectives != first.adjectives:
-            raise DataError("matrices disagree on the lexicon")
-    return tables
+    return Tables.of(tables)
 
 
 def _load_json(path: str):
@@ -194,18 +175,8 @@ def _load_json(path: str):
         raise DataError(f"{path}: malformed JSON ({exc})") from None
 
 
-def _load_jsonl(path: str) -> list:
-    records = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            raise DataError(f"{path}:{lineno}: malformed JSON") from None
-    if not records:
-        raise DataError(f"{path}: empty record file")
-    return records
+def _load_jsonl(path: str, parse) -> list:
+    return read_jsonl(path, parse, "empty record file")
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +218,10 @@ def cmd_normalize(args) -> int:
 
 def cmd_predict(args) -> int:
     tables = _load_matrices(args.matrix)
-    lexicon = next(iter(tables.values())).lexicon
+    lexicon = tables.lexicon
     config = configuration_from_record(_load_json(args.config), lexicon)
     spec = _parse_spec(args.model, config.role)
-    if spec.metric not in tables:
-        raise DataError(f"no matrix supplied for metric '{spec.metric}'")
-    from .rsa import predict as run_predict
-
-    dist = run_predict(tables[spec.metric], config, spec)
+    dist = predict(tables[spec.metric], config, spec)
     lines = ["# answer\tprobability"]
     for answer, prob in zip(dist.support, dist.probs):
         if config.role == LISTENER:
@@ -275,7 +242,7 @@ def cmd_predict(args) -> int:
                 "output": args.output,
             },
             None,
-            [e.split("=", 1)[-1] for e in args.matrix] + [args.config],
+            _matrix_paths(args.matrix) + [args.config],
         )
     return 0
 
@@ -305,7 +272,7 @@ def _resolve_oed_settings(args) -> dict:
 def cmd_oed(args) -> int:
     resolved = _resolve_oed_settings(args)
     tables = _load_matrices(args.matrix)
-    lexicon = next(iter(tables.values())).lexicon
+    lexicon = tables.lexicon
     settings = SearchSettings(
         nouns=resolved["nouns"],
         adjectives=resolved["adjectives"],
@@ -319,14 +286,9 @@ def cmd_oed(args) -> int:
             ModelSet(tuple(_parse_spec(s, SPEAKER) for s in resolved["models"])),
             ModelSet(tuple(_parse_spec(s, LISTENER) for s in resolved["models"])),
         )
-        specs = models[0].models + models[1].models
     else:
         role = SPEAKER if settings.mode == "separate-speaker" else LISTENER
         models = ModelSet(tuple(_parse_spec(s, role) for s in resolved["models"]))
-        specs = models.models
-    for spec in specs:
-        if spec.metric not in tables:
-            raise DataError(f"no matrix supplied for metric '{spec.metric}'")
     candidates = monte_carlo_search(tables, models, settings)
     if args.filter:
         candidates = filter_candidates(
@@ -354,14 +316,14 @@ def cmd_oed(args) -> int:
             "output": args.output,
         },
         settings.seed,
-        [e.split("=", 1)[-1] for e in args.matrix],
+        _matrix_paths(args.matrix),
     )
     return 0
 
 
 def cmd_score(args) -> int:
     tables = _load_matrices(args.matrix)
-    lexicon = next(iter(tables.values())).lexicon
+    lexicon = tables.lexicon
     records = load_responses(args.responses, lexicon)
     reports = [score_responses(tables, model, records) for model in args.model]
     _emit(render_score_reports(reports, fmt=args.format), args.output)
@@ -377,14 +339,14 @@ def cmd_score(args) -> int:
                 "output": args.output,
             },
             None,
-            [e.split("=", 1)[-1] for e in args.matrix] + [args.responses],
+            _matrix_paths(args.matrix) + [args.responses],
         )
     return 0
 
 
 def cmd_compare(args) -> int:
     tables = _load_matrices(args.matrix)
-    lexicon = next(iter(tables.values())).lexicon
+    lexicon = tables.lexicon
     metrics = sorted(tables)
     sections = []
 
@@ -392,8 +354,7 @@ def cmd_compare(args) -> int:
     sections.append(render_matrix(metrics, corr, fmt=args.format, title="metric rank correlation"))
 
     if args.configs:
-        records = _load_jsonl(args.configs)
-        configs = [configuration_from_record(r, lexicon) for r in records]
+        configs = _load_jsonl(args.configs, lambda r: configuration_from_record(r, lexicon))
         by_role: dict[str, list] = {}
         for config in configs:
             by_role.setdefault(config.role, []).append(config)
@@ -403,9 +364,6 @@ def cmd_compare(args) -> int:
                 specs = [_parse_spec(s, role) for s in args.model]
             else:
                 specs = [_parse_spec(f"{m}:literal", role) for m in metrics]
-            for spec in specs:
-                if spec.metric not in tables:
-                    raise DataError(f"no matrix supplied for metric '{spec.metric}'")
             labels = [s.spec_string() for s in specs]
             tops = [[0.0] * len(specs) for _ in specs]
             ranks = [[0.0] * len(specs) for _ in specs]
@@ -425,7 +383,7 @@ def cmd_compare(args) -> int:
 
     _emit("\n".join(sections), args.output)
     if args.output:
-        inputs = [e.split("=", 1)[-1] for e in args.matrix]
+        inputs = _matrix_paths(args.matrix)
         if args.configs:
             inputs.append(args.configs)
         _write_manifest(
@@ -446,14 +404,15 @@ def cmd_compare(args) -> int:
 
 def cmd_simulate(args) -> int:
     tables = _load_matrices(args.matrix)
-    lexicon = next(iter(tables.values())).lexicon
-    records = _load_jsonl(args.scenarios)
-    scenarios = []
-    for record in records:
+    lexicon = tables.lexicon
+
+    def scenario_of(record):
         # accept bare scenario records and oed candidate records
-        if "scenario" in record:
+        if isinstance(record, dict) and "scenario" in record:
             record = record["scenario"]
-        scenarios.append(scenario_from_record(record, lexicon))
+        return scenario_from_record(record, lexicon)
+
+    scenarios = _load_jsonl(args.scenarios, scenario_of)
     speaker_spec = _parse_spec(args.speaker, SPEAKER)
     listener_spec = _parse_spec(args.listener, LISTENER)
     report = simulate_gameplay(tables, scenarios, speaker_spec, listener_spec)
@@ -476,8 +435,6 @@ def cmd_simulate(args) -> int:
                 ]
             )
         rows.append(["overall", "", f"{report.mean:.3f} (SEM {report.sem:.3f})"])
-        from .evaluation import _aligned_table
-
         text = _aligned_table(rows)
     _emit(text, args.output)
     if args.output:
@@ -493,7 +450,7 @@ def cmd_simulate(args) -> int:
                 "output": args.output,
             },
             None,
-            [e.split("=", 1)[-1] for e in args.matrix] + [args.scenarios],
+            _matrix_paths(args.matrix) + [args.scenarios],
         )
     return 0
 

@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 from scipy import stats
 
-from .association import NormalizedAssociation
+from .association import NormalizedAssociation, Tables
 from .errors import DataError
 from .rsa import (
     LISTENER,
@@ -151,8 +151,7 @@ def score_responses(tables, model, records) -> ScoreReport:
     records = list(records)
     if not records:
         raise DataError("no response records")
-    if isinstance(tables, NormalizedAssociation):
-        tables = {tables.metric: tables}
+    tables = Tables.of(tables)
     tops = []
     ranks = []
     for record in records:
@@ -160,8 +159,6 @@ def score_responses(tables, model, records) -> ScoreReport:
             spec = model
         else:
             spec = parse_model_spec(model, record.configuration.role)
-        if spec.metric not in tables:
-            raise DataError(f"no matrix supplied for metric '{spec.metric}'")
         prediction = predict(tables[spec.metric], record.configuration, spec)
         tops.append(top_answer(prediction, record))
         ranks.append(rank_correlation(prediction, record))
@@ -239,29 +236,21 @@ def simulate_gameplay(tables, scenarios, speaker_spec, listener_spec) -> Gamepla
         raise DataError("speaker_spec must be a speaker model")
     if listener_spec.role != LISTENER:
         raise DataError("listener_spec must be a listener model")
-    if isinstance(tables, NormalizedAssociation):
-        tables = {tables.metric: tables}
-    for spec in (speaker_spec, listener_spec):
-        if spec.metric not in tables:
-            raise DataError(f"no matrix supplied for metric '{spec.metric}'")
+    tables = Tables.of(tables)
+    speaker_norm = tables[speaker_spec.metric]
+    listener_norm = tables[listener_spec.metric]
     all_successes = []
     scenario_means = []
     flat = []
     for scenario in scenarios:
         listener_dists = {
-            a: predict(
-                tables[listener_spec.metric],
-                Configuration(scenario, LISTENER, a),
-                listener_spec,
-            )
+            a: predict(listener_norm, Configuration(scenario, LISTENER, a), listener_spec)
             for a in range(scenario.m)
         }
         row = []
         for pair in scenario.pairs:
             speaker_dist = predict(
-                tables[speaker_spec.metric],
-                Configuration(scenario, SPEAKER, pair),
-                speaker_spec,
+                speaker_norm, Configuration(scenario, SPEAKER, pair), speaker_spec
             )
             row.append(average_success(scenario, pair, speaker_dist, listener_dists))
         all_successes.append(tuple(row))
@@ -304,25 +293,19 @@ def model_agreement(spec_a, spec_b, tables, configurations) -> tuple[float, floa
             f"model roles ({spec_a.role}, {spec_b.role}) do not match the "
             f"configurations' role '{role}'"
         )
-    if isinstance(tables, NormalizedAssociation):
-        tables = {tables.metric: tables}
+    tables = Tables.of(tables)
+    norm_a = tables[spec_a.metric]
+    norm_b = tables[spec_b.metric]
     matches = []
     correlations = []
     for config in configurations:
-        dist_a = predict(_lookup(tables, spec_a.metric), config, spec_a)
-        dist_b = predict(_lookup(tables, spec_b.metric), config, spec_b)
+        dist_a = predict(norm_a, config, spec_a)
+        dist_b = predict(norm_b, config, spec_b)
         tops_a = set(dist_a.argmax_answers())
         tops_b = set(dist_b.argmax_answers())
         matches.append(int(bool(tops_a & tops_b)))
         correlations.append(spearman(dist_a.probs, dist_b.probs))
     return float(np.mean(matches)), float(np.mean(correlations))
-
-
-def _lookup(tables, metric):
-    try:
-        return tables[metric]
-    except KeyError:
-        raise DataError(f"no matrix supplied for metric '{metric}'") from None
 
 
 def confidence_ttest(group_a, group_b) -> tuple[float, float]:
@@ -418,8 +401,13 @@ def save_responses(responses, lexicon, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_responses(path: str | Path, lexicon) -> list[ResponseRecord]:
-    records = []
+def read_jsonl(path: str | Path, parse, empty: str) -> list:
+    """parse(record) for each non-blank line of a JSONL file.
+
+    Malformed JSON and a DataError from parse both name path:lineno;
+    a file with no records raises "path: <empty>".
+    """
+    items = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
@@ -427,10 +415,19 @@ def load_responses(path: str | Path, lexicon) -> list[ResponseRecord]:
             record = json.loads(line)
         except json.JSONDecodeError:
             raise DataError(f"{path}:{lineno}: malformed JSON") from None
-        records.append(response_from_record(record, lexicon))
-    if not records:
-        raise DataError(f"{path}: no response records")
-    return records
+        try:
+            items.append(parse(record))
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+    if not items:
+        raise DataError(f"{path}: {empty}")
+    return items
+
+
+def load_responses(path: str | Path, lexicon) -> list[ResponseRecord]:
+    return read_jsonl(
+        path, lambda record: response_from_record(record, lexicon), "no response records"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -9,22 +9,19 @@ configuration utilities, so one uninformative configuration drags the
 whole scenario down.
 
 Search is plain Monte Carlo over uniformly sampled scenarios with
-deduplication; candidate keys come from the seed sequence alone, so the
-result is deterministic no matter how the evaluations are scheduled.
+deduplication: candidate keys come from the seeded generator alone and
+each distinct key is scored once, so one seed always gives one result.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .association import NormalizedAssociation
+from .association import Tables
 from .errors import DataError
 from .rsa import (
     LISTENER,
@@ -45,8 +42,6 @@ MODE_SEPARATE_SPEAKER = "separate-speaker"
 MODE_SEPARATE_LISTENER = "separate-listener"
 MODE_JOINT = "joint"
 MODES = (MODE_SEPARATE_SPEAKER, MODE_SEPARATE_LISTENER, MODE_JOINT)
-
-THREADS_VAR = "REFGAME_THREADS"
 
 
 @dataclass(frozen=True)
@@ -117,27 +112,14 @@ class DesignCandidate:
         return Configuration(self.scenario, self.role, self.index)
 
 
-def _as_tables(tables) -> Mapping[str, NormalizedAssociation]:
-    if isinstance(tables, NormalizedAssociation):
-        return {tables.metric: tables}
-    return tables
-
-
-def _table_for(tables: Mapping[str, NormalizedAssociation], metric: str) -> NormalizedAssociation:
-    try:
-        return tables[metric]
-    except KeyError:
-        raise DataError(f"no matrix supplied for metric '{metric}'") from None
-
-
 def response_probability(
     tables, config: Configuration, models: ModelSet
 ) -> tuple[tuple[PredictionDistribution, ...], PredictionDistribution]:
     """Each model's answer distribution plus their uniform mixture."""
-    tables = _as_tables(tables)
+    tables = Tables.of(tables)
     if models.role != config.role:
         raise DataError(f"model set role '{models.role}' != configuration role '{config.role}'")
-    dists = tuple(predict(_table_for(tables, m.metric), config, m) for m in models.models)
+    dists = tuple(predict(tables[m.metric], config, m) for m in models.models)
     stacked = np.stack([d.probs for d in dists])
     return dists, PredictionDistribution(dists[0].support, stacked.mean(axis=0))
 
@@ -195,7 +177,7 @@ def scenario_joint_utility(
         raise DataError("speaker_models must hold speaker models")
     if listener_models.role != LISTENER:
         raise DataError("listener_models must hold listener models")
-    tables = _as_tables(tables)
+    tables = Tables.of(tables)
     utilities = [
         configuration_utility(tables, Configuration(scenario, SPEAKER, pair), speaker_models)
         for pair in scenario.pairs
@@ -210,40 +192,7 @@ def scenario_joint_utility(
 # ---------------------------------------------------------------------------
 # Monte Carlo search
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        if threads < 1:
-            raise DataError("thread count must be positive")
-        return threads
-    env = os.environ.get(THREADS_VAR)
-    if env is None:
-        return 1
-    try:
-        parsed = int(env)
-    except ValueError:
-        raise DataError(f"{THREADS_VAR} must be an integer, got {env!r}") from None
-    if parsed < 1:
-        raise DataError(f"{THREADS_VAR} must be positive, got {env!r}")
-    return parsed
-
-
-def _search_lexicon(tables: Mapping[str, NormalizedAssociation]):
-    lexicons = list({id(t.lexicon): t.lexicon for t in tables.values()}.values())
-    if not lexicons:
-        raise DataError("no matrices supplied")
-    first = lexicons[0]
-    for other in lexicons[1:]:
-        if other.nouns != first.nouns or other.adjectives != first.adjectives:
-            raise DataError("matrices disagree on the lexicon")
-    return first
-
-
-def monte_carlo_search(
-    tables,
-    models,
-    settings: SearchSettings,
-    threads: int | None = None,
-) -> list[DesignCandidate]:
+def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignCandidate]:
     """Sample scenarios uniformly, score them, return the top_k.
 
     In the separate modes `models` is one ModelSet and each iteration
@@ -253,9 +202,8 @@ def monte_carlo_search(
     once. Results are sorted by utility descending, ties by first
     generation, truncated to top_k.
     """
-    tables = _as_tables(tables)
-    lexicon = _search_lexicon(tables)
-    n_nouns, n_adjs = lexicon.shape
+    tables = Tables.of(tables)
+    n_nouns, n_adjs = tables.lexicon.shape
     if settings.nouns > n_nouns:
         raise DataError(f"scenario wants {settings.nouns} nouns, lexicon has {n_nouns}")
     if settings.adjectives > n_adjs:
@@ -268,18 +216,24 @@ def monte_carlo_search(
             raise DataError("joint mode needs a (speaker, listener) model set pair") from None
         if speaker_models.role != SPEAKER or listener_models.role != LISTENER:
             raise DataError("joint mode needs a speaker set and a listener set, in that order")
+        role = None
+        specs = speaker_models.models + listener_models.models
     else:
         if not isinstance(models, ModelSet):
             raise DataError("separate mode needs a single model set")
-        wanted = SPEAKER if settings.mode == MODE_SEPARATE_SPEAKER else LISTENER
-        if models.role != wanted:
-            raise DataError(f"mode '{settings.mode}' needs {wanted} models")
+        role = SPEAKER if settings.mode == MODE_SEPARATE_SPEAKER else LISTENER
+        if models.role != role:
+            raise DataError(f"mode '{settings.mode}' needs {role} models")
+        specs = models.models
+    # A one-model set scores 0 without a lookup, so check every metric here.
+    for spec in specs:
+        tables[spec.metric]
 
     rng = np.random.default_rng(settings.seed)
     pairs = noun_pairs(settings.nouns)
     first_seen: dict[tuple, int] = {}
-    # Keys are drawn for every iteration up front; evaluation order can
-    # then never affect the outcome.
+    # Scoring draws nothing from rng, so the keys depend on the seed alone;
+    # first-seen order breaks utility ties.
     for iteration in range(settings.iterations):
         nouns = tuple(sorted(rng.choice(n_nouns, size=settings.nouns, replace=False).tolist()))
         adjs = tuple(sorted(rng.choice(n_adjs, size=settings.adjectives, replace=False).tolist()))
@@ -295,31 +249,20 @@ def monte_carlo_search(
     def evaluate(key) -> float:
         nouns, adjs, index = key
         scenario = Scenario(nouns, adjs)
-        if settings.mode == MODE_JOINT:
+        if role is None:
             return scenario_joint_utility(tables, scenario, speaker_models, listener_models)
-        role = SPEAKER if settings.mode == MODE_SEPARATE_SPEAKER else LISTENER
         return configuration_utility(tables, Configuration(scenario, role, index), models)
 
     keys = list(first_seen)
-    worker_count = _resolve_threads(threads)
-    if worker_count > 1 and len(keys) > 1:
-        with ThreadPoolExecutor(max_workers=worker_count) as pool:
-            utilities = list(pool.map(evaluate, keys, chunksize=64))
-    else:
-        utilities = [evaluate(key) for key in keys]
+    utilities = [evaluate(key) for key in keys]
 
     scored = sorted(
         zip(keys, utilities), key=lambda item: (-item[1], first_seen[item[0]])
     )[: settings.top_k]
-    candidates = []
-    for (nouns, adjs, index), utility in scored:
-        scenario = Scenario(nouns, adjs)
-        if settings.mode == MODE_JOINT:
-            candidates.append(DesignCandidate(scenario, None, None, utility))
-        else:
-            role = SPEAKER if settings.mode == MODE_SEPARATE_SPEAKER else LISTENER
-            candidates.append(DesignCandidate(scenario, role, index, utility))
-    return candidates
+    return [
+        DesignCandidate(Scenario(nouns, adjs), role, index, utility)
+        for (nouns, adjs, index), utility in scored
+    ]
 
 
 # ---------------------------------------------------------------------------

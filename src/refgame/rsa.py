@@ -294,54 +294,22 @@ def scenario_scores(norm: NormalizedAssociation, scenario: Scenario) -> np.ndarr
     return sub[idx[:, 0]] * sub[idx[:, 1]]
 
 
-def _require_role(config: Configuration, role: str) -> None:
-    if config.role != role:
-        raise DataError(f"{role} agent applied to a {config.role} configuration")
-
-
-def literal_listener(norm: NormalizedAssociation, config: Configuration) -> PredictionDistribution:
-    _require_role(config, LISTENER)
-    scores = scenario_scores(norm, config.scenario)
-    return PredictionDistribution(config.scenario.pairs, listener_probs(scores, config.index))
-
-
-def literal_speaker(norm: NormalizedAssociation, config: Configuration) -> PredictionDistribution:
-    _require_role(config, SPEAKER)
-    scores = scenario_scores(norm, config.scenario)
-    target = config.scenario.pairs.index(config.index)
-    return PredictionDistribution(answer_support(config), speaker_probs(scores, target))
-
-
-def pragmatic_listener(
-    norm: NormalizedAssociation, config: Configuration, alpha: float
-) -> PredictionDistribution:
-    _require_role(config, LISTENER)
-    scores = scenario_scores(norm, config.scenario)
-    return PredictionDistribution(config.scenario.pairs, listener_probs(scores, config.index, alpha))
-
-
-def pragmatic_speaker(
-    norm: NormalizedAssociation, config: Configuration, alpha: float
-) -> PredictionDistribution:
-    _require_role(config, SPEAKER)
-    scores = scenario_scores(norm, config.scenario)
-    target = config.scenario.pairs.index(config.index)
-    return PredictionDistribution(answer_support(config), speaker_probs(scores, target, alpha))
-
-
 def predict(
     norm: NormalizedAssociation, config: Configuration, spec: ModelSpec
 ) -> PredictionDistribution:
-    """Run the agent named by spec on one configuration."""
+    """Run the agent named by spec on one configuration.
+
+    A literal spec carries alpha None, which the chain cores run as the
+    literal agent; a pragmatic spec runs one round with its alpha.
+    """
     if spec.role != config.role:
         raise DataError(f"model role '{spec.role}' != configuration role '{config.role}'")
-    if spec.depth == LITERAL:
-        if config.role == LISTENER:
-            return literal_listener(norm, config)
-        return literal_speaker(norm, config)
+    scores = scenario_scores(norm, config.scenario)
     if config.role == LISTENER:
-        return pragmatic_listener(norm, config, spec.alpha)
-    return pragmatic_speaker(norm, config, spec.alpha)
+        probs = listener_probs(scores, config.index, spec.alpha)
+    else:
+        probs = speaker_probs(scores, config.scenario.pairs.index(config.index), spec.alpha)
+    return PredictionDistribution(answer_support(config), probs)
 
 
 # ---------------------------------------------------------------------------

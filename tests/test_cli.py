@@ -13,15 +13,16 @@ from refgame import (
     CooccurrenceCounts,
     EmbeddingTable,
     Lexicon,
+    ModelSpec,
     RelatednessTable,
     ResponseRecord,
     Scenario,
     TopicTable,
     bigram_association,
     cosine_association,
-    literal_listener,
     load_association,
     load_normalized,
+    predict,
     quantile_normalize,
     relatedness_association,
     save_association,
@@ -226,6 +227,96 @@ def test_predict_writes_output_and_manifest(data, capsys, tmp_path):
     assert out == ""
     assert out_path.read_text().startswith("# answer\tprobability\n")
     assert (tmp_path / "prediction.tsv.manifest.json").exists()
+
+
+def _manifest(output):
+    text = (output.parent / (output.name + ".manifest.json")).read_text()
+    manifest = json.loads(text)
+    assert text == json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    assert sorted(manifest) == ["command", "inputs", "seed", "settings", "version"]
+    assert manifest["seed"] is None
+    assert manifest["version"] == refgame.__version__
+    return manifest
+
+
+def test_predict_score_compare_manifest_settings(data, capsys, tmp_path):
+    bigram = str(data["norm"]["bigram"])
+    embedding = str(data["norm"]["embedding-cosine"])
+    labelled = f"embedding-cosine={embedding}"
+
+    out = tmp_path / "prediction.tsv"
+    code, _, err = run_cli(capsys, [
+        "predict", "--matrix", bigram, "--matrix", labelled,
+        "--config", str(data["listener_config"]),
+        "--model", "bigram:pragmatic:1.0", "--output", str(out),
+    ])
+    assert code == 0, err
+    manifest = _manifest(out)
+    assert manifest["command"] == "predict"
+    assert manifest["settings"] == {
+        "matrix": [bigram, labelled],
+        "config": str(data["listener_config"]),
+        "model": "bigram:pragmatic:1.0",
+        "output": str(out),
+    }
+    assert sorted(manifest["inputs"]) == sorted([bigram, embedding, str(data["listener_config"])])
+
+    config = Configuration(Scenario((0, 1, 2), (0, 1)), "listener", 0)
+    responses = tmp_path / "responses.jsonl"
+    save_responses([ResponseRecord(config, {(0, 1): 4}), ResponseRecord(config, {(0, 2): 1})],
+                   data["lexicon_obj"], responses)
+    out = tmp_path / "scores.tsv"
+    code, _, err = run_cli(capsys, [
+        "score", "--matrix", bigram, "--responses", str(responses),
+        "--model", "bigram:literal", "--model", "bigram:pragmatic:2.0",
+        "--output", str(out),
+    ])
+    assert code == 0, err
+    manifest = _manifest(out)
+    assert manifest["command"] == "score"
+    assert manifest["settings"] == {
+        "matrix": [bigram],
+        "responses": str(responses),
+        "models": ["bigram:literal", "bigram:pragmatic:2.0"],
+        "format": "tsv",
+        "output": str(out),
+    }
+    assert sorted(manifest["inputs"]) == sorted([bigram, str(responses)])
+
+    out = tmp_path / "compare.tsv"
+    code, _, err = run_cli(capsys, [
+        "compare", "--matrix", bigram, "--matrix", embedding,
+        "--format", "table", "--output", str(out),
+    ])
+    assert code == 0, err
+    manifest = _manifest(out)
+    assert manifest["command"] == "compare"
+    assert manifest["settings"] == {
+        "matrix": [bigram, embedding],
+        "configs": None,
+        "models": [],
+        "format": "table",
+        "output": str(out),
+    }
+    assert sorted(manifest["inputs"]) == sorted([bigram, embedding])
+
+    configs = tmp_path / "configs.jsonl"
+    configs.write_text(json.dumps(json.loads(data["listener_config"].read_text())) + "\n")
+    code, _, err = run_cli(capsys, [
+        "compare", "--matrix", bigram, "--configs", str(configs),
+        "--model", "bigram:literal", "--model", "bigram:pragmatic:1.0",
+        "--output", str(out),
+    ])
+    assert code == 0, err
+    manifest = _manifest(out)
+    assert manifest["settings"] == {
+        "matrix": [bigram],
+        "configs": str(configs),
+        "models": ["bigram:literal", "bigram:pragmatic:1.0"],
+        "format": "tsv",
+        "output": str(out),
+    }
+    assert sorted(manifest["inputs"]) == sorted([bigram, str(configs)])
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +531,7 @@ def test_score_perfect_model_tsv(data, capsys, tmp_path):
     records = []
     for clue in range(3):
         config = Configuration(Scenario((0, 1, 2), (0, 1, 2)), "listener", clue)
-        best = literal_listener(norm, config).argmax_answers()[0]
+        best = predict(norm, config, ModelSpec("bigram", "listener", "literal")).argmax_answers()[0]
         records.append(ResponseRecord(config, {best: 9, (0, 1) if best != (0, 1) else (0, 2): 1}))
     responses = tmp_path / "responses.jsonl"
     save_responses(records, lexicon, responses)
@@ -535,3 +626,39 @@ def test_simulate_output_file_reruns_identical(data, capsys, tmp_path):
         ])
         assert code == 0, err
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "score"])
+def test_jsonl_record_error_names_file_and_line(data, capsys, tmp_path, command):
+    config = json.loads(data["listener_config"].read_text())
+    if command == "simulate":
+        good = config["scenario"]
+        flag = ["--scenarios"]
+        extra = ["--speaker", "bigram:literal", "--listener", "bigram:literal"]
+    elif command == "compare":
+        good = config
+        flag = ["--configs"]
+        extra = []
+    else:
+        good = {"configuration": config, "answers": [[["heart", "phone"], 3]], "confidences": []}
+        flag = ["--responses"]
+        extra = ["--model", "bigram:literal"]
+    bad = json.loads(json.dumps(good).replace('"heart"', '"apple"'))
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    code, _, err = run_cli(capsys, [
+        command, "--matrix", str(data["norm"]["bigram"]), *flag, str(path), *extra,
+    ])
+    assert code == 1
+    assert err == f"error: {path}:2: noun 'apple' absent\n"
+
+
+def test_simulate_non_object_record_is_data_error(data, capsys, tmp_path):
+    path = tmp_path / "scenarios.jsonl"
+    path.write_text("5\n")
+    code, _, err = run_cli(capsys, [
+        "simulate", "--matrix", str(data["norm"]["bigram"]), "--scenarios", str(path),
+        "--speaker", "bigram:literal", "--listener", "bigram:literal",
+    ])
+    assert code == 1
+    assert err == f"error: {path}:1: malformed scenario record 5\n"

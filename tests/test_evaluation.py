@@ -11,7 +11,9 @@ import scipy.stats
 from refgame import (
     Configuration,
     DataError,
+    Lexicon,
     ModelSpec,
+    NormalizedAssociation,
     PredictionDistribution,
     ResponseRecord,
     Scenario,
@@ -20,11 +22,10 @@ from refgame import (
     average_success,
     confidence_ttest,
     distribution_from_counts,
-    literal_listener,
     load_responses,
     metric_rank_correlation,
     model_agreement,
-    pragmatic_listener,
+    predict,
     rank_correlation,
     render_matrix,
     render_score_reports,
@@ -209,7 +210,7 @@ def test_score_responses_perfect_model(rng):
     records = []
     for clue in range(3):
         config = Configuration(Scenario((0, 1, 2), (0, 1, 2)), "listener", clue)
-        dist = literal_listener(tables["bigram"], config)
+        dist = predict(tables["bigram"], config, spec)
         best = dist.argmax_answers()[0]
         records.append(ResponseRecord(config, {best: 10}))
     report = score_responses(tables, spec, records)
@@ -372,6 +373,25 @@ def test_model_agreement_role_mixing_rejected(rng):
                Configuration(Scenario((0, 1), (0, 1)), "speaker", (0, 1))]
     with pytest.raises(DataError, match="mix roles"):
         model_agreement("bigram:literal", "bigram:literal", {"bigram": norm}, configs)
+
+
+def test_mixed_lexicons_rejected(rng):
+    # same words, nouns in reverse order: index-level mixing would be silent
+    bigram = random_normalized(rng, 4, 3, metric="bigram")
+    lexicon = bigram.lexicon
+    reversed_lexicon = Lexicon(lexicon.nouns[::-1], lexicon.adjectives)
+    cosine = NormalizedAssociation(
+        "embedding-cosine", reversed_lexicon, bigram.values[::-1], bigram.zero_mask[::-1]
+    )
+    tables = {"bigram": bigram, "embedding-cosine": cosine}
+    scenario = Scenario((0, 1, 2), (0, 1))
+    config = Configuration(scenario, "listener", 0)
+    with pytest.raises(DataError, match="matrices disagree on the lexicon"):
+        simulate_gameplay(tables, [scenario], "bigram:literal", "embedding-cosine:literal")
+    with pytest.raises(DataError, match="matrices disagree on the lexicon"):
+        model_agreement("bigram:literal", "embedding-cosine:literal", tables, [config])
+    with pytest.raises(DataError, match="matrices disagree on the lexicon"):
+        score_responses(tables, "bigram:literal", [ResponseRecord(config, {(0, 1): 2})])
 
 
 # ---------------------------------------------------------------------------

@@ -304,20 +304,6 @@ def test_search_deterministic(rng):
     assert first == second
 
 
-def test_search_schedule_independent(rng):
-    # thread count must not change the result
-    tables = {
-        "a": random_normalized(rng, 6, 6, metric="a"),
-        "b": random_normalized(rng, 6, 6, metric="b"),
-    }
-    models = listener_set("a", "b")
-    settings = SearchSettings(nouns=3, adjectives=3, mode="separate-listener",
-                              iterations=400, seed=11, top_k=25)
-    sequential = monte_carlo_search(tables, models, settings, threads=1)
-    threaded = monte_carlo_search(tables, models, settings, threads=4)
-    assert sequential == threaded
-
-
 def test_search_utilities_non_increasing(rng):
     tables = {
         "a": random_normalized(rng, 6, 5, metric="a"),
@@ -346,6 +332,19 @@ def test_search_validation(rng):
     with pytest.raises(DataError, match="disagree on the lexicon"):
         monte_carlo_search(mixed, listener_set("a", "b"),
                            SearchSettings(3, 2, "separate-listener", iterations=5))
+    with pytest.raises(DataError, match="no matrices supplied"):
+        monte_carlo_search({}, models, SearchSettings(3, 2, "separate-listener", iterations=5))
+
+
+@pytest.mark.parametrize("mode", ["separate-listener", "joint"])
+def test_search_rejects_missing_metric_before_sampling(rng, mode):
+    # a one-model set scores 0 without looking its matrix up
+    tables = {"a": random_normalized(rng, 4, 3, metric="a")}
+    models = ModelSet((ModelSpec("b", "listener", "literal"),))
+    if mode == "joint":
+        models = (ModelSet((ModelSpec("a", "speaker", "literal"),)), models)
+    with pytest.raises(DataError, match="no matrix supplied for metric 'b'"):
+        monte_carlo_search(tables, models, SearchSettings(3, 2, mode, iterations=5))
 
 
 # ---------------------------------------------------------------------------

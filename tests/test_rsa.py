@@ -13,12 +13,8 @@ from refgame import (
     Scenario,
     answer_support,
     listener_probs,
-    literal_listener,
-    literal_speaker,
     noun_pairs,
     parse_model_spec,
-    pragmatic_listener,
-    pragmatic_speaker,
     predict,
     scenario_scores,
     speaker_probs,
@@ -284,18 +280,21 @@ def test_predict_dispatch_and_role_mismatch(rng):
     scenario = Scenario((0, 1, 2), (0, 1, 2))
     listener_config = Configuration(scenario, "listener", 1)
     speaker_config = Configuration(scenario, "speaker", (0, 2))
+    scores = scenario_scores(norm, scenario)
 
     lit = predict(norm, listener_config, ModelSpec("bigram", "listener", "literal"))
-    assert np.allclose(lit.probs, literal_listener(norm, listener_config).probs)
+    assert lit.support == scenario.pairs
+    assert np.array_equal(lit.probs, listener_probs(scores, 1))
     prag = predict(norm, speaker_config, ModelSpec("bigram", "speaker", "pragmatic", 2.0))
-    assert np.allclose(prag.probs, pragmatic_speaker(norm, speaker_config, 2.0).probs)
+    assert prag.support == (0, 1, 2)
+    assert np.array_equal(prag.probs, speaker_probs(scores, 1, alpha=2.0))
 
     with pytest.raises(DataError, match="role"):
         predict(norm, listener_config, ModelSpec("bigram", "speaker", "literal"))
-    with pytest.raises(DataError, match="listener agent"):
-        literal_listener(norm, speaker_config)
-    with pytest.raises(DataError, match="speaker agent"):
-        pragmatic_speaker(norm, listener_config, 1.0)
+    with pytest.raises(DataError, match="model role 'listener' != configuration role 'speaker'"):
+        predict(norm, speaker_config, ModelSpec("bigram", "listener", "literal"))
+    with pytest.raises(DataError, match="model role 'speaker' != configuration role 'listener'"):
+        predict(norm, listener_config, ModelSpec("bigram", "speaker", "pragmatic", 1.0))
 
 
 def test_agents_consistent_with_cores(rng):
@@ -303,16 +302,24 @@ def test_agents_consistent_with_cores(rng):
     scenario = Scenario((5, 1, 3, 0), (2, 4))
     scores = scenario_scores(norm, scenario)
     config = Configuration(scenario, "listener", 1)
-    assert np.array_equal(literal_listener(norm, config).probs, listener_probs(scores, 1))
     assert np.array_equal(
-        pragmatic_listener(norm, config, 5.0).probs, listener_probs(scores, 1, alpha=5.0)
+        predict(norm, config, ModelSpec("bigram", "listener", "literal")).probs,
+        listener_probs(scores, 1),
+    )
+    assert np.array_equal(
+        predict(norm, config, ModelSpec("bigram", "listener", "pragmatic", 5.0)).probs,
+        listener_probs(scores, 1, alpha=5.0),
     )
     target = (1, 3)
     config = Configuration(scenario, "speaker", target)
     row = scenario.pairs.index(target)
-    assert np.array_equal(literal_speaker(norm, config).probs, speaker_probs(scores, row))
     assert np.array_equal(
-        pragmatic_speaker(norm, config, 0.1).probs, speaker_probs(scores, row, alpha=0.1)
+        predict(norm, config, ModelSpec("bigram", "speaker", "literal")).probs,
+        speaker_probs(scores, row),
+    )
+    assert np.array_equal(
+        predict(norm, config, ModelSpec("bigram", "speaker", "pragmatic", 0.1)).probs,
+        speaker_probs(scores, row, alpha=0.1),
     )
 
 
@@ -326,11 +333,13 @@ def test_distributions_sum_to_one_randomized(rng):
         scenario = Scenario(nouns, adjs)
         alpha = float(rng.choice([0.1, 1.0, 5.0]))
         clue = int(rng.integers(m))
-        dist = pragmatic_listener(norm, Configuration(scenario, "listener", clue), alpha)
+        listener = ModelSpec("bigram", "listener", "pragmatic", alpha)
+        dist = predict(norm, Configuration(scenario, "listener", clue), listener)
         assert abs(dist.probs.sum() - 1.0) < 1e-9
         assert (dist.probs >= 0).all()
         pair = scenario.pairs[int(rng.integers(len(scenario.pairs)))]
-        dist = pragmatic_speaker(norm, Configuration(scenario, "speaker", pair), alpha)
+        speaker = ModelSpec("bigram", "speaker", "pragmatic", alpha)
+        dist = predict(norm, Configuration(scenario, "speaker", pair), speaker)
         assert abs(dist.probs.sum() - 1.0) < 1e-9
         assert (dist.probs >= 0).all()
 
