@@ -25,6 +25,7 @@ from .lexicon import (
     save_lexicon,
     save_relatedness,
     save_topics,
+    write_labeled_matrix,
 )
 from .association import (
     METRIC_BIGRAM,
@@ -91,6 +92,7 @@ from .evaluation import (
     metric_rank_correlation,
     model_agreement,
     rank_correlation,
+    render_gameplay,
     render_matrix,
     render_score_reports,
     response_from_record,

@@ -23,7 +23,9 @@ from .lexicon import (
     Lexicon,
     RelatednessTable,
     TopicTable,
+    parse_float_cells,
     read_labeled_matrix,
+    write_labeled_matrix,
 )
 
 METRIC_BIGRAM = "bigram"
@@ -279,15 +281,8 @@ def _parse_mask_spec(spec: str, shape: tuple[int, int], path) -> np.ndarray:
 
 
 def _write_matrix(metric, lexicon, matrix, mask, stage, path) -> None:
-    lines = [
-        f"# metric: {metric}",
-        f"# stage: {stage}",
-        f"# zero-mask: {_mask_spec(mask)}",
-        "\t" + "\t".join(lexicon.adjectives),
-    ]
-    for i, noun in enumerate(lexicon.nouns):
-        lines.append(noun + "\t" + "\t".join(repr(float(v)) for v in matrix[i]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    comments = [f"# metric: {metric}", f"# stage: {stage}", f"# zero-mask: {_mask_spec(mask)}"]
+    write_labeled_matrix(path, lexicon, matrix, comments=comments)
 
 
 def save_association(assoc: AssociationMatrix, path: str | Path) -> None:
@@ -320,13 +315,7 @@ def _read_matrix(path: str | Path, expect_stage: str):
     if stage is not None and stage != expect_stage:
         raise DataError(f"{path}: stage '{stage}' where '{expect_stage}' expected")
     lexicon = Lexicon(tuple(row_labels), tuple(col_labels))
-    matrix = np.zeros(lexicon.shape)
-    for i, row in enumerate(cells):
-        for j, text in enumerate(row):
-            try:
-                matrix[i, j] = float(text)
-            except ValueError:
-                raise DataError(f"{path}: non-numeric cell {text!r}") from None
+    matrix = parse_float_cells(cells, lexicon, path, "cell")
     mask = _parse_mask_spec(mask_spec or "", lexicon.shape, path)
     return metric, lexicon, matrix, mask
 

@@ -30,11 +30,11 @@ from .association import (
 )
 from .errors import DataError
 from .evaluation import (
-    _aligned_table,
     load_responses,
     model_agreement,
     metric_rank_correlation,
     read_jsonl,
+    render_gameplay,
     render_matrix,
     render_score_reports,
     score_responses,
@@ -59,7 +59,9 @@ from .oed import (
 from .rsa import (
     LISTENER,
     SPEAKER,
+    clue_word,
     configuration_from_record,
+    pair_words,
     parse_model_spec,
     predict,
     scenario_from_record,
@@ -225,10 +227,9 @@ def cmd_predict(args) -> int:
     lines = ["# answer\tprobability"]
     for answer, prob in zip(dist.support, dist.probs):
         if config.role == LISTENER:
-            i, j = answer
-            name = f"{lexicon.nouns[config.scenario.nouns[i]]},{lexicon.nouns[config.scenario.nouns[j]]}"
+            name = ",".join(pair_words(config.scenario, answer, lexicon))
         else:
-            name = lexicon.adjectives[config.scenario.adjectives[answer]]
+            name = clue_word(config.scenario, answer, lexicon)
         lines.append(f"{name}\t{repr(float(prob))}")
     _emit("\n".join(lines) + "\n", args.output)
     if args.output:
@@ -416,27 +417,7 @@ def cmd_simulate(args) -> int:
     speaker_spec = _parse_spec(args.speaker, SPEAKER)
     listener_spec = _parse_spec(args.listener, LISTENER)
     report = simulate_gameplay(tables, scenarios, speaker_spec, listener_spec)
-    if args.format == "tsv":
-        lines = ["# nouns\tadjectives\tmean_success"]
-        for scenario, mean in zip(report.scenarios, report.scenario_means):
-            nouns = " ".join(lexicon.nouns[n] for n in scenario.nouns)
-            adjs = " ".join(lexicon.adjectives[a] for a in scenario.adjectives)
-            lines.append(f"{nouns}\t{adjs}\t{repr(float(mean))}")
-        lines.append(f"# overall\tmean={repr(report.mean)}\tsem={repr(report.sem)}")
-        text = "\n".join(lines) + "\n"
-    else:
-        rows = [["nouns", "adjectives", "mean_success"]]
-        for scenario, mean in zip(report.scenarios, report.scenario_means):
-            rows.append(
-                [
-                    " ".join(lexicon.nouns[n] for n in scenario.nouns),
-                    " ".join(lexicon.adjectives[a] for a in scenario.adjectives),
-                    f"{mean:.3f}",
-                ]
-            )
-        rows.append(["overall", "", f"{report.mean:.3f} (SEM {report.sem:.3f})"])
-        text = _aligned_table(rows)
-    _emit(text, args.output)
+    _emit(render_gameplay(report, lexicon, fmt=args.format), args.output)
     if args.output:
         _write_manifest(
             args.output,

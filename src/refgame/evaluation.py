@@ -29,10 +29,15 @@ from .rsa import (
     PredictionDistribution,
     Scenario,
     answer_support,
+    clue_from_word,
+    clue_word,
     configuration_from_record,
     configuration_record,
+    pair_from_words,
+    pair_words,
     parse_model_spec,
     predict,
+    scenario_record,
 )
 
 
@@ -51,15 +56,15 @@ class ResponseRecord:
         for answer, count in counts.items():
             if answer not in support:
                 raise DataError(f"answer {answer!r} not a valid answer here")
-            if not isinstance(count, (int, np.integer)) or count < 0:
+            if not _is_integer(count) or count < 0:
                 raise DataError(f"bad count {count!r} for answer {answer!r}")
         if sum(counts.values()) < 1:
             raise DataError("response record has no responses")
-        confidences = tuple(int(c) for c in self.confidences)
-        if any(not 1 <= c <= 5 for c in confidences):
-            raise DataError("confidence outside the 1..5 scale")
+        for confidence in self.confidences:
+            if not _is_integer(confidence) or not 1 <= confidence <= 5:
+                raise DataError(f"confidence {confidence!r} outside the 1..5 scale")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "confidences", confidences)
+        object.__setattr__(self, "confidences", tuple(int(c) for c in self.confidences))
 
     @property
     def total(self) -> int:
@@ -74,6 +79,10 @@ class ResponseRecord:
         top = vector.max()
         support = answer_support(self.configuration)
         return tuple(a for a, c in zip(support, vector) if c == top)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def top_answer(prediction: PredictionDistribution, record: ResponseRecord) -> int:
@@ -340,15 +349,8 @@ def confidence_ttest(group_a, group_b) -> tuple[float, float]:
 
 def response_to_record(response: ResponseRecord, lexicon) -> dict:
     config = response.configuration
-    answers = []
-    for answer, count in response.counts.items():
-        if config.role == LISTENER:
-            i, j = answer
-            answers.append(
-                [[lexicon.nouns[config.scenario.nouns[i]], lexicon.nouns[config.scenario.nouns[j]]], count]
-            )
-        else:
-            answers.append([lexicon.adjectives[config.scenario.adjectives[answer]], count])
+    words = pair_words if config.role == LISTENER else clue_word
+    answers = [[words(config.scenario, a, lexicon), n] for a, n in response.counts.items()]
     answers.sort(key=lambda item: json.dumps(item[0]))
     return {
         "configuration": configuration_record(config, lexicon),
@@ -364,7 +366,8 @@ def response_from_record(record: dict, lexicon) -> ResponseRecord:
         confidences = record.get("confidences", [])
     except (KeyError, TypeError):
         raise DataError(f"malformed response record {record!r}") from None
-    scenario = config.scenario
+    if not isinstance(answer_items, list) or not isinstance(confidences, list):
+        raise DataError(f"malformed response record {record!r}")
     counts = {}
     for item in answer_items:
         try:
@@ -372,26 +375,13 @@ def response_from_record(record: dict, lexicon) -> ResponseRecord:
         except (TypeError, ValueError):
             raise DataError(f"malformed answer entry {item!r}") from None
         if config.role == LISTENER:
-            positions = []
-            for word in answer_words:
-                if word not in lexicon.noun_index:
-                    raise DataError(f"noun '{word}' absent")
-                lex_idx = lexicon.noun_index[word]
-                if lex_idx not in scenario.nouns:
-                    raise DataError(f"answer noun '{word}' not in scenario")
-                positions.append(scenario.nouns.index(lex_idx))
-            answer: object = tuple(sorted(positions))
+            answer: object = pair_from_words(config.scenario, answer_words, lexicon, "answer noun")
         else:
-            if answer_words not in lexicon.adjective_index:
-                raise DataError(f"adjective '{answer_words}' absent")
-            lex_idx = lexicon.adjective_index[answer_words]
-            if lex_idx not in scenario.adjectives:
-                raise DataError(f"answer adjective '{answer_words}' not in scenario")
-            answer = scenario.adjectives.index(lex_idx)
+            answer = clue_from_word(config.scenario, answer_words, lexicon, "answer adjective")
         if answer in counts:
             raise DataError(f"duplicate answer entry {answer_words!r}")
-        counts[answer] = int(count)
-    return ResponseRecord(config, counts, tuple(int(c) for c in confidences))
+        counts[answer] = count
+    return ResponseRecord(config, counts, tuple(confidences))
 
 
 def save_responses(responses, lexicon, path: str | Path) -> None:
@@ -477,6 +467,26 @@ def render_matrix(labels, matrix, fmt: str = "tsv", title: str | None = None) ->
         for label, row in zip(labels, matrix):
             text_rows.append([label] + [f"{v:.3f}" for v in row])
         return ("\n".join(lines) + "\n" if lines else "") + _aligned_table(text_rows)
+    raise DataError(f"unknown format {fmt!r}")
+
+
+def render_gameplay(report: GameplayReport, lexicon, fmt: str = "tsv") -> str:
+    """Render per-scenario mean success and the overall mean and SEM."""
+    words = [scenario_record(scenario, lexicon) for scenario in report.scenarios]
+    rows = [
+        (" ".join(w["nouns"]), " ".join(w["adjectives"]), mean)
+        for w, mean in zip(words, report.scenario_means)
+    ]
+    if fmt == "tsv":
+        lines = ["# nouns\tadjectives\tmean_success"]
+        lines += [f"{nouns}\t{adjs}\t{_format_float(mean)}" for nouns, adjs, mean in rows]
+        lines.append(f"# overall\tmean={repr(report.mean)}\tsem={repr(report.sem)}")
+        return "\n".join(lines) + "\n"
+    if fmt == "table":
+        text_rows = [["nouns", "adjectives", "mean_success"]]
+        text_rows += [[nouns, adjs, f"{mean:.3f}"] for nouns, adjs, mean in rows]
+        text_rows.append(["overall", "", f"{report.mean:.3f} (SEM {report.sem:.3f})"])
+        return _aligned_table(text_rows)
     raise DataError(f"unknown format {fmt!r}")
 
 

@@ -142,6 +142,33 @@ def read_labeled_matrix(path: str | Path) -> tuple[list[str], list[str], list[li
     return row_labels, header, cells, comments
 
 
+def write_labeled_matrix(
+    path, lexicon: Lexicon, matrix, fmt=lambda v: repr(float(v)), comments=()
+) -> None:
+    """Write the format read_labeled_matrix reads: comment lines, a header
+    row of adjectives, then one row per noun with cells rendered by fmt."""
+    lines = list(comments)
+    lines.append("\t" + "\t".join(lexicon.adjectives))
+    for i, noun in enumerate(lexicon.nouns):
+        lines.append(noun + "\t" + "\t".join(fmt(v) for v in matrix[i]))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def parse_float_cells(cells, lexicon: Lexicon, path, what: str) -> np.ndarray:
+    """Float matrix from string cells in lexicon order; a bad cell names
+    its noun and adjective."""
+    matrix = np.zeros(lexicon.shape)
+    for i, noun in enumerate(lexicon.nouns):
+        for j, adj in enumerate(lexicon.adjectives):
+            try:
+                matrix[i, j] = float(cells[i][j])
+            except ValueError:
+                raise DataError(
+                    f"{path}: non-numeric {what} {cells[i][j]!r} at ('{noun}', '{adj}')"
+                ) from None
+    return matrix
+
+
 def _align_rows(
     row_labels: list[str],
     col_labels: list[str],
@@ -223,7 +250,7 @@ def load_counts(path: str | Path, lexicon: Lexicon, source: str | None = None) -
 
 
 def save_counts(counts: CooccurrenceCounts, path: str | Path) -> None:
-    _write_labeled_matrix(path, counts.lexicon, counts.z, fmt=str, comments=[f"# source: {counts.source}"])
+    write_labeled_matrix(path, counts.lexicon, counts.z, fmt=str, comments=[f"# source: {counts.source}"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,29 +276,11 @@ class RelatednessTable:
 def load_relatedness(path: str | Path, lexicon: Lexicon) -> RelatednessTable:
     row_labels, col_labels, cells, _ = read_labeled_matrix(path)
     picked = _align_rows(row_labels, col_labels, cells, lexicon, path)
-    scores = np.zeros(lexicon.shape)
-    for i, noun in enumerate(lexicon.nouns):
-        for j, adj in enumerate(lexicon.adjectives):
-            text = picked[i][j]
-            try:
-                scores[i, j] = float(text)
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric score {text!r} at ('{noun}', '{adj}')"
-                ) from None
-    return RelatednessTable(lexicon, scores)
+    return RelatednessTable(lexicon, parse_float_cells(picked, lexicon, path, "score"))
 
 
 def save_relatedness(table: RelatednessTable, path: str | Path) -> None:
-    _write_labeled_matrix(path, table.lexicon, table.scores, fmt=lambda x: repr(float(x)))
-
-
-def _write_labeled_matrix(path, lexicon, matrix, fmt, comments=()) -> None:
-    lines = list(comments)
-    lines.append("\t" + "\t".join(lexicon.adjectives))
-    for i, noun in enumerate(lexicon.nouns):
-        lines.append(noun + "\t" + "\t".join(fmt(v) for v in matrix[i]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_labeled_matrix(path, table.lexicon, table.scores)
 
 
 # ---------------------------------------------------------------------------

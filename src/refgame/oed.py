@@ -150,9 +150,6 @@ def model_information_bits(prediction_probs) -> float:
 def configuration_utility(tables, config: Configuration, models: ModelSet) -> float:
     """Expected information (bits) one answer to config carries about
     which model generated it."""
-    if len(models) < 2:
-        warnings.warn("fewer than two models: utility is identically 0", stacklevel=2)
-        return 0.0
     dists, _ = response_probability(tables, config, models)
     return model_information_bits(np.stack([d.probs for d in dists]))
 
@@ -225,7 +222,7 @@ def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignC
         if models.role != role:
             raise DataError(f"mode '{settings.mode}' needs {role} models")
         specs = models.models
-    # A one-model set scores 0 without a lookup, so check every metric here.
+    # Check every metric now, so a missing one fails before any key is drawn.
     for spec in specs:
         tables[spec.metric]
 
@@ -249,9 +246,15 @@ def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignC
     def evaluate(key) -> float:
         nouns, adjs, index = key
         scenario = Scenario(nouns, adjs)
-        if role is None:
-            return scenario_joint_utility(tables, scenario, speaker_models, listener_models)
-        return configuration_utility(tables, Configuration(scenario, role, index), models)
+        try:
+            if role is None:
+                return scenario_joint_utility(tables, scenario, speaker_models, listener_models)
+            return configuration_utility(tables, Configuration(scenario, role, index), models)
+        except DataError as exc:
+            words = scenario_record(scenario, tables.lexicon)
+            raise DataError(
+                f"scenario {' '.join(words['nouns'])} / {' '.join(words['adjectives'])}: {exc}"
+            ) from None
 
     keys = list(first_seen)
     utilities = [evaluate(key) for key in keys]
@@ -319,14 +322,10 @@ def filter_candidates(
 
 def candidate_to_record(candidate: DesignCandidate, lexicon) -> dict:
     """Word-level record form: {scenario, role?, target_pair|clue?, utility}."""
-    record = {"scenario": scenario_record(candidate.scenario, lexicon)}
-    if candidate.role is not None:
-        config_rec = configuration_record(candidate.configuration, lexicon)
-        record["role"] = candidate.role
-        if candidate.role == SPEAKER:
-            record["target_pair"] = config_rec["target_pair"]
-        else:
-            record["clue"] = config_rec["clue"]
+    if candidate.role is None:
+        record = {"scenario": scenario_record(candidate.scenario, lexicon)}
+    else:
+        record = configuration_record(candidate.configuration, lexicon)
     record["utility"] = float(candidate.utility)
     return record
 

@@ -10,7 +10,8 @@ renormalize over their own axis, and read off the requested row or
 column.
 
 The chain cores listener_probs/speaker_probs work on any positive score
-matrix, which keeps them testable outside scenarios.
+matrix, which keeps them testable outside scenarios. The speaker is the
+listener chain run on the transposed matrix.
 """
 
 from __future__ import annotations
@@ -219,11 +220,28 @@ def _check_scores(scores) -> np.ndarray:
     return scores
 
 
-def _normalize(vector: np.ndarray) -> np.ndarray:
-    total = vector.sum()
-    if total <= 0:
+def _normalize(values: np.ndarray, axis: int | None = None) -> np.ndarray:
+    # Totals sum non-negative scores, so only a zero total is bad; for a
+    # matrix, count_nonzero tests that far faster than (totals <= 0).any().
+    totals = values.sum(axis=axis, keepdims=axis is not None)
+    if (totals <= 0) if axis is None else (np.count_nonzero(totals) < totals.size):
         raise DataError("zero normalizer")
-    return vector / total
+    return values / totals
+
+
+def _chain(scores: np.ndarray, index: int, alpha: float | None, label: str) -> np.ndarray:
+    """Column `index` of the listener chain. Literal (alpha None): that
+    column normalized. Pragmatic: normalize columns, raise to alpha,
+    normalize rows, then normalize that column."""
+    if not 0 <= index < scores.shape[1]:
+        raise DataError(f"{label} index {index} out of range")
+    if alpha is None:
+        return _normalize(scores[:, index])
+    alpha = float(alpha)
+    if alpha <= 0:
+        raise DataError(f"alpha must be positive, got {alpha!r}")
+    weighted = _normalize(scores, axis=0) ** alpha
+    return _normalize(_normalize(weighted, axis=1)[:, index])
 
 
 def listener_probs(scores, clue: int, alpha: float | None = None) -> np.ndarray:
@@ -233,50 +251,13 @@ def listener_probs(scores, clue: int, alpha: float | None = None) -> np.ndarray:
     literal listener per column, speaker softmax-by-power across
     utterances, then the clue column renormalized.
     """
-    scores = _check_scores(scores)
-    if not 0 <= clue < scores.shape[1]:
-        raise DataError(f"clue index {clue} out of range")
-    if alpha is None:
-        return _normalize(scores[:, clue])
-    alpha = float(alpha)
-    if alpha <= 0:
-        raise DataError(f"alpha must be positive, got {alpha!r}")
-    col_totals = scores.sum(axis=0)
-    if (col_totals <= 0).any():
-        raise DataError("zero normalizer")
-    literal = scores / col_totals[None, :]
-    weighted = literal**alpha
-    row_totals = weighted.sum(axis=1)
-    if (row_totals <= 0).any():
-        raise DataError("zero normalizer")
-    speaker = weighted / row_totals[:, None]
-    return _normalize(speaker[:, clue])
+    return _chain(_check_scores(scores), clue, alpha, "clue")
 
 
 def speaker_probs(scores, target: int, alpha: float | None = None) -> np.ndarray:
-    """Distribution over utterances given a target referent row.
-
-    Mirror of listener_probs: literal speaker per row, listener
-    softmax-by-power across referents, target row renormalized.
-    """
-    scores = _check_scores(scores)
-    if not 0 <= target < scores.shape[0]:
-        raise DataError(f"target index {target} out of range")
-    if alpha is None:
-        return _normalize(scores[target])
-    alpha = float(alpha)
-    if alpha <= 0:
-        raise DataError(f"alpha must be positive, got {alpha!r}")
-    row_totals = scores.sum(axis=1)
-    if (row_totals <= 0).any():
-        raise DataError("zero normalizer")
-    literal = scores / row_totals[:, None]
-    weighted = literal**alpha
-    col_totals = weighted.sum(axis=0)
-    if (col_totals <= 0).any():
-        raise DataError("zero normalizer")
-    listener = weighted / col_totals[None, :]
-    return _normalize(listener[target])
+    """Distribution over utterances given a target referent row: the
+    listener chain run on the transposed scores."""
+    return _chain(_check_scores(scores).T, target, alpha, "target")
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +296,46 @@ def predict(
 # ---------------------------------------------------------------------------
 # word-level record forms for files
 
+def _word_indices(words, index: dict, kind: str) -> tuple[int, ...]:
+    """Lexicon indices of a list of words of one kind (noun or adjective)."""
+    if not isinstance(words, list):
+        raise DataError(f"expected a list of {kind}s, got {words!r}")
+    for word in words:
+        if not isinstance(word, str):
+            raise DataError(f"{kind} {word!r} is not a string")
+        if word not in index:
+            raise DataError(f"{kind} '{word}' absent")
+    return tuple(index[word] for word in words)
+
+
+def pair_words(scenario: Scenario, pair, lexicon) -> list[str]:
+    """The noun words of a scenario-position pair."""
+    return [lexicon.nouns[scenario.nouns[i]] for i in pair]
+
+
+def pair_from_words(scenario: Scenario, words, lexicon, label: str) -> tuple[int, ...]:
+    """Sorted scenario positions of noun words, named by label on error."""
+    positions = []
+    for word, noun in zip(words, _word_indices(words, lexicon.noun_index, "noun")):
+        if noun not in scenario.nouns:
+            raise DataError(f"{label} '{word}' not in scenario")
+        positions.append(scenario.nouns.index(noun))
+    return tuple(sorted(positions))
+
+
+def clue_word(scenario: Scenario, position: int, lexicon) -> str:
+    """The adjective word at a scenario clue position."""
+    return lexicon.adjectives[scenario.adjectives[position]]
+
+
+def clue_from_word(scenario: Scenario, word, lexicon, label: str) -> int:
+    """Scenario clue position of an adjective word, named by label on error."""
+    (adjective,) = _word_indices([word], lexicon.adjective_index, "adjective")
+    if adjective not in scenario.adjectives:
+        raise DataError(f"{label} '{word}' not in scenario")
+    return scenario.adjectives.index(adjective)
+
+
 def scenario_record(scenario: Scenario, lexicon) -> dict:
     return {
         "nouns": [lexicon.nouns[n] for n in scenario.nouns],
@@ -328,29 +349,18 @@ def scenario_from_record(record: dict, lexicon) -> Scenario:
         adj_words = record["adjectives"]
     except (KeyError, TypeError):
         raise DataError(f"malformed scenario record {record!r}") from None
-    nouns = []
-    for word in noun_words:
-        if word not in lexicon.noun_index:
-            raise DataError(f"noun '{word}' absent")
-        nouns.append(lexicon.noun_index[word])
-    adjectives = []
-    for word in adj_words:
-        if word not in lexicon.adjective_index:
-            raise DataError(f"adjective '{word}' absent")
-        adjectives.append(lexicon.adjective_index[word])
-    return Scenario(tuple(nouns), tuple(adjectives))
+    return Scenario(
+        _word_indices(noun_words, lexicon.noun_index, "noun"),
+        _word_indices(adj_words, lexicon.adjective_index, "adjective"),
+    )
 
 
 def configuration_record(config: Configuration, lexicon) -> dict:
     record = {"scenario": scenario_record(config.scenario, lexicon), "role": config.role}
     if config.role == SPEAKER:
-        i, j = config.index
-        record["target_pair"] = [
-            lexicon.nouns[config.scenario.nouns[i]],
-            lexicon.nouns[config.scenario.nouns[j]],
-        ]
+        record["target_pair"] = pair_words(config.scenario, config.index, lexicon)
     else:
-        record["clue"] = lexicon.adjectives[config.scenario.adjectives[config.index]]
+        record["clue"] = clue_word(config.scenario, config.index, lexicon)
     return record
 
 
@@ -363,25 +373,11 @@ def configuration_from_record(record: dict, lexicon) -> Configuration:
     if role == SPEAKER:
         if "target_pair" not in record:
             raise DataError("speaker configuration record lacks target_pair")
-        positions = []
-        for word in record["target_pair"]:
-            if word not in lexicon.noun_index:
-                raise DataError(f"noun '{word}' absent")
-            lex_idx = lexicon.noun_index[word]
-            if lex_idx not in scenario.nouns:
-                raise DataError(f"target noun '{word}' not in scenario")
-            positions.append(scenario.nouns.index(lex_idx))
-        index: object = tuple(sorted(positions))
+        index: object = pair_from_words(scenario, record["target_pair"], lexicon, "target noun")
     elif role == LISTENER:
         if "clue" not in record:
             raise DataError("listener configuration record lacks clue")
-        word = record["clue"]
-        if word not in lexicon.adjective_index:
-            raise DataError(f"adjective '{word}' absent")
-        lex_idx = lexicon.adjective_index[word]
-        if lex_idx not in scenario.adjectives:
-            raise DataError(f"clue '{word}' not in scenario")
-        index = scenario.adjectives.index(lex_idx)
+        index = clue_from_word(scenario, record["clue"], lexicon, "clue")
     else:
         raise DataError(f"unknown role {role!r}")
     return Configuration(scenario, role, index)

@@ -374,3 +374,11 @@ def test_malformed_mask_rejected(tmp_path):
     )
     with pytest.raises(DataError, match="zero-mask"):
         load_normalized(tmp_path / "bad.tsv")
+
+
+def test_non_numeric_cell_names_noun_and_adjective(tmp_path):
+    (tmp_path / "bad.tsv").write_text(
+        "# metric: m\n# stage: normalized\n# zero-mask: \n\tadj0\tadj1\nnoun0\t0.5\tx\n"
+    )
+    with pytest.raises(DataError, match=r"non-numeric cell 'x' at \('noun0', 'adj1'\)"):
+        load_normalized(tmp_path / "bad.tsv")

@@ -653,6 +653,43 @@ def test_jsonl_record_error_names_file_and_line(data, capsys, tmp_path, command)
     assert err == f"error: {path}:2: noun 'apple' absent\n"
 
 
+@pytest.mark.parametrize("command, field, value, message", [
+    ("score", "speaker answer", [["dying"], 2], "adjective ['dying'] is not a string"),
+    ("score", "count", "many", "bad count 'many' for answer (0, 1)"),
+    ("score", "count", "2", "bad count '2' for answer (0, 1)"),
+    ("score", "count", 2.9, "bad count 2.9 for answer (0, 1)"),
+    ("score", "confidences", [4.7], "confidence 4.7 outside the 1..5 scale"),
+    ("simulate", "nouns", [["heart"], "phone"], "noun ['heart'] is not a string"),
+    ("simulate", "nouns", "heart", "expected a list of nouns, got 'heart'"),
+], ids=[
+    "listed-clue", "word-count", "string-count", "float-count", "float-confidence",
+    "listed-noun", "string-nouns",
+])
+def test_bad_record_field_is_data_error(data, capsys, tmp_path, command, field, value, message):
+    listener = json.loads(data["listener_config"].read_text())
+    if command == "simulate":
+        record = {**listener["scenario"], field: value}
+        flag, extra = "--scenarios", ["--speaker", "bigram:literal", "--listener", "bigram:literal"]
+    else:
+        record = {"configuration": listener, "answers": [[["heart", "phone"], 3]], "confidences": []}
+        if field == "speaker answer":
+            record["configuration"] = json.loads(data["speaker_config"].read_text())
+            record["answers"] = [value]
+        elif field == "count":
+            record["answers"][0][1] = value
+        else:
+            record[field] = value
+        flag, extra = "--responses", ["--model", "bigram:literal"]
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    code, _, err = run_cli(capsys, [
+        command, "--matrix", str(data["norm"]["bigram"]), flag, str(path), *extra,
+    ])
+    assert code == 1
+    assert err == f"error: {path}:1: {message}\n"
+    assert "Traceback" not in err
+
+
 def test_simulate_non_object_record_is_data_error(data, capsys, tmp_path):
     path = tmp_path / "scenarios.jsonl"
     path.write_text("5\n")

@@ -11,6 +11,7 @@ import scipy.stats
 from refgame import (
     Configuration,
     DataError,
+    GameplayReport,
     Lexicon,
     ModelSpec,
     NormalizedAssociation,
@@ -27,6 +28,7 @@ from refgame import (
     model_agreement,
     predict,
     rank_correlation,
+    render_gameplay,
     render_matrix,
     render_score_reports,
     response_from_record,
@@ -505,3 +507,23 @@ def test_render_matrix_tsv():
     assert lines[0] == "# \ta\tb"
     assert lines[1].startswith("a\t")
     assert lines[1].split("\t")[1] == repr(1.0)
+
+
+def test_render_gameplay_formats():
+    lexicon = Lexicon(("heart", "phone", "mirror"), ("dying", "empty"))
+    scenarios = (Scenario((0, 2), (1,)), Scenario((1, 2), (0, 1)))
+    report = GameplayReport(scenarios, ((0.5,), (0.25,)), (0.5, 0.25), 0.375, 0.125)
+    assert render_gameplay(report, lexicon) == (
+        "# nouns\tadjectives\tmean_success\n"
+        "heart mirror\tempty\t0.5\n"
+        "phone mirror\tdying empty\t0.25\n"
+        "# overall\tmean=0.375\tsem=0.125\n"
+    )
+    assert render_gameplay(report, lexicon, "table") == (
+        "nouns         adjectives   mean_success\n"
+        "heart mirror  empty        0.500\n"
+        "phone mirror  dying empty  0.250\n"
+        "overall                    0.375 (SEM 0.125)\n"
+    )
+    with pytest.raises(DataError, match="unknown format"):
+        render_gameplay(report, lexicon, "markdown")

@@ -263,6 +263,14 @@ def test_load_relatedness_basic(tmp_path):
     assert table.scores.tolist() == [[0.4, 0.0]]
 
 
+def test_load_relatedness_non_numeric_names_cell(tmp_path):
+    lex = Lexicon(("key",), ("bright", "heavy"))
+    path = tmp_path / "rel.tsv"
+    path.write_text("\tbright\theavy\nkey\t0.4\thigh\n")
+    with pytest.raises(DataError, match=r"non-numeric score 'high' at \('key', 'heavy'\)"):
+        load_relatedness(path, lex)
+
+
 def test_relatedness_rejects_negative():
     lex = make_lexicon(1, 2)
     with pytest.raises(DataError, match="negative"):

@@ -199,6 +199,16 @@ def test_joint_utility_is_geometric_mean_of_configs(rng):
     )
 
 
+def test_one_model_set_missing_metric_raises(rng):
+    tables = {"a": random_normalized(rng, 3, 3, metric="a")}
+    scenario = Scenario((0, 1), (0,))
+    speaker = ModelSet((ModelSpec("zzz", "speaker", "literal"),))
+    with pytest.raises(DataError, match="no matrix supplied for metric 'zzz'"):
+        configuration_utility(tables, Configuration(scenario, "listener", 0), listener_set("zzz"))
+    with pytest.raises(DataError, match="no matrix supplied for metric 'zzz'"):
+        scenario_joint_utility(tables, scenario, speaker, listener_set("zzz"))
+
+
 def test_joint_utility_role_validation(rng):
     tables = {"a": random_normalized(rng, 4, 4, metric="a")}
     listener = listener_set("a", "a")
@@ -338,13 +348,28 @@ def test_search_validation(rng):
 
 @pytest.mark.parametrize("mode", ["separate-listener", "joint"])
 def test_search_rejects_missing_metric_before_sampling(rng, mode):
-    # a one-model set scores 0 without looking its matrix up
+    # the metric check runs before any key is drawn
     tables = {"a": random_normalized(rng, 4, 3, metric="a")}
     models = ModelSet((ModelSpec("b", "listener", "literal"),))
     if mode == "joint":
         models = (ModelSet((ModelSpec("a", "speaker", "literal"),)), models)
     with pytest.raises(DataError, match="no matrix supplied for metric 'b'"):
         monte_carlo_search(tables, models, SearchSettings(3, 2, mode, iterations=5))
+
+
+@pytest.mark.parametrize("mode", ["separate-listener", "joint"])
+def test_search_error_names_scenario(rng, monkeypatch, mode):
+    def boom(*args):
+        raise DataError("boom")
+
+    monkeypatch.setattr("refgame.oed.predict", boom)
+    tables = {"a": random_normalized(rng, 2, 1, metric="a")}
+    models = listener_set("a", "a")
+    if mode == "joint":
+        models = (ModelSet((ModelSpec("a", "speaker", "literal"),) * 2), models)
+    with pytest.raises(DataError) as info:
+        monte_carlo_search(tables, models, SearchSettings(2, 1, mode, iterations=1))
+    assert str(info.value) == "scenario noun0 noun1 / adj0: boom"
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from refgame import (
+    ZERO_FLOOR,
     Configuration,
     DataError,
     ModelSpec,
@@ -161,6 +165,36 @@ def test_chain_cores_validate():
         listener_probs(np.array([[0.0, 1.0], [0.0, 1.0]]), 0)
     with pytest.raises(DataError, match="non-negative"):
         speaker_probs(np.array([[1.0, -0.5]]), 0)
+
+
+def _chain_outcome(chain, scores, index, alpha):
+    try:
+        return chain(scores, index, alpha)
+    except DataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    scores=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 50), st.integers(1, 40)),
+        elements=st.one_of(st.just(ZERO_FLOOR**2), st.floats(ZERO_FLOOR**2, 1.0)),
+    ),
+    alpha=st.sampled_from([None, 0.3, 1.0, 5.0, 30.0]),
+    target=st.integers(0, 49),
+)
+@example(scores=np.array([[ZERO_FLOOR**2, 1.0]] * 3), alpha=30.0, target=0)
+def test_speaker_is_listener_on_transpose(scores, alpha, target):
+    # Masked noun pairs score ZERO_FLOOR**2; at large alpha they can drive a
+    # normalizer to zero, and then both sides must fail the same way.
+    target %= scores.shape[0]
+    speaker = _chain_outcome(speaker_probs, scores, target, alpha)
+    listener = _chain_outcome(listener_probs, scores.T, target, alpha)
+    if isinstance(speaker, str) or isinstance(listener, str):
+        assert speaker == listener
+    else:
+        assert np.array_equal(speaker, listener)
 
 
 # ---------------------------------------------------------------------------
@@ -390,3 +424,11 @@ def test_configuration_record_errors(rng):
         configuration_from_record(
             {**base, "role": "speaker", "target_pair": ["noun0", "missing"]}, norm.lexicon
         )
+    with pytest.raises(DataError, match="target noun 'noun2' not in scenario"):
+        configuration_from_record(
+            {**base, "role": "speaker", "target_pair": ["noun0", "noun2"]}, norm.lexicon
+        )
+    with pytest.raises(DataError, match="expected a list of nouns"):
+        configuration_from_record({**base, "role": "speaker", "target_pair": "noun0"}, norm.lexicon)
+    with pytest.raises(DataError, match=r"adjective \['adj0'\] is not a string"):
+        configuration_from_record({**base, "role": "listener", "clue": ["adj0"]}, norm.lexicon)
