@@ -16,15 +16,17 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import rankdata
 
-from .errors import DataError
+from .errors import DataError, prefix_errors
 from .lexicon import (
     CooccurrenceCounts,
     EmbeddingTable,
     Lexicon,
     RelatednessTable,
     TopicTable,
+    lexicon_array,
     parse_float_cells,
     read_labeled_matrix,
+    reject_cells,
     write_labeled_matrix,
 )
 
@@ -36,11 +38,6 @@ METRICS = (METRIC_BIGRAM, METRIC_EMBEDDING, METRIC_RELATEDNESS, METRIC_TOPIC)
 
 # Value written into masked (unobserved) cells after normalization.
 ZERO_FLOOR = 1e-7
-
-
-def _freeze(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,19 +52,9 @@ class AssociationMatrix:
     def __post_init__(self):
         if not self.metric:
             raise DataError("empty metric id")
-        raw = np.array(self.raw, dtype=float)
-        if self.zero_mask is None:
-            mask = np.zeros(raw.shape, dtype=bool)
-        else:
-            mask = np.array(self.zero_mask, dtype=bool)
-        if raw.shape != self.lexicon.shape:
-            raise DataError(f"matrix shape {raw.shape} != lexicon shape {self.lexicon.shape}")
-        if mask.shape != raw.shape:
-            raise DataError(f"zero-mask shape {mask.shape} != matrix shape {raw.shape}")
-        if not np.isfinite(raw).all():
-            raise DataError("non-finite association score")
-        object.__setattr__(self, "raw", _freeze(raw))
-        object.__setattr__(self, "zero_mask", _freeze(mask))
+        mask = np.zeros(self.lexicon.shape, bool) if self.zero_mask is None else self.zero_mask
+        object.__setattr__(self, "raw", lexicon_array(self.raw, self.lexicon, "association score"))
+        object.__setattr__(self, "zero_mask", lexicon_array(mask, self.lexicon, "zero-mask", bool))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,21 +70,15 @@ class NormalizedAssociation:
     def __post_init__(self):
         if not self.metric:
             raise DataError("empty metric id")
-        values = np.array(self.values, dtype=float)
-        mask = np.array(self.zero_mask, dtype=bool)
-        if values.shape != self.lexicon.shape:
-            raise DataError(f"matrix shape {values.shape} != lexicon shape {self.lexicon.shape}")
-        if mask.shape != values.shape:
-            raise DataError(f"zero-mask shape {mask.shape} != matrix shape {values.shape}")
-        if not np.isfinite(values).all():
-            raise DataError("non-finite normalized score")
-        unmasked = values[~mask]
-        if unmasked.size and ((unmasked <= 0).any() or (unmasked > 1).any()):
-            raise DataError("normalized scores must lie in (0, 1]")
-        if (values[mask] != ZERO_FLOOR).any():
-            raise DataError(f"masked cells must equal {ZERO_FLOOR!r}")
-        object.__setattr__(self, "values", _freeze(values))
-        object.__setattr__(self, "zero_mask", _freeze(mask))
+        lexicon = self.lexicon
+        values = lexicon_array(self.values, lexicon, "normalized score")
+        mask = lexicon_array(self.zero_mask, lexicon, "zero-mask", bool)
+        out_of_range = ~mask & ((values <= 0) | (values > 1))
+        reject_cells(out_of_range, values, lexicon, "normalized scores must lie in (0, 1], got")
+        off_floor = mask & (values != ZERO_FLOOR)
+        reject_cells(off_floor, values, lexicon, f"masked cells must equal {ZERO_FLOOR!r}, got")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "zero_mask", mask)
 
 
 class Tables(dict):
@@ -263,7 +244,7 @@ def _mask_spec(mask: np.ndarray) -> str:
     return ";".join(f"{r},{c}" for r, c in zip(rows, cols))
 
 
-def _parse_mask_spec(spec: str, shape: tuple[int, int], path) -> np.ndarray:
+def _parse_mask_spec(spec: str, shape: tuple[int, int]) -> np.ndarray:
     mask = np.zeros(shape, dtype=bool)
     spec = spec.strip()
     if not spec:
@@ -273,9 +254,9 @@ def _parse_mask_spec(spec: str, shape: tuple[int, int], path) -> np.ndarray:
             r_text, c_text = part.split(",")
             r, c = int(r_text), int(c_text)
         except ValueError:
-            raise DataError(f"{path}: malformed zero-mask entry {part!r}") from None
+            raise DataError(f"malformed zero-mask entry {part!r}") from None
         if not (0 <= r < shape[0] and 0 <= c < shape[1]):
-            raise DataError(f"{path}: zero-mask entry {part!r} out of range")
+            raise DataError(f"zero-mask entry {part!r} out of range")
         mask[r, c] = True
     return mask
 
@@ -293,38 +274,29 @@ def save_normalized(norm: NormalizedAssociation, path: str | Path) -> None:
     _write_matrix(norm.metric, norm.lexicon, norm.values, norm.zero_mask, _STAGE_NORMALIZED, path)
 
 
-def _read_matrix(path: str | Path, expect_stage: str):
+def _read_matrix(path: str | Path, expect_stage: str, build):
+    """build(metric, lexicon, matrix, mask) from a matrix file; errors name the file."""
     row_labels, col_labels, cells, comments = read_labeled_matrix(path)
-    metric = None
-    mask_spec = None
-    stage = None
+    keys = {}
     for comment in comments:
-        body = comment.lstrip("#").strip()
-        for key in ("metric", "stage", "zero-mask"):
-            prefix = key + ":"
-            if body.startswith(prefix):
-                value = body[len(prefix):].strip()
-                if key == "metric":
-                    metric = value
-                elif key == "stage":
-                    stage = value
-                else:
-                    mask_spec = value
-    if metric is None:
-        raise DataError(f"{path}: missing '# metric:' line")
-    if stage is not None and stage != expect_stage:
-        raise DataError(f"{path}: stage '{stage}' where '{expect_stage}' expected")
-    lexicon = Lexicon(tuple(row_labels), tuple(col_labels))
-    matrix = parse_float_cells(cells, lexicon, path, "cell")
-    mask = _parse_mask_spec(mask_spec or "", lexicon.shape, path)
-    return metric, lexicon, matrix, mask
+        key, colon, value = comment.lstrip("#").strip().partition(":")
+        if colon:
+            keys[key] = value.strip()
+    stage = keys.get("stage", expect_stage)
+    with prefix_errors(path):
+        if "metric" not in keys:
+            raise DataError("missing '# metric:' line")
+        if stage != expect_stage:
+            raise DataError(f"stage '{stage}' where '{expect_stage}' expected")
+        lexicon = Lexicon(tuple(row_labels), tuple(col_labels))
+        matrix = parse_float_cells(cells, lexicon, "cell")
+        mask = _parse_mask_spec(keys.get("zero-mask", ""), lexicon.shape)
+        return build(keys["metric"], lexicon, matrix, mask)
 
 
 def load_association(path: str | Path) -> AssociationMatrix:
-    metric, lexicon, matrix, mask = _read_matrix(path, _STAGE_RAW)
-    return AssociationMatrix(metric, lexicon, matrix, mask)
+    return _read_matrix(path, _STAGE_RAW, AssociationMatrix)
 
 
 def load_normalized(path: str | Path) -> NormalizedAssociation:
-    metric, lexicon, matrix, mask = _read_matrix(path, _STAGE_NORMALIZED)
-    return NormalizedAssociation(metric, lexicon, matrix, mask)
+    return _read_matrix(path, _STAGE_NORMALIZED, NormalizedAssociation)

@@ -53,6 +53,7 @@ from .oed import (
     ModelSet,
     SearchSettings,
     candidate_to_record,
+    check_filter_bounds,
     filter_candidates,
     monte_carlo_search,
 )
@@ -177,10 +178,6 @@ def _load_json(path: str):
         raise DataError(f"{path}: malformed JSON ({exc})") from None
 
 
-def _load_jsonl(path: str, parse) -> list:
-    return read_jsonl(path, parse, "empty record file")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -272,16 +269,22 @@ def _resolve_oed_settings(args) -> dict:
 
 def cmd_oed(args) -> int:
     resolved = _resolve_oed_settings(args)
+    # Bad flag values are usage errors, found before any matrix is read.
+    try:
+        settings = SearchSettings(
+            nouns=resolved["nouns"],
+            adjectives=resolved["adjectives"],
+            mode=resolved["mode"],
+            iterations=args.iterations,
+            seed=args.seed,
+            top_k=args.top,
+        )
+        if args.filter:
+            check_filter_bounds(args.min_word_diff, args.max_word_occurrence)
+    except DataError as exc:
+        raise _UsageError(str(exc)) from None
     tables = _load_matrices(args.matrix)
     lexicon = tables.lexicon
-    settings = SearchSettings(
-        nouns=resolved["nouns"],
-        adjectives=resolved["adjectives"],
-        mode=resolved["mode"],
-        iterations=args.iterations,
-        seed=args.seed,
-        top_k=args.top,
-    )
     if settings.mode == MODE_JOINT:
         models = (
             ModelSet(tuple(_parse_spec(s, SPEAKER) for s in resolved["models"])),
@@ -323,6 +326,8 @@ def cmd_oed(args) -> int:
 
 
 def cmd_score(args) -> int:
+    for model in args.model:
+        _parse_spec(model, LISTENER)  # a syntax check: each record binds its own role
     tables = _load_matrices(args.matrix)
     lexicon = tables.lexicon
     records = load_responses(args.responses, lexicon)
@@ -355,7 +360,9 @@ def cmd_compare(args) -> int:
     sections.append(render_matrix(metrics, corr, fmt=args.format, title="metric rank correlation"))
 
     if args.configs:
-        configs = _load_jsonl(args.configs, lambda r: configuration_from_record(r, lexicon))
+        configs = read_jsonl(
+            args.configs, lambda r: configuration_from_record(r, lexicon), "empty record file"
+        )
         by_role: dict[str, list] = {}
         for config in configs:
             by_role.setdefault(config.role, []).append(config)
@@ -366,21 +373,14 @@ def cmd_compare(args) -> int:
             else:
                 specs = [_parse_spec(f"{m}:literal", role) for m in metrics]
             labels = [s.spec_string() for s in specs]
-            tops = [[0.0] * len(specs) for _ in specs]
-            ranks = [[0.0] * len(specs) for _ in specs]
-            for i, spec_a in enumerate(specs):
-                for j, spec_b in enumerate(specs):
-                    top, rank = model_agreement(spec_a, spec_b, tables, role_configs)
-                    tops[i][j] = top
-                    ranks[i][j] = rank
-            sections.append(
-                render_matrix(labels, tops, fmt=args.format, title=f"{role} top-answer agreement")
-            )
-            sections.append(
-                render_matrix(
-                    labels, ranks, fmt=args.format, title=f"{role} prediction rank correlation"
+            agreement = [
+                [model_agreement(a, b, tables, role_configs) for b in specs] for a in specs
+            ]
+            for k, name in enumerate(("top-answer agreement", "prediction rank correlation")):
+                matrix = [[cell[k] for cell in row] for row in agreement]
+                sections.append(
+                    render_matrix(labels, matrix, fmt=args.format, title=f"{role} {name}")
                 )
-            )
 
     _emit("\n".join(sections), args.output)
     if args.output:
@@ -413,7 +413,7 @@ def cmd_simulate(args) -> int:
             record = record["scenario"]
         return scenario_from_record(record, lexicon)
 
-    scenarios = _load_jsonl(args.scenarios, scenario_of)
+    scenarios = read_jsonl(args.scenarios, scenario_of, "empty record file")
     speaker_spec = _parse_spec(args.speaker, SPEAKER)
     listener_spec = _parse_spec(args.listener, LISTENER)
     report = simulate_gameplay(tables, scenarios, speaker_spec, listener_spec)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import stats
 
 from .association import NormalizedAssociation, Tables
-from .errors import DataError
+from .errors import DataError, prefix_errors
 from .rsa import (
     LISTENER,
     SPEAKER,
@@ -33,6 +33,7 @@ from .rsa import (
     clue_word,
     configuration_from_record,
     configuration_record,
+    is_integer,
     pair_from_words,
     pair_words,
     parse_model_spec,
@@ -56,12 +57,12 @@ class ResponseRecord:
         for answer, count in counts.items():
             if answer not in support:
                 raise DataError(f"answer {answer!r} not a valid answer here")
-            if not _is_integer(count) or count < 0:
+            if not is_integer(count) or count < 0:
                 raise DataError(f"bad count {count!r} for answer {answer!r}")
         if sum(counts.values()) < 1:
             raise DataError("response record has no responses")
         for confidence in self.confidences:
-            if not _is_integer(confidence) or not 1 <= confidence <= 5:
+            if not is_integer(confidence) or not 1 <= confidence <= 5:
                 raise DataError(f"confidence {confidence!r} outside the 1..5 scale")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "confidences", tuple(int(c) for c in self.confidences))
@@ -79,10 +80,6 @@ class ResponseRecord:
         top = vector.max()
         support = answer_support(self.configuration)
         return tuple(a for a, c in zip(support, vector) if c == top)
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def top_answer(prediction: PredictionDistribution, record: ResponseRecord) -> int:
@@ -161,24 +158,17 @@ def score_responses(tables, model, records) -> ScoreReport:
     if not records:
         raise DataError("no response records")
     tables = Tables.of(tables)
+    specs = [parse_model_spec(model, record.configuration.role) for record in records]
     tops = []
     ranks = []
-    for record in records:
-        if isinstance(model, ModelSpec):
-            spec = model
-        else:
-            spec = parse_model_spec(model, record.configuration.role)
+    for spec, record in zip(specs, records):
         prediction = predict(tables[spec.metric], record.configuration, spec)
         tops.append(top_answer(prediction, record))
         ranks.append(rank_correlation(prediction, record))
     top_mean, top_sem = aggregate(tops)
     rank_mean, rank_sem = aggregate(ranks)
-    if isinstance(model, ModelSpec):
-        spec_out = model
-    else:
-        spec_out = parse_model_spec(model, records[0].configuration.role)
     return ScoreReport(
-        spec_out, tuple(tops), tuple(ranks), top_mean, top_sem, rank_mean, rank_sem
+        specs[0], tuple(tops), tuple(ranks), top_mean, top_sem, rank_mean, rank_sem
     )
 
 
@@ -237,14 +227,8 @@ def simulate_gameplay(tables, scenarios, speaker_spec, listener_spec) -> Gamepla
     scenarios = tuple(scenarios)
     if not scenarios:
         raise DataError("no scenarios to play")
-    if not isinstance(speaker_spec, ModelSpec):
-        speaker_spec = parse_model_spec(speaker_spec, SPEAKER)
-    if not isinstance(listener_spec, ModelSpec):
-        listener_spec = parse_model_spec(listener_spec, LISTENER)
-    if speaker_spec.role != SPEAKER:
-        raise DataError("speaker_spec must be a speaker model")
-    if listener_spec.role != LISTENER:
-        raise DataError("listener_spec must be a listener model")
+    speaker_spec = parse_model_spec(speaker_spec, SPEAKER)
+    listener_spec = parse_model_spec(listener_spec, LISTENER)
     tables = Tables.of(tables)
     speaker_norm = tables[speaker_spec.metric]
     listener_norm = tables[listener_spec.metric]
@@ -293,15 +277,8 @@ def model_agreement(spec_a, spec_b, tables, configurations) -> tuple[float, floa
     if len(roles) > 1:
         raise DataError("configurations mix roles")
     role = configurations[0].role
-    if not isinstance(spec_a, ModelSpec):
-        spec_a = parse_model_spec(spec_a, role)
-    if not isinstance(spec_b, ModelSpec):
-        spec_b = parse_model_spec(spec_b, role)
-    if spec_a.role != spec_b.role or spec_a.role != role:
-        raise DataError(
-            f"model roles ({spec_a.role}, {spec_b.role}) do not match the "
-            f"configurations' role '{role}'"
-        )
+    spec_a = parse_model_spec(spec_a, role)
+    spec_b = parse_model_spec(spec_b, role)
     tables = Tables.of(tables)
     norm_a = tables[spec_a.metric]
     norm_b = tables[spec_b.metric]
@@ -401,14 +378,12 @@ def read_jsonl(path: str | Path, parse, empty: str) -> list:
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            raise DataError(f"{path}:{lineno}: malformed JSON") from None
-        try:
+        with prefix_errors(f"{path}:{lineno}"):
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                raise DataError("malformed JSON") from None
             items.append(parse(record))
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
     if not items:
         raise DataError(f"{path}: {empty}")
     return items
@@ -423,76 +398,52 @@ def load_responses(path: str | Path, lexicon) -> list[ResponseRecord]:
 # ---------------------------------------------------------------------------
 # report rendering
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+def _render(header, rows, fmt: str, title: str | None = None) -> str:
+    """Text and number cells under a header, after an optional '# title' line. tsv: header
+    as a '# ' comment, numbers by repr; table: columns aligned, numbers to 3 decimals."""
+    if fmt not in ("tsv", "table"):
+        raise DataError(f"unknown format {fmt!r}")
+
+    def text(cell) -> str:
+        if isinstance(cell, str):
+            return cell
+        return repr(float(cell)) if fmt == "tsv" else f"{cell:.3f}"
+
+    cells = [[text(cell) for cell in row] for row in rows]
+    lines = [] if title is None else [f"# {title}"]
+    if fmt == "tsv":
+        lines.append("# " + "\t".join(header))
+        lines += ["\t".join(row) for row in cells]
+    else:
+        table = [list(header)] + cells
+        widths = [max(len(row[i]) for row in table) for i in range(len(header))]
+        lines += ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in table]
+    return "\n".join(lines) + "\n"
 
 
 def render_score_reports(reports, fmt: str = "tsv") -> str:
     """Render ScoreReports as TSV or an aligned table."""
     rows = [
-        (
-            r.model.spec_string(),
-            r.top_mean,
-            r.top_sem,
-            r.rank_mean,
-            r.rank_sem,
-        )
-        for r in reports
+        (r.model.spec_string(), r.top_mean, r.top_sem, r.rank_mean, r.rank_sem) for r in reports
     ]
-    header = ("model", "top_mean", "top_sem", "rank_mean", "rank_sem")
-    if fmt == "tsv":
-        lines = ["# " + "\t".join(header)]
-        for row in rows:
-            lines.append("\t".join([row[0]] + [_format_float(v) for v in row[1:]]))
-        return "\n".join(lines) + "\n"
-    if fmt == "table":
-        text_rows = [[row[0]] + [f"{v:.3f}" for v in row[1:]] for row in rows]
-        return _aligned_table([list(header)] + text_rows)
-    raise DataError(f"unknown format {fmt!r}")
+    return _render(("model", "top_mean", "top_sem", "rank_mean", "rank_sem"), rows, fmt)
 
 
 def render_matrix(labels, matrix, fmt: str = "tsv", title: str | None = None) -> str:
     """Render a square comparison matrix with row/column labels."""
-    matrix = np.asarray(matrix, dtype=float)
-    lines = []
-    if title is not None:
-        lines.append(f"# {title}")
-    if fmt == "tsv":
-        lines.append("# \t" + "\t".join(labels))
-        for label, row in zip(labels, matrix):
-            lines.append(label + "\t" + "\t".join(_format_float(v) for v in row))
-        return "\n".join(lines) + "\n"
-    if fmt == "table":
-        text_rows = [[""] + list(labels)]
-        for label, row in zip(labels, matrix):
-            text_rows.append([label] + [f"{v:.3f}" for v in row])
-        return ("\n".join(lines) + "\n" if lines else "") + _aligned_table(text_rows)
-    raise DataError(f"unknown format {fmt!r}")
+    rows = [[label, *row] for label, row in zip(labels, matrix)]
+    return _render(["", *labels], rows, fmt, title)
 
 
 def render_gameplay(report: GameplayReport, lexicon, fmt: str = "tsv") -> str:
     """Render per-scenario mean success and the overall mean and SEM."""
     words = [scenario_record(scenario, lexicon) for scenario in report.scenarios]
     rows = [
-        (" ".join(w["nouns"]), " ".join(w["adjectives"]), mean)
+        [" ".join(w["nouns"]), " ".join(w["adjectives"]), mean]
         for w, mean in zip(words, report.scenario_means)
     ]
     if fmt == "tsv":
-        lines = ["# nouns\tadjectives\tmean_success"]
-        lines += [f"{nouns}\t{adjs}\t{_format_float(mean)}" for nouns, adjs, mean in rows]
-        lines.append(f"# overall\tmean={repr(report.mean)}\tsem={repr(report.sem)}")
-        return "\n".join(lines) + "\n"
-    if fmt == "table":
-        text_rows = [["nouns", "adjectives", "mean_success"]]
-        text_rows += [[nouns, adjs, f"{mean:.3f}"] for nouns, adjs, mean in rows]
-        text_rows.append(["overall", "", f"{report.mean:.3f} (SEM {report.sem:.3f})"])
-        return _aligned_table(text_rows)
-    raise DataError(f"unknown format {fmt!r}")
-
-
-def _aligned_table(rows: list[list[str]]) -> str:
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = []
-    for row in rows:
-        lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+        rows.append(["# overall", f"mean={report.mean!r}", f"sem={report.sem!r}"])
+    else:
+        rows.append(["overall", "", f"{report.mean:.3f} (SEM {report.sem:.3f})"])
+    return _render(("nouns", "adjectives", "mean_success"), rows, fmt)

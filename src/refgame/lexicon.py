@@ -4,8 +4,10 @@ A Lexicon fixes the noun and adjective orderings that every matrix in the
 package indexes into. The loaders here ingest the four precomputed
 resources the association metrics consume: co-occurrence counts, word
 embeddings, graph relatedness scores, and topic distributions. Loaders
-either return a fully validated table or raise DataError; nothing
-partially parsed escapes.
+either return a fully validated table or raise a DataError that starts
+with the file path and names the line, cell or word at fault; nothing
+partially parsed escapes. The table types check their own contents, so
+a loader only parses and then builds its type under that file prefix.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, prefix_errors
 
 _INT_LIMIT = np.iinfo(np.int64).max
 
@@ -154,7 +156,7 @@ def write_labeled_matrix(
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def parse_float_cells(cells, lexicon: Lexicon, path, what: str) -> np.ndarray:
+def parse_float_cells(cells, lexicon: Lexicon, what: str) -> np.ndarray:
     """Float matrix from string cells in lexicon order; a bad cell names
     its noun and adjective."""
     matrix = np.zeros(lexicon.shape)
@@ -164,7 +166,7 @@ def parse_float_cells(cells, lexicon: Lexicon, path, what: str) -> np.ndarray:
                 matrix[i, j] = float(cells[i][j])
             except ValueError:
                 raise DataError(
-                    f"{path}: non-numeric {what} {cells[i][j]!r} at ('{noun}', '{adj}')"
+                    f"non-numeric {what} {cells[i][j]!r} at ('{noun}', '{adj}')"
                 ) from None
     return matrix
 
@@ -207,6 +209,24 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def reject_cells(bad: np.ndarray, values: np.ndarray, lexicon: Lexicon, message: str) -> None:
+    """Raise "<message> <value> at ('noun', 'adjective')" for the first
+    cell flagged in bad, if any."""
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        noun, adjective = lexicon.nouns[i], lexicon.adjectives[j]
+        raise DataError(f"{message} {values[i, j].item()} at ('{noun}', '{adjective}')")
+
+
+def lexicon_array(values, lexicon: Lexicon, what: str, dtype=float) -> np.ndarray:
+    """A read-only, lexicon-shaped, all-finite copy of values; `what` names them in errors."""
+    array = np.array(values, dtype=dtype)
+    if array.shape != lexicon.shape:
+        raise DataError(f"{what} shape {array.shape} != lexicon shape {lexicon.shape}")
+    reject_cells(~np.isfinite(array), array, lexicon, f"non-finite {what}")
+    return _freeze(array)
+
+
 @dataclass(frozen=True, eq=False)
 class CooccurrenceCounts:
     """Noun x adjective co-occurrence counts from one corpus source."""
@@ -217,36 +237,32 @@ class CooccurrenceCounts:
 
     def __post_init__(self):
         z = np.asarray(self.z)
-        if z.shape != self.lexicon.shape:
-            raise DataError(f"count table shape {z.shape} != lexicon shape {self.lexicon.shape}")
         if not np.issubdtype(z.dtype, np.integer):
             raise DataError("counts must be integers")
-        if (z < 0).any():
-            raise DataError("negative count")
-        object.__setattr__(self, "z", _freeze(z.astype(np.int64)))
+        z = lexicon_array(z, self.lexicon, "count table", z.dtype)
+        reject_cells(z < 0, z, self.lexicon, "negative count")
+        # uint64 counts past the int64 maximum would wrap to negatives
+        reject_cells(z > _INT_LIMIT, z, self.lexicon, "count overflow")
+        object.__setattr__(self, "z", _freeze(z.astype(np.int64, copy=False)))
 
 
 def load_counts(path: str | Path, lexicon: Lexicon, source: str | None = None) -> CooccurrenceCounts:
     row_labels, col_labels, cells, _ = read_labeled_matrix(path)
     picked = _align_rows(row_labels, col_labels, cells, lexicon, path)
     z = np.zeros(lexicon.shape, dtype=np.int64)
-    for i, noun in enumerate(lexicon.nouns):
-        for j, adj in enumerate(lexicon.adjectives):
-            text = picked[i][j]
-            try:
-                value = int(text)
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-integer count {text!r} at ('{noun}', '{adj}')"
-                ) from None
-            if value < 0:
-                raise DataError(f"{path}: negative count {value} at ('{noun}', '{adj}')")
-            if value > _INT_LIMIT:
-                raise DataError(f"{path}: count overflow at ('{noun}', '{adj}')")
-            z[i, j] = value
-    if source is None:
-        source = Path(path).stem
-    return CooccurrenceCounts(lexicon, z, source)
+    with prefix_errors(path):
+        for i, noun in enumerate(lexicon.nouns):
+            for j, adj in enumerate(lexicon.adjectives):
+                text = picked[i][j]
+                try:
+                    value = int(text)
+                except ValueError:
+                    raise DataError(f"non-integer count {text!r} at ('{noun}', '{adj}')") from None
+                # a cell int64 cannot hold; the sign is checked by the type
+                if abs(value) > _INT_LIMIT:
+                    raise DataError(f"count overflow {value} at ('{noun}', '{adj}')")
+                z[i, j] = value
+        return CooccurrenceCounts(lexicon, z, Path(path).stem if source is None else source)
 
 
 def save_counts(counts: CooccurrenceCounts, path: str | Path) -> None:
@@ -261,22 +277,16 @@ class RelatednessTable:
     scores: np.ndarray
 
     def __post_init__(self):
-        scores = np.array(self.scores, dtype=float)
-        if scores.shape != self.lexicon.shape:
-            raise DataError(
-                f"relatedness shape {scores.shape} != lexicon shape {self.lexicon.shape}"
-            )
-        if not np.isfinite(scores).all():
-            raise DataError("non-finite relatedness score")
-        if (scores < 0).any():
-            raise DataError("negative relatedness score")
-        object.__setattr__(self, "scores", _freeze(scores))
+        scores = lexicon_array(self.scores, self.lexicon, "relatedness score")
+        reject_cells(scores < 0, scores, self.lexicon, "negative relatedness score")
+        object.__setattr__(self, "scores", scores)
 
 
 def load_relatedness(path: str | Path, lexicon: Lexicon) -> RelatednessTable:
     row_labels, col_labels, cells, _ = read_labeled_matrix(path)
     picked = _align_rows(row_labels, col_labels, cells, lexicon, path)
-    return RelatednessTable(lexicon, parse_float_cells(picked, lexicon, path, "score"))
+    with prefix_errors(path):
+        return RelatednessTable(lexicon, parse_float_cells(picked, lexicon, "score"))
 
 
 def save_relatedness(table: RelatednessTable, path: str | Path) -> None:
@@ -316,13 +326,9 @@ def _read_vector_file(path: str | Path) -> dict[str, np.ndarray]:
     return vectors
 
 
-def _lexicon_words(lexicon: Lexicon) -> tuple[str, ...]:
-    return lexicon.nouns + lexicon.adjectives
-
-
 def _pick_vectors(all_vectors, lexicon, path):
     picked = {}
-    for word in _lexicon_words(lexicon):
+    for word in lexicon.nouns + lexicon.adjectives:
         if word not in all_vectors:
             raise DataError(f"{path}: word '{word}' absent")
         picked[word] = all_vectors[word]
@@ -330,6 +336,21 @@ def _pick_vectors(all_vectors, lexicon, path):
     if extra:
         warnings.warn(f"{path}: ignoring {extra} word(s) outside the lexicon", stacklevel=3)
     return picked
+
+
+def _word_vectors(lexicon: Lexicon, vectors, size: int, what: str) -> dict[str, np.ndarray]:
+    """Each lexicon word's vector as a read-only copy of `size` finite values."""
+    frozen = {}
+    for word in lexicon.nouns + lexicon.adjectives:
+        if word not in vectors:
+            raise DataError(f"word '{word}' has no {what}")
+        vec = np.array(vectors[word], dtype=float)
+        if vec.shape != (size,):
+            raise DataError(f"{what} for '{word}' has shape {vec.shape}")
+        if not np.isfinite(vec).all():
+            raise DataError(f"non-finite {what} for '{word}'")
+        frozen[word] = _freeze(vec)
+    return frozen
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,29 +364,20 @@ class EmbeddingTable:
     def __post_init__(self):
         if self.dimension < 1:
             raise DataError("embedding dimension must be positive")
-        frozen = {}
-        for word in _lexicon_words(self.lexicon):
-            if word not in self.vectors:
-                raise DataError(f"word '{word}' has no vector")
-            vec = np.array(self.vectors[word], dtype=float)
-            if vec.shape != (self.dimension,):
-                raise DataError(f"vector for '{word}' has shape {vec.shape}")
-            if not np.isfinite(vec).all():
-                raise DataError(f"non-finite vector for '{word}'")
+        vectors = _word_vectors(self.lexicon, self.vectors, self.dimension, "vector")
+        for word, vec in vectors.items():
             if not vec.any():
                 raise DataError(f"zero vector for '{word}'")
-            frozen[word] = _freeze(vec)
-        object.__setattr__(self, "vectors", frozen)
+        object.__setattr__(self, "vectors", vectors)
 
     def matrix(self, words) -> np.ndarray:
         return np.stack([self.vectors[w] for w in words])
 
 
 def load_embeddings(path: str | Path, lexicon: Lexicon) -> EmbeddingTable:
-    all_vectors = _read_vector_file(path)
-    picked = _pick_vectors(all_vectors, lexicon, path)
-    dimension = next(iter(picked.values())).size
-    return EmbeddingTable(lexicon, dimension, picked)
+    picked = _pick_vectors(_read_vector_file(path), lexicon, path)
+    with prefix_errors(path):
+        return EmbeddingTable(lexicon, next(iter(picked.values())).size, picked)
 
 
 def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
@@ -383,39 +395,27 @@ class TopicTable:
     def __post_init__(self):
         if self.topic_count < 1:
             raise DataError("topic count must be positive")
-        frozen = {}
-        for word in _lexicon_words(self.lexicon):
-            if word not in self.distributions:
-                raise DataError(f"word '{word}' has no topic distribution")
-            vec = np.array(self.distributions[word], dtype=float)
-            if vec.shape != (self.topic_count,):
-                raise DataError(f"distribution for '{word}' has shape {vec.shape}")
+        distributions = _word_vectors(
+            self.lexicon, self.distributions, self.topic_count, "topic distribution"
+        )
+        for word, vec in distributions.items():
             if (vec < 0).any():
                 raise DataError(f"negative topic mass for '{word}'")
             total = float(vec.sum())
             if abs(total - 1.0) > 1e-9:
                 raise DataError(f"distribution for '{word}' sums to {total:g}")
-            frozen[word] = _freeze(vec)
-        object.__setattr__(self, "distributions", frozen)
+        object.__setattr__(self, "distributions", distributions)
 
 
 def load_topics(path: str | Path, lexicon: Lexicon) -> TopicTable:
     """Load topic distributions; rows off by at most 1e-6 are re-normalized."""
-    all_vectors = _read_vector_file(path)
-    picked = _pick_vectors(all_vectors, lexicon, path)
-    cleaned = {}
+    picked = _pick_vectors(_read_vector_file(path), lexicon, path)
     for word, vec in picked.items():
-        if (vec < 0).any():
-            raise DataError(f"{path}: negative topic mass for '{word}'")
         total = float(vec.sum())
-        if abs(total - 1.0) <= _TOPIC_EXACT_TOL:
-            cleaned[word] = vec
-        elif abs(total - 1.0) <= _TOPIC_RENORM_TOL:
-            cleaned[word] = vec / total
-        else:
-            raise DataError(f"{path}: distribution for '{word}' sums to {total:g}")
-    topic_count = next(iter(cleaned.values())).size
-    return TopicTable(lexicon, topic_count, cleaned)
+        if _TOPIC_EXACT_TOL < abs(total - 1.0) <= _TOPIC_RENORM_TOL:
+            picked[word] = vec / total
+    with prefix_errors(path):
+        return TopicTable(lexicon, next(iter(picked.values())).size, picked)
 
 
 def save_topics(table: TopicTable, path: str | Path) -> None:
@@ -424,6 +424,6 @@ def save_topics(table: TopicTable, path: str | Path) -> None:
 
 def _write_vector_file(path, lexicon, vectors) -> None:
     lines = []
-    for word in _lexicon_words(lexicon):
+    for word in lexicon.nouns + lexicon.adjectives:
         lines.append(word + " " + " ".join(repr(float(v)) for v in vectors[word]))
     Path(path).write_text("\n".join(lines) + "\n")

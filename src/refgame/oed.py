@@ -284,6 +284,14 @@ def _word_difference(a: frozenset, b: frozenset) -> int:
     return max(len(a - b), len(b - a))
 
 
+def check_filter_bounds(min_word_difference: int, max_word_occurrence: int) -> None:
+    """Reject diversity-filter bounds that filter_candidates cannot use."""
+    if min_word_difference < 0:
+        raise DataError("min_word_difference must be non-negative")
+    if max_word_occurrence < 1:
+        raise DataError("max_word_occurrence must be positive")
+
+
 def filter_candidates(
     candidates,
     min_word_difference: int = 2,
@@ -297,10 +305,7 @@ def filter_candidates(
     kept candidates.
     """
     candidates = list(candidates)
-    if min_word_difference < 0:
-        raise DataError("min_word_difference must be non-negative")
-    if max_word_occurrence < 1:
-        raise DataError("max_word_occurrence must be positive")
+    check_filter_bounds(min_word_difference, max_word_occurrence)
     for earlier, later in zip(candidates, candidates[1:]):
         if earlier.utility < later.utility:
             raise DataError("candidates must be sorted by utility descending")
@@ -333,13 +338,15 @@ def candidate_to_record(candidate: DesignCandidate, lexicon) -> dict:
 def candidate_from_record(record: dict, lexicon) -> DesignCandidate:
     try:
         scenario = scenario_from_record(record["scenario"], lexicon)
-        utility = float(record["utility"])
+        utility = record["utility"]
     except (KeyError, TypeError):
         raise DataError(f"malformed candidate record {record!r}") from None
+    if not isinstance(utility, (int, float)) or isinstance(utility, bool):
+        raise DataError(f"utility {utility!r} is not a number")
     if record.get("role") is None:
-        return DesignCandidate(scenario, None, None, utility)
+        return DesignCandidate(scenario, None, None, float(utility))
     config = configuration_from_record(record, lexicon)
-    return DesignCandidate(scenario, config.role, config.index, utility)
+    return DesignCandidate(scenario, config.role, config.index, float(utility))
 
 
 def confidence_filter(rated) -> list:

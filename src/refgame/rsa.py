@@ -36,6 +36,11 @@ PRAGMATIC = "pragmatic"
 TIE_TOL = 1e-12
 
 
+def is_integer(value) -> bool:
+    """True for a Python or NumPy integer; a bool or a float is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """k distinct nouns and m distinct adjectives, as lexicon indices."""
@@ -44,8 +49,11 @@ class Scenario:
     adjectives: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "nouns", tuple(int(n) for n in self.nouns))
-        object.__setattr__(self, "adjectives", tuple(int(a) for a in self.adjectives))
+        nouns, adjectives = tuple(self.nouns), tuple(self.adjectives)
+        if not all(map(is_integer, nouns + adjectives)):
+            raise DataError(f"scenario indices must be integers, got {nouns!r} and {adjectives!r}")
+        object.__setattr__(self, "nouns", tuple(map(int, nouns)))
+        object.__setattr__(self, "adjectives", tuple(map(int, adjectives)))
         if len(self.nouns) < 2:
             raise DataError("scenario needs at least two nouns")
         if len(self.adjectives) < 1:
@@ -96,14 +104,16 @@ class Configuration:
             try:
                 i, j = self.index
             except (TypeError, ValueError):
-                raise DataError(f"speaker index must be a pair, got {self.index!r}") from None
-            i, j = int(i), int(j)
-            if i > j:
-                i, j = j, i
+                i = j = None
+            if not (is_integer(i) and is_integer(j)):
+                raise DataError(f"speaker index must be a pair of integers, got {self.index!r}")
+            i, j = sorted((int(i), int(j)))
             if i == j or not (0 <= i < j < self.scenario.k):
                 raise DataError(f"pair ({i}, {j}) out of range for k={self.scenario.k}")
             object.__setattr__(self, "index", (i, j))
         else:
+            if not is_integer(self.index):
+                raise DataError(f"clue index must be an integer, got {self.index!r}")
             idx = int(self.index)
             if not 0 <= idx < self.scenario.m:
                 raise DataError(f"clue index {idx} out of range for m={self.scenario.m}")
@@ -156,18 +166,23 @@ class ModelSpec:
         return f"{self.metric}:{self.depth}"
 
 
-def parse_model_spec(text: str, role: str) -> ModelSpec:
-    """Parse "metric:depth" or "metric:depth:alpha" for the given role."""
-    parts = text.split(":")
+def parse_model_spec(spec, role: str) -> ModelSpec:
+    """The model for role named by a ModelSpec (returned as is) or by a
+    "metric:depth" or "metric:depth:alpha" string."""
+    if isinstance(spec, ModelSpec):
+        if spec.role != role:
+            raise DataError(f"{spec.role} model {spec.spec_string()} given for the {role} role")
+        return spec
+    parts = spec.split(":")
     if len(parts) not in (2, 3):
-        raise DataError(f"malformed model spec {text!r}")
+        raise DataError(f"malformed model spec {spec!r}")
     metric, depth = parts[0].strip(), parts[1].strip()
     alpha = None
     if len(parts) == 3:
         try:
             alpha = float(parts[2])
         except ValueError:
-            raise DataError(f"malformed alpha in model spec {text!r}") from None
+            raise DataError(f"malformed alpha in model spec {spec!r}") from None
     return ModelSpec(metric, role, depth, alpha)
 
 

@@ -346,15 +346,54 @@ def test_domain_error_is_exit_1(data, capsys, tmp_path):
     assert "error:" in err and "no observations" in err
 
 
-def test_bad_model_spec_is_exit_2(data, capsys):
+@pytest.mark.parametrize("command", ["predict", "oed", "score", "compare", "simulate"])
+def test_bad_model_spec_is_exit_2(data, capsys, tmp_path, command):
+    listener = json.loads(data["listener_config"].read_text())
+    records = tmp_path / "records.jsonl"
+    if command == "predict":
+        extra = ["--config", str(data["listener_config"]), "--model", "bigram:deep"]
+    elif command == "oed":
+        extra = ["--preset", "exp4", "--model", "bigram:deep", "--output", str(tmp_path / "c")]
+    elif command == "score":
+        record = {"configuration": listener, "answers": [[["heart", "phone"], 3]]}
+        records.write_text(json.dumps(record) + "\n")
+        extra = ["--responses", str(records), "--model", "bigram:literal", "--model", "bigram:deep"]
+    elif command == "compare":
+        records.write_text(json.dumps(listener) + "\n")
+        extra = ["--configs", str(records), "--model", "bigram:deep"]
+    else:
+        extra = [
+            "--scenarios", str(data["scenarios"]),
+            "--speaker", "bigram:literal", "--listener", "bigram:deep",
+        ]
+    code, out, err = run_cli(capsys, [command, "--matrix", str(data["norm"]["bigram"]), *extra])
+    assert code == 2
+    assert err == "usage error: unknown depth 'deep'\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--iterations", "0", "iterations must be positive"),
+    ("--top", "0", "top_k must be positive"),
+    ("--nouns", "1", "need at least two nouns per scenario"),
+    ("--min-word-diff", "-1", "min_word_difference must be non-negative"),
+    ("--max-word-occurrence", "0", "max_word_occurrence must be positive"),
+])
+def test_oed_bad_flag_is_exit_2_before_search(
+    data, capsys, tmp_path, monkeypatch, flag, value, message
+):
+    def search(*args, **kwargs):
+        raise AssertionError("searched with a bad flag value")
+
+    monkeypatch.setattr("refgame.cli.monte_carlo_search", search)
+    output = tmp_path / "c.jsonl"
     code, _, err = run_cli(capsys, [
-        "predict",
-        "--matrix", str(data["norm"]["bigram"]),
-        "--config", str(data["listener_config"]),
-        "--model", "bigram:deep",
+        "oed", "--matrix", str(data["norm"]["bigram"]), "--preset", "exp4", "--filter",
+        flag, value, "--output", str(output),
     ])
     assert code == 2
-    assert "usage error" in err
+    assert err == f"usage error: {message}\n"
+    assert not output.exists()
 
 
 def test_oed_without_settings_is_exit_2(data, capsys, tmp_path):

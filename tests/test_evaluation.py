@@ -377,6 +377,21 @@ def test_model_agreement_role_mixing_rejected(rng):
         model_agreement("bigram:literal", "bigram:literal", {"bigram": norm}, configs)
 
 
+def test_model_of_the_wrong_role_names_both_roles(rng):
+    tables = {"bigram": random_normalized(rng, 4, 3, metric="bigram")}
+    scenario = Scenario((0, 1, 2), (0, 1))
+    config = Configuration(scenario, "listener", 0)
+    speaker = ModelSpec("bigram", "speaker", "literal")
+    listener = ModelSpec("bigram", "listener", "literal")
+    message = "^speaker model bigram:literal given for the listener role$"
+    with pytest.raises(DataError, match=message):
+        score_responses(tables, speaker, [ResponseRecord(config, {(0, 1): 2})])
+    with pytest.raises(DataError, match=message):
+        model_agreement(listener, speaker, tables, [config])
+    with pytest.raises(DataError, match=message):
+        simulate_gameplay(tables, [scenario], speaker, speaker)
+
+
 def test_mixed_lexicons_rejected(rng):
     # same words, nouns in reverse order: index-level mixing would be silent
     bigram = random_normalized(rng, 4, 3, metric="bigram")

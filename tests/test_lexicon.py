@@ -10,9 +10,11 @@ from refgame import (
     Lexicon,
     RelatednessTable,
     TopicTable,
+    load_association,
     load_counts,
     load_embeddings,
     load_lexicon,
+    load_normalized,
     load_relatedness,
     load_topics,
     save_lexicon,
@@ -185,6 +187,12 @@ def test_counts_type_validation():
         CooccurrenceCounts(lex, np.array([[1.0, 2.0], [3.0, 4.0]]), "x")
     with pytest.raises(DataError, match="shape"):
         CooccurrenceCounts(lex, np.zeros((2, 3), dtype=int), "x")
+    # uint64 2**63 used to wrap to a negative int64 count
+    big = np.array([[1, 2], [2**63, 4]], dtype=np.uint64)
+    overflow = r"^count overflow 9223372036854775808 at \('noun1', 'adj0'\)$"
+    with pytest.raises(DataError, match=overflow):
+        CooccurrenceCounts(lex, big, "x")
+    assert CooccurrenceCounts(lex, big // 2**62, "x").z.tolist() == [[0, 0], [2, 0]]
 
 
 def test_counts_roundtrip(tmp_path, rng):
@@ -313,6 +321,12 @@ def test_load_topics_rejects_negative(tmp_path):
         load_topics(path, lex)
 
 
+def test_topic_table_rejects_non_finite():
+    lex = Lexicon(("key",), ("bright",))
+    with pytest.raises(DataError, match="^non-finite topic distribution for 'key'$"):
+        TopicTable(lex, 2, {"key": [np.nan, 0.5], "bright": [1.0, 0.0]})
+
+
 def test_topics_roundtrip(tmp_path, rng):
     lex = make_lexicon(3, 3)
     distributions = {}
@@ -335,6 +349,48 @@ def test_topics_roundtrip_idempotent_after_renormalization(tmp_path):
     save_topics(table, tmp_path / "again.txt")
     again = load_topics(tmp_path / "again.txt", lex)
     assert np.array_equal(again.distributions["key"], table.distributions["key"])
+
+
+# ---------------------------------------------------------------------------
+# loader faults: the type finds the fault, the loader names the file
+
+def matrix_text(stage, cells, metric="bigram", mask=""):
+    header = f"# metric: {metric}\n# stage: {stage}\n# zero-mask: {mask}\n"
+    return header + f"\tbright\theavy\nkey\t{cells}\n"
+
+
+@pytest.mark.parametrize("loader, text, message", [
+    (load_relatedness, "\tbright\theavy\nkey\t0.4\t-0.2\n",
+     "negative relatedness score -0.2 at ('key', 'heavy')"),
+    (load_relatedness, "\tbright\theavy\nkey\tnan\t0.4\n",
+     "non-finite relatedness score nan at ('key', 'bright')"),
+    (load_normalized, matrix_text("normalized", "0.5\t1.5"),
+     "normalized scores must lie in (0, 1], got 1.5 at ('key', 'heavy')"),
+    (load_normalized, matrix_text("normalized", "nan\t0.5"),
+     "non-finite normalized score nan at ('key', 'bright')"),
+    (load_normalized, matrix_text("normalized", "0.5\t0.5", mask="0,1"),
+     "masked cells must equal 1e-07, got 0.5 at ('key', 'heavy')"),
+    (load_association, matrix_text("raw", "inf\t0.5"),
+     "non-finite association score inf at ('key', 'bright')"),
+    (load_association, matrix_text("raw", "0.5\t0.5", metric=""), "empty metric id"),
+    (load_embeddings, "key 0.0 0.0\nbright 0.5 0.5\nheavy 1.0 0.0\n", "zero vector for 'key'"),
+    (load_topics, "key 1.2 -0.2\nbright 1.0 0.0\nheavy 0.0 1.0\n", "negative topic mass for 'key'"),
+    (load_topics, "key 0.6 0.3\nbright 1.0 0.0\nheavy 0.0 1.0\n",
+     "distribution for 'key' sums to 0.9"),
+    (load_counts, "\tbright\theavy\nkey\t3\t-1\n", "negative count -1 at ('key', 'heavy')"),
+], ids=[
+    "relatedness-negative", "relatedness-nan", "normalized-above-one", "normalized-nan",
+    "normalized-mask-off-floor", "raw-inf", "raw-empty-metric", "embedding-zero",
+    "topic-negative", "topic-sum", "count-negative",
+])
+def test_loader_fault_names_file_and_cell(tmp_path, loader, text, message):
+    path = tmp_path / "table.txt"
+    path.write_text(text)
+    lexicon = Lexicon(("key",), ("bright", "heavy"))
+    args = (path,) if loader in (load_association, load_normalized) else (path, lexicon)
+    with pytest.raises(DataError) as info:
+        loader(*args)
+    assert str(info.value) == f"{path}: {message}"
 
 
 # ---------------------------------------------------------------------------

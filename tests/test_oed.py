@@ -510,6 +510,19 @@ def test_candidate_record_roundtrip(rng):
     assert candidate_from_record(record, lexicon) == listener
 
 
+@pytest.mark.parametrize(
+    "utility", ["abc", "0.5", True, None, [0.5]], ids=["word", "numeric-string", "bool", "null", "list"]
+)
+def test_candidate_record_utility_must_be_a_number(rng, utility):
+    lexicon = random_normalized(rng, 5, 5).lexicon
+    record = candidate_to_record(cand((0, 2, 4), (1, 3), 0.5), lexicon)
+    record["utility"] = utility
+    with pytest.raises(DataError, match=r"^utility .* is not a number$"):
+        candidate_from_record(record, lexicon)
+    record["utility"] = 1
+    assert candidate_from_record(record, lexicon).utility == 1.0
+
+
 def test_design_candidate_rejects_negative_utility():
     with pytest.raises(DataError, match="non-negative"):
         cand((0, 1), (0,), -0.5)

@@ -214,6 +214,24 @@ def test_scenario_validation():
     assert scenario.pairs == ((0, 1), (0, 2), (1, 2))
 
 
+def test_indices_must_be_integers():
+    # truncating 0.7 to 0 or True to 1 would play a different trial than asked
+    for nouns, adjectives in (((0.7, 1.2), (0,)), ((0, 1), (True,)), ((0, "1"), (0,))):
+        with pytest.raises(DataError, match="scenario indices must be integers"):
+            Scenario(nouns, adjectives)
+    scenario = Scenario((0, 1, 2), (0, 1))
+    for index in ((0.9, 2.5), (0, 2.0), (False, 1)):
+        with pytest.raises(DataError, match="pair of integers"):
+            Configuration(scenario, "speaker", index)
+    for index in (True, 1.0, "1"):
+        with pytest.raises(DataError, match="must be an integer"):
+            Configuration(scenario, "listener", index)
+    indices = np.array([2, 0, 1], dtype=np.int64)
+    assert Scenario(indices, indices[:2]) == Scenario((2, 0, 1), (2, 0))
+    assert Configuration(scenario, "speaker", tuple(indices[:2])).index == (0, 2)
+    assert Configuration(scenario, "listener", np.int32(1)).index == 1
+
+
 def test_noun_pairs_lexicographic():
     assert noun_pairs(4) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
     assert len(noun_pairs(5)) == 10
@@ -262,6 +280,10 @@ def test_parse_model_spec():
     assert spec.alpha == 5.0
     assert spec.spec_string() == "embedding-cosine:pragmatic:5.0"
     assert parse_model_spec(spec.spec_string(), "speaker") == spec
+    assert parse_model_spec(spec, "speaker") is spec
+    role_error = r"^speaker model embedding-cosine:pragmatic:5\.0 given for the listener role$"
+    with pytest.raises(DataError, match=role_error):
+        parse_model_spec(spec, "listener")
 
 
 def test_parse_model_spec_errors():
