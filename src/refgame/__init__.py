@@ -32,7 +32,6 @@ from .association import (
     METRIC_EMBEDDING,
     METRIC_RELATEDNESS,
     METRIC_TOPIC,
-    METRICS,
     ZERO_FLOOR,
     AssociationMatrix,
     NormalizedAssociation,
@@ -40,7 +39,6 @@ from .association import (
     cosine_association,
     load_association,
     load_normalized,
-    pair_association,
     quantile_normalize,
     relatedness_association,
     save_association,
@@ -73,7 +71,6 @@ from .oed import (
     ModelSet,
     SearchSettings,
     configuration_utility,
-    confidence_filter,
     filter_candidates,
     model_information_bits,
     monte_carlo_search,
@@ -87,7 +84,6 @@ from .evaluation import (
     aggregate,
     average_success,
     confidence_ttest,
-    distribution_from_counts,
     load_responses,
     metric_rank_correlation,
     model_agreement,

@@ -34,7 +34,6 @@ METRIC_BIGRAM = "bigram"
 METRIC_EMBEDDING = "embedding-cosine"
 METRIC_RELATEDNESS = "graph-relatedness"
 METRIC_TOPIC = "topic-distance"
-METRICS = (METRIC_BIGRAM, METRIC_EMBEDDING, METRIC_RELATEDNESS, METRIC_TOPIC)
 
 # Value written into masked (unobserved) cells after normalization.
 ZERO_FLOOR = 1e-7
@@ -186,20 +185,6 @@ def quantile_normalize(assoc: AssociationMatrix) -> NormalizedAssociation:
     values = (ranks / flat.size).reshape(assoc.raw.shape)
     values[assoc.zero_mask] = ZERO_FLOOR
     return NormalizedAssociation(assoc.metric, assoc.lexicon, values, assoc.zero_mask.copy())
-
-
-def pair_association(norm: NormalizedAssociation, noun1: int, noun2: int, adjective: int) -> float:
-    """Association between an unordered noun pair and one adjective:
-    the product of the two per-noun scores."""
-    n_nouns, n_adjs = norm.lexicon.shape
-    for noun in (noun1, noun2):
-        if not 0 <= noun < n_nouns:
-            raise DataError(f"noun index {noun} out of range")
-    if not 0 <= adjective < n_adjs:
-        raise DataError(f"adjective index {adjective} out of range")
-    if noun1 == noun2:
-        raise DataError(f"degenerate pair ({noun1}, {noun2})")
-    return float(norm.values[noun1, adjective] * norm.values[noun2, adjective])
 
 
 def sparsity_report(norm: NormalizedAssociation, configurations) -> float:

@@ -48,7 +48,6 @@ from .lexicon import (
     load_topics,
 )
 from .oed import (
-    MODE_JOINT,
     MODES,
     ModelSet,
     SearchSettings,
@@ -268,8 +267,16 @@ def _resolve_oed_settings(args) -> dict:
 
 
 def cmd_oed(args) -> int:
-    resolved = _resolve_oed_settings(args)
     # Bad flag values are usage errors, found before any matrix is read.
+    for flag, value in (
+        ("--min-word-diff", args.min_word_diff),
+        ("--max-word-occurrence", args.max_word_occurrence),
+    ):
+        if value is not None and not args.filter:
+            raise _UsageError(f"{flag} needs --filter")
+    min_word_diff = 2 if args.min_word_diff is None else args.min_word_diff
+    max_word_occurrence = 20 if args.max_word_occurrence is None else args.max_word_occurrence
+    resolved = _resolve_oed_settings(args)
     try:
         settings = SearchSettings(
             nouns=resolved["nouns"],
@@ -279,26 +286,24 @@ def cmd_oed(args) -> int:
             seed=args.seed,
             top_k=args.top,
         )
-        if args.filter:
-            check_filter_bounds(args.min_word_diff, args.max_word_occurrence)
+        check_filter_bounds(min_word_diff, max_word_occurrence)
     except DataError as exc:
         raise _UsageError(str(exc)) from None
     tables = _load_matrices(args.matrix)
     lexicon = tables.lexicon
-    if settings.mode == MODE_JOINT:
+    if settings.role is None:
         models = (
             ModelSet(tuple(_parse_spec(s, SPEAKER) for s in resolved["models"])),
             ModelSet(tuple(_parse_spec(s, LISTENER) for s in resolved["models"])),
         )
     else:
-        role = SPEAKER if settings.mode == "separate-speaker" else LISTENER
-        models = ModelSet(tuple(_parse_spec(s, role) for s in resolved["models"]))
+        models = ModelSet(tuple(_parse_spec(s, settings.role) for s in resolved["models"]))
     candidates = monte_carlo_search(tables, models, settings)
     if args.filter:
         candidates = filter_candidates(
             candidates,
-            min_word_difference=args.min_word_diff,
-            max_word_occurrence=args.max_word_occurrence,
+            min_word_difference=min_word_diff,
+            max_word_occurrence=max_word_occurrence,
         )
     lines = [json.dumps(candidate_to_record(c, lexicon), sort_keys=True) for c in candidates]
     Path(args.output).write_text("\n".join(lines) + ("\n" if lines else ""))
@@ -315,8 +320,8 @@ def cmd_oed(args) -> int:
             "iterations": settings.iterations,
             "top": settings.top_k,
             "filter": bool(args.filter),
-            "min_word_diff": args.min_word_diff,
-            "max_word_occurrence": args.max_word_occurrence,
+            "min_word_diff": min_word_diff,
+            "max_word_occurrence": max_word_occurrence,
             "output": args.output,
         },
         settings.seed,
@@ -351,6 +356,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.model and not args.configs:
+        raise _UsageError("--model needs --configs")
     tables = _load_matrices(args.matrix)
     lexicon = tables.lexicon
     metrics = sorted(tables)
@@ -477,8 +484,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--top", type=int, default=500)
     p.add_argument("--filter", action="store_true", help="apply the diversity filter")
-    p.add_argument("--min-word-diff", type=int, default=2)
-    p.add_argument("--max-word-occurrence", type=int, default=20)
+    p.add_argument(
+        "--min-word-diff",
+        type=int,
+        help="needs --filter: least words, per side, by which a kept candidate differs from"
+        " every other kept one (default 2)",
+    )
+    p.add_argument(
+        "--max-word-occurrence",
+        type=int,
+        help="needs --filter: most kept candidates one word may appear in (default 20)",
+    )
     p.add_argument("--output", required=True)
     p.set_defaults(handler=cmd_oed)
 
@@ -493,7 +509,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="metric-vs-metric and model-vs-model agreement matrices")
     p.add_argument("--matrix", action="append", required=True, metavar="[METRIC=]PATH")
     p.add_argument("--configs", help="JSONL of configuration records")
-    p.add_argument("--model", action="append", metavar="METRIC:DEPTH[:ALPHA]")
+    p.add_argument(
+        "--model",
+        action="append",
+        metavar="METRIC:DEPTH[:ALPHA]",
+        help="needs --configs: a model to compare on the configurations"
+        " (default: each metric's literal model)",
+    )
     p.add_argument("--format", choices=("tsv", "table"), default="tsv")
     p.add_argument("--output")
     p.set_defaults(handler=cmd_compare)

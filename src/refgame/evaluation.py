@@ -23,7 +23,6 @@ from .errors import DataError, prefix_errors
 from .rsa import (
     LISTENER,
     SPEAKER,
-    TIE_TOL,
     Configuration,
     ModelSpec,
     PredictionDistribution,
@@ -174,13 +173,6 @@ def score_responses(tables, model, records) -> ScoreReport:
 
 # ---------------------------------------------------------------------------
 # analytic gameplay
-
-def distribution_from_counts(record: ResponseRecord) -> PredictionDistribution:
-    """Relative answer frequencies as a distribution (for estimating
-    gameplay terms from observed responses)."""
-    vector = record.count_vector()
-    return PredictionDistribution(answer_support(record.configuration), vector / vector.sum())
-
 
 def average_success(
     scenario: Scenario,

@@ -28,13 +28,10 @@ from .rsa import (
     SPEAKER,
     Configuration,
     ModelSpec,
-    PredictionDistribution,
     Scenario,
-    configuration_from_record,
     configuration_record,
     noun_pairs,
     predict,
-    scenario_from_record,
     scenario_record,
 )
 
@@ -90,6 +87,12 @@ class SearchSettings:
         if self.top_k < 1:
             raise DataError("top_k must be positive")
 
+    @property
+    def role(self) -> str | None:
+        """The role of the one configuration a separate mode scores;
+        None in joint mode, which scores whole scenarios."""
+        return {MODE_SEPARATE_SPEAKER: SPEAKER, MODE_SEPARATE_LISTENER: LISTENER}.get(self.mode)
+
 
 @dataclass(frozen=True)
 class DesignCandidate:
@@ -112,16 +115,13 @@ class DesignCandidate:
         return Configuration(self.scenario, self.role, self.index)
 
 
-def response_probability(
-    tables, config: Configuration, models: ModelSet
-) -> tuple[tuple[PredictionDistribution, ...], PredictionDistribution]:
-    """Each model's answer distribution plus their uniform mixture."""
+def response_probability(tables, config: Configuration, models: ModelSet) -> np.ndarray:
+    """Each model's answer distribution over the configuration's
+    support, one row per model in model-set order."""
     tables = Tables.of(tables)
     if models.role != config.role:
         raise DataError(f"model set role '{models.role}' != configuration role '{config.role}'")
-    dists = tuple(predict(tables[m.metric], config, m) for m in models.models)
-    stacked = np.stack([d.probs for d in dists])
-    return dists, PredictionDistribution(dists[0].support, stacked.mean(axis=0))
+    return np.stack([predict(tables[m.metric], config, m).probs for m in models.models])
 
 
 def model_information_bits(prediction_probs) -> float:
@@ -150,8 +150,7 @@ def model_information_bits(prediction_probs) -> float:
 def configuration_utility(tables, config: Configuration, models: ModelSet) -> float:
     """Expected information (bits) one answer to config carries about
     which model generated it."""
-    dists, _ = response_probability(tables, config, models)
-    return model_information_bits(np.stack([d.probs for d in dists]))
+    return model_information_bits(response_probability(tables, config, models))
 
 
 def _geometric_mean(values) -> float:
@@ -206,19 +205,18 @@ def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignC
     if settings.adjectives > n_adjs:
         raise DataError(f"scenario wants {settings.adjectives} adjectives, lexicon has {n_adjs}")
 
-    if settings.mode == MODE_JOINT:
+    role = settings.role
+    if role is None:
         try:
             speaker_models, listener_models = models
         except (TypeError, ValueError):
             raise DataError("joint mode needs a (speaker, listener) model set pair") from None
         if speaker_models.role != SPEAKER or listener_models.role != LISTENER:
             raise DataError("joint mode needs a speaker set and a listener set, in that order")
-        role = None
         specs = speaker_models.models + listener_models.models
     else:
         if not isinstance(models, ModelSet):
             raise DataError("separate mode needs a single model set")
-        role = SPEAKER if settings.mode == MODE_SEPARATE_SPEAKER else LISTENER
         if models.role != role:
             raise DataError(f"mode '{settings.mode}' needs {role} models")
         specs = models.models
@@ -234,9 +232,9 @@ def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignC
     for iteration in range(settings.iterations):
         nouns = tuple(sorted(rng.choice(n_nouns, size=settings.nouns, replace=False).tolist()))
         adjs = tuple(sorted(rng.choice(n_adjs, size=settings.adjectives, replace=False).tolist()))
-        if settings.mode == MODE_SEPARATE_SPEAKER:
+        if role == SPEAKER:
             key = (nouns, adjs, pairs[int(rng.integers(len(pairs)))])
-        elif settings.mode == MODE_SEPARATE_LISTENER:
+        elif role == LISTENER:
             key = (nouns, adjs, int(rng.integers(settings.adjectives)))
         else:
             key = (nouns, adjs, None)
@@ -333,33 +331,3 @@ def candidate_to_record(candidate: DesignCandidate, lexicon) -> dict:
         record = configuration_record(candidate.configuration, lexicon)
     record["utility"] = float(candidate.utility)
     return record
-
-
-def candidate_from_record(record: dict, lexicon) -> DesignCandidate:
-    try:
-        scenario = scenario_from_record(record["scenario"], lexicon)
-        utility = record["utility"]
-    except (KeyError, TypeError):
-        raise DataError(f"malformed candidate record {record!r}") from None
-    if not isinstance(utility, (int, float)) or isinstance(utility, bool):
-        raise DataError(f"utility {utility!r} is not a number")
-    if record.get("role") is None:
-        return DesignCandidate(scenario, None, None, float(utility))
-    config = configuration_from_record(record, lexicon)
-    return DesignCandidate(scenario, config.role, config.index, float(utility))
-
-
-def confidence_filter(rated) -> list:
-    """Keep the items whose mean confidence is strictly above the grand
-    mean. Input is (item, mean_confidence) pairs with confidences on the
-    1..5 scale."""
-    rated = list(rated)
-    if not rated:
-        raise DataError("no rated entries")
-    confidences = np.array([c for _, c in rated], dtype=float)
-    if not np.isfinite(confidences).all():
-        raise DataError("non-finite confidence")
-    if ((confidences < 1) | (confidences > 5)).any():
-        raise DataError("confidence outside the 1..5 scale")
-    grand = confidences.mean()
-    return [item for (item, c) in rated if c > grand]

@@ -214,13 +214,10 @@ class PredictionDistribution:
         except ValueError:
             raise DataError(f"answer {answer!r} not in support") from None
 
-    def argmax_answers(self, tol: float = TIE_TOL) -> tuple:
-        """Answers whose probability is within tol of the maximum."""
+    def argmax_answers(self) -> tuple:
+        """Answers whose probability is within TIE_TOL of the maximum."""
         top = float(self.probs.max())
-        return tuple(a for a, p in zip(self.support, self.probs) if top - p <= tol)
-
-    def as_dict(self) -> dict:
-        return {a: float(p) for a, p in zip(self.support, self.probs)}
+        return tuple(a for a, p in zip(self.support, self.probs) if top - p <= TIE_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from refgame import (
     cosine_association,
     load_association,
     load_normalized,
-    pair_association,
     quantile_normalize,
     relatedness_association,
     save_association,
@@ -226,43 +225,6 @@ def test_normalized_validation():
         NormalizedAssociation("m", lex, [[0.5, 0.5]], [[True, False]])
     # masked cell at exactly the floor is fine
     NormalizedAssociation("m", lex, [[ZERO_FLOOR, 0.5]], [[True, False]])
-
-
-# ---------------------------------------------------------------------------
-# pair association
-
-def test_pair_association_product(rng):
-    norm = random_normalized(rng, 5, 5)
-    v = norm.values
-    assert pair_association(norm, 0, 1, 2) == pytest.approx(v[0, 2] * v[1, 2], abs=1e-15)
-    assert pair_association(norm, 0, 1, 2) == pair_association(norm, 1, 0, 2)
-
-
-def test_pair_association_monotone(rng):
-    # a larger second factor cannot lower the product
-    norm = random_normalized(rng, 6, 4)
-    v = norm.values
-    for a in range(4):
-        for n2 in range(1, 6):
-            for n3 in range(1, 6):
-                if n2 == n3:
-                    continue
-                if v[n2, a] < v[n3, a]:
-                    assert pair_association(norm, 0, n2, a) <= pair_association(norm, 0, n3, a)
-
-
-def test_pair_association_degenerate(rng):
-    norm = random_normalized(rng, 3, 3)
-    with pytest.raises(DataError, match="degenerate pair"):
-        pair_association(norm, 1, 1, 0)
-
-
-def test_pair_association_range(rng):
-    norm = random_normalized(rng, 3, 3)
-    with pytest.raises(DataError, match="out of range"):
-        pair_association(norm, 0, 3, 0)
-    with pytest.raises(DataError, match="out of range"):
-        pair_association(norm, 0, 1, 5)
 
 
 # ---------------------------------------------------------------------------

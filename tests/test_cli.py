@@ -229,12 +229,12 @@ def test_predict_writes_output_and_manifest(data, capsys, tmp_path):
     assert (tmp_path / "prediction.tsv.manifest.json").exists()
 
 
-def _manifest(output):
+def _manifest(output, seed=None):
     text = (output.parent / (output.name + ".manifest.json")).read_text()
     manifest = json.loads(text)
     assert text == json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     assert sorted(manifest) == ["command", "inputs", "seed", "settings", "version"]
-    assert manifest["seed"] is None
+    assert manifest["seed"] == seed
     assert manifest["version"] == refgame.__version__
     return manifest
 
@@ -318,6 +318,44 @@ def test_predict_score_compare_manifest_settings(data, capsys, tmp_path):
     }
     assert sorted(manifest["inputs"]) == sorted([bigram, str(configs)])
 
+    code, _, err = run_cli(capsys, [
+        "compare", "--matrix", bigram, "--configs", str(configs), "--output", str(out),
+    ])
+    assert code == 0, err
+    assert _manifest(out)["settings"]["models"] == []
+
+
+@pytest.mark.parametrize("extra, filtered, min_diff, max_occurrence", [
+    ([], False, 2, 20),
+    (["--filter"], True, 2, 20),
+    (["--filter", "--min-word-diff", "1", "--max-word-occurrence", "3"], True, 1, 3),
+])
+def test_oed_manifest_settings(data, capsys, tmp_path, extra, filtered, min_diff, max_occurrence):
+    bigram = str(data["norm"]["bigram"])
+    out = tmp_path / "candidates.jsonl"
+    code, _, err = run_cli(capsys, [
+        "oed", "--matrix", bigram, "--preset", "exp4", "--iterations", "20", "--seed", "3",
+        "--top", "5", *extra, "--output", str(out),
+    ])
+    assert code == 0, err
+    manifest = _manifest(out, seed=3)
+    assert manifest["command"] == "oed"
+    assert manifest["settings"] == {
+        "matrix": [bigram],
+        "preset": "exp4",
+        "nouns": 3,
+        "adjectives": 3,
+        "mode": "joint",
+        "models": ["bigram:literal", "bigram:pragmatic:1.0"],
+        "iterations": 20,
+        "top": 5,
+        "filter": filtered,
+        "min_word_diff": min_diff,
+        "max_word_occurrence": max_occurrence,
+        "output": str(out),
+    }
+    assert sorted(manifest["inputs"]) == [bigram]
+
 
 # ---------------------------------------------------------------------------
 # exit codes
@@ -393,6 +431,29 @@ def test_oed_bad_flag_is_exit_2_before_search(
     ])
     assert code == 2
     assert err == f"usage error: {message}\n"
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("compare", ["--model", "bigram:literal"], "--model needs --configs"),
+    ("oed", ["--preset", "exp4", "--min-word-diff", "3"], "--min-word-diff needs --filter"),
+    ("oed", ["--preset", "exp4", "--max-word-occurrence", "5"],
+     "--max-word-occurrence needs --filter"),
+])
+def test_flag_that_would_be_ignored_is_exit_2_before_reading(
+    data, capsys, tmp_path, monkeypatch, command, extra, message
+):
+    def load(*args, **kwargs):
+        raise AssertionError("read a matrix despite a refused flag")
+
+    monkeypatch.setattr("refgame.cli.load_normalized", load)
+    output = tmp_path / "out.txt"
+    code, out, err = run_cli(capsys, [
+        command, "--matrix", str(data["norm"]["bigram"]), *extra, "--output", str(output),
+    ])
+    assert code == 2
+    assert err == f"usage error: {message}\n"
+    assert out == ""
     assert not output.exists()
 
 

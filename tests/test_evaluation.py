@@ -22,7 +22,6 @@ from refgame import (
     answer_support,
     average_success,
     confidence_ttest,
-    distribution_from_counts,
     load_responses,
     metric_rank_correlation,
     model_agreement,
@@ -239,13 +238,6 @@ def test_score_responses_role_bound_per_record(rng):
                ResponseRecord(listener_config, {(0, 1): 2})]
     report = score_responses({"bigram": norm}, "bigram:literal", records)
     assert len(report.top_answers) == 2
-
-
-def test_distribution_from_counts():
-    record = listener_record((3, 1, 0))
-    dist = distribution_from_counts(record)
-    assert np.allclose(dist.probs, [0.75, 0.25, 0.0], atol=1e-15)
-    assert dist.support == answer_support(record.configuration)
 
 
 # ---------------------------------------------------------------------------

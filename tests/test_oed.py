@@ -14,15 +14,15 @@ from refgame import (
     ModelSpec,
     Scenario,
     SearchSettings,
-    confidence_filter,
     configuration_utility,
     filter_candidates,
     model_information_bits,
     monte_carlo_search,
+    predict,
     response_probability,
     scenario_joint_utility,
 )
-from refgame.oed import _geometric_mean, candidate_from_record, candidate_to_record
+from refgame.oed import _geometric_mean, candidate_to_record
 
 from conftest import random_normalized
 
@@ -49,26 +49,25 @@ def listener_set(*metrics, depth="literal", alpha=None):
 # ---------------------------------------------------------------------------
 # response probability
 
-def test_response_probability_mixture(rng):
+def test_response_probability_stacks_models(rng):
     tables = {
         "a": random_normalized(rng, 5, 5, metric="a"),
         "b": random_normalized(rng, 5, 5, metric="b"),
     }
     config = Configuration(Scenario((0, 1, 2), (0, 1)), "listener", 0)
     models = listener_set("a", "b")
-    dists, mixture = response_probability(tables, config, models)
-    assert len(dists) == 2
-    assert np.allclose(mixture.probs, (dists[0].probs + dists[1].probs) / 2, atol=1e-15)
-    assert mixture.support == dists[0].support
+    probs = response_probability(tables, config, models)
+    assert probs.shape == (2, 3)
+    for row, model in zip(probs, models.models):
+        assert np.array_equal(row, predict(tables[model.metric], config, model).probs)
 
 
 def test_response_probability_identical_models(rng):
     tables = {"a": random_normalized(rng, 4, 4, metric="a")}
     config = Configuration(Scenario((0, 1), (0,)), "listener", 0)
     models = listener_set("a", "a")
-    dists, mixture = response_probability(tables, config, models)
-    assert np.array_equal(dists[0].probs, dists[1].probs)
-    assert np.array_equal(mixture.probs, dists[0].probs)
+    probs = response_probability(tables, config, models)
+    assert np.array_equal(probs[0], probs[1])
 
 
 def test_response_probability_role_mismatch(rng):
@@ -148,8 +147,9 @@ def test_configuration_utility_stacks_predictions(rng):
     }
     config = Configuration(Scenario((0, 2, 4), (1, 3)), "listener", 1)
     models = listener_set("a", "b")
-    dists, _ = response_probability(tables, config, models)
-    expected = model_information_bits(np.stack([d.probs for d in dists]))
+    expected = model_information_bits(
+        np.stack([predict(tables[m.metric], config, m).probs for m in models.models])
+    )
     assert configuration_utility(tables, config, models) == expected
 
 
@@ -327,6 +327,15 @@ def test_search_utilities_non_increasing(rng):
         assert earlier.utility >= later.utility
 
 
+@pytest.mark.parametrize("mode, role", [
+    ("separate-speaker", "speaker"),
+    ("separate-listener", "listener"),
+    ("joint", None),
+])
+def test_search_settings_role(mode, role):
+    assert SearchSettings(3, 2, mode).role == role
+
+
 def test_search_validation(rng):
     tables = {"a": random_normalized(rng, 3, 3, metric="a")}
     models = listener_set("a", "a")
@@ -472,55 +481,24 @@ def test_filter_properties_randomized(rng):
                 assert diff_violation or cap_violation
 
 
-def test_confidence_filter_cases():
-    assert confidence_filter([("a", 3.0), ("b", 5.0)]) == ["b"]
-    assert confidence_filter([("a", 4.0), ("b", 4.0), ("c", 4.0)]) == []
-    assert confidence_filter([("a", 2.0), ("b", 3.0), ("c", 4.0)]) == ["c"]
-
-
-def test_confidence_filter_validation():
-    with pytest.raises(DataError, match="no rated entries"):
-        confidence_filter([])
-    with pytest.raises(DataError, match="1..5"):
-        confidence_filter([("a", 0.5)])
-    with pytest.raises(DataError, match="1..5"):
-        confidence_filter([("a", 5.5)])
-
-
 # ---------------------------------------------------------------------------
 # candidate records
 
-def test_candidate_record_roundtrip(rng):
-    norm = random_normalized(rng, 5, 5)
-    lexicon = norm.lexicon
-    joint = cand((0, 2, 4), (1, 3), 0.5)
-    record = candidate_to_record(joint, lexicon)
-    assert record["utility"] == 0.5
-    assert "role" not in record
-    assert candidate_from_record(record, lexicon) == joint
+def test_candidate_to_record(rng):
+    lexicon = random_normalized(rng, 5, 5).lexicon
+    scenario = {"nouns": ["noun0", "noun2", "noun4"], "adjectives": ["adj1", "adj3"]}
+    record = candidate_to_record(cand((0, 2, 4), (1, 3), 0.5), lexicon)
+    assert record == {"scenario": scenario, "utility": 0.5}
 
     speaker = cand((0, 2, 4), (1, 3), 0.25, role="speaker", index=(0, 2))
-    record = candidate_to_record(speaker, lexicon)
-    assert record["target_pair"] == ["noun0", "noun4"]
-    assert candidate_from_record(record, lexicon) == speaker
+    assert candidate_to_record(speaker, lexicon) == {
+        "scenario": scenario, "role": "speaker", "target_pair": ["noun0", "noun4"], "utility": 0.25,
+    }
 
     listener = cand((0, 2, 4), (1, 3), 0.75, role="listener", index=1)
-    record = candidate_to_record(listener, lexicon)
-    assert record["clue"] == "adj3"
-    assert candidate_from_record(record, lexicon) == listener
-
-
-@pytest.mark.parametrize(
-    "utility", ["abc", "0.5", True, None, [0.5]], ids=["word", "numeric-string", "bool", "null", "list"]
-)
-def test_candidate_record_utility_must_be_a_number(rng, utility):
-    lexicon = random_normalized(rng, 5, 5).lexicon
-    record = candidate_to_record(cand((0, 2, 4), (1, 3), 0.5), lexicon)
-    record["utility"] = utility
-    with pytest.raises(DataError, match=r"^utility .* is not a number$"):
-        candidate_from_record(record, lexicon)
-    record["utility"] = 1
-    assert candidate_from_record(record, lexicon).utility == 1.0
+    assert candidate_to_record(listener, lexicon) == {
+        "scenario": scenario, "role": "listener", "clue": "adj3", "utility": 0.75,
+    }
 
 
 def test_design_candidate_rejects_negative_utility():
