@@ -16,6 +16,7 @@ each distinct key is scored once, so one seed always gives one result.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ from .rsa import (
     ModelSpec,
     Scenario,
     configuration_record,
+    is_integer,
     noun_pairs,
     predict,
     scenario_record,
@@ -76,6 +78,10 @@ class SearchSettings:
     top_k: int = 500
 
     def __post_init__(self):
+        for field in ("nouns", "adjectives", "iterations", "seed", "top_k"):
+            value = getattr(self, field)
+            if not is_integer(value):
+                raise DataError(f"{field} must be an integer, got {value!r}")
         if self.nouns < 2:
             raise DataError("need at least two nouns per scenario")
         if self.adjectives < 1:
@@ -86,6 +92,8 @@ class SearchSettings:
             raise DataError("iterations must be positive")
         if self.top_k < 1:
             raise DataError("top_k must be positive")
+        if self.seed < 0:
+            raise DataError(f"seed must be non-negative, got {self.seed!r}")
 
     @property
     def role(self) -> str | None:
@@ -105,8 +113,14 @@ class DesignCandidate:
     utility: float
 
     def __post_init__(self):
-        if not self.utility >= 0:
-            raise DataError(f"utility must be non-negative, got {self.utility!r}")
+        utility = self.utility
+        if not (
+            isinstance(utility, numbers.Real)
+            and not isinstance(utility, bool)
+            and math.isfinite(utility)
+            and utility >= 0
+        ):
+            raise DataError(f"utility must be a finite non-negative number, got {utility!r}")
 
     @property
     def configuration(self) -> Configuration | None:
@@ -130,6 +144,11 @@ def model_information_bits(prediction_probs) -> float:
     Rows are per-model answer distributions; the model prior is uniform.
     Zero-probability answers contribute nothing. Clamped at 0 to absorb
     float rounding on identical rows.
+
+    Both sums add in sequence, as a loop over answers and then models
+    would: numpy reduces a 2-d array along axis 0 row by row, and it
+    sums a 1-d run of fewer than 8 terms in order; cumsum always does.
+    A dead cell adds an exact 0.0.
     """
     probs = np.asarray(prediction_probs, dtype=float)
     if probs.ndim != 2:
@@ -139,11 +158,14 @@ def model_information_bits(prediction_probs) -> float:
         warnings.warn("fewer than two models: utility is identically 0", stacklevel=2)
         return 0.0
     mixture = probs.mean(axis=0)
-    total = 0.0
-    for y in np.nonzero(mixture > 0)[0]:
-        posterior = probs[:, y] / (n_models * mixture[y])
-        live = posterior > 0
-        total += mixture[y] * float(np.sum(posterior[live] * np.log2(posterior[live] * n_models)))
+    live = mixture > 0
+    if not live.any():
+        return 0.0
+    mixture = mixture[live]
+    posterior = probs[:, live] / (n_models * mixture)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(posterior > 0, posterior * np.log2(posterior * n_models), 0.0)
+    total = np.cumsum(mixture * np.add.reduce(terms, axis=0))[-1]
     return max(total, 0.0)
 
 
@@ -269,21 +291,14 @@ def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignC
 # ---------------------------------------------------------------------------
 # filters
 
-def _word_set(candidate: DesignCandidate) -> frozenset:
-    # Tag by part of speech so a noun index can never collide with an
-    # adjective index.
-    return frozenset(
-        [("n", n) for n in candidate.scenario.nouns]
-        + [("a", a) for a in candidate.scenario.adjectives]
-    )
-
-
-def _word_difference(a: frozenset, b: frozenset) -> int:
-    return max(len(a - b), len(b - a))
-
-
 def check_filter_bounds(min_word_difference: int, max_word_occurrence: int) -> None:
     """Reject diversity-filter bounds that filter_candidates cannot use."""
+    for name, value in (
+        ("min_word_difference", min_word_difference),
+        ("max_word_occurrence", max_word_occurrence),
+    ):
+        if not is_integer(value):
+            raise DataError(f"{name} must be an integer, got {value!r}")
     if min_word_difference < 0:
         raise DataError("min_word_difference must be non-negative")
     if max_word_occurrence < 1:
@@ -301,25 +316,44 @@ def filter_candidates(
     kept one by at least min_word_difference words (per side) and none
     of its words has already been used max_word_occurrence times among
     kept candidates.
+
+    Kept candidates are 0/1 columns of a word x kept matrix, so one
+    sum over a candidate's word rows gives its overlap with every kept
+    candidate, and the per-side difference is each size minus that.
     """
     candidates = list(candidates)
     check_filter_bounds(min_word_difference, max_word_occurrence)
     for earlier, later in zip(candidates, candidates[1:]):
         if earlier.utility < later.utility:
             raise DataError("candidates must be sorted by utility descending")
+    # Tag words by part of speech so a noun index can never collide with
+    # an adjective index.
+    column: dict = {}
+    rows = [
+        [column.setdefault(("n", n), len(column)) for n in c.scenario.nouns]
+        + [column.setdefault(("a", a), len(column)) for a in c.scenario.adjectives]
+        for c in candidates
+    ]
+    member = np.zeros((len(column), 16), dtype=np.uint8)
+    sizes = np.zeros(16, dtype=np.int64)
+    uses = np.zeros(len(column), dtype=np.int64)
     kept: list[DesignCandidate] = []
-    kept_sets: list[frozenset] = []
-    occurrences: dict = {}
-    for candidate in candidates:
-        words = _word_set(candidate)
-        if any(_word_difference(words, other) < min_word_difference for other in kept_sets):
-            continue
-        if any(occurrences.get(w, 0) >= max_word_occurrence for w in words):
-            continue
+    for candidate, words in zip(candidates, rows):
+        n_kept = len(kept)
+        if n_kept:
+            overlap = member[words, :n_kept].sum(axis=0)
+            difference = np.maximum(len(words) - overlap, sizes[:n_kept] - overlap)
+            if difference.min() < min_word_difference:
+                continue
+            if uses[words].max() >= max_word_occurrence:
+                continue
+        if n_kept == sizes.size:
+            member = np.concatenate([member, np.zeros_like(member)], axis=1)
+            sizes = np.concatenate([sizes, np.zeros_like(sizes)])
+        member[words, n_kept] = 1
+        sizes[n_kept] = len(words)
+        uses[words] += 1
         kept.append(candidate)
-        kept_sets.append(words)
-        for w in words:
-            occurrences[w] = occurrences.get(w, 0) + 1
     return kept
 
 

@@ -84,6 +84,15 @@ def noun_pairs(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations(range(k), 2))
 
 
+@lru_cache(maxsize=None)
+def _pair_rows(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and second scenario positions of noun_pairs(k), as arrays."""
+    first, second = (np.array(side) for side in zip(*noun_pairs(k)))
+    first.setflags(write=False)
+    second.setflags(write=False)
+    return first, second
+
+
 @dataclass(frozen=True)
 class Configuration:
     """One playable trial: a scenario, a role, and the prompted item.
@@ -200,10 +209,11 @@ class PredictionDistribution:
             raise DataError("support and probabilities differ in length")
         if probs.size == 0:
             raise DataError("empty distribution")
-        if (probs < 0).any():
+        if probs.min() < 0:
             raise DataError("negative probability")
-        if abs(float(probs.sum()) - 1.0) > 1e-9:
-            raise DataError(f"probabilities sum to {float(probs.sum())!r}")
+        total = float(probs.sum())
+        if abs(total - 1.0) > 1e-9:
+            raise DataError(f"probabilities sum to {total!r}")
         probs.setflags(write=False)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
@@ -227,7 +237,8 @@ def _check_scores(scores) -> np.ndarray:
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or scores.size == 0:
         raise DataError("score matrix must be nonempty and 2-d")
-    if not np.isfinite(scores).all() or (scores < 0).any():
+    # min() is NaN when any cell is, and NaN >= 0 is False.
+    if not (scores.min() >= 0 and scores.max() < np.inf):
         raise DataError("scores must be finite and non-negative")
     return scores
 
@@ -278,13 +289,13 @@ def speaker_probs(scores, target: int, alpha: float | None = None) -> np.ndarray
 def scenario_scores(norm: NormalizedAssociation, scenario: Scenario) -> np.ndarray:
     """C(k,2) x m matrix of pair-adjective association products."""
     n_nouns, n_adjs = norm.lexicon.shape
-    if any(n >= n_nouns for n in scenario.nouns):
+    if max(scenario.nouns) >= n_nouns:
         raise DataError("scenario noun index out of range for this matrix")
-    if any(a >= n_adjs for a in scenario.adjectives):
+    if max(scenario.adjectives) >= n_adjs:
         raise DataError("scenario adjective index out of range for this matrix")
-    sub = norm.values[np.ix_(scenario.nouns, scenario.adjectives)]
-    idx = np.array(scenario.pairs)
-    return sub[idx[:, 0]] * sub[idx[:, 1]]
+    sub = norm.values.take(scenario.nouns, 0).take(scenario.adjectives, 1)
+    first, second = _pair_rows(scenario.k)
+    return sub.take(first, 0) * sub.take(second, 0)
 
 
 def predict(

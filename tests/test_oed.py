@@ -1,6 +1,7 @@
 """Information utilities, Monte Carlo design search, filters."""
 
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -22,7 +23,7 @@ from refgame import (
     response_probability,
     scenario_joint_utility,
 )
-from refgame.oed import _geometric_mean, candidate_to_record
+from refgame.oed import _geometric_mean, candidate_to_record, check_filter_bounds
 
 from conftest import random_normalized
 
@@ -355,6 +356,26 @@ def test_search_validation(rng):
         monte_carlo_search({}, models, SearchSettings(3, 2, "separate-listener", iterations=5))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("nouns", 2.5), ("adjectives", 2.0), ("iterations", 2.5), ("iterations", True),
+    ("seed", 1.5), ("seed", "1"), ("top_k", 1.5), ("top_k", None),
+])
+def test_search_settings_reject_non_integer_counts(field, value):
+    fields = {"nouns": 3, "adjectives": 2, "mode": "joint", field: value}
+    with pytest.raises(DataError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+        SearchSettings(**fields)
+
+
+def test_search_settings_reject_negative_seed():
+    with pytest.raises(DataError, match="^seed must be non-negative, got -1$"):
+        SearchSettings(3, 2, "joint", seed=-1)
+
+
+def test_search_settings_accept_numpy_integers():
+    settings = SearchSettings(np.int64(3), np.int32(2), "joint", iterations=np.int64(5), seed=np.int64(0))
+    assert settings.nouns == 3 and settings.iterations == 5
+
+
 @pytest.mark.parametrize("mode", ["separate-listener", "joint"])
 def test_search_rejects_missing_metric_before_sampling(rng, mode):
     # the metric check runs before any key is drawn
@@ -411,6 +432,19 @@ def test_filter_word_occurrence_cap():
     kept = filter_candidates(candidates, min_word_difference=2, max_word_occurrence=3)
     # noun 0 and noun 1 appear in every candidate; cap of 3 stops the fourth
     assert len(kept) == 3
+
+
+@pytest.mark.parametrize("bounds, name", [
+    ((2.0, 20), "min_word_difference"),
+    ((True, 20), "min_word_difference"),
+    ((2, 20.5), "max_word_occurrence"),
+    ((2, None), "max_word_occurrence"),
+])
+def test_filter_rejects_non_integer_bounds(bounds, name):
+    with pytest.raises(DataError, match=f"^{name} must be an integer, got"):
+        filter_candidates([cand((0, 1), (0,), 0.5)], *bounds)
+    with pytest.raises(DataError, match=f"^{name} must be an integer, got"):
+        check_filter_bounds(*bounds)
 
 
 def test_filter_requires_sorted_input():
@@ -504,3 +538,14 @@ def test_candidate_to_record(rng):
 def test_design_candidate_rejects_negative_utility():
     with pytest.raises(DataError, match="non-negative"):
         cand((0, 1), (0,), -0.5)
+
+
+@pytest.mark.parametrize("utility", ["abc", None, True, np.bool_(True), math.inf, math.nan, "0.5"])
+def test_design_candidate_rejects_non_number_utility(utility):
+    with pytest.raises(DataError, match=re.escape(f"got {utility!r}")):
+        cand((0, 1), (0,), utility)
+
+
+@pytest.mark.parametrize("utility", [0, 0.0, 1.5, np.float64(0.25), np.int64(2)])
+def test_design_candidate_accepts_real_utility(utility):
+    assert cand((0, 1), (0,), utility).utility == utility
