@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DataError, prefix_errors
 from .lexicon import (
@@ -173,6 +172,23 @@ def topic_association(topics: TopicTable) -> AssociationMatrix:
 # ---------------------------------------------------------------------------
 # normalization and lookups
 
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ascending ranks 1..n of a 1-d float array, tied values sharing the
+    mean of their ranks (scipy.stats.rankdata's "average" method). A tie
+    group at sorted positions start..end-1 gets (start + end + 1) / 2, an
+    exact half, so the ranks carry no rounding. Callers keep NaN out: it
+    would be ranked as if it were larger than +inf."""
+    n = values.size
+    order = values.argsort(kind="stable")
+    ordered = values[order]
+    edge = np.ones(n + 1, bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=edge[1:-1])
+    edges = edge.nonzero()[0]
+    ranks = np.empty(n)
+    ranks[order] = ((edges[:-1] + edges[1:] + 1) / 2).repeat(edges[1:] - edges[:-1])
+    return ranks
+
+
 def quantile_normalize(assoc: AssociationMatrix) -> NormalizedAssociation:
     """Map raw scores onto (0, 1] by pooled quantile rank.
 
@@ -181,7 +197,7 @@ def quantile_normalize(assoc: AssociationMatrix) -> NormalizedAssociation:
     with ZERO_FLOOR afterwards, so the mask wins over the rank.
     """
     flat = assoc.raw.ravel()
-    ranks = rankdata(flat, method="average")
+    ranks = average_ranks(flat)
     values = (ranks / flat.size).reshape(assoc.raw.shape)
     values[assoc.zero_mask] = ZERO_FLOOR
     return NormalizedAssociation(assoc.metric, assoc.lexicon, values, assoc.zero_mask.copy())

@@ -6,6 +6,9 @@ between predicted probabilities and response counts. Aggregation is
 mean plus standard error. Gameplay success for a speaker-listener pair
 is computed analytically by summing over clue choices instead of
 sampling.
+
+Ranks are computed in numpy (association.average_ranks); scipy serves
+only the Student t tail (t.sf) of confidence_ttest.
 """
 
 from __future__ import annotations
@@ -16,9 +19,11 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
-from scipy import stats
+# the module path keeps scipy.stats visible to `python -X importtime`;
+# `from scipy import stats` loads it through scipy's lazy attribute hook
+from scipy.stats import t as student_t
 
-from .association import NormalizedAssociation, Tables
+from .association import NormalizedAssociation, Tables, average_ranks
 from .errors import DataError, prefix_errors
 from .rsa import (
     LISTENER,
@@ -96,7 +101,7 @@ def spearman(x, y) -> float:
     """Spearman correlation via descending average ranks.
 
     Either vector constant yields 0 by convention (no ranking signal,
-    not an error).
+    not an error). A NaN is an error; +-inf ranks as the extreme it is.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -104,13 +109,18 @@ def spearman(x, y) -> float:
         raise DataError("rank correlation needs two equal-length vectors")
     if x.size < 2:
         raise DataError("rank correlation needs at least two entries")
-    rank_x = stats.rankdata(-x, method="average")
-    rank_y = stats.rankdata(-y, method="average")
-    if (rank_x == rank_x[0]).all() or (rank_y == rank_y[0]).all():
+    for which, values in (("first", x), ("second", y)):
+        if np.isnan(values).any():
+            raise DataError(f"rank correlation: the {which} vector holds NaN")
+    # average ranks of 1..n always have mean (n + 1) / 2 exactly
+    mean_rank = (x.size + 1) / 2
+    rank_x = average_ranks(-x) - mean_rank
+    rank_y = average_ranks(-y) - mean_rank
+    ss_x = rank_x @ rank_x
+    ss_y = rank_y @ rank_y
+    if ss_x == 0 or ss_y == 0:
         return 0.0
-    rank_x = rank_x - rank_x.mean()
-    rank_y = rank_y - rank_y.mean()
-    return float((rank_x @ rank_y) / np.sqrt((rank_x @ rank_x) * (rank_y @ rank_y)))
+    return float((rank_x @ rank_y) / np.sqrt(ss_x * ss_y))
 
 
 def rank_correlation(prediction: PredictionDistribution, record: ResponseRecord) -> float:
@@ -309,7 +319,7 @@ def confidence_ttest(group_a, group_b) -> tuple[float, float]:
     df = se_sq**2 / (
         (var_a / a.size) ** 2 / (a.size - 1) + (var_b / b.size) ** 2 / (b.size - 1)
     )
-    p = 2.0 * float(stats.t.sf(abs(t), df))
+    p = 2.0 * float(student_t.sf(abs(t), df))
     return t, p
 
 

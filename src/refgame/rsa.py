@@ -209,8 +209,9 @@ class PredictionDistribution:
             raise DataError("support and probabilities differ in length")
         if probs.size == 0:
             raise DataError("empty distribution")
-        if probs.min() < 0:
-            raise DataError("negative probability")
+        low = probs.min()
+        if not low >= 0:
+            raise DataError("negative probability" if low < 0 else "NaN probability")
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-9:
             raise DataError(f"probabilities sum to {total!r}")

@@ -153,6 +153,15 @@ def test_spearman_size_error():
         spearman([1.0], [2.0])
 
 
+def test_spearman_rejects_nan_and_ranks_inf():
+    with pytest.raises(DataError, match="^rank correlation: the first vector holds NaN$"):
+        spearman([math.nan, 1.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(DataError, match="^rank correlation: the second vector holds NaN$"):
+        spearman([1.0, 2.0, 3.0], [1.0, 2.0, math.nan])
+    assert spearman([math.inf, 1.0, 2.0], [1.0, 2.0, 3.0]) == -0.5
+    assert spearman([-math.inf, 1.0, 2.0], [1.0, 2.0, 3.0]) == 1.0
+
+
 def test_spearman_matches_exact_oracle(rng):
     for _ in range(300):
         n = int(rng.integers(2, 7))

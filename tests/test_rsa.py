@@ -323,6 +323,18 @@ def test_prediction_distribution_validation():
         dist.prob("c")
 
 
+@pytest.mark.parametrize(
+    "probs, message",
+    [([np.nan, np.nan], "NaN probability"),
+     ([np.nan, 1.0], "NaN probability"),
+     ([1.5, np.nan, -0.5], "NaN probability"),
+     ([1.25, -0.25], "negative probability")],
+)
+def test_prediction_distribution_rejects_nan(probs, message):
+    with pytest.raises(DataError, match=f"^{message}$"):
+        PredictionDistribution(tuple(range(len(probs))), np.array(probs))
+
+
 def test_argmax_answers_tie_tolerance():
     dist = PredictionDistribution((0, 1, 2), np.array([0.4, 0.4 - 1e-13, 0.2 + 1e-13]))
     assert dist.argmax_answers() == (0, 1)
