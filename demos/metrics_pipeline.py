@@ -44,10 +44,10 @@ topics = {w: rng.dirichlet(np.ones(3)) for w in words}
 print("\n=== metric matrices ===")
 tables = {}
 for assoc in (
-    bigram_association(CooccurrenceCounts(lexicon, counts, source="demo")),
-    cosine_association(EmbeddingTable(lexicon, 4, vectors)),
+    bigram_association(CooccurrenceCounts(lexicon, counts)),
+    cosine_association(EmbeddingTable(lexicon, vectors)),
     relatedness_association(RelatednessTable(lexicon, relatedness)),
-    topic_association(TopicTable(lexicon, 3, topics)),
+    topic_association(TopicTable(lexicon, topics)),
 ):
     norm = quantile_normalize(assoc)
     tables[norm.metric] = norm

@@ -20,11 +20,6 @@ from .lexicon import (
     load_relatedness,
     load_topics,
     read_labeled_matrix,
-    save_counts,
-    save_embeddings,
-    save_lexicon,
-    save_relatedness,
-    save_topics,
     write_labeled_matrix,
 )
 from .association import (

@@ -2,9 +2,10 @@
 
 Subcommands: ingest, normalize, predict, oed, score, compare, simulate.
 Every file-writing command also writes a <output>.manifest.json recording
-the command, resolved settings, seed, and sha256 digests of its inputs,
-so any output can be reproduced exactly. Exit codes: 0 success, 1 domain
-error in the data, 2 usage or I/O error.
+the command, its parsed flags after preset resolution (the seed apart),
+and sha256 digests of its inputs, so any output can be reproduced
+exactly. Exit codes: 0 success, 1 domain error in the data, 2 usage or
+I/O error.
 """
 
 from __future__ import annotations
@@ -109,6 +110,10 @@ PRESETS = {
 
 _INGEST_KINDS = ("counts", "embeddings", "relatedness", "topics")
 
+# Flags that name an input file; with the --matrix paths they are the
+# inputs a manifest records.
+_INPUT_FLAGS = ("input", "lexicon", "config", "responses", "configs", "scenarios")
+
 
 class _UsageError(Exception):
     """Bad flag values detected after argparse: exit code 2."""
@@ -118,25 +123,33 @@ def _sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_manifest(output: str, command: str, settings: dict, seed: int | None, inputs) -> None:
-    """Write the reproducibility sidecar <output>.manifest.json."""
+def _write_manifest(args) -> None:
+    """Write the reproducibility sidecar <output>.manifest.json. Its
+    settings are the parsed flags after preset resolution, the seed apart."""
+    settings = {k: v for k, v in vars(args).items() if k not in ("command", "handler", "seed")}
+    inputs = [_matrix_entry(entry)[1] for entry in settings.get("matrix", ())]
+    inputs += [settings[flag] for flag in _INPUT_FLAGS if settings.get(flag) is not None]
     manifest = {
-        "command": command,
+        "command": args.command,
         "settings": settings,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "inputs": {str(p): _sha256(p) for p in inputs},
         "version": __version__,
     }
-    Path(str(output) + ".manifest.json").write_text(
+    Path(str(args.output) + ".manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     )
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
+def _finish(args, text: str) -> int:
+    """Write a command's report to stdout, or with --output to that file
+    and its manifest."""
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text)
+        Path(args.output).write_text(text)
+        _write_manifest(args)
+    return 0
 
 
 def _parse_spec(text: str, role: str):
@@ -147,20 +160,18 @@ def _parse_spec(text: str, role: str):
         raise _UsageError(str(exc)) from None
 
 
-def _matrix_paths(entries) -> list[str]:
-    """The file paths of --matrix flags ("metric=path" or bare path)."""
-    return [entry.split("=", 1)[-1] for entry in entries]
+def _matrix_entry(entry: str) -> tuple[str | None, str]:
+    """The (metric label or None, path) of a --matrix flag, "metric=path"
+    or a bare path."""
+    label, eq, path = entry.partition("=")
+    return (label.strip(), path) if eq else (None, entry)
 
 
 def _load_matrices(entries) -> Tables:
-    """Load --matrix flags ("metric=path" or bare path) into a metric map."""
+    """Load --matrix flags into a metric map."""
     tables = {}
     for entry in entries:
-        label = None
-        path = entry
-        if "=" in entry:
-            label, path = entry.split("=", 1)
-            label = label.strip()
+        label, path = _matrix_entry(entry)
         norm = load_normalized(path)
         if label and label != norm.metric:
             raise DataError(f"matrix {path} holds metric '{norm.metric}', not '{label}'")
@@ -191,26 +202,14 @@ def cmd_ingest(args) -> int:
     else:
         assoc = topic_association(load_topics(args.input, lexicon))
     save_association(assoc, args.output)
-    _write_manifest(
-        args.output,
-        "ingest",
-        {"kind": args.kind, "input": args.input, "lexicon": args.lexicon, "output": args.output},
-        None,
-        [args.input, args.lexicon],
-    )
+    _write_manifest(args)
     return 0
 
 
 def cmd_normalize(args) -> int:
     assoc = load_association(args.input)
     save_normalized(quantile_normalize(assoc), args.output)
-    _write_manifest(
-        args.output,
-        "normalize",
-        {"input": args.input, "output": args.output},
-        None,
-        [args.input],
-    )
+    _write_manifest(args)
     return 0
 
 
@@ -227,43 +226,23 @@ def cmd_predict(args) -> int:
         else:
             name = clue_word(config.scenario, answer, lexicon)
         lines.append(f"{name}\t{repr(float(prob))}")
-    _emit("\n".join(lines) + "\n", args.output)
-    if args.output:
-        _write_manifest(
-            args.output,
-            "predict",
-            {
-                "matrix": list(args.matrix),
-                "config": args.config,
-                "model": args.model,
-                "output": args.output,
-            },
-            None,
-            _matrix_paths(args.matrix) + [args.config],
-        )
-    return 0
+    return _finish(args, "\n".join(lines) + "\n")
 
 
-def _resolve_oed_settings(args) -> dict:
-    resolved = {"nouns": None, "adjectives": None, "mode": None, "models": None}
-    if args.preset:
-        if args.preset not in PRESETS:
-            raise _UsageError(
-                f"unknown preset {args.preset!r} (have {', '.join(sorted(PRESETS))})"
-            )
-        resolved.update(PRESETS[args.preset])
-    if args.nouns is not None:
-        resolved["nouns"] = args.nouns
-    if args.adjectives is not None:
-        resolved["adjectives"] = args.adjectives
-    if args.mode is not None:
-        resolved["mode"] = args.mode
-    if args.model:
-        resolved["models"] = tuple(args.model)
+def _resolve_oed_settings(args) -> None:
+    """Fill the scenario shape, mode and models a flag leaves unset from
+    the preset, and the filter bounds from their defaults, into args."""
+    preset = PRESETS.get(args.preset, {})
     for key in ("nouns", "adjectives", "mode", "models"):
-        if resolved[key] is None:
+        if getattr(args, key) is None:
+            setattr(args, key, preset.get(key))
+        if getattr(args, key) is None:
             raise _UsageError(f"--{key if key != 'models' else 'model'} required without a preset")
-    return resolved
+    args.models = list(args.models)
+    if args.min_word_diff is None:
+        args.min_word_diff = 2
+    if args.max_word_occurrence is None:
+        args.max_word_occurrence = 20
 
 
 def cmd_oed(args) -> int:
@@ -274,89 +253,51 @@ def cmd_oed(args) -> int:
     ):
         if value is not None and not args.filter:
             raise _UsageError(f"{flag} needs --filter")
-    min_word_diff = 2 if args.min_word_diff is None else args.min_word_diff
-    max_word_occurrence = 20 if args.max_word_occurrence is None else args.max_word_occurrence
-    resolved = _resolve_oed_settings(args)
+    _resolve_oed_settings(args)
     try:
         settings = SearchSettings(
-            nouns=resolved["nouns"],
-            adjectives=resolved["adjectives"],
-            mode=resolved["mode"],
+            nouns=args.nouns,
+            adjectives=args.adjectives,
+            mode=args.mode,
             iterations=args.iterations,
             seed=args.seed,
             top_k=args.top,
         )
-        check_filter_bounds(min_word_diff, max_word_occurrence)
+        check_filter_bounds(args.min_word_diff, args.max_word_occurrence)
     except DataError as exc:
         raise _UsageError(str(exc)) from None
     tables = _load_matrices(args.matrix)
     lexicon = tables.lexicon
     if settings.role is None:
         models = (
-            ModelSet(tuple(_parse_spec(s, SPEAKER) for s in resolved["models"])),
-            ModelSet(tuple(_parse_spec(s, LISTENER) for s in resolved["models"])),
+            ModelSet(tuple(_parse_spec(s, SPEAKER) for s in args.models)),
+            ModelSet(tuple(_parse_spec(s, LISTENER) for s in args.models)),
         )
     else:
-        models = ModelSet(tuple(_parse_spec(s, settings.role) for s in resolved["models"]))
+        models = ModelSet(tuple(_parse_spec(s, settings.role) for s in args.models))
     candidates = monte_carlo_search(tables, models, settings)
     if args.filter:
         candidates = filter_candidates(
             candidates,
-            min_word_difference=min_word_diff,
-            max_word_occurrence=max_word_occurrence,
+            min_word_difference=args.min_word_diff,
+            max_word_occurrence=args.max_word_occurrence,
         )
     lines = [json.dumps(candidate_to_record(c, lexicon), sort_keys=True) for c in candidates]
-    Path(args.output).write_text("\n".join(lines) + ("\n" if lines else ""))
-    _write_manifest(
-        args.output,
-        "oed",
-        {
-            "matrix": list(args.matrix),
-            "preset": args.preset,
-            "nouns": settings.nouns,
-            "adjectives": settings.adjectives,
-            "mode": settings.mode,
-            "models": list(resolved["models"]),
-            "iterations": settings.iterations,
-            "top": settings.top_k,
-            "filter": bool(args.filter),
-            "min_word_diff": min_word_diff,
-            "max_word_occurrence": max_word_occurrence,
-            "output": args.output,
-        },
-        settings.seed,
-        _matrix_paths(args.matrix),
-    )
-    return 0
+    return _finish(args, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def cmd_score(args) -> int:
-    for model in args.model:
+    for model in args.models:
         _parse_spec(model, LISTENER)  # a syntax check: each record binds its own role
     tables = _load_matrices(args.matrix)
     lexicon = tables.lexicon
     records = load_responses(args.responses, lexicon)
-    reports = [score_responses(tables, model, records) for model in args.model]
-    _emit(render_score_reports(reports, fmt=args.format), args.output)
-    if args.output:
-        _write_manifest(
-            args.output,
-            "score",
-            {
-                "matrix": list(args.matrix),
-                "responses": args.responses,
-                "models": list(args.model),
-                "format": args.format,
-                "output": args.output,
-            },
-            None,
-            _matrix_paths(args.matrix) + [args.responses],
-        )
-    return 0
+    reports = [score_responses(tables, model, records) for model in args.models]
+    return _finish(args, render_score_reports(reports, fmt=args.format))
 
 
 def cmd_compare(args) -> int:
-    if args.model and not args.configs:
+    if args.models and not args.configs:
         raise _UsageError("--model needs --configs")
     tables = _load_matrices(args.matrix)
     lexicon = tables.lexicon
@@ -375,8 +316,8 @@ def cmd_compare(args) -> int:
             by_role.setdefault(config.role, []).append(config)
         for role in sorted(by_role):
             role_configs = by_role[role]
-            if args.model:
-                specs = [_parse_spec(s, role) for s in args.model]
+            if args.models:
+                specs = [_parse_spec(s, role) for s in args.models]
             else:
                 specs = [_parse_spec(f"{m}:literal", role) for m in metrics]
             labels = [s.spec_string() for s in specs]
@@ -389,25 +330,7 @@ def cmd_compare(args) -> int:
                     render_matrix(labels, matrix, fmt=args.format, title=f"{role} {name}")
                 )
 
-    _emit("\n".join(sections), args.output)
-    if args.output:
-        inputs = _matrix_paths(args.matrix)
-        if args.configs:
-            inputs.append(args.configs)
-        _write_manifest(
-            args.output,
-            "compare",
-            {
-                "matrix": list(args.matrix),
-                "configs": args.configs,
-                "models": list(args.model or []),
-                "format": args.format,
-                "output": args.output,
-            },
-            None,
-            inputs,
-        )
-    return 0
+    return _finish(args, "\n".join(sections))
 
 
 def cmd_simulate(args) -> int:
@@ -424,23 +347,7 @@ def cmd_simulate(args) -> int:
     speaker_spec = _parse_spec(args.speaker, SPEAKER)
     listener_spec = _parse_spec(args.listener, LISTENER)
     report = simulate_gameplay(tables, scenarios, speaker_spec, listener_spec)
-    _emit(render_gameplay(report, lexicon, fmt=args.format), args.output)
-    if args.output:
-        _write_manifest(
-            args.output,
-            "simulate",
-            {
-                "matrix": list(args.matrix),
-                "scenarios": args.scenarios,
-                "speaker": args.speaker,
-                "listener": args.listener,
-                "format": args.format,
-                "output": args.output,
-            },
-            None,
-            _matrix_paths(args.matrix) + [args.scenarios],
-        )
-    return 0
+    return _finish(args, render_gameplay(report, lexicon, fmt=args.format))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oed", help="search for informative scenarios or configurations")
     p.add_argument("--matrix", action="append", required=True, metavar="[METRIC=]PATH")
-    p.add_argument("--model", action="append", metavar="METRIC:DEPTH[:ALPHA]")
+    p.add_argument("--model", action="append", dest="models", metavar="METRIC:DEPTH[:ALPHA]")
     p.add_argument("--preset", choices=sorted(PRESETS))
     p.add_argument("--nouns", type=int)
     p.add_argument("--adjectives", type=int)
@@ -501,7 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score models against response records")
     p.add_argument("--matrix", action="append", required=True, metavar="[METRIC=]PATH")
     p.add_argument("--responses", required=True)
-    p.add_argument("--model", action="append", required=True, metavar="METRIC:DEPTH[:ALPHA]")
+    p.add_argument(
+        "--model", action="append", dest="models", required=True, metavar="METRIC:DEPTH[:ALPHA]"
+    )
     p.add_argument("--format", choices=("tsv", "table"), default="tsv")
     p.add_argument("--output")
     p.set_defaults(handler=cmd_score)
@@ -512,6 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--model",
         action="append",
+        dest="models",
+        default=[],
         metavar="METRIC:DEPTH[:ALPHA]",
         help="needs --configs: a model to compare on the configurations"
         " (default: each metric's literal model)",

@@ -130,12 +130,19 @@ def rank_correlation(prediction: PredictionDistribution, record: ResponseRecord)
     return spearman(prediction.probs, record.count_vector())
 
 
+def _reject_non_finite(values: np.ndarray, message: str) -> None:
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise DataError(f"{message} non-finite {values[bad][0]}")
+
+
 def aggregate(scores) -> tuple[float, float]:
     """Mean and standard error (ddof=1). All-equal scores give SEM
-    exactly 0.0."""
+    exactly 0.0; a NaN or infinite score is an error."""
     scores = np.asarray(list(scores), dtype=float)
     if scores.size < 2:
         raise DataError("aggregation needs at least two scores")
+    _reject_non_finite(scores, "aggregation: the scores hold")
     mean = float(scores.mean())
     if (scores == scores[0]).all():
         return mean, 0.0
@@ -300,12 +307,14 @@ def confidence_ttest(group_a, group_b) -> tuple[float, float]:
     """Welch's t-test (two-sided) on two confidence samples.
 
     Both groups zero-variance: equal means give (0.0, 1.0), unequal
-    means give (signed infinity, 0.0).
+    means give (signed infinity, 0.0). A NaN or infinite value is an error.
     """
     a = np.asarray(list(group_a), dtype=float)
     b = np.asarray(list(group_b), dtype=float)
     if a.size < 2 or b.size < 2:
         raise DataError("each group needs at least two values")
+    _reject_non_finite(a, "t-test: the first group holds")
+    _reject_non_finite(b, "t-test: the second group holds")
     var_a = float(a.var(ddof=1))
     var_b = float(b.var(ddof=1))
     mean_a = float(a.mean())

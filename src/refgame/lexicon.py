@@ -24,8 +24,8 @@ from .errors import DataError, prefix_errors
 _INT_LIMIT = np.iinfo(np.int64).max
 
 # Topic rows whose sum is off by more than this are re-normalized; rows
-# already this close to 1 pass through untouched so save/load round-trips
-# are exact.
+# already this close to 1 pass through untouched, so writing a loaded
+# table with repr() floats and loading it again is exact.
 _TOPIC_EXACT_TOL = 1e-12
 _TOPIC_RENORM_TOL = 1e-6
 
@@ -97,14 +97,6 @@ def load_lexicon(path: str | Path) -> Lexicon:
     return Lexicon(tuple(nouns), tuple(adjectives))
 
 
-def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
-    lines = ["[nouns]"]
-    lines.extend(lexicon.nouns)
-    lines.append("[adjectives]")
-    lines.extend(lexicon.adjectives)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # labeled matrix files (counts, relatedness)
 
@@ -144,15 +136,13 @@ def read_labeled_matrix(path: str | Path) -> tuple[list[str], list[str], list[li
     return row_labels, header, cells, comments
 
 
-def write_labeled_matrix(
-    path, lexicon: Lexicon, matrix, fmt=lambda v: repr(float(v)), comments=()
-) -> None:
+def write_labeled_matrix(path, lexicon: Lexicon, matrix, comments=()) -> None:
     """Write the format read_labeled_matrix reads: comment lines, a header
-    row of adjectives, then one row per noun with cells rendered by fmt."""
+    row of adjectives, then one row per noun with cells as repr() floats."""
     lines = list(comments)
     lines.append("\t" + "\t".join(lexicon.adjectives))
     for i, noun in enumerate(lexicon.nouns):
-        lines.append(noun + "\t" + "\t".join(fmt(v) for v in matrix[i]))
+        lines.append(noun + "\t" + "\t".join(repr(float(v)) for v in matrix[i]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -229,11 +219,10 @@ def lexicon_array(values, lexicon: Lexicon, what: str, dtype=float) -> np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class CooccurrenceCounts:
-    """Noun x adjective co-occurrence counts from one corpus source."""
+    """Noun x adjective co-occurrence counts from one corpus."""
 
     lexicon: Lexicon
     z: np.ndarray
-    source: str
 
     def __post_init__(self):
         z = np.asarray(self.z)
@@ -246,7 +235,7 @@ class CooccurrenceCounts:
         object.__setattr__(self, "z", _freeze(z.astype(np.int64, copy=False)))
 
 
-def load_counts(path: str | Path, lexicon: Lexicon, source: str | None = None) -> CooccurrenceCounts:
+def load_counts(path: str | Path, lexicon: Lexicon) -> CooccurrenceCounts:
     row_labels, col_labels, cells, _ = read_labeled_matrix(path)
     picked = _align_rows(row_labels, col_labels, cells, lexicon, path)
     z = np.zeros(lexicon.shape, dtype=np.int64)
@@ -262,11 +251,7 @@ def load_counts(path: str | Path, lexicon: Lexicon, source: str | None = None) -
                 if abs(value) > _INT_LIMIT:
                     raise DataError(f"count overflow {value} at ('{noun}', '{adj}')")
                 z[i, j] = value
-        return CooccurrenceCounts(lexicon, z, Path(path).stem if source is None else source)
-
-
-def save_counts(counts: CooccurrenceCounts, path: str | Path) -> None:
-    write_labeled_matrix(path, counts.lexicon, counts.z, fmt=str, comments=[f"# source: {counts.source}"])
+        return CooccurrenceCounts(lexicon, z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,10 +272,6 @@ def load_relatedness(path: str | Path, lexicon: Lexicon) -> RelatednessTable:
     picked = _align_rows(row_labels, col_labels, cells, lexicon, path)
     with prefix_errors(path):
         return RelatednessTable(lexicon, parse_float_cells(picked, lexicon, "score"))
-
-
-def save_relatedness(table: RelatednessTable, path: str | Path) -> None:
-    write_labeled_matrix(path, table.lexicon, table.scores)
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +319,18 @@ def _pick_vectors(all_vectors, lexicon, path):
     return picked
 
 
-def _word_vectors(lexicon: Lexicon, vectors, size: int, what: str) -> dict[str, np.ndarray]:
-    """Each lexicon word's vector as a read-only copy of `size` finite values."""
+def _word_vectors(lexicon: Lexicon, vectors, what: str) -> dict[str, np.ndarray]:
+    """Each lexicon word's vector as a read-only copy of finite values; the
+    first word's vector fixes the length, which must be positive."""
     frozen = {}
+    shape = None
     for word in lexicon.nouns + lexicon.adjectives:
         if word not in vectors:
             raise DataError(f"word '{word}' has no {what}")
         vec = np.array(vectors[word], dtype=float)
-        if vec.shape != (size,):
+        if shape is None:
+            shape = vec.shape
+        if vec.ndim != 1 or not vec.size or vec.shape != shape:
             raise DataError(f"{what} for '{word}' has shape {vec.shape}")
         if not np.isfinite(vec).all():
             raise DataError(f"non-finite {what} for '{word}'")
@@ -358,13 +343,10 @@ class EmbeddingTable:
     """Dense word vectors for every lexicon word."""
 
     lexicon: Lexicon
-    dimension: int
     vectors: dict[str, np.ndarray]
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise DataError("embedding dimension must be positive")
-        vectors = _word_vectors(self.lexicon, self.vectors, self.dimension, "vector")
+        vectors = _word_vectors(self.lexicon, self.vectors, "vector")
         for word, vec in vectors.items():
             if not vec.any():
                 raise DataError(f"zero vector for '{word}'")
@@ -377,11 +359,7 @@ class EmbeddingTable:
 def load_embeddings(path: str | Path, lexicon: Lexicon) -> EmbeddingTable:
     picked = _pick_vectors(_read_vector_file(path), lexicon, path)
     with prefix_errors(path):
-        return EmbeddingTable(lexicon, next(iter(picked.values())).size, picked)
-
-
-def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
-    _write_vector_file(path, table.lexicon, table.vectors)
+        return EmbeddingTable(lexicon, picked)
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,15 +367,10 @@ class TopicTable:
     """Per-word distributions over a shared set of topics."""
 
     lexicon: Lexicon
-    topic_count: int
     distributions: dict[str, np.ndarray]
 
     def __post_init__(self):
-        if self.topic_count < 1:
-            raise DataError("topic count must be positive")
-        distributions = _word_vectors(
-            self.lexicon, self.distributions, self.topic_count, "topic distribution"
-        )
+        distributions = _word_vectors(self.lexicon, self.distributions, "topic distribution")
         for word, vec in distributions.items():
             if (vec < 0).any():
                 raise DataError(f"negative topic mass for '{word}'")
@@ -415,15 +388,4 @@ def load_topics(path: str | Path, lexicon: Lexicon) -> TopicTable:
         if _TOPIC_EXACT_TOL < abs(total - 1.0) <= _TOPIC_RENORM_TOL:
             picked[word] = vec / total
     with prefix_errors(path):
-        return TopicTable(lexicon, next(iter(picked.values())).size, picked)
-
-
-def save_topics(table: TopicTable, path: str | Path) -> None:
-    _write_vector_file(path, table.lexicon, table.distributions)
-
-
-def _write_vector_file(path, lexicon, vectors) -> None:
-    lines = []
-    for word in lexicon.nouns + lexicon.adjectives:
-        lines.append(word + " " + " ".join(repr(float(v)) for v in vectors[word]))
-    Path(path).write_text("\n".join(lines) + "\n")
+        return TopicTable(lexicon, picked)

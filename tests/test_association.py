@@ -34,7 +34,7 @@ def counts_of(array, lexicon=None):
     array = np.asarray(array)
     if lexicon is None:
         lexicon = make_lexicon(*array.shape)
-    return CooccurrenceCounts(lexicon, array, "test")
+    return CooccurrenceCounts(lexicon, array)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +92,7 @@ def test_cosine_identical_and_orthogonal():
         "adj0": np.array([2.0, 0.0]),
         "adj1": np.array([0.0, 3.0]),
     }
-    assoc = cosine_association(EmbeddingTable(lex, 2, vectors))
+    assoc = cosine_association(EmbeddingTable(lex, vectors))
     assert assoc.raw[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert assoc.raw[0, 1] == pytest.approx(0.0, abs=1e-12)
     assert assoc.raw[1, 0] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
@@ -102,10 +102,10 @@ def test_cosine_identical_and_orthogonal():
 def test_cosine_range_and_scale_invariance(rng):
     lex = make_lexicon(4, 5)
     vectors = {w: rng.normal(size=7) for w in lex.nouns + lex.adjectives}
-    assoc = cosine_association(EmbeddingTable(lex, 7, vectors))
+    assoc = cosine_association(EmbeddingTable(lex, vectors))
     assert (assoc.raw <= 1 + 1e-12).all() and (assoc.raw >= -1 - 1e-12).all()
     scaled = {w: 3.7 * v for w, v in vectors.items()}
-    assoc2 = cosine_association(EmbeddingTable(lex, 7, scaled))
+    assoc2 = cosine_association(EmbeddingTable(lex, scaled))
     assert np.allclose(assoc.raw, assoc2.raw, atol=1e-12)
 
 
@@ -130,7 +130,7 @@ def test_topic_identical_strongest():
         "noun1": np.array([1.0, 0.0]),
         "adj0": np.array([0.5, 0.5]),
     }
-    assoc = topic_association(TopicTable(lex, 2, d))
+    assoc = topic_association(TopicTable(lex, d))
     assert assoc.raw[0, 0] == 0.0
     # distance sqrt(0.5) for noun1, negated
     assert assoc.raw[1, 0] == pytest.approx(-np.sqrt(0.5), abs=1e-12)
@@ -141,7 +141,7 @@ def test_topic_identical_strongest():
 def test_topic_orthogonal_distance():
     lex = make_lexicon(1, 1)
     d = {"noun0": np.array([1.0, 0.0]), "adj0": np.array([0.0, 1.0])}
-    assoc = topic_association(TopicTable(lex, 2, d))
+    assoc = topic_association(TopicTable(lex, d))
     assert assoc.raw[0, 0] == pytest.approx(-np.sqrt(2), abs=1e-12)
 
 

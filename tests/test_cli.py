@@ -26,16 +26,13 @@ from refgame import (
     quantile_normalize,
     relatedness_association,
     save_association,
-    save_counts,
-    save_embeddings,
-    save_lexicon,
     save_normalized,
-    save_relatedness,
     save_responses,
-    save_topics,
     topic_association,
 )
 from refgame.cli import main
+
+from conftest import write_counts_file, write_lexicon_file, write_matrix_file, write_vector_file
 
 NOUNS = ("heart", "phone", "wedding", "mirror", "garden", "engine")
 ADJS = ("dying", "violent", "empty", "gentle", "ancient", "loud")
@@ -54,35 +51,34 @@ def data(tmp_path_factory):
     rng = np.random.default_rng(20240818)
     lexicon = Lexicon(NOUNS, ADJS)
     paths = {"root": root, "lexicon_obj": lexicon, "lexicon": root / "lexicon.txt"}
-    save_lexicon(lexicon, paths["lexicon"])
+    write_lexicon_file(paths["lexicon"], NOUNS, ADJS)
 
     counts = rng.integers(1, 50, size=(6, 6))
     counts[0, 3] = 0
     counts[4, 1] = 0
     paths["counts"] = root / "counts.tsv"
-    save_counts(CooccurrenceCounts(lexicon, counts, source="counts"), paths["counts"])
+    write_counts_file(paths["counts"], NOUNS, ADJS, counts)
 
-    vectors = rng.normal(size=(12, 4))
     words = list(NOUNS) + list(ADJS)
-    emb = EmbeddingTable(lexicon, 4, {w: vectors[i] for i, w in enumerate(words)})
+    vectors = dict(zip(words, rng.normal(size=(12, 4))))
     paths["embeddings"] = root / "embeddings.txt"
-    save_embeddings(emb, paths["embeddings"])
+    write_vector_file(paths["embeddings"], vectors.items())
 
     scores = rng.random(size=(6, 6)) * 3
     scores[1, 2] = 0.0
     paths["relatedness"] = root / "relatedness.tsv"
-    save_relatedness(RelatednessTable(lexicon, scores), paths["relatedness"])
+    write_matrix_file(paths["relatedness"], NOUNS, ADJS, scores)
 
-    topics = rng.dirichlet(np.ones(3), size=12)
+    topics = dict(zip(words, rng.dirichlet(np.ones(3), size=12)))
     paths["topics"] = root / "topics.txt"
-    save_topics(TopicTable(lexicon, 3, {w: topics[i] for i, w in enumerate(words)}), paths["topics"])
+    write_vector_file(paths["topics"], topics.items())
 
     norm = {}
     for metric, assoc in (
-        ("bigram", bigram_association(CooccurrenceCounts(lexicon, counts, source="counts"))),
-        ("embedding-cosine", cosine_association(emb)),
+        ("bigram", bigram_association(CooccurrenceCounts(lexicon, counts))),
+        ("embedding-cosine", cosine_association(EmbeddingTable(lexicon, vectors))),
         ("graph-relatedness", relatedness_association(RelatednessTable(lexicon, scores))),
-        ("topic-distance", topic_association(TopicTable(lexicon, 3, {w: topics[i] for i, w in enumerate(words)}))),
+        ("topic-distance", topic_association(TopicTable(lexicon, topics))),
     ):
         path = root / f"norm_{metric}.tsv"
         save_normalized(quantile_normalize(assoc), path)
@@ -90,7 +86,7 @@ def data(tmp_path_factory):
     paths["norm"] = norm
 
     # a flat matrix whose agents are all uniform
-    flat = bigram_association(CooccurrenceCounts(lexicon, np.full((6, 6), 7), source="flat"))
+    flat = bigram_association(CooccurrenceCounts(lexicon, np.full((6, 6), 7)))
     paths["flat_norm"] = root / "norm_flat.tsv"
     save_normalized(quantile_normalize(flat), paths["flat_norm"])
 
@@ -172,6 +168,63 @@ def test_manifest_contents(data, capsys, tmp_path):
     assert manifest["seed"] is None
     digest = hashlib.sha256(data["counts"].read_bytes()).hexdigest()
     assert manifest["inputs"][str(data["counts"])] == digest
+
+
+@pytest.mark.parametrize("kind", ["counts", "embeddings", "relatedness", "topics"])
+def test_ingest_manifest_settings(data, capsys, tmp_path, kind):
+    out = tmp_path / f"{kind}.tsv"
+    code, _, err = run_cli(capsys, [
+        "ingest", kind, str(data[kind]), "--lexicon", str(data["lexicon"]), "--output", str(out),
+    ])
+    assert code == 0, err
+    manifest = _manifest(out)
+    assert manifest["command"] == "ingest"
+    assert manifest["settings"] == {
+        "kind": kind,
+        "input": str(data[kind]),
+        "lexicon": str(data["lexicon"]),
+        "output": str(out),
+    }
+    assert manifest["inputs"] == {
+        str(data[kind]): hashlib.sha256(data[kind].read_bytes()).hexdigest(),
+        str(data["lexicon"]): hashlib.sha256(data["lexicon"].read_bytes()).hexdigest(),
+    }
+
+
+def test_normalize_and_simulate_manifest_settings(data, capsys, tmp_path):
+    raw = tmp_path / "raw.tsv"
+    assert run_cli(capsys, [
+        "ingest", "counts", str(data["counts"]), "--lexicon", str(data["lexicon"]),
+        "--output", str(raw),
+    ])[0] == 0
+    out = tmp_path / "norm.tsv"
+    code, _, err = run_cli(capsys, ["normalize", str(raw), "--output", str(out)])
+    assert code == 0, err
+    manifest = _manifest(out)
+    assert manifest["command"] == "normalize"
+    assert manifest["settings"] == {"input": str(raw), "output": str(out)}
+    assert manifest["inputs"] == {str(raw): hashlib.sha256(raw.read_bytes()).hexdigest()}
+
+    bigram = str(data["norm"]["bigram"])
+    out = tmp_path / "gameplay.tsv"
+    code, stdout, err = run_cli(capsys, [
+        "simulate", "--matrix", f"bigram={bigram}", "--scenarios", str(data["scenarios"]),
+        "--speaker", "bigram:pragmatic:1.0", "--listener", "bigram:literal",
+        "--format", "table", "--output", str(out),
+    ])
+    assert code == 0, err
+    assert stdout == ""
+    manifest = _manifest(out)
+    assert manifest["command"] == "simulate"
+    assert manifest["settings"] == {
+        "matrix": [f"bigram={bigram}"],
+        "scenarios": str(data["scenarios"]),
+        "speaker": "bigram:pragmatic:1.0",
+        "listener": "bigram:literal",
+        "format": "table",
+        "output": str(out),
+    }
+    assert sorted(manifest["inputs"]) == sorted([bigram, str(data["scenarios"])])
 
 
 def test_normalize_rejects_normalized_input(data, capsys, tmp_path):
@@ -355,6 +408,38 @@ def test_oed_manifest_settings(data, capsys, tmp_path, extra, filtered, min_diff
         "output": str(out),
     }
     assert sorted(manifest["inputs"]) == [bigram]
+
+
+@pytest.mark.parametrize("preset, extra, resolved", [
+    ("exp4", ["--nouns", "4", "--mode", "separate-listener", "--model", "bigram:literal",
+              "--model", "bigram:pragmatic:2.0"],
+     {"nouns": 4, "adjectives": 3, "mode": "separate-listener",
+      "models": ["bigram:literal", "bigram:pragmatic:2.0"]}),
+    (None, ["--nouns", "3", "--adjectives", "2", "--mode", "separate-speaker",
+            "--model", "bigram:literal", "--model", "bigram:pragmatic:1.0"],
+     {"nouns": 3, "adjectives": 2, "mode": "separate-speaker",
+      "models": ["bigram:literal", "bigram:pragmatic:1.0"]}),
+], ids=["preset-overridden", "no-preset"])
+def test_oed_manifest_records_overrides(data, capsys, tmp_path, preset, extra, resolved):
+    bigram = str(data["norm"]["bigram"])
+    out = tmp_path / "candidates.jsonl"
+    code, _, err = run_cli(capsys, [
+        "oed", "--matrix", bigram, *(["--preset", preset] if preset else []), *extra,
+        "--iterations", "20", "--top", "5", "--output", str(out),
+    ])
+    assert code == 0, err
+    manifest = _manifest(out, seed=0)
+    assert manifest["settings"] == {
+        "matrix": [bigram],
+        "preset": preset,
+        **resolved,
+        "iterations": 20,
+        "top": 5,
+        "filter": False,
+        "min_word_diff": 2,
+        "max_word_occurrence": 20,
+        "output": str(out),
+    }
 
 
 # ---------------------------------------------------------------------------

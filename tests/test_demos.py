@@ -1,10 +1,12 @@
-"""The demos import only names the package still exports.
+"""The demos import only names the package still exports, and print
+exactly what they printed when their expected output was recorded.
 
-Running the demos takes too long for the unit suite, so this checks
-their `from refgame import (...)` lines statically.
+Each `tests/data/demos/<name>.out` holds a demo's stdout; a change that
+alters a demo's output on purpose records the new output there.
 """
 
 import ast
+import runpy
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 import refgame
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+EXPECTED = Path(__file__).resolve().parent / "data" / "demos"
 
 
 def test_demos_found():
@@ -30,3 +33,9 @@ def test_demo_imports_exist(demo):
     assert names, f"{demo.name} imports nothing from refgame"
     missing = [name for name in names if not hasattr(refgame, name)]
     assert missing == [], f"{demo.name} imports names refgame lacks: {missing}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_output_unchanged(demo, capsys):
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out == (EXPECTED / f"{demo.stem}.out").read_text()

@@ -209,6 +209,15 @@ def test_aggregate_needs_two():
         aggregate([0.5])
 
 
+@pytest.mark.parametrize("scores, value", [
+    ([math.nan, 1.0], "nan"), ([math.inf, 1.0], "inf"), ([0.5, 0.2, -math.inf], "-inf"),
+], ids=["nan", "inf", "minus-inf"])
+def test_aggregate_rejects_non_finite(scores, value):
+    with pytest.raises(DataError) as info:
+        aggregate(scores)
+    assert str(info.value) == f"aggregation: the scores hold non-finite {value}"
+
+
 # ---------------------------------------------------------------------------
 # scoring pipelines
 
@@ -447,6 +456,17 @@ def test_ttest_matches_scipy(rng):
 def test_ttest_validation():
     with pytest.raises(DataError, match="at least two"):
         confidence_ttest([1.0], [2.0, 3.0])
+
+
+@pytest.mark.parametrize("a, b, message", [
+    ([math.nan, 1.0, 2.0], [1.0, 2.0, 3.0], "the first group holds non-finite nan"),
+    ([1.0, 2.0, 3.0], [2.0, math.inf], "the second group holds non-finite inf"),
+    ([math.inf, math.inf], [1.0, 1.0], "the first group holds non-finite inf"),
+], ids=["first-nan", "second-inf", "zero-variance-inf"])
+def test_ttest_rejects_non_finite(a, b, message):
+    with pytest.raises(DataError) as info:
+        confidence_ttest(a, b)
+    assert str(info.value) == f"t-test: {message}"
 
 
 # ---------------------------------------------------------------------------

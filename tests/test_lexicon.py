@@ -17,13 +17,6 @@ from refgame import (
     load_normalized,
     load_relatedness,
     load_topics,
-    save_lexicon,
-)
-from refgame.lexicon import (
-    save_counts,
-    save_embeddings,
-    save_relatedness,
-    save_topics,
 )
 
 from conftest import (
@@ -100,7 +93,7 @@ def test_load_lexicon_multiword_line(tmp_path):
 
 def test_lexicon_roundtrip(tmp_path):
     lex = make_lexicon(5, 7)
-    save_lexicon(lex, tmp_path / "lex.txt")
+    write_lexicon_file(tmp_path / "lex.txt", lex.nouns, lex.adjectives)
     assert load_lexicon(tmp_path / "lex.txt") == lex
 
 
@@ -113,7 +106,6 @@ def test_load_counts_basic(tmp_path):
     write_counts_file(path, ["key", "lock"], ["bright", "heavy"], [[8, 2], [2, 8]])
     counts = load_counts(path, lex)
     assert counts.z.tolist() == [[8, 2], [2, 8]]
-    assert counts.source == "counts"
     assert counts.z.dtype == np.int64
 
 
@@ -182,26 +174,24 @@ def test_load_counts_ragged_row(tmp_path):
 def test_counts_type_validation():
     lex = make_lexicon(2, 2)
     with pytest.raises(DataError, match="negative"):
-        CooccurrenceCounts(lex, np.array([[1, 2], [3, -1]]), "x")
+        CooccurrenceCounts(lex, np.array([[1, 2], [3, -1]]))
     with pytest.raises(DataError, match="integer"):
-        CooccurrenceCounts(lex, np.array([[1.0, 2.0], [3.0, 4.0]]), "x")
+        CooccurrenceCounts(lex, np.array([[1.0, 2.0], [3.0, 4.0]]))
     with pytest.raises(DataError, match="shape"):
-        CooccurrenceCounts(lex, np.zeros((2, 3), dtype=int), "x")
+        CooccurrenceCounts(lex, np.zeros((2, 3), dtype=int))
     # uint64 2**63 used to wrap to a negative int64 count
     big = np.array([[1, 2], [2**63, 4]], dtype=np.uint64)
     overflow = r"^count overflow 9223372036854775808 at \('noun1', 'adj0'\)$"
     with pytest.raises(DataError, match=overflow):
-        CooccurrenceCounts(lex, big, "x")
-    assert CooccurrenceCounts(lex, big // 2**62, "x").z.tolist() == [[0, 0], [2, 0]]
+        CooccurrenceCounts(lex, big)
+    assert CooccurrenceCounts(lex, big // 2**62).z.tolist() == [[0, 0], [2, 0]]
 
 
 def test_counts_roundtrip(tmp_path, rng):
     lex = make_lexicon(4, 6)
-    counts = CooccurrenceCounts(lex, rng.integers(0, 50, size=(4, 6)), "synthetic")
-    save_counts(counts, tmp_path / "c.tsv")
-    again = load_counts(tmp_path / "c.tsv", lex, source="synthetic")
-    assert np.array_equal(again.z, counts.z)
-    assert again.source == counts.source
+    z = rng.integers(0, 50, size=(4, 6))
+    write_counts_file(tmp_path / "c.tsv", lex.nouns, lex.adjectives, z)
+    assert np.array_equal(load_counts(tmp_path / "c.tsv", lex).z, z)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +202,7 @@ def test_load_embeddings_basic(tmp_path):
     path = tmp_path / "vec.txt"
     write_vector_file(path, [("key", [1.0, 0.0]), ("bright", [0.5, 0.5])])
     table = load_embeddings(path, lex)
-    assert table.dimension == 2
+    assert table.vectors["bright"].shape == (2,)
     assert np.array_equal(table.vectors["key"], [1.0, 0.0])
 
 
@@ -252,12 +242,26 @@ def test_load_embeddings_extra_word_warn(tmp_path):
 def test_embeddings_roundtrip(tmp_path, rng):
     lex = make_lexicon(3, 4)
     vectors = {w: rng.normal(size=5) for w in lex.nouns + lex.adjectives}
-    table = EmbeddingTable(lex, 5, vectors)
-    save_embeddings(table, tmp_path / "vec.txt")
+    write_vector_file(tmp_path / "vec.txt", vectors.items())
     again = load_embeddings(tmp_path / "vec.txt", lex)
-    assert again.dimension == 5
     for word in lex.nouns + lex.adjectives:
-        assert np.array_equal(again.vectors[word], table.vectors[word])
+        assert np.array_equal(again.vectors[word], vectors[word])
+
+
+@pytest.mark.parametrize("table, what", [
+    (EmbeddingTable, "vector"), (TopicTable, "topic distribution"),
+], ids=["embedding", "topic"])
+@pytest.mark.parametrize("key_vector, bright_vector, bad_word, shape", [
+    ([1.0, 0.0], [1.0, 0.0, 0.0], "bright", (3,)),
+    ([1.0, 0.0], [1.0], "bright", (1,)),
+    ([], [], "key", (0,)),
+    ([[1.0, 0.0]], [[1.0, 0.0]], "key", (1, 2)),
+], ids=["longer", "shorter", "empty", "two-dimensional"])
+def test_vector_table_rejects_another_length(table, what, key_vector, bright_vector, bad_word, shape):
+    lex = Lexicon(("key",), ("bright",))
+    with pytest.raises(DataError) as info:
+        table(lex, {"key": key_vector, "bright": bright_vector})
+    assert str(info.value) == f"{what} for '{bad_word}' has shape {shape}"
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +291,9 @@ def test_relatedness_rejects_negative():
 
 def test_relatedness_roundtrip(tmp_path, rng):
     lex = make_lexicon(4, 3)
-    table = RelatednessTable(lex, rng.random(size=(4, 3)))
-    save_relatedness(table, tmp_path / "rel.tsv")
-    assert np.array_equal(load_relatedness(tmp_path / "rel.tsv", lex).scores, table.scores)
+    scores = rng.random(size=(4, 3))
+    write_matrix_file(tmp_path / "rel.tsv", lex.nouns, lex.adjectives, scores)
+    assert np.array_equal(load_relatedness(tmp_path / "rel.tsv", lex).scores, scores)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +306,7 @@ def test_load_topics_renormalizes_near_one(tmp_path):
     write_vector_file(path, [("key", [0.5 + 1e-7, 0.5 + 1e-7]), ("bright", [1.0, 0.0])])
     table = load_topics(path, lex)
     assert abs(table.distributions["key"].sum() - 1.0) < 1e-12
-    assert table.topic_count == 2
+    assert table.distributions["key"].shape == (2,)
 
 
 def test_load_topics_rejects_bad_sum(tmp_path):
@@ -324,7 +328,7 @@ def test_load_topics_rejects_negative(tmp_path):
 def test_topic_table_rejects_non_finite():
     lex = Lexicon(("key",), ("bright",))
     with pytest.raises(DataError, match="^non-finite topic distribution for 'key'$"):
-        TopicTable(lex, 2, {"key": [np.nan, 0.5], "bright": [1.0, 0.0]})
+        TopicTable(lex, {"key": [np.nan, 0.5], "bright": [1.0, 0.0]})
 
 
 def test_topics_roundtrip(tmp_path, rng):
@@ -333,8 +337,8 @@ def test_topics_roundtrip(tmp_path, rng):
     for word in lex.nouns + lex.adjectives:
         v = rng.random(size=4)
         distributions[word] = v / v.sum()
-    table = TopicTable(lex, 4, distributions)
-    save_topics(table, tmp_path / "topics.txt")
+    table = TopicTable(lex, distributions)
+    write_vector_file(tmp_path / "topics.txt", table.distributions.items())
     again = load_topics(tmp_path / "topics.txt", lex)
     for word in lex.nouns + lex.adjectives:
         assert np.array_equal(again.distributions[word], table.distributions[word])
@@ -346,7 +350,7 @@ def test_topics_roundtrip_idempotent_after_renormalization(tmp_path):
     path = tmp_path / "topics.txt"
     write_vector_file(path, [("key", [0.3 + 1e-7, 0.7]), ("bright", [1.0, 0.0])])
     table = load_topics(path, lex)
-    save_topics(table, tmp_path / "again.txt")
+    write_vector_file(tmp_path / "again.txt", table.distributions.items())
     again = load_topics(tmp_path / "again.txt", lex)
     assert np.array_equal(again.distributions["key"], table.distributions["key"])
 
@@ -398,7 +402,7 @@ def test_loader_fault_names_file_and_cell(tmp_path, loader, text, message):
 
 def test_tables_are_read_only(rng):
     lex = make_lexicon(2, 2)
-    counts = CooccurrenceCounts(lex, np.ones((2, 2), dtype=int), "x")
+    counts = CooccurrenceCounts(lex, np.ones((2, 2), dtype=int))
     with pytest.raises(ValueError):
         counts.z[0, 0] = 5
     table = RelatednessTable(lex, np.ones((2, 2)))
