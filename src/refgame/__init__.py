@@ -65,7 +65,6 @@ from .oed import (
     DesignCandidate,
     ModelSet,
     SearchSettings,
-    configuration_utility,
     filter_candidates,
     model_information_bits,
     monte_carlo_search,
@@ -77,22 +76,17 @@ from .evaluation import (
     ResponseRecord,
     ScoreReport,
     aggregate,
-    average_success,
     confidence_ttest,
     load_responses,
     metric_rank_correlation,
     model_agreement,
-    rank_correlation,
     render_gameplay,
     render_matrix,
     render_score_reports,
     response_from_record,
-    response_to_record,
-    save_responses,
     score_responses,
     simulate_gameplay,
     spearman,
-    top_answer,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

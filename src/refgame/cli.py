@@ -449,6 +449,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # An unwritable output fails now, before the command reads or computes anything.
+    output = None if args.output is None else Path(args.output)
+    if output is not None and (output.is_dir() or not output.parent.is_dir()):
+        reason = "it is a directory" if output.is_dir() else f"no directory {output.parent}"
+        print(f"error: cannot write output {args.output}: {reason}", file=sys.stderr)
+        return 2
     try:
         return args.handler(args)
     except _UsageError as exc:

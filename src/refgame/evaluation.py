@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 # the module path keeps scipy.stats visible to `python -X importtime`;
@@ -34,12 +33,9 @@ from .rsa import (
     Scenario,
     answer_support,
     clue_from_word,
-    clue_word,
     configuration_from_record,
-    configuration_record,
     is_integer,
     pair_from_words,
-    pair_words,
     parse_model_spec,
     predict,
     scenario_record,
@@ -71,10 +67,6 @@ class ResponseRecord:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "confidences", tuple(int(c) for c in self.confidences))
 
-    @property
-    def total(self) -> int:
-        return int(sum(self.counts.values()))
-
     def count_vector(self) -> np.ndarray:
         support = answer_support(self.configuration)
         return np.array([self.counts.get(answer, 0) for answer in support], dtype=float)
@@ -86,15 +78,10 @@ class ResponseRecord:
         return tuple(a for a, c in zip(support, vector) if c == top)
 
 
-def top_answer(prediction: PredictionDistribution, record: ResponseRecord) -> int:
-    """1 if the modal response intersects the model's argmax set (ties
-    within TIE_TOL count), else 0."""
-    support = answer_support(record.configuration)
-    if tuple(prediction.support) != support:
-        raise DataError("prediction support does not match the configuration")
-    predicted = set(prediction.argmax_answers())
-    observed = set(record.modal_answers())
-    return int(bool(predicted & observed))
+def _top_match(prediction: PredictionDistribution, answers) -> int:
+    """1 if the prediction's argmax set (ties within TIE_TOL count)
+    shares an answer with `answers`, else 0."""
+    return int(bool(set(prediction.argmax_answers()) & set(answers)))
 
 
 def spearman(x, y) -> float:
@@ -121,13 +108,6 @@ def spearman(x, y) -> float:
     if ss_x == 0 or ss_y == 0:
         return 0.0
     return float((rank_x @ rank_y) / np.sqrt(ss_x * ss_y))
-
-
-def rank_correlation(prediction: PredictionDistribution, record: ResponseRecord) -> float:
-    support = answer_support(record.configuration)
-    if tuple(prediction.support) != support:
-        raise DataError("prediction support does not match the configuration")
-    return spearman(prediction.probs, record.count_vector())
 
 
 def _reject_non_finite(values: np.ndarray, message: str) -> None:
@@ -168,21 +148,27 @@ def score_responses(tables, model, records) -> ScoreReport:
 
     `model` is a ModelSpec or a "metric:depth[:alpha]" string; a string
     is bound to each record's role, so one string can score a mixed-role
-    response file. `tables` maps metric ids to normalized matrices.
+    response file. `tables` maps metric ids to normalized matrices. An
+    error names the model, and the 1-based record it arose on.
     """
     records = list(records)
     if not records:
         raise DataError("no response records")
     tables = Tables.of(tables)
     specs = [parse_model_spec(model, record.configuration.role) for record in records]
+    label = f"model {specs[0].spec_string()}"
     tops = []
     ranks = []
-    for spec, record in zip(specs, records):
-        prediction = predict(tables[spec.metric], record.configuration, spec)
-        tops.append(top_answer(prediction, record))
-        ranks.append(rank_correlation(prediction, record))
-    top_mean, top_sem = aggregate(tops)
-    rank_mean, rank_sem = aggregate(ranks)
+    for position, (spec, record) in enumerate(zip(specs, records), start=1):
+        try:
+            prediction = predict(tables[spec.metric], record.configuration, spec)
+            tops.append(_top_match(prediction, record.modal_answers()))
+            ranks.append(spearman(prediction.probs, record.count_vector()))
+        except DataError as exc:
+            raise DataError(f"{label}: record {position}: {exc}") from None
+    with prefix_errors(label):
+        top_mean, top_sem = aggregate(tops)
+        rank_mean, rank_sem = aggregate(ranks)
     return ScoreReport(
         specs[0], tuple(tops), tuple(ranks), top_mean, top_sem, rank_mean, rank_sem
     )
@@ -190,31 +176,6 @@ def score_responses(tables, model, records) -> ScoreReport:
 
 # ---------------------------------------------------------------------------
 # analytic gameplay
-
-def average_success(
-    scenario: Scenario,
-    target: tuple[int, int],
-    speaker_dist: PredictionDistribution,
-    listener_dists: Mapping,
-) -> float:
-    """Probability the listener recovers the target when the speaker
-    samples a clue: sum over clues of P(clue) * P(target | clue)."""
-    if target not in scenario.pairs:
-        raise DataError(f"target {target!r} is not a pair of this scenario")
-    if tuple(speaker_dist.support) != tuple(range(scenario.m)):
-        raise DataError("speaker distribution does not cover the scenario's adjectives")
-    total = 0.0
-    for answer, p_clue in zip(speaker_dist.support, speaker_dist.probs):
-        if p_clue == 0:
-            continue
-        if answer not in listener_dists:
-            raise DataError(f"no listener distribution for clue {answer!r} with positive mass")
-        listener = listener_dists[answer]
-        if tuple(listener.support) != scenario.pairs:
-            raise DataError("listener distribution does not cover the scenario's pairs")
-        total += float(p_clue) * listener.prob(target)
-    return float(total)
-
 
 @dataclass(frozen=True)
 class GameplayReport:
@@ -232,6 +193,8 @@ def simulate_gameplay(tables, scenarios, speaker_spec, listener_spec) -> Gamepla
     """Play every target pair of every scenario analytically.
 
     Model specs are ModelSpec values or "metric:depth[:alpha]" strings.
+    A pair's success is the probability the listener recovers it when
+    the speaker samples a clue: sum over clues of P(clue) * P(pair | clue).
     """
     scenarios = tuple(scenarios)
     if not scenarios:
@@ -245,20 +208,26 @@ def simulate_gameplay(tables, scenarios, speaker_spec, listener_spec) -> Gamepla
     scenario_means = []
     flat = []
     for scenario in scenarios:
-        listener_dists = {
-            a: predict(listener_norm, Configuration(scenario, LISTENER, a), listener_spec)
+        listener_dists = [
+            predict(listener_norm, Configuration(scenario, LISTENER, a), listener_spec)
             for a in range(scenario.m)
-        }
+        ]
         row = []
-        for pair in scenario.pairs:
+        for position, pair in enumerate(scenario.pairs):
             speaker_dist = predict(
                 speaker_norm, Configuration(scenario, SPEAKER, pair), speaker_spec
             )
-            row.append(average_success(scenario, pair, speaker_dist, listener_dists))
+            total = 0.0
+            for clue, p_clue in enumerate(speaker_dist.probs):
+                if p_clue == 0:
+                    continue
+                total += float(p_clue) * float(listener_dists[clue].probs[position])
+            row.append(total)
         all_successes.append(tuple(row))
         scenario_means.append(float(np.mean(row)))
         flat.extend(row)
-    mean, sem = aggregate(flat)
+    with prefix_errors("gameplay"):
+        mean, sem = aggregate(flat)
     return GameplayReport(scenarios, tuple(all_successes), tuple(scenario_means), mean, sem)
 
 
@@ -296,9 +265,7 @@ def model_agreement(spec_a, spec_b, tables, configurations) -> tuple[float, floa
     for config in configurations:
         dist_a = predict(norm_a, config, spec_a)
         dist_b = predict(norm_b, config, spec_b)
-        tops_a = set(dist_a.argmax_answers())
-        tops_b = set(dist_b.argmax_answers())
-        matches.append(int(bool(tops_a & tops_b)))
+        matches.append(_top_match(dist_a, dist_b.argmax_answers()))
         correlations.append(spearman(dist_a.probs, dist_b.probs))
     return float(np.mean(matches)), float(np.mean(correlations))
 
@@ -335,18 +302,6 @@ def confidence_ttest(group_a, group_b) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # response files (JSONL)
 
-def response_to_record(response: ResponseRecord, lexicon) -> dict:
-    config = response.configuration
-    words = pair_words if config.role == LISTENER else clue_word
-    answers = [[words(config.scenario, a, lexicon), n] for a, n in response.counts.items()]
-    answers.sort(key=lambda item: json.dumps(item[0]))
-    return {
-        "configuration": configuration_record(config, lexicon),
-        "answers": answers,
-        "confidences": list(response.confidences),
-    }
-
-
 def response_from_record(record: dict, lexicon) -> ResponseRecord:
     try:
         config = configuration_from_record(record["configuration"], lexicon)
@@ -370,13 +325,6 @@ def response_from_record(record: dict, lexicon) -> ResponseRecord:
             raise DataError(f"duplicate answer entry {answer_words!r}")
         counts[answer] = count
     return ResponseRecord(config, counts, tuple(confidences))
-
-
-def save_responses(responses, lexicon, path: str | Path) -> None:
-    lines = [
-        json.dumps(response_to_record(r, lexicon), sort_keys=True) for r in responses
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_jsonl(path: str | Path, parse, empty: str) -> list:

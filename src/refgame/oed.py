@@ -169,12 +169,6 @@ def model_information_bits(prediction_probs) -> float:
     return max(total, 0.0)
 
 
-def configuration_utility(tables, config: Configuration, models: ModelSet) -> float:
-    """Expected information (bits) one answer to config carries about
-    which model generated it."""
-    return model_information_bits(response_probability(tables, config, models))
-
-
 def _geometric_mean(values) -> float:
     values = list(values)
     if any(v == 0 for v in values):
@@ -196,15 +190,12 @@ def scenario_joint_utility(
     if listener_models.role != LISTENER:
         raise DataError("listener_models must hold listener models")
     tables = Tables.of(tables)
-    utilities = [
-        configuration_utility(tables, Configuration(scenario, SPEAKER, pair), speaker_models)
-        for pair in scenario.pairs
-    ]
-    utilities.extend(
-        configuration_utility(tables, Configuration(scenario, LISTENER, a), listener_models)
-        for a in range(scenario.m)
+    configs = [(Configuration(scenario, SPEAKER, pair), speaker_models) for pair in scenario.pairs]
+    configs += [(Configuration(scenario, LISTENER, a), listener_models) for a in range(scenario.m)]
+    return _geometric_mean(
+        model_information_bits(response_probability(tables, config, models))
+        for config, models in configs
     )
-    return _geometric_mean(utilities)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +260,8 @@ def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignC
         try:
             if role is None:
                 return scenario_joint_utility(tables, scenario, speaker_models, listener_models)
-            return configuration_utility(tables, Configuration(scenario, role, index), models)
+            config = Configuration(scenario, role, index)
+            return model_information_bits(response_probability(tables, config, models))
         except DataError as exc:
             words = scenario_record(scenario, tables.lexicon)
             raise DataError(

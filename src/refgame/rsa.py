@@ -219,12 +219,6 @@ class PredictionDistribution:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
 
-    def prob(self, answer) -> float:
-        try:
-            return float(self.probs[self.support.index(answer)])
-        except ValueError:
-            raise DataError(f"answer {answer!r} not in support") from None
-
     def argmax_answers(self) -> tuple:
         """Answers whose probability is within TIE_TOL of the maximum."""
         top = float(self.probs.max())

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -9,6 +10,7 @@ from refgame import (
     NormalizedAssociation,
     quantile_normalize,
 )
+from refgame.rsa import LISTENER, clue_word, configuration_record, pair_words
 
 # one visible pass/fail line per acceptance criterion, printed after the run
 ACCEPTANCE_RESULTS = {}
@@ -78,4 +80,21 @@ def write_vector_file(path, entries):
     lines = []
     for word, values in entries:
         lines.append(word + " " + " ".join(repr(float(v)) for v in values))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def write_responses_file(path, responses, lexicon):
+    """One JSONL record per ResponseRecord, answers sorted, keys sorted."""
+    lines = []
+    for response in responses:
+        config = response.configuration
+        words = pair_words if config.role == LISTENER else clue_word
+        answers = [[words(config.scenario, a, lexicon), n] for a, n in response.counts.items()]
+        answers.sort(key=lambda item: json.dumps(item[0]))
+        record = {
+            "configuration": configuration_record(config, lexicon),
+            "answers": answers,
+            "confidences": list(response.confidences),
+        }
+        lines.append(json.dumps(record, sort_keys=True))
     path.write_text("\n".join(lines) + "\n")

@@ -28,8 +28,6 @@ from refgame import (
     NormalizedAssociation,
     Scenario,
     SearchSettings,
-    average_success,
-    configuration_utility,
     filter_candidates,
     listener_probs,
     model_information_bits,
@@ -37,6 +35,7 @@ from refgame import (
     parse_model_spec,
     predict,
     quantile_normalize,
+    response_probability,
     simulate_gameplay,
     spearman,
     speaker_probs,
@@ -141,16 +140,15 @@ def test_criterion_03_chance_constants():
                 assert abs(float(prob) - float(chance)) <= 1e-12
 
     # a uniform listener pins gameplay success at chance, whatever the speaker
+    tables = {
+        "bigram": pipeline_table(np.random.default_rng(20240820), 8, 8),
+        "embedding-cosine": flat_table(8, 8, metric="embedding-cosine"),
+    }
     for k, expected in ((5, Fraction(1, 10)), (3, Fraction(1, 3))):
         scenario = Scenario(tuple(range(k)), (0, 1))
-        from refgame import PredictionDistribution
-
-        n_pairs = len(scenario.pairs)
-        uniform = PredictionDistribution(scenario.pairs, np.full(n_pairs, 1.0 / n_pairs))
-        listeners = {0: uniform, 1: uniform}
-        speaker = PredictionDistribution((0, 1), np.array([0.7, 0.3]))
-        value = average_success(scenario, scenario.pairs[0], speaker, listeners)
-        assert abs(value - float(expected)) <= 1e-12
+        report = simulate_gameplay(tables, [scenario], "bigram:literal", "embedding-cosine:literal")
+        for value in report.successes[0]:
+            assert abs(value - float(expected)) <= 1e-12
 
     # uniform-vs-uniform gameplay over 3-pair scenarios
     norm = flat_table(6, 6)
@@ -182,7 +180,8 @@ def test_criterion_04_search_matches_enumeration():
             scenario = Scenario(nouns, adjs)
             for clue in range(3):
                 config = Configuration(scenario, "listener", clue)
-                exact.append((nouns, adjs, clue, configuration_utility(tables, config, models)))
+                utility = model_information_bits(response_probability(tables, config, models))
+                exact.append((nouns, adjs, clue, utility))
     exact.sort(key=lambda r: -r[3])
 
     assert exact[19][3] - exact[20][3] > 1e-9  # distinct top-20 boundary

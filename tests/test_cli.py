@@ -27,12 +27,17 @@ from refgame import (
     relatedness_association,
     save_association,
     save_normalized,
-    save_responses,
     topic_association,
 )
 from refgame.cli import main
 
-from conftest import write_counts_file, write_lexicon_file, write_matrix_file, write_vector_file
+from conftest import (
+    write_counts_file,
+    write_lexicon_file,
+    write_matrix_file,
+    write_responses_file,
+    write_vector_file,
+)
 
 NOUNS = ("heart", "phone", "wedding", "mirror", "garden", "engine")
 ADJS = ("dying", "violent", "empty", "gentle", "ancient", "loud")
@@ -316,8 +321,11 @@ def test_predict_score_compare_manifest_settings(data, capsys, tmp_path):
 
     config = Configuration(Scenario((0, 1, 2), (0, 1)), "listener", 0)
     responses = tmp_path / "responses.jsonl"
-    save_responses([ResponseRecord(config, {(0, 1): 4}), ResponseRecord(config, {(0, 2): 1})],
-                   data["lexicon_obj"], responses)
+    write_responses_file(
+        responses,
+        [ResponseRecord(config, {(0, 1): 4}), ResponseRecord(config, {(0, 2): 1})],
+        data["lexicon_obj"],
+    )
     out = tmp_path / "scores.tsv"
     code, _, err = run_cli(capsys, [
         "score", "--matrix", bigram, "--responses", str(responses),
@@ -542,6 +550,32 @@ def test_flag_that_would_be_ignored_is_exit_2_before_reading(
     assert not output.exists()
 
 
+@pytest.mark.parametrize("command", ["oed", "ingest", "normalize", "score"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_is_exit_2_before_reading(
+    data, capsys, tmp_path, monkeypatch, command, where
+):
+    def load(*args, **kwargs):
+        raise AssertionError("read an input despite an unwritable output")
+
+    for loader in ("load_normalized", "load_lexicon", "load_association", "load_responses"):
+        monkeypatch.setattr(f"refgame.cli.{loader}", load)
+    output = tmp_path if where == "directory" else tmp_path / "missing-dir" / "c.jsonl"
+    reason = "it is a directory" if where == "directory" else f"no directory {output.parent}"
+    bigram = str(data["norm"]["bigram"])
+    argv = {
+        "oed": ["oed", "--matrix", bigram, "--preset", "exp4"],
+        "ingest": ["ingest", "counts", str(data["counts"]), "--lexicon", str(data["lexicon"])],
+        "normalize": ["normalize", bigram],
+        "score": ["score", "--matrix", bigram, "--responses", bigram, "--model", "bigram:literal"],
+    }[command]
+    code, out, err = run_cli(capsys, [*argv, "--output", str(output)])
+    assert code == 2
+    assert err == f"error: cannot write output {output}: {reason}\n"
+    assert out == ""
+    assert sorted(tmp_path.iterdir()) == []
+
+
 def test_oed_without_settings_is_exit_2(data, capsys, tmp_path):
     code, _, err = run_cli(capsys, [
         "oed", "--matrix", str(data["norm"]["bigram"]),
@@ -719,7 +753,7 @@ def test_score_perfect_model_tsv(data, capsys, tmp_path):
         best = predict(norm, config, ModelSpec("bigram", "listener", "literal")).argmax_answers()[0]
         records.append(ResponseRecord(config, {best: 9, (0, 1) if best != (0, 1) else (0, 2): 1}))
     responses = tmp_path / "responses.jsonl"
-    save_responses(records, lexicon, responses)
+    write_responses_file(responses, records, lexicon)
 
     code, out, err = run_cli(capsys, [
         "score",
@@ -743,7 +777,7 @@ def test_score_table_format(data, capsys, tmp_path):
     records = [ResponseRecord(config, {(0, 1): 4, (1, 2): 2}),
                ResponseRecord(config, {(0, 2): 3, (0, 1): 1})]
     responses = tmp_path / "responses.jsonl"
-    save_responses(records, lexicon, responses)
+    write_responses_file(responses, records, lexicon)
     code, out, err = run_cli(capsys, [
         "score",
         "--matrix", str(data["norm"]["bigram"]),
@@ -753,6 +787,39 @@ def test_score_table_format(data, capsys, tmp_path):
     ])
     assert code == 0, err
     assert "model" in out and "bigram:literal" in out and "\t" not in out
+
+
+@pytest.mark.parametrize("command, nouns, message", [
+    ("score", [["heart", "phone", "wedding"]],
+     "model bigram:literal: aggregation needs at least two scores"),
+    ("score", [["heart", "phone", "wedding"], ["heart", "phone"]],
+     "model bigram:literal: record 2: rank correlation needs at least two entries"),
+    ("simulate", [["heart", "phone"]], "gameplay: aggregation needs at least two scores"),
+], ids=["one-record", "two-noun-listener", "one-pair-gameplay"])
+def test_scoring_and_gameplay_errors_name_what_failed(
+    data, capsys, tmp_path, command, nouns, message
+):
+    # one record, or one scenario, per noun list, all on the clue "empty"
+    scenarios = [{"nouns": words, "adjectives": ["dying", "empty"]} for words in nouns]
+    path = tmp_path / "records.jsonl"
+    if command == "score":
+        lines = [
+            {
+                "configuration": {"scenario": scenario, "role": "listener", "clue": "empty"},
+                "answers": [[scenario["nouns"][:2], 3]],
+            }
+            for scenario in scenarios
+        ]
+        extra = ["--responses", str(path), "--model", "bigram:literal"]
+    else:
+        lines = scenarios
+        extra = ["--scenarios", str(path), "--speaker", "bigram:literal"]
+        extra += ["--listener", "bigram:literal"]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    code, out, err = run_cli(capsys, [command, "--matrix", str(data["norm"]["bigram"]), *extra])
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,17 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refgame import (
+    AssociationMatrix,
     Configuration,
     DataError,
     GameplayReport,
@@ -20,26 +24,24 @@ from refgame import (
     Scenario,
     aggregate,
     answer_support,
-    average_success,
     confidence_ttest,
     load_responses,
     metric_rank_correlation,
     model_agreement,
+    parse_model_spec,
     predict,
-    rank_correlation,
+    quantile_normalize,
     render_gameplay,
     render_matrix,
     render_score_reports,
     response_from_record,
-    response_to_record,
-    save_responses,
     score_responses,
     simulate_gameplay,
     spearman,
-    top_answer,
 )
+from refgame import evaluation
 
-from conftest import make_lexicon, random_normalized
+from conftest import make_lexicon, random_normalized, write_responses_file
 
 
 def exact_spearman(x, y):
@@ -79,7 +81,6 @@ def test_response_record_validation():
     scenario = Scenario((0, 1, 2), (0, 1))
     config = Configuration(scenario, "listener", 0)
     record = ResponseRecord(config, {(0, 1): 3, (1, 2): 1})
-    assert record.total == 4
     assert np.array_equal(record.count_vector(), [3, 0, 1])
     assert record.modal_answers() == ((0, 1),)
     with pytest.raises(DataError, match="not a valid answer here"):
@@ -98,35 +99,72 @@ def test_modal_answers_tie():
 
 
 # ---------------------------------------------------------------------------
+# oracles: the per-record and per-pair helpers that score_responses and
+# simulate_gameplay fold in, as they were
+
+def oracle_top_answer(prediction, record) -> int:
+    """1 if the modal response intersects the model's argmax set (ties
+    within TIE_TOL count), else 0."""
+    support = answer_support(record.configuration)
+    if tuple(prediction.support) != support:
+        raise DataError("prediction support does not match the configuration")
+    predicted = set(prediction.argmax_answers())
+    observed = set(record.modal_answers())
+    return int(bool(predicted & observed))
+
+
+def oracle_rank_correlation(prediction, record) -> float:
+    support = answer_support(record.configuration)
+    if tuple(prediction.support) != support:
+        raise DataError("prediction support does not match the configuration")
+    return spearman(prediction.probs, record.count_vector())
+
+
+def oracle_average_success(scenario, target, speaker_dist, listener_dists) -> float:
+    """Probability the listener recovers the target when the speaker
+    samples a clue: sum over clues of P(clue) * P(target | clue)."""
+    if target not in scenario.pairs:
+        raise DataError(f"target {target!r} is not a pair of this scenario")
+    if tuple(speaker_dist.support) != tuple(range(scenario.m)):
+        raise DataError("speaker distribution does not cover the scenario's adjectives")
+    total = 0.0
+    for answer, p_clue in zip(speaker_dist.support, speaker_dist.probs):
+        if p_clue == 0:
+            continue
+        if answer not in listener_dists:
+            raise DataError(f"no listener distribution for clue {answer!r} with positive mass")
+        listener = listener_dists[answer]
+        if tuple(listener.support) != scenario.pairs:
+            raise DataError("listener distribution does not cover the scenario's pairs")
+        total += float(p_clue) * float(listener.probs[listener.support.index(target)])
+    return float(total)
+
+
+# ---------------------------------------------------------------------------
 # top answer
 
+def listener_scores(clue_column, counts_list):
+    """score_responses of the literal listener on clue 0 of a 3-noun
+    scenario whose clue column holds clue_column, one record per counts."""
+    values = np.column_stack([clue_column, np.ones(3)])
+    norm = NormalizedAssociation("bigram", make_lexicon(3, 2), values, np.zeros((3, 2), bool))
+    records = [listener_record(counts) for counts in counts_list]
+    return score_responses(norm, "bigram:literal", records)
+
+
 def test_top_answer_match_and_miss():
-    record = listener_record((5, 1, 0))
-    support = answer_support(record.configuration)
-    hit = PredictionDistribution(support, np.array([0.6, 0.3, 0.1]))
-    miss = PredictionDistribution(support, np.array([0.1, 0.3, 0.6]))
-    assert top_answer(hit, record) == 1.0
-    assert top_answer(miss, record) == 0.0
+    # the literal listener ranks the pairs (0,1) > (0,2) > (1,2)
+    report = listener_scores([1.0, 0.5, 0.25], [(5, 1, 0), (0, 1, 5)])
+    assert report.top_answers == (1, 0)
 
 
 def test_top_answer_tie_rule():
-    # prediction ties (0.4, 0.4, 0.2); modal answer is the first pair: overlap
-    record = listener_record((3, 1, 0))
-    support = answer_support(record.configuration)
-    tied = PredictionDistribution(support, np.array([0.4, 0.4, 0.2]))
-    assert top_answer(tied, record) == 1.0
-    # modal set {pair1}, prediction argmax {pair0}: no overlap
-    record2 = listener_record((1, 3, 0))
-    assert top_answer(tied, record2) == 1.0
-    record3 = listener_record((0, 0, 3))
-    assert top_answer(tied, record3) == 0.0
-
-
-def test_top_answer_support_mismatch():
-    record = listener_record((1, 1, 1))
-    other = PredictionDistribution(((0, 1), (0, 2)), np.array([0.5, 0.5]))
-    with pytest.raises(DataError, match="support does not match"):
-        top_answer(other, record)
+    # pairs (0,1) and (0,2) differ by less than TIE_TOL: both are top
+    # answers, so a modal answer on either is a match
+    counts = [(3, 1, 0), (1, 3, 0), (0, 0, 3)]
+    assert listener_scores([1.0, 0.5, 0.5 - 1e-14], counts).top_answers == (1, 1, 0)
+    # a gap wider than TIE_TOL leaves (0,1) the only top answer
+    assert listener_scores([1.0, 0.5, 0.5 - 1e-9], counts).top_answers == (1, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +217,10 @@ def test_spearman_monotone_invariance(rng):
 
 
 def test_rank_correlation_on_record():
-    record = listener_record((2, 2, 0))
-    support = answer_support(record.configuration)
-    pred = PredictionDistribution(support, np.array([0.5, 0.3, 0.2]))
-    assert rank_correlation(pred, record) == pytest.approx(1.5 / math.sqrt(3), abs=1e-12)
+    # the listener ranks the pairs 1, 2, 3; counts (2, 2, 0) rank them 1.5, 1.5, 3
+    report = listener_scores([1.0, 0.5, 0.25], [(2, 2, 0), (1, 2, 3)])
+    assert report.rank_correlations[0] == pytest.approx(1.5 / math.sqrt(3), abs=1e-12)
+    assert report.rank_correlations[1] == pytest.approx(-1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -265,57 +303,58 @@ def small_scenario():
     return Scenario((0, 1, 2), (0, 1))
 
 
-def test_average_success_deterministic_match():
+def play_hand_case(monkeypatch, speakers, listeners):
+    """simulate_gameplay's pair successes on small_scenario() with the
+    agents replaced by hand-made distributions: speakers maps a pair to
+    its clue probabilities (uniform if absent), listeners a clue to its
+    pair probabilities."""
     scenario = small_scenario()
-    target = (0, 1)
-    speaker = PredictionDistribution((0, 1), np.array([1.0, 0.0]))
-    listeners = {
-        0: PredictionDistribution(scenario.pairs, np.array([1.0, 0.0, 0.0])),
-        1: PredictionDistribution(scenario.pairs, np.array([0.0, 1.0, 0.0])),
-    }
-    assert average_success(scenario, target, speaker, listeners) == 1.0
+
+    def hand_predict(norm, config, spec):
+        if config.role == "speaker":
+            probs = speakers.get(config.index, [0.5, 0.5])
+        else:
+            probs = listeners[config.index]
+        return PredictionDistribution(answer_support(config), np.array(probs))
+
+    monkeypatch.setattr(evaluation, "predict", hand_predict)
+    flat = quantile_normalize(AssociationMatrix("bigram", make_lexicon(3, 2), np.ones((3, 2))))
+    report = simulate_gameplay(flat, [scenario], "bigram:literal", "bigram:literal")
+    return dict(zip(scenario.pairs, report.successes[0]))
 
 
-def test_average_success_uniform_listener_is_chance():
-    scenario = small_scenario()
-    uniform = PredictionDistribution(scenario.pairs, np.full(3, 1 / 3))
-    listeners = {0: uniform, 1: uniform}
+def test_average_success_deterministic_match(monkeypatch):
+    listeners = {0: [1.0, 0.0, 0.0], 1: [0.0, 1.0, 0.0]}
+    successes = play_hand_case(monkeypatch, {(0, 1): [1.0, 0.0]}, listeners)
+    assert successes[(0, 1)] == 1.0
+
+
+def test_average_success_uniform_listener_is_chance(monkeypatch):
+    uniform = [1 / 3] * 3
     for probs in ([1.0, 0.0], [0.3, 0.7], [0.5, 0.5]):
-        speaker = PredictionDistribution((0, 1), np.array(probs))
-        value = average_success(scenario, (0, 2), speaker, listeners)
-        assert value == pytest.approx(1 / 3, abs=1e-12)
+        successes = play_hand_case(monkeypatch, {(0, 2): probs}, {0: uniform, 1: uniform})
+        assert successes[(0, 2)] == pytest.approx(1 / 3, abs=1e-12)
 
 
-def test_average_success_hand_case():
+def test_average_success_hand_case(monkeypatch):
     # speaker (0.5, 0.5); listener for clue0 puts 0.8 on target, clue1 puts 0.2
-    scenario = small_scenario()
-    target = (0, 1)
-    speaker = PredictionDistribution((0, 1), np.array([0.5, 0.5]))
-    listeners = {
-        0: PredictionDistribution(scenario.pairs, np.array([0.8, 0.1, 0.1])),
-        1: PredictionDistribution(scenario.pairs, np.array([0.2, 0.4, 0.4])),
-    }
-    assert average_success(scenario, target, speaker, listeners) == pytest.approx(0.5, abs=1e-15)
+    listeners = {0: [0.8, 0.1, 0.1], 1: [0.2, 0.4, 0.4]}
+    successes = play_hand_case(monkeypatch, {(0, 1): [0.5, 0.5]}, listeners)
+    assert successes[(0, 1)] == pytest.approx(0.5, abs=1e-15)
 
 
-def test_average_success_validation():
-    scenario = small_scenario()
-    speaker = PredictionDistribution((0, 1), np.array([0.5, 0.5]))
-    uniform = PredictionDistribution(scenario.pairs, np.full(3, 1 / 3))
-    with pytest.raises(DataError, match="target"):
-        average_success(scenario, (0, 3), speaker, {0: uniform, 1: uniform})
-    with pytest.raises(DataError, match="no listener distribution"):
-        average_success(scenario, (0, 1), speaker, {0: uniform})
-    bad_support = PredictionDistribution(((0, 1), (0, 2)), np.array([0.5, 0.5]))
-    with pytest.raises(DataError, match="does not cover"):
-        average_success(scenario, (0, 1), speaker, {0: bad_support, 1: bad_support})
+def test_average_success_validation(rng):
+    tables = {"bigram": random_normalized(rng, 3, 2)}
+    with pytest.raises(DataError, match="^no scenarios to play$"):
+        simulate_gameplay(tables, [], "bigram:literal", "bigram:literal")
+    # one scenario of two nouns is one pair: nothing to aggregate
+    with pytest.raises(DataError, match="^gameplay: aggregation needs at least two scores$"):
+        simulate_gameplay(tables, [Scenario((0, 1), (0, 1))], "bigram:literal", "bigram:literal")
 
 
 def test_simulate_gameplay_uniform_models(rng):
     # a constant matrix makes every agent uniform: success = 1/C(k,2)
     lexicon = make_lexicon(4, 3)
-    from refgame import AssociationMatrix, quantile_normalize
-
     flat = AssociationMatrix("bigram", lexicon, np.ones((4, 3)))
     norm = quantile_normalize(flat)
     scenarios = [Scenario((0, 1, 2), (0, 1)), Scenario((1, 2, 3), (0, 2))]
@@ -336,8 +375,6 @@ def test_simulate_gameplay_matches_manual_composition(rng):
     tables = {"bigram": norm}
     scenario = Scenario((0, 2, 4), (1, 3))
     report = simulate_gameplay(tables, [scenario], "bigram:pragmatic:1.0", "bigram:literal")
-    from refgame import predict, parse_model_spec
-
     speaker_spec = parse_model_spec("bigram:pragmatic:1.0", "speaker")
     listener_spec = parse_model_spec("bigram:literal", "listener")
     listeners = {
@@ -346,9 +383,106 @@ def test_simulate_gameplay_matches_manual_composition(rng):
     }
     for pair, got in zip(scenario.pairs, report.successes[0]):
         speaker = predict(norm, Configuration(scenario, "speaker", pair), speaker_spec)
-        want = average_success(scenario, pair, speaker, listeners)
-        assert got == pytest.approx(want, abs=1e-15)
-    assert report.mean == pytest.approx(float(np.mean(report.successes[0])), abs=1e-15)
+        assert got == oracle_average_success(scenario, pair, speaker, listeners)
+    assert report.mean == float(np.mean(report.successes[0]))
+
+
+# ---------------------------------------------------------------------------
+# scoring and gameplay against the oracles, bit for bit
+
+DEPTHS = ("literal", "pragmatic:0.3", "pragmatic:1.0", "pragmatic:5.0", "pragmatic:30.0")
+
+
+@st.composite
+def tied_tables(draw):
+    """Two metrics over one 3-8 x 2-8 lexicon and a generator for the
+    items played on them. Raw scores come from {0, 1, 2}, so cells tie
+    and TIE_TOL decides top answers; about 30% of cells are masked."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lexicon = make_lexicon(draw(st.integers(3, 8)), draw(st.integers(2, 8)))
+    tables = {}
+    for metric in ("bigram", "embedding-cosine"):
+        raw = rng.integers(0, 3, size=lexicon.shape).astype(float)
+        mask = rng.random(size=lexicon.shape) < 0.3
+        tables[metric] = quantile_normalize(AssociationMatrix(metric, lexicon, raw, mask))
+    return tables, rng
+
+
+MODELS = st.sampled_from([f"{m}:{d}" for m in ("bigram", "embedding-cosine") for d in DEPTHS])
+
+
+def random_scenario(rng, lexicon, min_nouns):
+    n_nouns, n_adjs = lexicon.shape
+    k = int(rng.integers(min_nouns, min(n_nouns, 5) + 1))
+    m = int(rng.integers(2, n_adjs + 1))
+    return Scenario(
+        tuple(rng.choice(n_nouns, k, replace=False)), tuple(rng.choice(n_adjs, m, replace=False))
+    )
+
+
+def random_response(rng, lexicon):
+    """A record on a random 3+-noun configuration with tie-prone counts."""
+    scenario = random_scenario(rng, lexicon, 3)
+    if rng.random() < 0.5:
+        config = Configuration(scenario, "listener", int(rng.integers(scenario.m)))
+    else:
+        pair = scenario.pairs[int(rng.integers(len(scenario.pairs)))]
+        config = Configuration(scenario, "speaker", pair)
+    support = answer_support(config)
+    counts = rng.integers(0, 3, size=len(support))
+    counts[int(rng.integers(counts.size))] += 1
+    return ResponseRecord(config, dict(zip(support, counts.tolist())))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tied_tables(), MODELS, st.integers(2, 5))
+def test_score_responses_equals_oracles(drawn, model, n_records):
+    tables, rng = drawn
+    records = [random_response(rng, tables["bigram"].lexicon) for _ in range(n_records)]
+    tops, ranks = [], []
+    for position, record in enumerate(records, start=1):
+        spec = parse_model_spec(model, record.configuration.role)
+        try:
+            prediction = predict(tables[spec.metric], record.configuration, spec)
+        except DataError as exc:
+            message = f"model {spec.spec_string()}: record {position}: {exc}"
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                score_responses(tables, model, records)
+            return
+        tops.append(oracle_top_answer(prediction, record))
+        ranks.append(oracle_rank_correlation(prediction, record))
+    report = score_responses(tables, model, records)
+    assert report.top_answers == tuple(tops)
+    assert report.rank_correlations == tuple(ranks)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tied_tables(), MODELS, MODELS, st.integers(2, 3))
+def test_simulate_gameplay_equals_oracle(drawn, speaker, listener, n_scenarios):
+    tables, rng = drawn
+    scenarios = [random_scenario(rng, tables["bigram"].lexicon, 2) for _ in range(n_scenarios)]
+    speaker_spec = parse_model_spec(speaker, "speaker")
+    listener_spec = parse_model_spec(listener, "listener")
+    speaker_norm = tables[speaker_spec.metric]
+    listener_norm = tables[listener_spec.metric]
+    successes = []
+    try:
+        for scenario in scenarios:
+            listeners = {
+                a: predict(listener_norm, Configuration(scenario, "listener", a), listener_spec)
+                for a in range(scenario.m)
+            }
+            row = []
+            for pair in scenario.pairs:
+                config = Configuration(scenario, "speaker", pair)
+                speaker_dist = predict(speaker_norm, config, speaker_spec)
+                row.append(oracle_average_success(scenario, pair, speaker_dist, listeners))
+            successes.append(tuple(row))
+    except DataError as exc:
+        with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
+            simulate_gameplay(tables, scenarios, speaker, listener)
+        return
+    assert simulate_gameplay(tables, scenarios, speaker, listener).successes == tuple(successes)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +615,7 @@ def test_response_roundtrip(tmp_path, rng):
         ResponseRecord(Configuration(scenario, "speaker", (0, 2)), {0: 2, 1: 5}),
     ]
     path = tmp_path / "responses.jsonl"
-    save_responses(records, lexicon, path)
+    write_responses_file(path, records, lexicon)
     loaded = load_responses(path, lexicon)
     assert loaded == records
     lines = path.read_text().strip().split("\n")
@@ -501,12 +635,15 @@ def test_response_record_mapping_errors():
         response_from_record(record, lexicon)
 
 
-def test_response_to_record_sorted_answers():
+def test_response_to_record_sorted_answers(tmp_path):
+    # the test writer sorts answers, so response fixtures are byte-stable
     lexicon = make_lexicon(4, 2)
     scenario = Scenario((0, 1, 2), (0,))
     record = ResponseRecord(Configuration(scenario, "listener", 0),
                             {(1, 2): 1, (0, 1): 2})
-    data = response_to_record(record, lexicon)
+    path = tmp_path / "responses.jsonl"
+    write_responses_file(path, [record], lexicon)
+    data = json.loads(path.read_text())
     assert data["answers"] == [[["noun0", "noun1"], 2], [["noun1", "noun2"], 1]]
 
 

@@ -15,7 +15,6 @@ from refgame import (
     ModelSpec,
     Scenario,
     SearchSettings,
-    configuration_utility,
     filter_candidates,
     model_information_bits,
     monte_carlo_search,
@@ -141,6 +140,12 @@ def test_information_invariant_to_answer_permutation(rng):
     )
 
 
+def configuration_utility(tables, config, models):
+    """Expected information (bits) one answer to config carries about
+    which model generated it: the utility the search scores."""
+    return model_information_bits(response_probability(tables, config, models))
+
+
 def test_configuration_utility_stacks_predictions(rng):
     tables = {
         "a": random_normalized(rng, 5, 5, metric="a"),
@@ -148,17 +153,17 @@ def test_configuration_utility_stacks_predictions(rng):
     }
     config = Configuration(Scenario((0, 2, 4), (1, 3)), "listener", 1)
     models = listener_set("a", "b")
-    expected = model_information_bits(
-        np.stack([predict(tables[m.metric], config, m).probs for m in models.models])
-    )
-    assert configuration_utility(tables, config, models) == expected
+    expected = np.stack([predict(tables[m.metric], config, m).probs for m in models.models])
+    assert (response_probability(tables, config, models) == expected).all()
 
 
 def test_configuration_utility_single_model_warns(rng):
+    # one model carries no information: the search scores every key 0
     tables = {"a": random_normalized(rng, 3, 3, metric="a")}
-    config = Configuration(Scenario((0, 1), (0,)), "listener", 0)
+    settings = SearchSettings(2, 1, "separate-listener", iterations=5, top_k=3)
     with pytest.warns(UserWarning, match="fewer than two"):
-        assert configuration_utility(tables, config, listener_set("a")) == 0.0
+        found = monte_carlo_search(tables, listener_set("a"), settings)
+    assert found and all(c.utility == 0.0 for c in found)
 
 
 # ---------------------------------------------------------------------------

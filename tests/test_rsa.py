@@ -317,10 +317,6 @@ def test_prediction_distribution_validation():
         PredictionDistribution((0, 1), np.array([1.5, -0.5]))
     with pytest.raises(DataError, match="length"):
         PredictionDistribution((0, 1, 2), np.array([0.5, 0.5]))
-    dist = PredictionDistribution(("a", "b"), np.array([0.75, 0.25]))
-    assert dist.prob("a") == 0.75
-    with pytest.raises(DataError, match="not in support"):
-        dist.prob("c")
 
 
 @pytest.mark.parametrize(
