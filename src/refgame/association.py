@@ -173,19 +173,26 @@ def topic_association(topics: TopicTable) -> AssociationMatrix:
 # normalization and lookups
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ascending ranks 1..n of a 1-d float array, tied values sharing the
-    mean of their ranks (scipy.stats.rankdata's "average" method). A tie
-    group at sorted positions start..end-1 gets (start + end + 1) / 2, an
-    exact half, so the ranks carry no rounding. Callers keep NaN out: it
-    would be ranked as if it were larger than +inf."""
-    n = values.size
-    order = values.argsort(kind="stable")
-    ordered = values[order]
-    edge = np.ones(n + 1, bool)
+    """Ascending ranks 1..n along the last axis of a float array, tied
+    values sharing the mean of their ranks (scipy.stats.rankdata's
+    "average" method, row by row). A tie group at sorted positions
+    start..end-1 of its row gets (start + end + 1) / 2, an exact half, so
+    the ranks carry no rounding. The tie groups are found in one pass over
+    the rows' sorted values laid end to end, with a group edge at every
+    row start. Callers keep NaN out: it would be ranked as if it were
+    larger than +inf."""
+    width = max(values.shape[-1], 1)
+    order = values.argsort(axis=-1, kind="stable")
+    ordered = np.take_along_axis(values, order, -1).ravel()
+    edge = np.ones(ordered.size + 1, bool)
     np.not_equal(ordered[1:], ordered[:-1], out=edge[1:-1])
+    edge[::width] = True
     edges = edge.nonzero()[0]
-    ranks = np.empty(n)
-    ranks[order] = ((edges[:-1] + edges[1:] + 1) / 2).repeat(edges[1:] - edges[:-1])
+    starts, sizes = edges[:-1], np.diff(edges)
+    # a group's start within its row is start % width, its end that plus size
+    grouped = ((2 * (starts % width) + sizes + 1) / 2).repeat(sizes).reshape(values.shape)
+    ranks = np.empty(values.shape)
+    np.put_along_axis(ranks, order, grouped, -1)
     return ranks
 
 

@@ -296,6 +296,17 @@ def cmd_score(args) -> int:
     return _finish(args, render_score_reports(reports, fmt=args.format))
 
 
+def _symmetric(items, measure) -> list[list]:
+    """The square matrix of measure(a, b) over items, for a measure that
+    is symmetric: each unordered pair, the diagonal included, is measured
+    once, in row-major order over i <= j, and mirrored."""
+    matrix = [[None] * len(items) for _ in items]
+    for i, a in enumerate(items):
+        for j in range(i, len(items)):
+            matrix[i][j] = matrix[j][i] = measure(a, items[j])
+    return matrix
+
+
 def cmd_compare(args) -> int:
     if args.models and not args.configs:
         raise _UsageError("--model needs --configs")
@@ -304,7 +315,7 @@ def cmd_compare(args) -> int:
     metrics = sorted(tables)
     sections = []
 
-    corr = [[metric_rank_correlation(tables[a], tables[b]) for b in metrics] for a in metrics]
+    corr = _symmetric(metrics, lambda a, b: metric_rank_correlation(tables[a], tables[b]))
     sections.append(render_matrix(metrics, corr, fmt=args.format, title="metric rank correlation"))
 
     if args.configs:
@@ -321,9 +332,7 @@ def cmd_compare(args) -> int:
             else:
                 specs = [_parse_spec(f"{m}:literal", role) for m in metrics]
             labels = [s.spec_string() for s in specs]
-            agreement = [
-                [model_agreement(a, b, tables, role_configs) for b in specs] for a in specs
-            ]
+            agreement = _symmetric(specs, lambda a, b: model_agreement(a, b, tables, role_configs))
             for k, name in enumerate(("top-answer agreement", "prediction rank correlation")):
                 matrix = [[cell[k] for cell in row] for row in agreement]
                 sections.append(

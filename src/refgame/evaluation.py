@@ -7,8 +7,14 @@ mean plus standard error. Gameplay success for a speaker-listener pair
 is computed analytically by summing over clue choices instead of
 sampling.
 
-Ranks are computed in numpy (association.average_ranks); scipy serves
-only the Student t tail (t.sf) of confidence_ttest.
+Scoring and model agreement run in batches: records or configurations
+that share role, k and m get one rsa.predict_stack call per model and
+one row-wise Spearman pass, with the bits a one-at-a-time loop over
+rsa.predict and spearman gives. Gameplay still calls predict once per
+clue and per pair.
+
+Ranks are computed in numpy (association.average_ranks, row by row);
+scipy serves only the Student t tail (t.sf) of confidence_ttest.
 """
 
 from __future__ import annotations
@@ -27,9 +33,9 @@ from .errors import DataError, prefix_errors
 from .rsa import (
     LISTENER,
     SPEAKER,
+    TIE_TOL,
     Configuration,
     ModelSpec,
-    PredictionDistribution,
     Scenario,
     answer_support,
     clue_from_word,
@@ -38,6 +44,7 @@ from .rsa import (
     pair_from_words,
     parse_model_spec,
     predict,
+    predict_stack,
     scenario_record,
 )
 
@@ -71,17 +78,36 @@ class ResponseRecord:
         support = answer_support(self.configuration)
         return np.array([self.counts.get(answer, 0) for answer in support], dtype=float)
 
-    def modal_answers(self) -> tuple:
-        vector = self.count_vector()
-        top = vector.max()
-        support = answer_support(self.configuration)
-        return tuple(a for a, c in zip(support, vector) if c == top)
+
+def _top_mask(probs: np.ndarray) -> np.ndarray:
+    """Per row, the answers within TIE_TOL of the row's maximum."""
+    return probs.max(axis=1, keepdims=True) - probs <= TIE_TOL
 
 
-def _top_match(prediction: PredictionDistribution, answers) -> int:
-    """1 if the prediction's argmax set (ties within TIE_TOL count)
-    shares an answer with `answers`, else 0."""
-    return int(bool(set(prediction.argmax_answers()) & set(answers)))
+def _row_spearman(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Spearman correlation of each row of x with the same row of y, by
+    descending average ranks; a row with either side constant gives 0.
+    Each row's sums of products are the BLAS dot that a 1-d `@` takes,
+    reached through matmul of (N, 1, n) by (N, n, 1)."""
+    if x.shape[-1] < 2:
+        raise DataError("rank correlation needs at least two entries")
+    for which, values in (("first", x), ("second", y)):
+        if np.isnan(values).any():
+            raise DataError(f"rank correlation: the {which} vector holds NaN")
+    # average ranks of 1..n always have mean (n + 1) / 2 exactly
+    mean_rank = (x.shape[-1] + 1) / 2
+    rank_x = average_ranks(-x) - mean_rank
+    rank_y = average_ranks(-y) - mean_rank
+
+    def dot(a, b):
+        return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+    ss_x = dot(rank_x, rank_x)
+    ss_y = dot(rank_y, rank_y)
+    live = (ss_x != 0) & (ss_y != 0)
+    correlations = np.zeros(len(x))
+    correlations[live] = dot(rank_x[live], rank_y[live]) / np.sqrt(ss_x[live] * ss_y[live])
+    return correlations
 
 
 def spearman(x, y) -> float:
@@ -94,20 +120,7 @@ def spearman(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise DataError("rank correlation needs two equal-length vectors")
-    if x.size < 2:
-        raise DataError("rank correlation needs at least two entries")
-    for which, values in (("first", x), ("second", y)):
-        if np.isnan(values).any():
-            raise DataError(f"rank correlation: the {which} vector holds NaN")
-    # average ranks of 1..n always have mean (n + 1) / 2 exactly
-    mean_rank = (x.size + 1) / 2
-    rank_x = average_ranks(-x) - mean_rank
-    rank_y = average_ranks(-y) - mean_rank
-    ss_x = rank_x @ rank_x
-    ss_y = rank_y @ rank_y
-    if ss_x == 0 or ss_y == 0:
-        return 0.0
-    return float((rank_x @ rank_y) / np.sqrt(ss_x * ss_y))
+    return float(_row_spearman(x[None], y[None])[0])
 
 
 def _reject_non_finite(values: np.ndarray, message: str) -> None:
@@ -143,35 +156,72 @@ class ScoreReport:
     rank_sem: float
 
 
+def _by_shape(configurations, compute, where: str) -> list:
+    """compute(positions) once for each group of configurations that
+    share role, k and m, as [(positions, result)]; positions are 0-based
+    and ascending. On a DataError the failing groups are run again one
+    configuration at a time, in file order, and the first error is raised
+    as "<where> <1-based position>: <message>": the error a loop over the
+    configurations would meet first."""
+    groups: dict = {}
+    for position, config in enumerate(configurations):
+        scenario = config.scenario
+        groups.setdefault((config.role, scenario.k, scenario.m), []).append(position)
+    results = []
+    failed = []
+    for positions in groups.values():
+        try:
+            results.append((positions, compute(positions)))
+        except DataError as exc:
+            failed.append((positions, exc))
+    for position in sorted(p for positions, _ in failed for p in positions):
+        try:
+            compute([position])
+        except DataError as exc:
+            raise DataError(f"{where} {position + 1}: {exc}") from None
+    if failed:
+        raise failed[0][1]
+    return results
+
+
 def score_responses(tables, model, records) -> ScoreReport:
     """Score a model against every response record.
 
     `model` is a ModelSpec or a "metric:depth[:alpha]" string; a string
     is bound to each record's role, so one string can score a mixed-role
-    response file. `tables` maps metric ids to normalized matrices. An
-    error names the model, and the 1-based record it arose on.
+    response file. `tables` maps metric ids to normalized matrices.
+    Records that share role, k and m are predicted and ranked together,
+    with the bits of one record at a time. An error names the model, and
+    the 1-based record it arose on.
     """
     records = list(records)
     if not records:
         raise DataError("no response records")
     tables = Tables.of(tables)
-    specs = [parse_model_spec(model, record.configuration.role) for record in records]
-    label = f"model {specs[0].spec_string()}"
-    tops = []
-    ranks = []
-    for position, (spec, record) in enumerate(zip(specs, records), start=1):
-        try:
-            prediction = predict(tables[spec.metric], record.configuration, spec)
-            tops.append(_top_match(prediction, record.modal_answers()))
-            ranks.append(spearman(prediction.probs, record.count_vector()))
-        except DataError as exc:
-            raise DataError(f"{label}: record {position}: {exc}") from None
+    configurations = [record.configuration for record in records]
+    roles = dict.fromkeys(config.role for config in configurations)
+    specs = {role: parse_model_spec(model, role) for role in roles}
+    first_spec = specs[configurations[0].role]
+    label = f"model {first_spec.spec_string()}"
+
+    def compute(positions):
+        members = [configurations[p] for p in positions]
+        spec = specs[members[0].role]
+        probs = predict_stack(tables[spec.metric], members, spec)
+        counts = np.array([records[p].count_vector() for p in positions])
+        modal = counts == counts.max(axis=1, keepdims=True)
+        return (_top_mask(probs) & modal).any(axis=1), _row_spearman(probs, counts)
+
+    tops = np.zeros(len(records), int)
+    ranks = np.zeros(len(records))
+    for positions, (top, rank) in _by_shape(configurations, compute, f"{label}: record"):
+        tops[positions] = top
+        ranks[positions] = rank
+    tops, ranks = tuple(tops.tolist()), tuple(ranks.tolist())
     with prefix_errors(label):
         top_mean, top_sem = aggregate(tops)
         rank_mean, rank_sem = aggregate(ranks)
-    return ScoreReport(
-        specs[0], tuple(tops), tuple(ranks), top_mean, top_sem, rank_mean, rank_sem
-    )
+    return ScoreReport(first_spec, tops, ranks, top_mean, top_sem, rank_mean, rank_sem)
 
 
 # ---------------------------------------------------------------------------
@@ -207,22 +257,28 @@ def simulate_gameplay(tables, scenarios, speaker_spec, listener_spec) -> Gamepla
     all_successes = []
     scenario_means = []
     flat = []
-    for scenario in scenarios:
-        listener_dists = [
-            predict(listener_norm, Configuration(scenario, LISTENER, a), listener_spec)
-            for a in range(scenario.m)
-        ]
-        row = []
-        for position, pair in enumerate(scenario.pairs):
-            speaker_dist = predict(
-                speaker_norm, Configuration(scenario, SPEAKER, pair), speaker_spec
-            )
-            total = 0.0
-            for clue, p_clue in enumerate(speaker_dist.probs):
-                if p_clue == 0:
-                    continue
-                total += float(p_clue) * float(listener_dists[clue].probs[position])
-            row.append(total)
+    for number, scenario in enumerate(scenarios, start=1):
+        try:
+            model = listener_spec
+            listener_dists = [
+                predict(listener_norm, Configuration(scenario, LISTENER, a), listener_spec)
+                for a in range(scenario.m)
+            ]
+            model = speaker_spec
+            row = []
+            for position, pair in enumerate(scenario.pairs):
+                speaker_dist = predict(
+                    speaker_norm, Configuration(scenario, SPEAKER, pair), speaker_spec
+                )
+                total = 0.0
+                for clue, p_clue in enumerate(speaker_dist.probs):
+                    if p_clue == 0:
+                        continue
+                    total += float(p_clue) * float(listener_dists[clue].probs[position])
+                row.append(total)
+        except DataError as exc:
+            where = f"gameplay: scenario {number}: {model.role} model {model.spec_string()}"
+            raise DataError(f"{where}: {exc}") from None
         all_successes.append(tuple(row))
         scenario_means.append(float(np.mean(row)))
         flat.extend(row)
@@ -246,7 +302,10 @@ def model_agreement(spec_a, spec_b, tables, configurations) -> tuple[float, floa
     correlation of their distributions, over configurations.
 
     Specs are ModelSpec values or strings bound to the configurations'
-    shared role.
+    shared role. Configurations that share k and m are predicted and
+    ranked together, with the bits of one configuration at a time. An
+    error names both models, the 1-based configuration and the model
+    that failed on it.
     """
     configurations = list(configurations)
     if not configurations:
@@ -255,18 +314,25 @@ def model_agreement(spec_a, spec_b, tables, configurations) -> tuple[float, floa
     if len(roles) > 1:
         raise DataError("configurations mix roles")
     role = configurations[0].role
-    spec_a = parse_model_spec(spec_a, role)
-    spec_b = parse_model_spec(spec_b, role)
+    specs = (parse_model_spec(spec_a, role), parse_model_spec(spec_b, role))
     tables = Tables.of(tables)
-    norm_a = tables[spec_a.metric]
-    norm_b = tables[spec_b.metric]
-    matches = []
-    correlations = []
-    for config in configurations:
-        dist_a = predict(norm_a, config, spec_a)
-        dist_b = predict(norm_b, config, spec_b)
-        matches.append(_top_match(dist_a, dist_b.argmax_answers()))
-        correlations.append(spearman(dist_a.probs, dist_b.probs))
+    norms = [tables[spec.metric] for spec in specs]
+
+    def compute(positions):
+        members = [configurations[p] for p in positions]
+        probs = []
+        for spec, norm in zip(specs, norms):
+            with prefix_errors(f"model {spec.spec_string()}"):
+                probs.append(predict_stack(norm, members, spec))
+        a, b = probs
+        return (_top_mask(a) & _top_mask(b)).any(axis=1), _row_spearman(a, b)
+
+    where = f"{specs[0].spec_string()} vs {specs[1].spec_string()}: configuration"
+    matches = np.zeros(len(configurations), int)
+    correlations = np.zeros(len(configurations))
+    for positions, (match, correlation) in _by_shape(configurations, compute, where):
+        matches[positions] = match
+        correlations[positions] = correlation
     return float(np.mean(matches)), float(np.mean(correlations))
 
 

@@ -312,6 +312,70 @@ def predict(
 
 
 # ---------------------------------------------------------------------------
+# the chain over a stack of same-shape configurations
+
+def _stack_chain(scores: np.ndarray, index: np.ndarray, alpha, label: str) -> np.ndarray:
+    """_chain on each (referent x utterance) matrix of an (N, R, U) stack,
+    reading column index[n] of matrix n: an (N, R) array. Each reduction
+    adds in the order _chain's does on one matrix: sums over R in sequence
+    and over U pairwise, or the reverse on a swapaxes view, because the
+    iteration follows memory order; a gathered column is made contiguous,
+    so its sum is pairwise like a 1-d column's."""
+    bad = (index < 0) | (index >= scores.shape[2])
+    if bad.any():
+        raise DataError(f"{label} index {int(index[bad][0])} out of range")
+    rows = np.arange(len(scores))
+    if alpha is None:
+        return _normalize(np.ascontiguousarray(scores[rows, :, index]), axis=1)
+    alpha = float(alpha)
+    if alpha <= 0:
+        raise DataError(f"alpha must be positive, got {alpha!r}")
+    weighted = _normalize(scores, axis=1) ** alpha
+    chosen = _normalize(weighted, axis=2)[rows, :, index]
+    return _normalize(np.ascontiguousarray(chosen), axis=1)
+
+
+def predict_stack(norm: NormalizedAssociation, configs, spec: ModelSpec) -> np.ndarray:
+    """predict on N configurations that share spec's role and one (k, m)
+    shape, from one (N, C(k,2), m) score stack and one chain: an (N,
+    answers) array whose row n has the bits of predict(norm, configs[n],
+    spec).probs. predict's checks run on the whole stack, so the error of
+    a one-configuration call is predict's; with several, it may come from
+    any failing configuration."""
+    for config in configs:
+        if config.role != spec.role:
+            raise DataError(f"model role '{spec.role}' != configuration role '{config.role}'")
+    k, m = configs[0].scenario.k, configs[0].scenario.m
+    nouns = np.array([config.scenario.nouns for config in configs]).reshape(-1, k)
+    adjectives = np.array([config.scenario.adjectives for config in configs]).reshape(-1, m)
+    n_nouns, n_adjs = norm.lexicon.shape
+    if nouns.max() >= n_nouns:
+        raise DataError("scenario noun index out of range for this matrix")
+    if adjectives.max() >= n_adjs:
+        raise DataError("scenario adjective index out of range for this matrix")
+    sub = norm.values[nouns[:, :, None], adjectives[:, None, :]]
+    first, second = _pair_rows(k)
+    scores = sub[:, first] * sub[:, second]
+    if not (scores.min() >= 0 and scores.max() < np.inf):
+        raise DataError("scores must be finite and non-negative")
+    if spec.role == LISTENER:
+        index = np.array([config.index for config in configs])
+        probs = _stack_chain(scores, index, spec.alpha, "clue")
+    else:
+        position = {pair: i for i, pair in enumerate(noun_pairs(k))}
+        index = np.array([position[config.index] for config in configs])
+        probs = _stack_chain(scores.swapaxes(1, 2), index, spec.alpha, "target")
+    low = probs.min()
+    if not low >= 0:
+        raise DataError("negative probability" if low < 0 else "NaN probability")
+    totals = probs.sum(axis=1)
+    off = np.abs(totals - 1.0) > 1e-9
+    if off.any():
+        raise DataError(f"probabilities sum to {float(totals[off][0])!r}")
+    return probs
+
+
+# ---------------------------------------------------------------------------
 # word-level record forms for files
 
 def _word_indices(words, index: dict, kind: str) -> tuple[int, ...]:

@@ -10,7 +10,7 @@ from refgame import (
     NormalizedAssociation,
     quantile_normalize,
 )
-from refgame.rsa import LISTENER, clue_word, configuration_record, pair_words
+from refgame.rsa import LISTENER, answer_support, clue_word, configuration_record, pair_words
 
 # one visible pass/fail line per acceptance criterion, printed after the run
 ACCEPTANCE_RESULTS = {}
@@ -81,6 +81,15 @@ def write_vector_file(path, entries):
     for word, values in entries:
         lines.append(word + " " + " ".join(repr(float(v)) for v in values))
     path.write_text("\n".join(lines) + "\n")
+
+
+def oracle_modal_answers(record) -> tuple:
+    """ResponseRecord.modal_answers as it was before scoring went row-wise:
+    the answers with the most responses, in support order."""
+    vector = record.count_vector()
+    top = vector.max()
+    support = answer_support(record.configuration)
+    return tuple(a for a, c in zip(support, vector) if c == top)
 
 
 def write_responses_file(path, responses, lexicon):

@@ -29,7 +29,10 @@ from refgame import (
     save_normalized,
     topic_association,
 )
+from refgame import cli
 from refgame.cli import main
+from refgame.evaluation import metric_rank_correlation, model_agreement, render_matrix
+from refgame.rsa import configuration_from_record
 
 from conftest import (
     write_counts_file,
@@ -739,6 +742,58 @@ def test_compare_with_configs(data, capsys, tmp_path):
     assert "# listener top-answer agreement" in out
     assert "# speaker top-answer agreement" in out
     assert "# listener prediction rank correlation" in out
+
+
+def test_compare_measures_each_unordered_pair_once(data, capsys, tmp_path, monkeypatch):
+    configs = [
+        {"scenario": {"nouns": ["heart", "phone", "wedding"], "adjectives": ["dying", "empty"]},
+         "role": "listener", "clue": "dying"},
+        {"scenario": {"nouns": ["mirror", "garden", "engine", "heart"],
+                      "adjectives": ["gentle", "loud", "empty"]},
+         "role": "listener", "clue": "loud"},
+        {"scenario": {"nouns": ["heart", "phone", "wedding"], "adjectives": ["dying", "empty"]},
+         "role": "speaker", "target_pair": ["heart", "wedding"]},
+        {"scenario": {"nouns": ["heart", "phone", "garden"], "adjectives": ["dying", "loud"]},
+         "role": "speaker", "target_pair": ["phone", "garden"]},
+    ]
+    path = tmp_path / "configs.jsonl"
+    path.write_text("\n".join(json.dumps(c) for c in configs) + "\n")
+    metrics = sorted(data["norm"])
+    argv = ["compare", *(a for m in metrics for a in ("--matrix", str(data["norm"][m]))),
+            "--configs", str(path)]
+
+    # the full-matrix command as it was: every ordered pair measured
+    tables = {m: load_normalized(data["norm"][m]) for m in metrics}
+    sections = [render_matrix(metrics, [
+        [metric_rank_correlation(tables[a], tables[b]) for b in metrics] for a in metrics
+    ], title="metric rank correlation")]
+    lexicon = data["lexicon_obj"]
+    for role in ("listener", "speaker"):
+        role_configs = [configuration_from_record(c, lexicon) for c in configs if c["role"] == role]
+        labels = [f"{m}:literal" for m in metrics]
+        cells = [[model_agreement(a, b, tables, role_configs) for b in labels] for a in labels]
+        for k, name in enumerate(("top-answer agreement", "prediction rank correlation")):
+            matrix = [[cell[k] for cell in row] for row in cells]
+            sections.append(render_matrix(labels, matrix, title=f"{role} {name}"))
+
+    calls = {"metric_rank_correlation": 0, "model_agreement": 0}
+
+    def counted(name):
+        original = getattr(cli, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert out == "\n".join(sections)
+    # 4 metrics: 10 unordered pairs instead of 16 ordered ones, per matrix
+    assert calls == {"metric_rank_correlation": 10, "model_agreement": 20}
 
 
 # ---------------------------------------------------------------------------

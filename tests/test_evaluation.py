@@ -41,7 +41,12 @@ from refgame import (
 )
 from refgame import evaluation
 
-from conftest import make_lexicon, random_normalized, write_responses_file
+from conftest import (
+    make_lexicon,
+    oracle_modal_answers,
+    random_normalized,
+    write_responses_file,
+)
 
 
 def exact_spearman(x, y):
@@ -82,7 +87,6 @@ def test_response_record_validation():
     config = Configuration(scenario, "listener", 0)
     record = ResponseRecord(config, {(0, 1): 3, (1, 2): 1})
     assert np.array_equal(record.count_vector(), [3, 0, 1])
-    assert record.modal_answers() == ((0, 1),)
     with pytest.raises(DataError, match="not a valid answer here"):
         ResponseRecord(config, {(0, 3): 2})
     with pytest.raises(DataError, match="no responses"):
@@ -95,7 +99,12 @@ def test_response_record_validation():
 
 def test_modal_answers_tie():
     record = listener_record((2, 2, 1))
-    assert record.modal_answers() == ((0, 1), (0, 2))
+    assert oracle_modal_answers(record) == ((0, 1), (0, 2))
+    # both modal answers count: a top answer on either matches, on (1, 2) it misses
+    counts = [(2, 2, 1), (2, 2, 1)]
+    assert listener_scores([1.0, 0.5, 0.25], counts).top_answers == (1, 1)
+    assert listener_scores([1.0, 0.25, 0.5], counts).top_answers == (1, 1)
+    assert listener_scores([0.25, 1.0, 0.5], counts).top_answers == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +118,7 @@ def oracle_top_answer(prediction, record) -> int:
     if tuple(prediction.support) != support:
         raise DataError("prediction support does not match the configuration")
     predicted = set(prediction.argmax_answers())
-    observed = set(record.modal_answers())
+    observed = set(oracle_modal_answers(record))
     return int(bool(predicted & observed))
 
 
@@ -466,22 +475,24 @@ def test_simulate_gameplay_equals_oracle(drawn, speaker, listener, n_scenarios):
     speaker_norm = tables[speaker_spec.metric]
     listener_norm = tables[listener_spec.metric]
     successes = []
-    try:
-        for scenario in scenarios:
+    for number, scenario in enumerate(scenarios, start=1):
+        where = f"gameplay: scenario {number}: listener model {listener_spec.spec_string()}"
+        try:
             listeners = {
                 a: predict(listener_norm, Configuration(scenario, "listener", a), listener_spec)
                 for a in range(scenario.m)
             }
+            where = f"gameplay: scenario {number}: speaker model {speaker_spec.spec_string()}"
             row = []
             for pair in scenario.pairs:
                 config = Configuration(scenario, "speaker", pair)
                 speaker_dist = predict(speaker_norm, config, speaker_spec)
                 row.append(oracle_average_success(scenario, pair, speaker_dist, listeners))
-            successes.append(tuple(row))
-    except DataError as exc:
-        with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
-            simulate_gameplay(tables, scenarios, speaker, listener)
-        return
+        except DataError as exc:
+            with pytest.raises(DataError, match=f"^{re.escape(f'{where}: {exc}')}$"):
+                simulate_gameplay(tables, scenarios, speaker, listener)
+            return
+        successes.append(tuple(row))
     assert simulate_gameplay(tables, scenarios, speaker, listener).successes == tuple(successes)
 
 
