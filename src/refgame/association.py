@@ -11,6 +11,7 @@ after ranking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,14 @@ class NormalizedAssociation:
         reject_cells(off_floor, values, lexicon, f"masked cells must equal {ZERO_FLOOR!r}, got")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "zero_mask", mask)
+
+    @cached_property
+    def _ranks(self) -> np.ndarray:
+        """The cells' descending average ranks minus their mean, one read-only
+        row: a Spearman rank step, cached, as `values` is a frozen copy."""
+        ranks = average_ranks(-self.values.reshape(1, -1)) - (self.values.size + 1) / 2
+        ranks.flags.writeable = False
+        return ranks
 
 
 class Tables(dict):

@@ -31,8 +31,8 @@ from .association import (
 )
 from .errors import DataError
 from .evaluation import (
+    agreement_measure,
     load_responses,
-    model_agreement,
     metric_rank_correlation,
     read_jsonl,
     render_gameplay,
@@ -332,7 +332,8 @@ def cmd_compare(args) -> int:
             else:
                 specs = [_parse_spec(f"{m}:literal", role) for m in metrics]
             labels = [s.spec_string() for s in specs]
-            agreement = _symmetric(specs, lambda a, b: model_agreement(a, b, tables, role_configs))
+            measure = agreement_measure(specs, tables, role_configs)
+            agreement = _symmetric(range(len(specs)), measure)
             for k, name in enumerate(("top-answer agreement", "prediction rank correlation")):
                 matrix = [[cell[k] for cell in row] for row in agreement]
                 sections.append(

@@ -10,10 +10,12 @@ sampling.
 Scoring and model agreement run in batches: records or configurations
 that share role, k and m get one rsa.predict_stack call per model and
 one row-wise Spearman pass, with the bits a one-at-a-time loop over
-rsa.predict and spearman gives. Gameplay still calls predict once per
+rsa.predict and spearman gives; agreement_measure keeps each model's
+stacks for every pair it is in. Gameplay still calls predict once per
 clue and per pair.
 
-Ranks are computed in numpy (association.average_ranks, row by row);
+Ranks are computed in numpy (association.average_ranks, row by row); a
+normalized matrix ranks its cells once, for metric_rank_correlation.
 scipy serves only the Student t tail (t.sf) of confidence_ttest.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -96,8 +99,11 @@ def _row_spearman(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             raise DataError(f"rank correlation: the {which} vector holds NaN")
     # average ranks of 1..n always have mean (n + 1) / 2 exactly
     mean_rank = (x.shape[-1] + 1) / 2
-    rank_x = average_ranks(-x) - mean_rank
-    rank_y = average_ranks(-y) - mean_rank
+    return _rank_correlation(average_ranks(-x) - mean_rank, average_ranks(-y) - mean_rank)
+
+
+def _rank_correlation(rank_x: np.ndarray, rank_y: np.ndarray) -> np.ndarray:
+    """_row_spearman's correlation step, on rows of ranks minus their mean."""
 
     def dot(a, b):
         return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
@@ -105,7 +111,7 @@ def _row_spearman(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     ss_x = dot(rank_x, rank_x)
     ss_y = dot(rank_y, rank_y)
     live = (ss_x != 0) & (ss_y != 0)
-    correlations = np.zeros(len(x))
+    correlations = np.zeros(len(rank_x))
     correlations[live] = dot(rank_x[live], rank_y[live]) / np.sqrt(ss_x[live] * ss_y[live])
     return correlations
 
@@ -156,22 +162,24 @@ class ScoreReport:
     rank_sem: float
 
 
-def _by_shape(configurations, compute, where: str) -> list:
-    """compute(positions) once for each group of configurations that
-    share role, k and m, as [(positions, result)]; positions are 0-based
-    and ascending. On a DataError the failing groups are run again one
-    configuration at a time, in file order, and the first error is raised
-    as "<where> <1-based position>: <message>": the error a loop over the
-    configurations would meet first."""
+def _by_shape(configurations, compute, where: str) -> tuple[np.ndarray, np.ndarray]:
+    """compute(positions) -> (flags, values), one entry per position, once
+    for each group of configurations that share role, k and m; positions
+    are 0-based and ascending. The results come back in file order, as an
+    int and a float array. On a DataError the failing groups are run again
+    one configuration at a time, in file order, and the first error is
+    raised as "<where> <1-based position>: <message>": the error a loop
+    over the configurations would meet first."""
     groups: dict = {}
     for position, config in enumerate(configurations):
         scenario = config.scenario
         groups.setdefault((config.role, scenario.k, scenario.m), []).append(position)
-    results = []
+    flags = np.zeros(len(configurations), int)
+    values = np.zeros(len(configurations))
     failed = []
     for positions in groups.values():
         try:
-            results.append((positions, compute(positions)))
+            flags[positions], values[positions] = compute(positions)
         except DataError as exc:
             failed.append((positions, exc))
     for position in sorted(p for positions, _ in failed for p in positions):
@@ -181,7 +189,7 @@ def _by_shape(configurations, compute, where: str) -> list:
             raise DataError(f"{where} {position + 1}: {exc}") from None
     if failed:
         raise failed[0][1]
-    return results
+    return flags, values
 
 
 def score_responses(tables, model, records) -> ScoreReport:
@@ -212,11 +220,7 @@ def score_responses(tables, model, records) -> ScoreReport:
         modal = counts == counts.max(axis=1, keepdims=True)
         return (_top_mask(probs) & modal).any(axis=1), _row_spearman(probs, counts)
 
-    tops = np.zeros(len(records), int)
-    ranks = np.zeros(len(records))
-    for positions, (top, rank) in _by_shape(configurations, compute, f"{label}: record"):
-        tops[positions] = top
-        ranks[positions] = rank
+    tops, ranks = _by_shape(configurations, compute, f"{label}: record")
     tops, ranks = tuple(tops.tolist()), tuple(ranks.tolist())
     with prefix_errors(label):
         top_mean, top_sem = aggregate(tops)
@@ -260,25 +264,20 @@ def simulate_gameplay(tables, scenarios, speaker_spec, listener_spec) -> Gamepla
     for number, scenario in enumerate(scenarios, start=1):
         try:
             model = listener_spec
-            listener_dists = [
-                predict(listener_norm, Configuration(scenario, LISTENER, a), listener_spec)
+            listener = np.array([
+                predict(listener_norm, Configuration(scenario, LISTENER, a), listener_spec).probs
                 for a in range(scenario.m)
-            ]
+            ])
             model = speaker_spec
-            row = []
-            for position, pair in enumerate(scenario.pairs):
-                speaker_dist = predict(
-                    speaker_norm, Configuration(scenario, SPEAKER, pair), speaker_spec
-                )
-                total = 0.0
-                for clue, p_clue in enumerate(speaker_dist.probs):
-                    if p_clue == 0:
-                        continue
-                    total += float(p_clue) * float(listener_dists[clue].probs[position])
-                row.append(total)
+            speaker = np.array([
+                predict(speaker_norm, Configuration(scenario, SPEAKER, pair), speaker_spec).probs
+                for pair in scenario.pairs
+            ])
         except DataError as exc:
             where = f"gameplay: scenario {number}: {model.role} model {model.spec_string()}"
             raise DataError(f"{where}: {exc}") from None
+        # pairs x clues, summed over clues in order; an unsampled clue adds an exact 0.0
+        row = np.cumsum(np.where(speaker > 0, speaker * listener.T, 0.0), axis=1)[:, -1].tolist()
         all_successes.append(tuple(row))
         scenario_means.append(float(np.mean(row)))
         flat.extend(row)
@@ -291,10 +290,12 @@ def simulate_gameplay(tables, scenarios, speaker_spec, listener_spec) -> Gamepla
 # model and metric comparison
 
 def metric_rank_correlation(a: NormalizedAssociation, b: NormalizedAssociation) -> float:
-    """Spearman correlation between two metrics' normalized cells."""
+    """Spearman correlation between two metrics' normalized cells, from cached ranks."""
     if a.lexicon.nouns != b.lexicon.nouns or a.lexicon.adjectives != b.lexicon.adjectives:
         raise DataError("matrices disagree on the lexicon")
-    return spearman(a.values.ravel(), b.values.ravel())
+    if a.values.size < 2:
+        raise DataError("rank correlation needs at least two entries")
+    return float(_rank_correlation(a._ranks, b._ranks)[0])
 
 
 def model_agreement(spec_a, spec_b, tables, configurations) -> tuple[float, float]:
@@ -307,33 +308,39 @@ def model_agreement(spec_a, spec_b, tables, configurations) -> tuple[float, floa
     error names both models, the 1-based configuration and the model
     that failed on it.
     """
+    return agreement_measure((spec_a, spec_b), tables, configurations)(0, 1)
+
+
+def agreement_measure(specs, tables, configurations):
+    """A measure(i, j) that gives model_agreement(specs[i], specs[j],
+    tables, configurations), errors included. Each model's prediction
+    stack for a group of configurations is built once, however many
+    pairs it serves."""
     configurations = list(configurations)
     if not configurations:
         raise DataError("no configurations given")
-    roles = {config.role for config in configurations}
-    if len(roles) > 1:
+    if len({config.role for config in configurations}) > 1:
         raise DataError("configurations mix roles")
-    role = configurations[0].role
-    specs = (parse_model_spec(spec_a, role), parse_model_spec(spec_b, role))
+    specs = [parse_model_spec(spec, configurations[0].role) for spec in specs]
     tables = Tables.of(tables)
-    norms = [tables[spec.metric] for spec in specs]
 
-    def compute(positions):
-        members = [configurations[p] for p in positions]
-        probs = []
-        for spec, norm in zip(specs, norms):
-            with prefix_errors(f"model {spec.spec_string()}"):
-                probs.append(predict_stack(norm, members, spec))
-        a, b = probs
-        return (_top_mask(a) & _top_mask(b)).any(axis=1), _row_spearman(a, b)
+    @cache
+    def stack(index, norm, positions):
+        with prefix_errors(f"model {specs[index].spec_string()}"):
+            return predict_stack(norm, [configurations[p] for p in positions], specs[index])
 
-    where = f"{specs[0].spec_string()} vs {specs[1].spec_string()}: configuration"
-    matches = np.zeros(len(configurations), int)
-    correlations = np.zeros(len(configurations))
-    for positions, (match, correlation) in _by_shape(configurations, compute, where):
-        matches[positions] = match
-        correlations[positions] = correlation
-    return float(np.mean(matches)), float(np.mean(correlations))
+    def measure(i, j):
+        norm_i, norm_j = tables[specs[i].metric], tables[specs[j].metric]
+
+        def compute(positions):
+            a, b = stack(i, norm_i, tuple(positions)), stack(j, norm_j, tuple(positions))
+            return (_top_mask(a) & _top_mask(b)).any(axis=1), _row_spearman(a, b)
+
+        where = f"{specs[i].spec_string()} vs {specs[j].spec_string()}: configuration"
+        matches, correlations = _by_shape(configurations, compute, where)
+        return float(np.mean(matches)), float(np.mean(correlations))
+
+    return measure
 
 
 def confidence_ttest(group_a, group_b) -> tuple[float, float]:

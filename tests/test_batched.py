@@ -33,6 +33,7 @@ from refgame import (
 )
 from refgame import evaluation
 from refgame.association import average_ranks
+from refgame.cli import _symmetric
 from refgame.rsa import predict_stack
 
 from conftest import make_lexicon, oracle_modal_answers, random_normalized
@@ -296,6 +297,39 @@ def test_model_agreement_equals_per_configuration_oracle(
     assert model_agreement(model_a, model_b, tables, configurations) == expected
 
 
+def oracle_agreement_matrix(specs, tables, configurations):
+    """compare's loop as it was: model_agreement's loop on each unordered
+    pair, the diagonal included, in row-major order over i <= j."""
+    matrix = [[None] * len(specs) for _ in specs]
+    for i, a in enumerate(specs):
+        for j in range(i, len(specs)):
+            matrix[i][j] = matrix[j][i] = oracle_agreement(a, specs[j], tables, configurations)
+    return matrix
+
+
+def measured_matrix(specs, tables, configurations):
+    measure = evaluation.agreement_measure(specs, tables, configurations)
+    return _symmetric(range(len(specs)), measure)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    tables_and_rng(), st.lists(MODELS, min_size=1, max_size=4),
+    st.sampled_from(["listener", "speaker"]), st.integers(1, 14), st.integers(0, 4),
+)
+def test_agreement_measure_equals_pairwise_oracle(drawn, models, role, count, one_answer):
+    tables, rng = drawn
+    configurations = random_configurations(
+        rng, tables["bigram"].lexicon, count, [role], one_answer == 0
+    )
+    try:
+        expected = oracle_agreement_matrix(models, tables, configurations)
+    except DataError as exc:
+        assert_same_error(exc, lambda: measured_matrix(models, tables, configurations))
+        return
+    assert measured_matrix(models, tables, configurations) == expected
+
+
 def test_score_error_names_the_lowest_failing_record():
     # records 3 and 4 fail, in groups first met at records 2 and 1
     tables = {"bigram": random_normalized(np.random.default_rng(3), 6, 6)}
@@ -353,6 +387,28 @@ def test_model_agreement_error_names_models_and_configuration():
     for call in (model_agreement, oracle_agreement):
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             call("bigram:literal", "bigram:pragmatic:100", tables, configurations)
+
+
+@pytest.mark.parametrize("models, message", [
+    (["bigram:pragmatic:100", "bigram:literal"],
+     "bigram:pragmatic:100.0 vs bigram:pragmatic:100.0: configuration 6: "
+     "model bigram:pragmatic:100.0: zero normalizer"),
+    (["bigram:literal", "bigram:pragmatic:1", "bigram:pragmatic:100", "bigram:pragmatic:1000"],
+     "bigram:literal vs bigram:pragmatic:100.0: configuration 6: "
+     "model bigram:pragmatic:100.0: zero normalizer"),
+])
+def test_agreement_measure_error_is_the_row_major_loops_first(models, message):
+    # each model is predicted once per group, yet the error names the
+    # pair a row-major loop over i <= j fails on first
+    tables = underflow_lexicon()
+    rng = np.random.default_rng(1)
+    configurations = [
+        Configuration(scenario, "listener", int(rng.integers(3)))
+        for scenario in random_scenarios(rng, 20)
+    ]
+    for call in (oracle_agreement_matrix, measured_matrix):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            call(models, tables, configurations)
 
 
 @pytest.mark.parametrize("speaker, listener, message", [

@@ -29,7 +29,8 @@ from refgame import (
     save_normalized,
     topic_association,
 )
-from refgame import cli
+from refgame import association, cli, evaluation
+from refgame.association import average_ranks
 from refgame.cli import main
 from refgame.evaluation import metric_rank_correlation, model_agreement, render_matrix
 from refgame.rsa import configuration_from_record
@@ -744,6 +745,24 @@ def test_compare_with_configs(data, capsys, tmp_path):
     assert "# listener prediction rank correlation" in out
 
 
+def test_compare_ranks_each_matrix_once(data, capsys, monkeypatch):
+    metrics = sorted(data["norm"])
+    assert len(metrics) == 4
+    calls = []
+
+    def counted(values):
+        calls.append(values.shape)
+        return average_ranks(values)
+
+    monkeypatch.setattr(association, "average_ranks", counted)
+    monkeypatch.setattr(evaluation, "average_ranks", counted)
+    argv = ["compare", *(a for m in metrics for a in ("--matrix", str(data["norm"][m])))]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    # one rank pass per matrix, not one per matrix per pair it is in
+    assert len(calls) == len(metrics)
+
+
 def test_compare_measures_each_unordered_pair_once(data, capsys, tmp_path, monkeypatch):
     configs = [
         {"scenario": {"nouns": ["heart", "phone", "wedding"], "adjectives": ["dying", "empty"]},
@@ -776,10 +795,10 @@ def test_compare_measures_each_unordered_pair_once(data, capsys, tmp_path, monke
             matrix = [[cell[k] for cell in row] for row in cells]
             sections.append(render_matrix(labels, matrix, title=f"{role} {name}"))
 
-    calls = {"metric_rank_correlation": 0, "model_agreement": 0}
+    calls = {"metric_rank_correlation": 0, "predict_stack": 0}
 
-    def counted(name):
-        original = getattr(cli, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def call(*args):
             calls[name] += 1
@@ -787,13 +806,14 @@ def test_compare_measures_each_unordered_pair_once(data, capsys, tmp_path, monke
 
         return call
 
-    for name in calls:
-        monkeypatch.setattr(cli, name, counted(name))
+    monkeypatch.setattr(cli, "metric_rank_correlation", counted(cli, "metric_rank_correlation"))
+    monkeypatch.setattr(evaluation, "predict_stack", counted(evaluation, "predict_stack"))
     code, out, err = run_cli(capsys, argv)
     assert code == 0, err
     assert out == "\n".join(sections)
-    # 4 metrics: 10 unordered pairs instead of 16 ordered ones, per matrix
-    assert calls == {"metric_rank_correlation": 10, "model_agreement": 20}
+    # 4 metrics: 10 unordered pairs instead of 16 ordered ones; each model is
+    # predicted once per (role, k, m) group (3 here), not once per pair it is in
+    assert calls == {"metric_rank_correlation": 10, "predict_stack": 3 * 4}
 
 
 # ---------------------------------------------------------------------------

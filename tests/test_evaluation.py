@@ -511,6 +511,52 @@ def test_metric_rank_correlation_lexicon_check(rng):
         metric_rank_correlation(a, b)
 
 
+@st.composite
+def normalized_pairs(draw):
+    """Two matrices over one lexicon of at least two cells, tied or
+    continuous raw scores, up to all cells at the floor, or one matrix
+    given twice."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lexicon = make_lexicon(draw(st.integers(1, 12)), draw(st.integers(2, 12)))
+    tables = []
+    for metric in ("a", "b"):
+        if draw(st.booleans()):
+            raw = rng.integers(0, 3, size=lexicon.shape).astype(float)
+        else:
+            raw = rng.normal(size=lexicon.shape)
+        mask = rng.random(size=lexicon.shape) < draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+        tables.append(quantile_normalize(AssociationMatrix(metric, lexicon, raw, mask)))
+    if draw(st.booleans()):
+        tables[1] = tables[0]
+    return tables
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(normalized_pairs())
+def test_metric_rank_correlation_equals_spearman_of_cells(tables):
+    a, b = tables
+    expected = spearman(a.values.ravel(), b.values.ravel())
+    assert metric_rank_correlation(a, b) == expected
+    # again from the cached ranks, and in the other order
+    assert metric_rank_correlation(a, b) == expected
+    assert metric_rank_correlation(b, a) == spearman(b.values.ravel(), a.values.ravel())
+
+
+def test_matrix_ranks_are_cached_and_read_only(rng):
+    norm = random_normalized(rng, 6, 5, mask_frac=0.3)
+    ranks = norm._ranks
+    assert ranks is norm._ranks
+    assert ranks.shape == (1, 30)
+    with pytest.raises(ValueError):
+        ranks[0, 0] = 0.0
+
+
+def test_metric_rank_correlation_needs_two_cells():
+    norm = quantile_normalize(AssociationMatrix("a", make_lexicon(1, 1), [[0.5]]))
+    with pytest.raises(DataError, match="^rank correlation needs at least two entries$"):
+        metric_rank_correlation(norm, norm)
+
+
 def test_model_agreement_self_is_perfect(rng):
     norm = random_normalized(rng, 5, 4, metric="bigram")
     tables = {"bigram": norm}
