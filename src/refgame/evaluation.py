@@ -11,8 +11,8 @@ Scoring and model agreement run in batches: records or configurations
 that share role, k and m get one rsa.predict_stack call per model and
 one row-wise Spearman pass, with the bits a one-at-a-time loop over
 rsa.predict and spearman gives; agreement_measure keeps each model's
-stacks for every pair it is in. Gameplay still calls predict once per
-clue and per pair.
+stacks and their row ranks for every pair it is in. Gameplay still
+calls predict once per clue and per pair.
 
 Ranks are computed in numpy (association.average_ranks, row by row); a
 normalized matrix ranks its cells once, for metric_rank_correlation.
@@ -87,19 +87,28 @@ def _top_mask(probs: np.ndarray) -> np.ndarray:
     return probs.max(axis=1, keepdims=True) - probs <= TIE_TOL
 
 
-def _row_spearman(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Spearman correlation of each row of x with the same row of y, by
-    descending average ranks; a row with either side constant gives 0.
-    Each row's sums of products are the BLAS dot that a 1-d `@` takes,
-    reached through matmul of (N, 1, n) by (N, n, 1)."""
+def _check_rank_rows(x: np.ndarray, y: np.ndarray) -> None:
+    """_row_spearman's checks: rows of at least two entries, no NaN."""
     if x.shape[-1] < 2:
         raise DataError("rank correlation needs at least two entries")
     for which, values in (("first", x), ("second", y)):
         if np.isnan(values).any():
             raise DataError(f"rank correlation: the {which} vector holds NaN")
-    # average ranks of 1..n always have mean (n + 1) / 2 exactly
-    mean_rank = (x.shape[-1] + 1) / 2
-    return _rank_correlation(average_ranks(-x) - mean_rank, average_ranks(-y) - mean_rank)
+
+
+def _centered_ranks(values: np.ndarray) -> np.ndarray:
+    """Each row's descending average ranks minus their mean, which for
+    ranks 1..n is always (n + 1) / 2 exactly."""
+    return average_ranks(-values) - (values.shape[-1] + 1) / 2
+
+
+def _row_spearman(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Spearman correlation of each row of x with the same row of y, by
+    descending average ranks; a row with either side constant gives 0.
+    Each row's sums of products are the BLAS dot that a 1-d `@` takes,
+    reached through matmul of (N, 1, n) by (N, n, 1)."""
+    _check_rank_rows(x, y)
+    return _rank_correlation(_centered_ranks(x), _centered_ranks(y))
 
 
 def _rank_correlation(rank_x: np.ndarray, rank_y: np.ndarray) -> np.ndarray:
@@ -314,8 +323,9 @@ def model_agreement(spec_a, spec_b, tables, configurations) -> tuple[float, floa
 def agreement_measure(specs, tables, configurations):
     """A measure(i, j) that gives model_agreement(specs[i], specs[j],
     tables, configurations), errors included. Each model's prediction
-    stack for a group of configurations is built once, however many
-    pairs it serves."""
+    stack for a group of configurations, and the stack's centered row
+    ranks, are built once, however many pairs they serve; the ranks only
+    after the pair's stacks pass _row_spearman's checks."""
     configurations = list(configurations)
     if not configurations:
         raise DataError("no configurations given")
@@ -329,12 +339,19 @@ def agreement_measure(specs, tables, configurations):
         with prefix_errors(f"model {specs[index].spec_string()}"):
             return predict_stack(norm, [configurations[p] for p in positions], specs[index])
 
+    @cache
+    def ranks(index, norm, positions):
+        return _centered_ranks(stack(index, norm, positions))
+
     def measure(i, j):
         norm_i, norm_j = tables[specs[i].metric], tables[specs[j].metric]
 
         def compute(positions):
-            a, b = stack(i, norm_i, tuple(positions)), stack(j, norm_j, tuple(positions))
-            return (_top_mask(a) & _top_mask(b)).any(axis=1), _row_spearman(a, b)
+            key_i, key_j = (i, norm_i, tuple(positions)), (j, norm_j, tuple(positions))
+            a, b = stack(*key_i), stack(*key_j)
+            _check_rank_rows(a, b)
+            correlations = _rank_correlation(ranks(*key_i), ranks(*key_j))
+            return (_top_mask(a) & _top_mask(b)).any(axis=1), correlations
 
         where = f"{specs[i].spec_string()} vs {specs[j].spec_string()}: configuration"
         matches, correlations = _by_shape(configurations, compute, where)

@@ -138,35 +138,43 @@ def response_probability(tables, config: Configuration, models: ModelSet) -> np.
     return np.stack([predict(tables[m.metric], config, m).probs for m in models.models])
 
 
-def model_information_bits(prediction_probs) -> float:
+def model_information_bits(prediction_probs):
     """Mutual information (bits) between model identity and the answer.
 
     Rows are per-model answer distributions; the model prior is uniform.
     Zero-probability answers contribute nothing. Clamped at 0 to absorb
-    float rounding on identical rows.
+    float rounding on identical rows. A 2-d (models, answers) matrix
+    gives a float; a (configurations, models, answers) stack gives an
+    array with each matrix's float, bit for bit.
 
-    Both sums add in sequence, as a loop over answers and then models
-    would: numpy reduces a 2-d array along axis 0 row by row, and it
-    sums a 1-d run of fewer than 8 terms in order; cumsum always does.
-    A dead cell adds an exact 0.0.
+    The sums keep the bits of the 2-d form as it was, which dropped dead
+    answers with probs[:, live]: an array whose answer columns are each
+    contiguous. So each answer's terms sit contiguous here too and are
+    reduced as one run over the models, which numpy adds in order below
+    8 models and pairwise from 8. The mixture reduces over the models
+    axis of the input as given, and the sum over answers is a cumsum,
+    which adds in order; a dead answer adds an exact -0.0, which leaves
+    every total, a -0.0 one included, as it was without it.
     """
     probs = np.asarray(prediction_probs, dtype=float)
-    if probs.ndim != 2:
-        raise DataError("prediction matrix must be 2-d")
-    n_models = probs.shape[0]
+    if probs.ndim not in (2, 3):
+        raise DataError("prediction matrix must be 2-d, or a 3-d stack of 2-d matrices")
+    n_models = probs.shape[-2]
     if n_models < 2:
         warnings.warn("fewer than two models: utility is identically 0", stacklevel=2)
-        return 0.0
-    mixture = probs.mean(axis=0)
+        return 0.0 if probs.ndim == 2 else np.zeros(len(probs))
+    stack = probs if probs.ndim == 3 else probs[None]
+    mixture = stack.mean(axis=1)
     live = mixture > 0
-    if not live.any():
-        return 0.0
-    mixture = mixture[live]
-    posterior = probs[:, live] / (n_models * mixture)
+    columns = np.ascontiguousarray(stack.swapaxes(1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
+        posterior = columns / (n_models * mixture[:, :, None])
         terms = np.where(posterior > 0, posterior * np.log2(posterior * n_models), 0.0)
-    total = np.cumsum(mixture * np.add.reduce(terms, axis=0))[-1]
-    return max(total, 0.0)
+        gains = np.where(live, mixture * np.add.reduce(terms, axis=2), -0.0)
+    total = np.cumsum(gains, axis=1)[:, -1]
+    # np.where(total < 0.0, 0.0, total) is max(total, 0.0): -0.0 stays -0.0
+    total = np.where(live.any(axis=1), np.where(total < 0.0, 0.0, total), 0.0)
+    return total if probs.ndim == 3 else total[0]
 
 
 def _geometric_mean(values) -> float:
@@ -190,11 +198,16 @@ def scenario_joint_utility(
     if listener_models.role != LISTENER:
         raise DataError("listener_models must hold listener models")
     tables = Tables.of(tables)
-    configs = [(Configuration(scenario, SPEAKER, pair), speaker_models) for pair in scenario.pairs]
-    configs += [(Configuration(scenario, LISTENER, a), listener_models) for a in range(scenario.m)]
+    speaker = [
+        response_probability(tables, Configuration(scenario, SPEAKER, pair), speaker_models)
+        for pair in scenario.pairs
+    ]
+    listener = [
+        response_probability(tables, Configuration(scenario, LISTENER, a), listener_models)
+        for a in range(scenario.m)
+    ]
     return _geometric_mean(
-        model_information_bits(response_probability(tables, config, models))
-        for config, models in configs
+        [*model_information_bits(np.stack(speaker)), *model_information_bits(np.stack(listener))]
     )
 
 

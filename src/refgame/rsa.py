@@ -293,21 +293,36 @@ def scenario_scores(norm: NormalizedAssociation, scenario: Scenario) -> np.ndarr
     return sub.take(first, 0) * sub.take(second, 0)
 
 
+def _memo_scores(norm: NormalizedAssociation, scenario: Scenario) -> np.ndarray:
+    """scenario_scores, checked and read-only, from the matrix's one memo
+    slot: the last scenario scored on it and its scores, kept in the
+    instance dict as `_ranks` is (`values` is a frozen copy). A scenario
+    whose scores fail the check is not stored."""
+    memo = norm.__dict__.get("_scenario_scores")
+    if memo is not None and memo[0] == scenario:
+        return memo[1]
+    scores = _check_scores(scenario_scores(norm, scenario))
+    scores.flags.writeable = False
+    norm.__dict__["_scenario_scores"] = (scenario, scores)
+    return scores
+
+
 def predict(
     norm: NormalizedAssociation, config: Configuration, spec: ModelSpec
 ) -> PredictionDistribution:
     """Run the agent named by spec on one configuration.
 
-    A literal spec carries alpha None, which the chain cores run as the
-    literal agent; a pragmatic spec runs one round with its alpha.
+    A literal spec carries alpha None, which the chain core runs as the
+    literal agent; a pragmatic spec runs one round with its alpha. The
+    configurations of one scenario share the matrix's memoized scores.
     """
     if spec.role != config.role:
         raise DataError(f"model role '{spec.role}' != configuration role '{config.role}'")
-    scores = scenario_scores(norm, config.scenario)
+    scores = _memo_scores(norm, config.scenario)
     if config.role == LISTENER:
-        probs = listener_probs(scores, config.index, spec.alpha)
+        probs = _chain(scores, config.index, spec.alpha, "clue")
     else:
-        probs = speaker_probs(scores, config.scenario.pairs.index(config.index), spec.alpha)
+        probs = _chain(scores.T, config.scenario.pairs.index(config.index), spec.alpha, "target")
     return PredictionDistribution(answer_support(config), probs)
 
 

@@ -436,3 +436,40 @@ def test_gameplay_predicts_per_scenario(monkeypatch):
     scenarios = [Scenario(tuple(range(i, i + 5)), tuple(range(i, i + 8))) for i in range(3)]
     simulate_gameplay(norm, scenarios, "bigram:pragmatic:1.0", "bigram:literal")
     assert len(calls) == 18 * len(scenarios)
+
+
+def per_pair_rank_matrix(specs, tables, configurations):
+    """agreement_measure as it was before it kept ranks: one stack per
+    model, then _row_spearman, which ranks both stacks, for every pair."""
+    specs = [parse_model_spec(spec, configurations[0].role) for spec in specs]
+    stacks = [predict_stack(tables[spec.metric], configurations, spec) for spec in specs]
+
+    def measure(i, j):
+        a, b = stacks[i], stacks[j]
+        matches = (evaluation._top_mask(a) & evaluation._top_mask(b)).any(axis=1)
+        return float(np.mean(matches)), float(np.mean(evaluation._row_spearman(a, b)))
+
+    return _symmetric(range(len(specs)), measure)
+
+
+def test_agreement_measure_ranks_each_stack_once(monkeypatch):
+    # 4 literal models over one 3 x 3 listener group: 4 row-rank passes, not 20
+    rng = np.random.default_rng(6)
+    tables = {m: random_normalized(rng, 8, 8, metric=m) for m in ("a", "b", "c", "d")}
+    models = [f"{m}:literal" for m in tables]
+    configurations = [
+        Configuration(scenario, "listener", int(rng.integers(3)))
+        for scenario in random_scenarios(rng, 12)
+    ]
+    calls = []
+
+    def counted(values):
+        calls.append(values.shape)
+        return average_ranks(values)
+
+    monkeypatch.setattr(evaluation, "average_ranks", counted)
+    expected = per_pair_rank_matrix(models, tables, configurations)
+    assert len(calls) == 20
+    calls.clear()
+    assert measured_matrix(models, tables, configurations) == expected
+    assert calls == [(12, 3)] * 4

@@ -1,11 +1,14 @@
 """The search hot path against its plain-loop oracles, bit for bit.
 
 model_information_bits, filter_candidates and scenario_scores are
-array rewrites of the loops kept here. Every comparison is ==, never
-approx: the golden fixtures pin the search output to the last bit.
+array rewrites of the loops kept here, and predict's score memo is
+checked against predict on memo-less copies of each matrix. Every
+comparison is ==, never approx: the golden fixtures pin the search
+output to the last bit.
 """
 
 import math
+import random
 import re
 import warnings
 from pathlib import Path
@@ -16,17 +19,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refgame import (
+    Configuration,
     DataError,
     DesignCandidate,
     ModelSet,
+    NormalizedAssociation,
+    PredictionDistribution,
     Scenario,
     SearchSettings,
     filter_candidates,
+    listener_probs,
     load_normalized,
     model_information_bits,
     monte_carlo_search,
     parse_model_spec,
+    predict,
     scenario_scores,
+    speaker_probs,
 )
 from refgame import oed, rsa
 
@@ -53,6 +62,32 @@ def loop_information_bits(prediction_probs) -> float:
         live = posterior > 0
         total += mixture[y] * float(np.sum(posterior[live] * np.log2(posterior[live] * n_models)))
     return max(total, 0.0)
+
+
+def masked_information_bits(prediction_probs) -> float:
+    """model_information_bits as one 2-d pass that drops dead answers with
+    probs[:, live]; that copy holds each answer's column contiguous, so the
+    sum over models is numpy's pairwise sum from 8 models on."""
+    probs = np.asarray(prediction_probs, dtype=float)
+    n_models = probs.shape[0]
+    mixture = probs.mean(axis=0)
+    live = mixture > 0
+    if not live.any():
+        return 0.0
+    mixture = mixture[live]
+    posterior = probs[:, live] / (n_models * mixture)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(posterior > 0, posterior * np.log2(posterior * n_models), 0.0)
+    total = np.cumsum(mixture * np.add.reduce(terms, axis=0))[-1]
+    return max(total, 0.0)
+
+
+def stacked_loop_information_bits(prediction_probs):
+    """loop_information_bits on a 2-d matrix, or on each matrix of a 3-d stack."""
+    probs = np.asarray(prediction_probs, dtype=float)
+    if probs.ndim == 3:
+        return [loop_information_bits(matrix) for matrix in probs]
+    return loop_information_bits(probs)
 
 
 def _word_set(candidate) -> frozenset:
@@ -84,6 +119,24 @@ def ix_scenario_scores(norm, scenario) -> np.ndarray:
     sub = norm.values[np.ix_(scenario.nouns, scenario.adjectives)]
     idx = np.array(scenario.pairs)
     return sub[idx[:, 0]] * sub[idx[:, 1]]
+
+
+def oracle_predict(norm, config, spec) -> PredictionDistribution:
+    """predict with no score memo: every call builds its scores in the
+    np.ix_ form and runs the checked chain wrappers."""
+    if spec.role != config.role:
+        raise DataError(f"model role '{spec.role}' != configuration role '{config.role}'")
+    scores = ix_scenario_scores(norm, config.scenario)
+    if config.role == rsa.LISTENER:
+        probs = listener_probs(scores, config.index, spec.alpha)
+    else:
+        probs = speaker_probs(scores, config.scenario.pairs.index(config.index), spec.alpha)
+    return PredictionDistribution(rsa.answer_support(config), probs)
+
+
+def memo_less(norm) -> NormalizedAssociation:
+    """A fresh copy of norm, so its score memo is empty."""
+    return NormalizedAssociation(norm.metric, norm.lexicon, norm.values, norm.zero_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +186,68 @@ def test_information_bits_all_dead_answers():
     assert model_information_bits(zeros) == loop_information_bits(zeros) == 0.0
 
 
-@pytest.mark.parametrize("bad", [np.ones(3), np.ones((2, 2, 2))])
+@st.composite
+def prediction_stacks(draw):
+    """Stacks of same-shape prediction matrices, 2-4 models by 1-10
+    answers: answer columns dead in some matrices, matrices dead in every
+    column, and matrices of identical rows, which clamp to 0."""
+    n_models = draw(st.integers(2, 4))
+    n_answers = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["mixed", "identical", "all dead"]))
+        if kind == "all dead":
+            stack.append(np.zeros((n_models, n_answers)))
+            continue
+        weights = rng.random((n_models, n_answers)) * (rng.random((n_models, n_answers)) < 0.7)
+        weights[:, rng.random(n_answers) < 0.3] = 0.0
+        weights[weights.sum(axis=1) == 0, int(rng.integers(n_answers))] = 1.0
+        # scale each row to a maximum of 1 first so the power cannot empty it
+        weights = (weights / weights.max(axis=1, keepdims=True)) ** draw(st.sampled_from([1.0, 5.0, 30.0]))
+        probs = weights / weights.sum(axis=1, keepdims=True)
+        stack.append(np.repeat(probs[:1], n_models, axis=0) if kind == "identical" else probs)
+    return np.array(stack)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prediction_stacks())
+def test_stacked_information_bits_equal_loop(stack):
+    bits = model_information_bits(stack)
+    assert bits.shape == (len(stack),)
+    assert bits.tolist() == [loop_information_bits(matrix) for matrix in stack]
+    # each matrix alone gives the same bits, the sign of a zero included
+    alone = np.array([model_information_bits(matrix) for matrix in stack])
+    assert bits.tobytes() == alone.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 20), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_stacked_information_bits_equal_masked_pass_for_many_models(n_models, n_answers, seed):
+    # the loop oracle sums only live posteriors, so from 8 models on its
+    # pairwise sums may group terms differently; the masked pass is the
+    # bit-level reference there
+    rng = np.random.default_rng(seed)
+    weights = rng.random((5, n_models, n_answers)) ** rng.choice([1.0, 30.0])
+    weights[:, :, rng.random(n_answers) < 0.4] = 0.0
+    weights[:, :, 0] += weights.sum(axis=2) == 0
+    weights[1] = weights[1, :1]
+    weights[2] = 0.0
+    totals = weights.sum(axis=2, keepdims=True)
+    stack = np.divide(weights, totals, out=np.zeros_like(weights), where=totals > 0)
+    expected = np.array([masked_information_bits(matrix) for matrix in stack], dtype=float)
+    assert model_information_bits(stack).tobytes() == expected.tobytes()
+
+
+def test_stacked_information_bits_clamp_identical_rows_to_zero():
+    rows = np.array([[0.2, 0.3, 0.5]] * 3)
+    bits = model_information_bits(np.array([rows, np.zeros((3, 3))]))
+    assert bits.tolist() == [loop_information_bits(rows), 0.0] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("bad", [np.ones(3), np.ones((2, 2, 2, 2))])
 def test_information_bits_rejects_non_matrix_like_loop(bad):
-    for fn in (model_information_bits, loop_information_bits):
+    for fn in (model_information_bits, stacked_loop_information_bits):
         with pytest.raises(DataError, match="2-d"):
             fn(bad)
 
@@ -144,6 +256,8 @@ def test_information_bits_one_model_warns_like_loop():
     for fn in (model_information_bits, loop_information_bits):
         with pytest.warns(UserWarning, match="fewer than two models"):
             assert fn(np.array([[0.25, 0.75]])) == 0.0
+    with pytest.warns(UserWarning, match="fewer than two models"):
+        assert model_information_bits(np.full((3, 1, 2), 0.5)).tolist() == [0.0] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +344,16 @@ def test_golden_search_equals_oracle_path(monkeypatch):
     norm = load_normalized(GOLDEN_NORM)
     search = SearchSettings(3, 3, "joint", iterations=600, seed=7, top_k=3136)
     fast = monte_carlo_search(norm, _exp4_models(), search)
-    monkeypatch.setattr(oed, "model_information_bits", loop_information_bits)
-    monkeypatch.setattr(rsa, "scenario_scores", ix_scenario_scores)
+    calls = []
+
+    def counted_loop(prediction_probs):
+        calls.append(1)
+        return stacked_loop_information_bits(prediction_probs)
+
+    monkeypatch.setattr(oed, "model_information_bits", counted_loop)
+    monkeypatch.setattr(oed, "predict", oracle_predict)
     slow = monte_carlo_search(norm, _exp4_models(), search)
+    assert calls  # the oracle ran in place of the stacked pass
     assert [(c.scenario, c.utility) for c in fast] == [(c.scenario, c.utility) for c in slow]
     assert filter_candidates(fast) == frozenset_filter(slow)
 
@@ -247,3 +368,94 @@ def test_hot_path_raises_no_runtime_warning():
             norm, _exp4_models(), SearchSettings(3, 3, "joint", iterations=300, seed=3, top_k=50)
         )
     assert candidates
+
+
+# ---------------------------------------------------------------------------
+# predict's score memo
+
+def test_predict_memo_equals_memo_less_predict():
+    rng = np.random.default_rng(11)
+    norms = [random_normalized(rng, 7, 6, metric=m, mask_frac=0.3) for m in ("a", "b", "c")]
+    scenarios = [
+        Scenario(tuple(rng.choice(7, size=k, replace=False).tolist()),
+                 tuple(rng.choice(6, size=m, replace=False).tolist()))
+        for k, m in ((2, 1), (3, 3), (3, 3), (4, 2), (5, 6))
+    ]
+    calls = []
+    for norm in norms:
+        for scenario in scenarios:
+            for alpha in ("literal", "pragmatic:0.5", "pragmatic:1.0", "pragmatic:7.0"):
+                for pair in scenario.pairs:
+                    calls.append((norm, Configuration(scenario, rsa.SPEAKER, pair), alpha))
+                for clue in range(scenario.m):
+                    calls.append((norm, Configuration(scenario, rsa.LISTENER, clue), alpha))
+    # runs of one scenario hit the memo; a shuffle makes most calls miss it
+    for order in (calls, random.Random(5).sample(calls, len(calls))):
+        for norm, config, alpha in order:
+            spec = parse_model_spec(f"{norm.metric}:{alpha}", config.role)
+            got = predict(norm, config, spec)
+            expected = predict(memo_less(norm), config, spec)
+            assert got.support == expected.support
+            assert got.probs.tobytes() == expected.probs.tobytes()
+
+
+def test_predict_memo_holds_read_only_checked_scores(rng):
+    norm = random_normalized(rng, 5, 4)
+    scenario = Scenario((0, 2, 4), (1, 3))
+    predict(norm, Configuration(scenario, rsa.LISTENER, 1), parse_model_spec("bigram:literal", "listener"))
+    cached_scenario, scores = norm.__dict__["_scenario_scores"]
+    assert cached_scenario == scenario
+    assert not scores.flags.writeable
+    assert (scores == scenario_scores(norm, scenario)).all()
+    # scenario_scores itself still returns a fresh, writable array
+    fresh = scenario_scores(norm, scenario)
+    assert fresh is not scores and fresh.flags.writeable
+
+
+def test_predict_memo_stores_no_failed_scores(rng, monkeypatch):
+    norm = random_normalized(rng, 5, 4)
+    spec = parse_model_spec("bigram:literal", "listener")
+    good = Configuration(Scenario((0, 1), (0,)), rsa.LISTENER, 0)
+    bad = Configuration(Scenario((2, 3), (1,)), rsa.LISTENER, 0)
+    real = rsa.scenario_scores
+
+    def scores_with_nan(norm, scenario):
+        scores = real(norm, scenario)
+        if scenario == bad.scenario:
+            scores[0, 0] = np.nan
+        return scores
+
+    monkeypatch.setattr(rsa, "scenario_scores", scores_with_nan)
+    fresh = memo_less(norm)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(DataError) as info:
+            predict(fresh, bad, spec)
+        messages.append(str(info.value))
+    assert messages == ["scores must be finite and non-negative"] * 2
+    assert "_scenario_scores" not in fresh.__dict__
+    predict(norm, good, spec)
+    for _ in range(2):
+        with pytest.raises(DataError, match="^scores must be finite and non-negative$"):
+            predict(norm, bad, spec)
+    assert norm.__dict__["_scenario_scores"][0] == good.scenario
+
+
+def test_zero_normalizer_in_search_keeps_scenario_words(monkeypatch):
+    # floor-heavy cells underflow the alpha-100 chain on some scenarios
+    norm = random_normalized(np.random.default_rng(0), 8, 6, mask_frac=0.4)
+    specs = ("bigram:literal", "bigram:pragmatic:100")
+    models = tuple(
+        ModelSet(tuple(parse_model_spec(s, role) for s in specs)) for role in (rsa.SPEAKER, rsa.LISTENER)
+    )
+    search = SearchSettings(3, 3, "joint", iterations=200, seed=1)
+    messages = []
+    for patched in (False, False, True):
+        if patched:
+            monkeypatch.setattr(oed, "predict", oracle_predict)
+            monkeypatch.setattr(oed, "model_information_bits", stacked_loop_information_bits)
+        with pytest.raises(DataError) as info:
+            monte_carlo_search(norm, models, search)
+        messages.append(str(info.value))
+    assert re.fullmatch(r"scenario noun\d noun\d noun\d / adj\d adj\d adj\d: zero normalizer", messages[0])
+    assert messages == [messages[0]] * 3
