@@ -11,8 +11,9 @@ Scoring and model agreement run in batches: records or configurations
 that share role, k and m get one rsa.predict_stack call per model and
 one row-wise Spearman pass, with the bits a one-at-a-time loop over
 rsa.predict and spearman gives; agreement_measure keeps each model's
-stacks and their row ranks for every pair it is in. Gameplay still
-calls predict once per clue and per pair.
+stacks and their row ranks for every pair it is in. Gameplay calls
+predict once per clue and per pair; each call reads a row of the chain
+rsa memoizes for the scenario and model.
 
 Ranks are computed in numpy (association.average_ranks, row by row); a
 normalized matrix ranks its cells once, for metric_rank_correlation.

@@ -9,9 +9,12 @@ rationality weight alpha (applied exactly once, at that middle step),
 renormalize over their own axis, and read off the requested row or
 column.
 
-The chain cores listener_probs/speaker_probs work on any positive score
-matrix, which keeps them testable outside scenarios. The speaker is the
-listener chain run on the transposed matrix.
+One chain core computes every column of the listener chain at once;
+the speaker is that chain run on the transposed matrix. predict reads a
+row of the chain memoized for its scenario and model, predict_stack
+gathers rows from a stack of chains, and listener_probs/speaker_probs
+read one row on any non-negative score matrix, which keeps the core
+testable outside scenarios.
 """
 
 from __future__ import annotations
@@ -219,6 +222,15 @@ class PredictionDistribution:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
 
+    @classmethod
+    def _checked(cls, support: tuple, probs: np.ndarray) -> PredictionDistribution:
+        """A distribution over a read-only row of a chain from _chains,
+        which is one by construction: no copy and no second check."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "support", support)
+        object.__setattr__(dist, "probs", probs)
+        return dist
+
     def argmax_answers(self) -> tuple:
         """Answers whose probability is within TIE_TOL of the maximum."""
         top = float(self.probs.max())
@@ -226,7 +238,7 @@ class PredictionDistribution:
 
 
 # ---------------------------------------------------------------------------
-# chain cores on a referent x utterance score matrix
+# the chain core on a referent x utterance score matrix, or a stack of them
 
 def _check_scores(scores) -> np.ndarray:
     scores = np.asarray(scores, dtype=float)
@@ -238,28 +250,76 @@ def _check_scores(scores) -> np.ndarray:
     return scores
 
 
-def _normalize(values: np.ndarray, axis: int | None = None) -> np.ndarray:
-    # Totals sum non-negative scores, so only a zero total is bad; for a
-    # matrix, count_nonzero tests that far faster than (totals <= 0).any().
-    totals = values.sum(axis=axis, keepdims=axis is not None)
-    if (totals <= 0) if axis is None else (np.count_nonzero(totals) < totals.size):
-        raise DataError("zero normalizer")
-    return values / totals
+def _normalize(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """values over their sums along axis, and where those sums are zero:
+    a boolean array of the sums' shape, or None when no sum is zero.
+
+    A line whose sum is zero is left as zeros. A line whose sum overflows
+    to inf is taken from its matrix divided by the matrix's maximum, so it
+    still sums to 1; every line with a finite sum keeps its bits. Scores
+    from a normalized matrix are at most 1 and cannot overflow, so only
+    callers with other scores silence numpy's overflow warning. The
+    quotient is `values / sums` in every case, so it has the memory
+    layout, and later sums over it the order, of the plain division.
+    """
+    totals = values.sum(axis=axis, keepdims=True)
+    if np.count_nonzero(totals) == totals.size and totals.max() < np.inf:
+        return values / totals, None
+    zero = totals == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = values / totals
+        np.copyto(out, 0.0, where=zero)
+        over = totals == np.inf
+        if over.any():
+            scaled = values / values.max(axis=(-2, -1), keepdims=True)
+            np.copyto(out, scaled / scaled.sum(axis=axis, keepdims=True), where=over)
+    return out, zero if zero.any() else None
 
 
-def _chain(scores: np.ndarray, index: int, alpha: float | None, label: str) -> np.ndarray:
-    """Column `index` of the listener chain. Literal (alpha None): that
-    column normalized. Pragmatic: normalize columns, raise to alpha,
-    normalize rows, then normalize that column."""
-    if not 0 <= index < scores.shape[1]:
+def _chains(scores: np.ndarray, alpha: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Every column of the listener chain on a checked (R, U) score matrix,
+    or on each matrix of an (N, R, U) stack: probabilities (..., U, R)
+    whose row u is the chain's distribution for column u, and a (..., U)
+    flag for the rows whose final total is zero. A flagged row is zeros,
+    and _row raises "zero normalizer" when it is read; a zero total
+    earlier in a pragmatic chain fails the whole chain here.
+
+    Literal (alpha None): each column normalized. Pragmatic: normalize
+    columns, raise to alpha, normalize rows, then normalize each column.
+    The speaker is this chain on the transposed (swapaxes) view.
+
+    Each reduction adds in the order of the one-column chain: the
+    whole-matrix sums follow memory order (in sequence over a strided
+    axis, pairwise over a contiguous one), and each column is made
+    contiguous before its final sum, so that sum is pairwise like a 1-d
+    column's. Every unflagged row is then non-negative and sums to 1
+    within rounding, so a row is a valid distribution with no second
+    check.
+    """
+    if alpha is not None:
+        alpha = float(alpha)
+        if alpha <= 0:
+            raise DataError(f"alpha must be positive, got {alpha!r}")
+        weighted, zero = _normalize(scores, -2)
+        if zero is not None:
+            raise DataError("zero normalizer")
+        scores, zero = _normalize(weighted**alpha, -1)
+        if zero is not None:
+            raise DataError("zero normalizer")
+    probs, zero = _normalize(np.ascontiguousarray(scores.swapaxes(-1, -2)), -1)
+    return probs, np.zeros(probs.shape[:-1], bool) if zero is None else zero[..., 0]
+
+
+def _row(chain: tuple[np.ndarray, np.ndarray], index, label: str) -> np.ndarray:
+    """Row `index` of a chain from _chains, for the label ("clue" or "target")."""
+    probs, zero = chain
+    if not is_integer(index):
+        raise DataError(f"{label} index must be an integer, got {index!r}")
+    if not 0 <= index < len(probs):
         raise DataError(f"{label} index {index} out of range")
-    if alpha is None:
-        return _normalize(scores[:, index])
-    alpha = float(alpha)
-    if alpha <= 0:
-        raise DataError(f"alpha must be positive, got {alpha!r}")
-    weighted = _normalize(scores, axis=0) ** alpha
-    return _normalize(_normalize(weighted, axis=1)[:, index])
+    if zero[index]:
+        raise DataError("zero normalizer")
+    return probs[index]
 
 
 def listener_probs(scores, clue: int, alpha: float | None = None) -> np.ndarray:
@@ -269,13 +329,18 @@ def listener_probs(scores, clue: int, alpha: float | None = None) -> np.ndarray:
     literal listener per column, speaker softmax-by-power across
     utterances, then the clue column renormalized.
     """
-    return _chain(_check_scores(scores), clue, alpha, "clue")
+    scores = _check_scores(scores)
+    # any finite scores may sum to inf, which _normalize handles
+    with np.errstate(over="ignore"):
+        return _row(_chains(scores, alpha), clue, "clue")
 
 
 def speaker_probs(scores, target: int, alpha: float | None = None) -> np.ndarray:
     """Distribution over utterances given a target referent row: the
     listener chain run on the transposed scores."""
-    return _chain(_check_scores(scores).T, target, alpha, "target")
+    scores = _check_scores(scores)
+    with np.errstate(over="ignore"):
+        return _row(_chains(scores.T, alpha), target, "target")
 
 
 # ---------------------------------------------------------------------------
@@ -293,18 +358,27 @@ def scenario_scores(norm: NormalizedAssociation, scenario: Scenario) -> np.ndarr
     return sub.take(first, 0) * sub.take(second, 0)
 
 
-def _memo_scores(norm: NormalizedAssociation, scenario: Scenario) -> np.ndarray:
-    """scenario_scores, checked and read-only, from the matrix's one memo
-    slot: the last scenario scored on it and its scores, kept in the
-    instance dict as `_ranks` is (`values` is a frozen copy). A scenario
-    whose scores fail the check is not stored."""
-    memo = norm.__dict__.get("_scenario_scores")
-    if memo is not None and memo[0] == scenario:
-        return memo[1]
-    scores = _check_scores(scenario_scores(norm, scenario))
-    scores.flags.writeable = False
-    norm.__dict__["_scenario_scores"] = (scenario, scores)
-    return scores
+def _memo_chain(norm: NormalizedAssociation, scenario: Scenario, role: str, alpha) -> tuple:
+    """The chain of role's agent at alpha on a scenario, from the matrix's
+    one memo slot: the last scenario scored on it, its checked read-only
+    scores, and each (role, alpha) chain run on them, read-only. The slot
+    is kept in the instance dict as `_ranks` is (`values` is a frozen
+    copy). Scores that fail their check and a chain that fails as a
+    whole are not stored."""
+    memo = norm.__dict__.get("_scenario_memo")
+    if memo is None or memo[0] != scenario:
+        scores = _check_scores(scenario_scores(norm, scenario))
+        scores.flags.writeable = False
+        memo = norm.__dict__["_scenario_memo"] = (scenario, scores, {})
+    chains = memo[2]
+    chain = chains.get((role, alpha))
+    if chain is None:
+        scores = memo[1] if role == LISTENER else memo[1].T
+        chain = _chains(scores, alpha)
+        for array in chain:
+            array.flags.writeable = False
+        chains[role, alpha] = chain
+    return chain
 
 
 def predict(
@@ -314,45 +388,23 @@ def predict(
 
     A literal spec carries alpha None, which the chain core runs as the
     literal agent; a pragmatic spec runs one round with its alpha. The
-    configurations of one scenario share the matrix's memoized scores.
+    configurations of one scenario share the matrix's memoized scores
+    and each model's memoized chain: a prediction is one of its rows,
+    read-only.
     """
     if spec.role != config.role:
         raise DataError(f"model role '{spec.role}' != configuration role '{config.role}'")
-    scores = _memo_scores(norm, config.scenario)
+    chain = _memo_chain(norm, config.scenario, config.role, spec.alpha)
     if config.role == LISTENER:
-        probs = _chain(scores, config.index, spec.alpha, "clue")
+        probs = _row(chain, config.index, "clue")
     else:
-        probs = _chain(scores.T, config.scenario.pairs.index(config.index), spec.alpha, "target")
-    return PredictionDistribution(answer_support(config), probs)
-
-
-# ---------------------------------------------------------------------------
-# the chain over a stack of same-shape configurations
-
-def _stack_chain(scores: np.ndarray, index: np.ndarray, alpha, label: str) -> np.ndarray:
-    """_chain on each (referent x utterance) matrix of an (N, R, U) stack,
-    reading column index[n] of matrix n: an (N, R) array. Each reduction
-    adds in the order _chain's does on one matrix: sums over R in sequence
-    and over U pairwise, or the reverse on a swapaxes view, because the
-    iteration follows memory order; a gathered column is made contiguous,
-    so its sum is pairwise like a 1-d column's."""
-    bad = (index < 0) | (index >= scores.shape[2])
-    if bad.any():
-        raise DataError(f"{label} index {int(index[bad][0])} out of range")
-    rows = np.arange(len(scores))
-    if alpha is None:
-        return _normalize(np.ascontiguousarray(scores[rows, :, index]), axis=1)
-    alpha = float(alpha)
-    if alpha <= 0:
-        raise DataError(f"alpha must be positive, got {alpha!r}")
-    weighted = _normalize(scores, axis=1) ** alpha
-    chosen = _normalize(weighted, axis=2)[rows, :, index]
-    return _normalize(np.ascontiguousarray(chosen), axis=1)
+        probs = _row(chain, config.scenario.pairs.index(config.index), "target")
+    return PredictionDistribution._checked(answer_support(config), probs)
 
 
 def predict_stack(norm: NormalizedAssociation, configs, spec: ModelSpec) -> np.ndarray:
     """predict on N configurations that share spec's role and one (k, m)
-    shape, from one (N, C(k,2), m) score stack and one chain: an (N,
+    shape, from one (N, C(k,2), m) score stack and its chains: an (N,
     answers) array whose row n has the bits of predict(norm, configs[n],
     spec).probs. predict's checks run on the whole stack, so the error of
     a one-configuration call is predict's; with several, it may come from
@@ -374,20 +426,16 @@ def predict_stack(norm: NormalizedAssociation, configs, spec: ModelSpec) -> np.n
     if not (scores.min() >= 0 and scores.max() < np.inf):
         raise DataError("scores must be finite and non-negative")
     if spec.role == LISTENER:
-        index = np.array([config.index for config in configs])
-        probs = _stack_chain(scores, index, spec.alpha, "clue")
+        index = [config.index for config in configs]
+        probs, zero = _chains(scores, spec.alpha)
     else:
         position = {pair: i for i, pair in enumerate(noun_pairs(k))}
-        index = np.array([position[config.index] for config in configs])
-        probs = _stack_chain(scores.swapaxes(1, 2), index, spec.alpha, "target")
-    low = probs.min()
-    if not low >= 0:
-        raise DataError("negative probability" if low < 0 else "NaN probability")
-    totals = probs.sum(axis=1)
-    off = np.abs(totals - 1.0) > 1e-9
-    if off.any():
-        raise DataError(f"probabilities sum to {float(totals[off][0])!r}")
-    return probs
+        index = [position[config.index] for config in configs]
+        probs, zero = _chains(scores.swapaxes(1, 2), spec.alpha)
+    rows = np.arange(len(probs))
+    if zero[rows, index].any():
+        raise DataError("zero normalizer")
+    return probs[rows, index]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from refgame import (
     AssociationMatrix,
+    DataError,
     Lexicon,
     NormalizedAssociation,
     quantile_normalize,
@@ -52,6 +53,49 @@ def random_normalized(rng, n_nouns: int, n_adjs: int, metric: str = "bigram", ma
     raw = rng.normal(size=(n_nouns, n_adjs))
     mask = rng.random(size=raw.shape) < mask_frac
     return quantile_normalize(AssociationMatrix(metric, lexicon, raw, mask))
+
+
+# ---------------------------------------------------------------------------
+# the chain as one column of one matrix, and one column per stacked matrix:
+# the bodies of rsa's chain before one core ran every column at once
+
+def oracle_normalize(values: np.ndarray, axis: int | None = None) -> np.ndarray:
+    totals = values.sum(axis=axis, keepdims=axis is not None)
+    if (totals <= 0) if axis is None else (np.count_nonzero(totals) < totals.size):
+        raise DataError("zero normalizer")
+    return values / totals
+
+
+def oracle_chain(scores: np.ndarray, index: int, alpha, label: str) -> np.ndarray:
+    """Column `index` of the listener chain. Literal (alpha None): that
+    column normalized. Pragmatic: normalize columns, raise to alpha,
+    normalize rows, then normalize that column."""
+    if not 0 <= index < scores.shape[1]:
+        raise DataError(f"{label} index {index} out of range")
+    if alpha is None:
+        return oracle_normalize(scores[:, index])
+    alpha = float(alpha)
+    if alpha <= 0:
+        raise DataError(f"alpha must be positive, got {alpha!r}")
+    weighted = oracle_normalize(scores, axis=0) ** alpha
+    return oracle_normalize(oracle_normalize(weighted, axis=1)[:, index])
+
+
+def oracle_stack_chain(scores: np.ndarray, index: np.ndarray, alpha, label: str) -> np.ndarray:
+    """oracle_chain on each (referent x utterance) matrix of an (N, R, U)
+    stack, reading column index[n] of matrix n: an (N, R) array."""
+    bad = (index < 0) | (index >= scores.shape[2])
+    if bad.any():
+        raise DataError(f"{label} index {int(index[bad][0])} out of range")
+    rows = np.arange(len(scores))
+    if alpha is None:
+        return oracle_normalize(np.ascontiguousarray(scores[rows, :, index]), axis=1)
+    alpha = float(alpha)
+    if alpha <= 0:
+        raise DataError(f"alpha must be positive, got {alpha!r}")
+    weighted = oracle_normalize(scores, axis=1) ** alpha
+    chosen = oracle_normalize(weighted, axis=2)[rows, :, index]
+    return oracle_normalize(np.ascontiguousarray(chosen), axis=1)
 
 
 def write_lexicon_file(path, nouns, adjectives):

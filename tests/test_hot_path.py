@@ -1,8 +1,9 @@
 """The search hot path against its plain-loop oracles, bit for bit.
 
 model_information_bits, filter_candidates and scenario_scores are
-array rewrites of the loops kept here, and predict's score memo is
-checked against predict on memo-less copies of each matrix. Every
+array rewrites of the loops kept here, and predict's memo of scores
+and chains is checked against predict on memo-less copies of each
+matrix and against the one-column chain of conftest. Every
 comparison is ==, never approx: the golden fixtures pin the search
 output to the last bit.
 """
@@ -28,18 +29,17 @@ from refgame import (
     Scenario,
     SearchSettings,
     filter_candidates,
-    listener_probs,
     load_normalized,
     model_information_bits,
     monte_carlo_search,
     parse_model_spec,
     predict,
     scenario_scores,
-    speaker_probs,
+    simulate_gameplay,
 )
-from refgame import oed, rsa
+from refgame import cli, evaluation, oed, rsa
 
-from conftest import random_normalized
+from conftest import oracle_chain, random_normalized
 
 GOLDEN_NORM = Path(__file__).parent / "data" / "golden" / "expected" / "norm_bigram.tsv"
 
@@ -122,15 +122,15 @@ def ix_scenario_scores(norm, scenario) -> np.ndarray:
 
 
 def oracle_predict(norm, config, spec) -> PredictionDistribution:
-    """predict with no score memo: every call builds its scores in the
-    np.ix_ form and runs the checked chain wrappers."""
+    """predict with no memo: every call builds its scores in the np.ix_
+    form, runs the one-column chain and checks the distribution."""
     if spec.role != config.role:
         raise DataError(f"model role '{spec.role}' != configuration role '{config.role}'")
     scores = ix_scenario_scores(norm, config.scenario)
     if config.role == rsa.LISTENER:
-        probs = listener_probs(scores, config.index, spec.alpha)
+        probs = oracle_chain(scores, config.index, spec.alpha, "clue")
     else:
-        probs = speaker_probs(scores, config.scenario.pairs.index(config.index), spec.alpha)
+        probs = oracle_chain(scores.T, config.scenario.pairs.index(config.index), spec.alpha, "target")
     return PredictionDistribution(rsa.answer_support(config), probs)
 
 
@@ -371,7 +371,7 @@ def test_hot_path_raises_no_runtime_warning():
 
 
 # ---------------------------------------------------------------------------
-# predict's score memo
+# predict's memo: one score build and one chain per model and scenario
 
 def test_predict_memo_equals_memo_less_predict():
     rng = np.random.default_rng(11)
@@ -394,22 +394,37 @@ def test_predict_memo_equals_memo_less_predict():
         for norm, config, alpha in order:
             spec = parse_model_spec(f"{norm.metric}:{alpha}", config.role)
             got = predict(norm, config, spec)
-            expected = predict(memo_less(norm), config, spec)
-            assert got.support == expected.support
-            assert got.probs.tobytes() == expected.probs.tobytes()
+            for expected in (predict(memo_less(norm), config, spec), oracle_predict(norm, config, spec)):
+                assert got.support == expected.support
+                assert got.probs.tobytes() == expected.probs.tobytes()
 
 
 def test_predict_memo_holds_read_only_checked_scores(rng):
     norm = random_normalized(rng, 5, 4)
     scenario = Scenario((0, 2, 4), (1, 3))
-    predict(norm, Configuration(scenario, rsa.LISTENER, 1), parse_model_spec("bigram:literal", "listener"))
-    cached_scenario, scores = norm.__dict__["_scenario_scores"]
+    literal = parse_model_spec("bigram:literal", "listener")
+    dist = predict(norm, Configuration(scenario, rsa.LISTENER, 1), literal)
+    cached_scenario, scores, chains = norm.__dict__["_scenario_memo"]
     assert cached_scenario == scenario
     assert not scores.flags.writeable
     assert (scores == scenario_scores(norm, scenario)).all()
     # scenario_scores itself still returns a fresh, writable array
     fresh = scenario_scores(norm, scenario)
     assert fresh is not scores and fresh.flags.writeable
+    speaker = parse_model_spec("bigram:pragmatic:2.0", "speaker")
+    predict(norm, Configuration(scenario, rsa.SPEAKER, (0, 2)), speaker)
+    assert norm.__dict__["_scenario_memo"][2] is chains
+    assert list(chains) == [("listener", None), ("speaker", 2.0)]
+    for probs, zero in chains.values():
+        assert not probs.flags.writeable and not zero.flags.writeable
+    # a prediction is a read-only row of its chain, not a copy
+    probs, zero = chains["listener", None]
+    assert np.shares_memory(dist.probs, probs)
+    assert not dist.probs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        dist.probs[0] = 1.0
+    expected = oracle_predict(norm, Configuration(scenario, rsa.LISTENER, 1), literal)
+    assert dist.probs.tobytes() == expected.probs.tobytes()
 
 
 def test_predict_memo_stores_no_failed_scores(rng, monkeypatch):
@@ -433,12 +448,83 @@ def test_predict_memo_stores_no_failed_scores(rng, monkeypatch):
             predict(fresh, bad, spec)
         messages.append(str(info.value))
     assert messages == ["scores must be finite and non-negative"] * 2
-    assert "_scenario_scores" not in fresh.__dict__
+    assert "_scenario_memo" not in fresh.__dict__
     predict(norm, good, spec)
     for _ in range(2):
         with pytest.raises(DataError, match="^scores must be finite and non-negative$"):
             predict(norm, bad, spec)
-    assert norm.__dict__["_scenario_scores"][0] == good.scenario
+    assert norm.__dict__["_scenario_memo"][0] == good.scenario
+
+
+def test_predict_memo_zero_row_raises_on_each_read_and_failed_chain_is_not_stored(rng, monkeypatch):
+    norm = random_normalized(rng, 5, 4)
+    scenario = Scenario((0, 1, 2), (0, 1, 2))
+    real = rsa.scenario_scores
+
+    def first_clue_empty(norm, scenario):
+        scores = real(norm, scenario)
+        scores[:, 0] = 0.0
+        return scores
+
+    monkeypatch.setattr(rsa, "scenario_scores", first_clue_empty)
+    scores = first_clue_empty(norm, scenario)
+    literal = parse_model_spec("bigram:literal", "listener")
+    for _ in range(2):
+        with pytest.raises(DataError, match="^zero normalizer$"):
+            predict(norm, Configuration(scenario, rsa.LISTENER, 0), literal)
+        for clue in (1, 2):
+            got = predict(norm, Configuration(scenario, rsa.LISTENER, clue), literal)
+            assert got.probs.tobytes() == oracle_chain(scores, clue, None, "clue").tobytes()
+    chains = norm.__dict__["_scenario_memo"][2]
+    assert list(chains) == [("listener", None)]
+    assert chains["listener", None][1].tolist() == [True, False, False]
+    # the empty column fails the pragmatic chain as a whole, on every read
+    pragmatic = parse_model_spec("bigram:pragmatic:1.0", "listener")
+    for clue in (0, 1, 2, 1):
+        with pytest.raises(DataError, match="^zero normalizer$"):
+            predict(norm, Configuration(scenario, rsa.LISTENER, clue), pragmatic)
+    assert list(norm.__dict__["_scenario_memo"][2]) == [("listener", None)]
+
+
+@pytest.mark.parametrize("workload, predicts, chains", [
+    ("exp4", 12, 4),
+    ("exp1", 72, 8),
+    ("gameplay", 18, 2),
+])
+def test_chain_runs_per_scenario(monkeypatch, workload, predicts, chains):
+    # Each predict reads a row of a memoized chain: one chain per model and
+    # role for every scenario, under the predict calls the benchmark pins.
+    counts = {"predict": 0, "chain": 0, "scenario": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(rsa, "_chains", counted("chain", rsa._chains))
+    for module in (oed, evaluation):
+        monkeypatch.setattr(module, "predict", counted("predict", module.predict))
+    rng = np.random.default_rng(8)
+    if workload == "gameplay":
+        scenarios = [Scenario(tuple(range(i, i + 5)), tuple(range(i, i + 8))) for i in range(4)]
+        counts["scenario"] = len(scenarios)
+        simulate_gameplay(random_normalized(rng, 12, 12), scenarios, "bigram:pragmatic:1.0", "bigram:literal")
+    else:
+        preset = cli.PRESETS[workload]
+        models = tuple(
+            ModelSet(tuple(parse_model_spec(s, role) for s in preset["models"]))
+            for role in (rsa.SPEAKER, rsa.LISTENER)
+        )
+        tables = {
+            spec.metric: random_normalized(rng, 12, 10, metric=spec.metric) for spec in models[0].models
+        }
+        monkeypatch.setattr(oed, "scenario_joint_utility", counted("scenario", oed.scenario_joint_utility))
+        search = SearchSettings(preset["nouns"], preset["adjectives"], preset["mode"], iterations=40, seed=2)
+        monte_carlo_search(tables, models, search)
+    assert counts["scenario"] >= 4
+    assert counts["predict"] == predicts * counts["scenario"]
+    assert counts["chain"] == chains * counts["scenario"]
 
 
 def test_zero_normalizer_in_search_keeps_scenario_words(monkeypatch):

@@ -1,5 +1,7 @@
 """Literal and pragmatic agents, scenario machinery, model specs."""
 
+import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -23,8 +25,11 @@ from refgame import (
     scenario_scores,
     speaker_probs,
 )
+from refgame import rsa
 
-from conftest import random_normalized
+from conftest import oracle_chain, oracle_stack_chain, random_normalized
+
+ALPHAS = st.sampled_from([None, 0.3, 1.0, 5.0, 30.0, 100.0])
 
 
 def fraction_listener_chain(scores, clue):
@@ -165,13 +170,115 @@ def test_chain_cores_validate():
         listener_probs(np.array([[0.0, 1.0], [0.0, 1.0]]), 0)
     with pytest.raises(DataError, match="non-negative"):
         speaker_probs(np.array([[1.0, -0.5]]), 0)
+    for index in (True, 1.5, "1", None, np.float64(1.0)):
+        for chain, label in ((listener_probs, "clue"), (speaker_probs, "target")):
+            with pytest.raises(DataError, match=f"^{label} index must be an integer, got {re.escape(repr(index))}$"):
+                chain(np.ones((2, 2)), index)
+    assert listener_probs(np.ones((2, 2)), np.int64(1)).tolist() == [0.5, 0.5]
 
 
-def _chain_outcome(chain, scores, index, alpha):
+def test_overflowing_totals_are_rescaled():
+    # each total here overflows to inf; the chain on the scores over their
+    # maximum is the distribution those scores define
+    cases = (
+        (listener_probs, [[1e308], [1e308]], None),
+        (speaker_probs, [[1e308, 1e308]], None),
+        (listener_probs, [[1e308, 1.0], [1e308, 1.0]], 1.0),
+        (speaker_probs, [[1e308, 1e308], [1.0, 1.0]], 1.0),
+        (listener_probs, [[1e308, 2.0], [1.7e308, 1.0], [1.0, 1.0]], None),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for chain, scores, alpha in cases:
+            scores = np.array(scores)
+            got = chain(scores, 0, alpha)
+            assert got.tolist() == chain(scores / scores.max(), 0, alpha).tolist()
+            assert got.sum() == pytest.approx(1.0, abs=1e-15)
+        # a column whose total is finite keeps its bits
+        scores = np.array([[1e308, 0.3], [1e308, 0.7], [1.0, 0.1]])
+        assert listener_probs(scores, 1).tobytes() == listener_probs(scores[:, 1:], 0).tobytes()
+    # each matrix of a stack is rescaled by its own maximum
+    with np.errstate(over="ignore"):
+        probs, zero = rsa._chains(np.array([[[1e308], [1e308]], [[1.0], [3.0]]]), None)
+    assert probs.tolist() == [[[0.5, 0.5]], [[0.25, 0.75]]]
+    assert not zero.any()
+
+
+def _outcome(call):
     try:
-        return chain(scores, index, alpha)
+        return call()
     except DataError as exc:
         return str(exc)
+
+
+@st.composite
+def chain_scores(draw):
+    """A score matrix of 1-40 referents by 1-30 utterances, from random
+    or tied cells, 30% of them at 1e-14, sometimes with empty columns."""
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 30)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        scores = rng.choice([0.125, 0.5, 1.0], size=shape)
+    else:
+        scores = rng.random(shape)
+    scores[rng.random(shape) < 0.3] = 1e-14
+    scores[:, rng.random(shape[1]) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
+    return scores
+
+
+def _same_outcome(got, expected):
+    if isinstance(got, str) or isinstance(expected, str):
+        return got == expected
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(scores=chain_scores(), alpha=ALPHAS, transpose=st.booleans())
+def test_chain_core_equals_one_column_oracle(scores, alpha, transpose):
+    # the speaker runs on the .T view, so both memory orders are covered
+    label = "target" if transpose else "clue"
+    if transpose:
+        scores = scores.T
+    expected = [_outcome(lambda: oracle_chain(scores, c, alpha, label)) for c in range(scores.shape[1])]
+    chain = _outcome(lambda: rsa._chains(scores, alpha))
+    if isinstance(chain, str):
+        # a failure of the whole chain is the one-column chain's on every column
+        assert expected == [chain] * len(expected)
+        return
+    got = [_outcome(lambda: rsa._row(chain, c, label)) for c in range(scores.shape[1])]
+    assert all(map(_same_outcome, got, expected))
+    # the rows predict trusts without a second check are distributions
+    probs, zero = chain
+    assert probs.min() >= 0
+    assert (np.abs(probs.sum(axis=1) - 1.0) <= 1e-9).tolist() == (~zero).tolist()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), alpha=ALPHAS, transpose=st.booleans())
+def test_stacked_chain_core_equals_stack_oracle(data, alpha, transpose):
+    first = data.draw(chain_scores())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    stack = np.array([first] + [rng.permutation(first.ravel()).reshape(first.shape)
+                                for _ in range(data.draw(st.integers(0, 3)))])
+    if transpose:
+        stack = stack.swapaxes(1, 2)
+    index = rng.integers(stack.shape[2], size=len(stack))
+    expected = _outcome(lambda: oracle_stack_chain(stack, index, alpha, "clue"))
+
+    def gathered():
+        # predict_stack's read of the stacked chains
+        probs, zero = rsa._chains(stack, alpha)
+        rows = np.arange(len(stack))
+        if zero[rows, index].any():
+            raise DataError("zero normalizer")
+        return probs[rows, index]
+
+    got = _outcome(gathered)
+    assert _same_outcome(got, expected)
+    # each matrix's chain alone has the bits of its row of the stack
+    if not isinstance(got, str):
+        for matrix, column, row in zip(stack, index, got):
+            assert rsa._row(rsa._chains(matrix, alpha), column, "clue").tobytes() == row.tobytes()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -189,8 +296,8 @@ def test_speaker_is_listener_on_transpose(scores, alpha, target):
     # Masked noun pairs score ZERO_FLOOR**2; at large alpha they can drive a
     # normalizer to zero, and then both sides must fail the same way.
     target %= scores.shape[0]
-    speaker = _chain_outcome(speaker_probs, scores, target, alpha)
-    listener = _chain_outcome(listener_probs, scores.T, target, alpha)
+    speaker = _outcome(lambda: speaker_probs(scores, target, alpha))
+    listener = _outcome(lambda: listener_probs(scores.T, target, alpha))
     if isinstance(speaker, str) or isinstance(listener, str):
         assert speaker == listener
     else:
