@@ -13,7 +13,7 @@ one row-wise Spearman pass, with the bits a one-at-a-time loop over
 rsa.predict and spearman gives; agreement_measure keeps each model's
 stacks and their row ranks for every pair it is in. Gameplay calls
 predict once per clue and per pair; each call reads a row of the chain
-rsa memoizes for the scenario and model.
+rsa primes for each chunk of scenarios, model and role.
 
 Ranks are computed in numpy (association.average_ranks, row by row); a
 normalized matrix ranks its cells once, for metric_rank_correlation.
@@ -41,6 +41,7 @@ from .rsa import (
     Configuration,
     ModelSpec,
     Scenario,
+    _primed,
     answer_support,
     clue_from_word,
     configuration_from_record,
@@ -271,25 +272,26 @@ def simulate_gameplay(tables, scenarios, speaker_spec, listener_spec) -> Gamepla
     all_successes = []
     scenario_means = []
     flat = []
-    for number, scenario in enumerate(scenarios, start=1):
+    primed = _primed(tables, scenarios, (speaker_spec, listener_spec))
+    for number, scenario in enumerate(primed, start=1):
+        pairs = scenario.pairs
+        listener = np.empty((scenario.m, len(pairs)))
+        speaker = np.empty((len(pairs), scenario.m))
         try:
             model = listener_spec
-            listener = np.array([
-                predict(listener_norm, Configuration(scenario, LISTENER, a), listener_spec).probs
-                for a in range(scenario.m)
-            ])
+            for a, row in enumerate(listener):
+                row[:] = predict(listener_norm, Configuration(scenario, LISTENER, a), model).probs
             model = speaker_spec
-            speaker = np.array([
-                predict(speaker_norm, Configuration(scenario, SPEAKER, pair), speaker_spec).probs
-                for pair in scenario.pairs
-            ])
+            for pair, row in zip(pairs, speaker):
+                row[:] = predict(speaker_norm, Configuration(scenario, SPEAKER, pair), model).probs
         except DataError as exc:
             where = f"gameplay: scenario {number}: {model.role} model {model.spec_string()}"
             raise DataError(f"{where}: {exc}") from None
         # pairs x clues, summed over clues in order; an unsampled clue adds an exact 0.0
-        row = np.cumsum(np.where(speaker > 0, speaker * listener.T, 0.0), axis=1)[:, -1].tolist()
+        success = np.cumsum(np.where(speaker > 0, speaker * listener.T, 0.0), axis=1)[:, -1]
+        row = success.tolist()
         all_successes.append(tuple(row))
-        scenario_means.append(float(np.mean(row)))
+        scenario_means.append(float(success.mean()))
         flat.extend(row)
     with prefix_errors("gameplay"):
         mean, sem = aggregate(flat)

@@ -30,6 +30,7 @@ from .rsa import (
     Configuration,
     ModelSpec,
     Scenario,
+    _primed,
     configuration_record,
     is_integer,
     noun_pairs,
@@ -142,6 +143,7 @@ def model_information_bits(prediction_probs):
     """Mutual information (bits) between model identity and the answer.
 
     Rows are per-model answer distributions; the model prior is uniform.
+    A NaN or negative probability, or no answers, is a DataError.
     Zero-probability answers contribute nothing. Clamped at 0 to absorb
     float rounding on identical rows. A 2-d (models, answers) matrix
     gives a float; a (configurations, models, answers) stack gives an
@@ -159,6 +161,11 @@ def model_information_bits(prediction_probs):
     probs = np.asarray(prediction_probs, dtype=float)
     if probs.ndim not in (2, 3):
         raise DataError("prediction matrix must be 2-d, or a 3-d stack of 2-d matrices")
+    if probs.shape[-1] == 0:
+        raise DataError("empty distribution")
+    low = probs.min(initial=0.0)  # NaN if any probability is; 0.0 for an empty stack
+    if not low >= 0:
+        raise DataError("negative probability" if low < 0 else "NaN probability")
     n_models = probs.shape[-2]
     if n_models < 2:
         warnings.warn("fewer than two models: utility is identically 0", stacklevel=2)
@@ -188,6 +195,18 @@ def _geometric_mean(values) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
+def _responses(tables, scenario: Scenario, models: ModelSet, indices, answers: int) -> np.ndarray:
+    """response_probability of the configuration of each index, written
+    row by row into one (configurations, models, answers) array."""
+    specs = [(tables[spec.metric], spec) for spec in models.models]
+    out = np.empty((len(indices), len(specs), answers))
+    for responses, index in zip(out, indices):
+        config = Configuration(scenario, models.role, index)
+        for row, (norm, spec) in enumerate(specs):
+            responses[row] = predict(norm, config, spec).probs
+    return out
+
+
 def scenario_joint_utility(
     tables, scenario: Scenario, speaker_models: ModelSet, listener_models: ModelSet
 ) -> float:
@@ -198,17 +217,9 @@ def scenario_joint_utility(
     if listener_models.role != LISTENER:
         raise DataError("listener_models must hold listener models")
     tables = Tables.of(tables)
-    speaker = [
-        response_probability(tables, Configuration(scenario, SPEAKER, pair), speaker_models)
-        for pair in scenario.pairs
-    ]
-    listener = [
-        response_probability(tables, Configuration(scenario, LISTENER, a), listener_models)
-        for a in range(scenario.m)
-    ]
-    return _geometric_mean(
-        [*model_information_bits(np.stack(speaker)), *model_information_bits(np.stack(listener))]
-    )
+    speaker = _responses(tables, scenario, speaker_models, scenario.pairs, scenario.m)
+    listener = _responses(tables, scenario, listener_models, range(scenario.m), len(scenario.pairs))
+    return _geometric_mean([*model_information_bits(speaker), *model_information_bits(listener)])
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +278,7 @@ def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignC
         if key not in first_seen:
             first_seen[key] = iteration
 
-    def evaluate(key) -> float:
-        nouns, adjs, index = key
-        scenario = Scenario(nouns, adjs)
+    def evaluate(scenario, index) -> float:
         try:
             if role is None:
                 return scenario_joint_utility(tables, scenario, speaker_models, listener_models)
@@ -281,8 +290,10 @@ def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignC
                 f"scenario {' '.join(words['nouns'])} / {' '.join(words['adjectives'])}: {exc}"
             ) from None
 
+    # Each chunk of keys is scored from score stacks and chains primed for it.
     keys = list(first_seen)
-    utilities = [evaluate(key) for key in keys]
+    scenarios = _primed(tables, (Scenario(nouns, adjs) for nouns, adjs, _ in keys), specs)
+    utilities = [evaluate(scenario, index) for scenario, (_, _, index) in zip(scenarios, keys)]
 
     scored = sorted(
         zip(keys, utilities), key=lambda item: (-item[1], first_seen[item[0]])

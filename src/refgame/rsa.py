@@ -11,17 +11,17 @@ column.
 
 One chain core computes every column of the listener chain at once;
 the speaker is that chain run on the transposed matrix. predict reads a
-row of the chain memoized for its scenario and model, predict_stack
-gathers rows from a stack of chains, and listener_probs/speaker_probs
-read one row on any non-negative score matrix, which keeps the core
-testable outside scenarios.
+row of the chain memoized for its scenario and model, primed for a chunk
+of scenarios at once; predict_stack gathers rows from a stack of chains,
+and listener_probs/speaker_probs read one row on any non-negative score
+matrix, which keeps the core testable outside scenarios.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -38,10 +38,13 @@ PRAGMATIC = "pragmatic"
 # Probabilities within this of the maximum count as tied for the top.
 TIE_TOL = 1e-12
 
+# Scenarios per score stack and chain run when _primed fills the memos.
+_CHUNK = 256
+
 
 def is_integer(value) -> bool:
     """True for a Python or NumPy integer; a bool or a float is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return type(value) is int or isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,7 @@ class Scenario:
             raise DataError("duplicate noun in scenario")
         if len(set(self.adjectives)) != len(self.adjectives):
             raise DataError("duplicate adjective in scenario")
-        if any(n < 0 for n in self.nouns) or any(a < 0 for a in self.adjectives):
+        if min(self.nouns) < 0 or min(self.adjectives) < 0:
             raise DataError("negative index in scenario")
 
     @property
@@ -85,6 +88,15 @@ class Scenario:
 @lru_cache(maxsize=None)
 def noun_pairs(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(combinations(range(k), 2))
+
+
+@lru_cache(maxsize=None)
+def _answers(role: str, k: int, m: int) -> tuple[tuple, dict | None]:
+    """answer_support of role's configurations in a k x m scenario, and for
+    a speaker the chain row of each target pair (a listener's clue is its row)."""
+    if role == LISTENER:
+        return noun_pairs(k), None
+    return tuple(range(m)), {pair: row for row, pair in enumerate(noun_pairs(k))}
 
 
 @lru_cache(maxsize=None)
@@ -135,9 +147,7 @@ class Configuration:
 def answer_support(config: Configuration) -> tuple:
     """Ordered answers a responder can give: noun pairs for a listener
     configuration, adjective positions for a speaker configuration."""
-    if config.role == LISTENER:
-        return config.scenario.pairs
-    return tuple(range(config.scenario.m))
+    return _answers(config.role, config.scenario.k, config.scenario.m)[0]
 
 
 @dataclass(frozen=True)
@@ -346,39 +356,85 @@ def speaker_probs(scores, target: int, alpha: float | None = None) -> np.ndarray
 # ---------------------------------------------------------------------------
 # scenario-level agents
 
+def _score_stack(norm, nouns: np.ndarray, adjectives: np.ndarray) -> np.ndarray:
+    """Checked (N, C(k,2), m) pair-adjective association products of N
+    scenarios, given as an (N, k) noun and an (N, m) adjective index array."""
+    n_nouns, n_adjs = norm.lexicon.shape
+    if nouns.max() >= n_nouns:
+        raise DataError("scenario noun index out of range for this matrix")
+    if adjectives.max() >= n_adjs:
+        raise DataError("scenario adjective index out of range for this matrix")
+    sub = norm.values[nouns[:, :, None], adjectives[:, None, :]]
+    first, second = _pair_rows(nouns.shape[1])
+    scores = sub[:, first] * sub[:, second]
+    if not (scores.min() >= 0 and scores.max() < np.inf):
+        raise DataError("scores must be finite and non-negative")
+    return scores
+
+
 def scenario_scores(norm: NormalizedAssociation, scenario: Scenario) -> np.ndarray:
     """C(k,2) x m matrix of pair-adjective association products."""
-    n_nouns, n_adjs = norm.lexicon.shape
-    if max(scenario.nouns) >= n_nouns:
-        raise DataError("scenario noun index out of range for this matrix")
-    if max(scenario.adjectives) >= n_adjs:
-        raise DataError("scenario adjective index out of range for this matrix")
-    sub = norm.values.take(scenario.nouns, 0).take(scenario.adjectives, 1)
-    first, second = _pair_rows(scenario.k)
-    return sub.take(first, 0) * sub.take(second, 0)
+    return _score_stack(norm, np.array([scenario.nouns]), np.array([scenario.adjectives]))[0]
+
+
+def _prime(tables, scenarios, specs) -> None:
+    """Make the memo of each matrix the specs use hold the scenarios alone,
+    from one score stack and one chain run per (role, alpha) for each (k,
+    m) shape, sliced per scenario. A shape whose indices or scores fail
+    their checks stores nothing, and a chain that fails as a whole is not
+    stored, so that predict's lazy path raises at the failing scenario."""
+    wanted: dict = {}
+    for spec in specs:
+        wanted.setdefault(tables[spec.metric], {})[spec.role, spec.alpha] = None
+    shapes: dict = {}
+    for scenario in scenarios:
+        shapes.setdefault((scenario.k, scenario.m), {})[scenario] = None
+    for norm, chains in wanted.items():
+        memo = norm.__dict__["_scenario_memo"] = {}
+        for (k, m), group in shapes.items():
+            nouns = np.array([s.nouns for s in group])
+            adjectives = np.array([s.adjectives for s in group])
+            try:
+                scores = _score_stack(norm, nouns, adjectives)
+            except DataError:
+                continue
+            scores.flags.writeable = False
+            entries = [(matrix, {}) for matrix in scores]
+            for role, alpha in chains:
+                view = scores if role == LISTENER else scores.swapaxes(1, 2)
+                try:
+                    probs, zero = _chains(view, alpha)
+                except DataError:
+                    continue
+                probs.flags.writeable = zero.flags.writeable = False
+                for (_, stored), rows, flags in zip(entries, probs, zero):
+                    stored[role, alpha] = (rows, flags, *_answers(role, k, m))
+            memo.update(zip(group, entries))
+
+
+def _primed(tables, scenarios, specs):
+    """The scenarios in order, _prime run on each chunk of _CHUNK before it."""
+    scenarios = iter(scenarios)
+    while chunk := list(islice(scenarios, _CHUNK)):
+        _prime(tables, chunk, specs)
+        yield from chunk
 
 
 def _memo_chain(norm: NormalizedAssociation, scenario: Scenario, role: str, alpha) -> tuple:
-    """The chain of role's agent at alpha on a scenario, from the matrix's
-    one memo slot: the last scenario scored on it, its checked read-only
-    scores, and each (role, alpha) chain run on them, read-only. The slot
-    is kept in the instance dict as `_ranks` is (`values` is a frozen
-    copy). Scores that fail their check and a chain that fails as a
-    whole are not stored."""
-    memo = norm.__dict__.get("_scenario_memo")
-    if memo is None or memo[0] != scenario:
+    """predict's lazy path. The memo (in the instance dict, as `_ranks`) maps
+    a scenario to its read-only scores and {(role, alpha): (read-only probs,
+    zero flags, support, speaker pair -> row)}. A missing scenario replaces
+    it with a memo of its own; a failed check or chain stores nothing."""
+    entry = norm.__dict__.get("_scenario_memo", {}).get(scenario)
+    if entry is None:
         scores = _check_scores(scenario_scores(norm, scenario))
         scores.flags.writeable = False
-        memo = norm.__dict__["_scenario_memo"] = (scenario, scores, {})
-    chains = memo[2]
-    chain = chains.get((role, alpha))
-    if chain is None:
-        scores = memo[1] if role == LISTENER else memo[1].T
-        chain = _chains(scores, alpha)
-        for array in chain:
-            array.flags.writeable = False
-        chains[role, alpha] = chain
-    return chain
+        entry = (scores, {})
+        norm.__dict__["_scenario_memo"] = {scenario: entry}
+    probs, zero = _chains(entry[0] if role == LISTENER else entry[0].T, alpha)
+    probs.flags.writeable = zero.flags.writeable = False
+    entry[1][role, alpha] = (probs, zero, *_answers(role, scenario.k, scenario.m))
+    return entry[1][role, alpha]
 
 
 def predict(
@@ -390,16 +446,19 @@ def predict(
     literal agent; a pragmatic spec runs one round with its alpha. The
     configurations of one scenario share the matrix's memoized scores
     and each model's memoized chain: a prediction is one of its rows,
-    read-only.
+    read-only, at the index Configuration checked.
     """
     if spec.role != config.role:
         raise DataError(f"model role '{spec.role}' != configuration role '{config.role}'")
-    chain = _memo_chain(norm, config.scenario, config.role, spec.alpha)
-    if config.role == LISTENER:
-        probs = _row(chain, config.index, "clue")
-    else:
-        probs = _row(chain, config.scenario.pairs.index(config.index), "target")
-    return PredictionDistribution._checked(answer_support(config), probs)
+    entry = norm.__dict__.get("_scenario_memo", {}).get(config.scenario)
+    chain = None if entry is None else entry[1].get((spec.role, spec.alpha))
+    if chain is None:
+        chain = _memo_chain(norm, config.scenario, spec.role, spec.alpha)
+    probs, zero, support, position = chain
+    row = config.index if position is None else position[config.index]
+    if zero[row]:
+        raise DataError("zero normalizer")
+    return PredictionDistribution._checked(support, probs[row])
 
 
 def predict_stack(norm: NormalizedAssociation, configs, spec: ModelSpec) -> np.ndarray:
@@ -415,23 +474,10 @@ def predict_stack(norm: NormalizedAssociation, configs, spec: ModelSpec) -> np.n
     k, m = configs[0].scenario.k, configs[0].scenario.m
     nouns = np.array([config.scenario.nouns for config in configs]).reshape(-1, k)
     adjectives = np.array([config.scenario.adjectives for config in configs]).reshape(-1, m)
-    n_nouns, n_adjs = norm.lexicon.shape
-    if nouns.max() >= n_nouns:
-        raise DataError("scenario noun index out of range for this matrix")
-    if adjectives.max() >= n_adjs:
-        raise DataError("scenario adjective index out of range for this matrix")
-    sub = norm.values[nouns[:, :, None], adjectives[:, None, :]]
-    first, second = _pair_rows(k)
-    scores = sub[:, first] * sub[:, second]
-    if not (scores.min() >= 0 and scores.max() < np.inf):
-        raise DataError("scores must be finite and non-negative")
-    if spec.role == LISTENER:
-        index = [config.index for config in configs]
-        probs, zero = _chains(scores, spec.alpha)
-    else:
-        position = {pair: i for i, pair in enumerate(noun_pairs(k))}
-        index = [position[config.index] for config in configs]
-        probs, zero = _chains(scores.swapaxes(1, 2), spec.alpha)
+    scores = _score_stack(norm, nouns, adjectives)
+    position = _answers(spec.role, k, m)[1]
+    index = [config.index if position is None else position[config.index] for config in configs]
+    probs, zero = _chains(scores if spec.role == LISTENER else scores.swapaxes(1, 2), spec.alpha)
     rows = np.arange(len(probs))
     if zero[rows, index].any():
         raise DataError("zero normalizer")

@@ -13,6 +13,7 @@ import random
 import re
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from refgame import (
     ModelSet,
     NormalizedAssociation,
     PredictionDistribution,
+    ZERO_FLOOR,
     Scenario,
     SearchSettings,
     filter_candidates,
@@ -260,6 +262,23 @@ def test_information_bits_one_model_warns_like_loop():
         assert model_information_bits(np.full((3, 1, 2), 0.5)).tolist() == [0.0] * 3
 
 
+@pytest.mark.parametrize("bad, message", [
+    ([[np.nan, 1.0], [0.5, 0.5]], "NaN probability"),
+    ([[-0.5, 1.5], [0.5, 0.5]], "negative probability"),
+    ([[0.5, np.nan]], "NaN probability"),
+    (np.zeros((2, 0)), "empty distribution"),
+])
+def test_information_bits_reject_bad_distributions(bad, message):
+    bad = np.asarray(bad, dtype=float)
+    for probs in (bad, np.stack([np.full_like(bad, 0.5), bad])):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            model_information_bits(probs)
+
+
+def test_information_bits_of_an_empty_stack_is_empty():
+    assert model_information_bits(np.zeros((0, 2, 3))).shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # diversity filter
 
@@ -404,8 +423,9 @@ def test_predict_memo_holds_read_only_checked_scores(rng):
     scenario = Scenario((0, 2, 4), (1, 3))
     literal = parse_model_spec("bigram:literal", "listener")
     dist = predict(norm, Configuration(scenario, rsa.LISTENER, 1), literal)
-    cached_scenario, scores, chains = norm.__dict__["_scenario_memo"]
-    assert cached_scenario == scenario
+    memo = norm.__dict__["_scenario_memo"]
+    assert list(memo) == [scenario]
+    scores, chains = memo[scenario]
     assert not scores.flags.writeable
     assert (scores == scenario_scores(norm, scenario)).all()
     # scenario_scores itself still returns a fresh, writable array
@@ -413,18 +433,37 @@ def test_predict_memo_holds_read_only_checked_scores(rng):
     assert fresh is not scores and fresh.flags.writeable
     speaker = parse_model_spec("bigram:pragmatic:2.0", "speaker")
     predict(norm, Configuration(scenario, rsa.SPEAKER, (0, 2)), speaker)
-    assert norm.__dict__["_scenario_memo"][2] is chains
+    assert norm.__dict__["_scenario_memo"][scenario][1] is chains
     assert list(chains) == [("listener", None), ("speaker", 2.0)]
-    for probs, zero in chains.values():
+    for probs, zero, _, _ in chains.values():
         assert not probs.flags.writeable and not zero.flags.writeable
     # a prediction is a read-only row of its chain, not a copy
-    probs, zero = chains["listener", None]
+    probs, _, support, _ = chains["listener", None]
+    assert dist.support is support == scenario.pairs
     assert np.shares_memory(dist.probs, probs)
     assert not dist.probs.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         dist.probs[0] = 1.0
     expected = oracle_predict(norm, Configuration(scenario, rsa.LISTENER, 1), literal)
     assert dist.probs.tobytes() == expected.probs.tobytes()
+    # a primed memo holds each scenario's read-only slices of one stack
+    other = Scenario((1, 3, 4), (0, 1))
+    rsa._prime({"bigram": norm}, [scenario, other, scenario], [literal, speaker])
+    memo = norm.__dict__["_scenario_memo"]
+    assert list(memo) == [scenario, other]
+    (scores, chains), (other_scores, other_chains) = memo.values()
+    assert scores.base is not None and scores.base is other_scores.base
+    assert not scores.flags.writeable
+    assert (scores == scenario_scores(norm, scenario)).all()
+    assert list(chains) == list(other_chains) == [("listener", None), ("speaker", 2.0)]
+    for probs, zero, _, _ in [*chains.values(), *other_chains.values()]:
+        assert not probs.flags.writeable and not zero.flags.writeable
+    stack = chains["listener", None][0].base
+    assert stack is not None and stack is other_chains["listener", None][0].base
+    primed = predict(norm, Configuration(scenario, rsa.LISTENER, 1), literal)
+    assert np.shares_memory(primed.probs, chains["listener", None][0])
+    assert not primed.probs.flags.writeable
+    assert primed.probs.tobytes() == expected.probs.tobytes()
 
 
 def test_predict_memo_stores_no_failed_scores(rng, monkeypatch):
@@ -453,7 +492,7 @@ def test_predict_memo_stores_no_failed_scores(rng, monkeypatch):
     for _ in range(2):
         with pytest.raises(DataError, match="^scores must be finite and non-negative$"):
             predict(norm, bad, spec)
-    assert norm.__dict__["_scenario_memo"][0] == good.scenario
+    assert list(norm.__dict__["_scenario_memo"]) == [good.scenario]
 
 
 def test_predict_memo_zero_row_raises_on_each_read_and_failed_chain_is_not_stored(rng, monkeypatch):
@@ -475,15 +514,68 @@ def test_predict_memo_zero_row_raises_on_each_read_and_failed_chain_is_not_store
         for clue in (1, 2):
             got = predict(norm, Configuration(scenario, rsa.LISTENER, clue), literal)
             assert got.probs.tobytes() == oracle_chain(scores, clue, None, "clue").tobytes()
-    chains = norm.__dict__["_scenario_memo"][2]
+    chains = norm.__dict__["_scenario_memo"][scenario][1]
     assert list(chains) == [("listener", None)]
-    assert chains["listener", None][1].tolist() == [True, False, False]
+    zero = chains["listener", None][1]
+    assert zero.tolist() == [True, False, False] and not zero.flags.writeable
     # the empty column fails the pragmatic chain as a whole, on every read
     pragmatic = parse_model_spec("bigram:pragmatic:1.0", "listener")
     for clue in (0, 1, 2, 1):
         with pytest.raises(DataError, match="^zero normalizer$"):
             predict(norm, Configuration(scenario, rsa.LISTENER, clue), pragmatic)
-    assert list(norm.__dict__["_scenario_memo"][2]) == [("listener", None)]
+    assert list(norm.__dict__["_scenario_memo"][scenario][1]) == [("listener", None)]
+
+
+def test_unprimable_batch_leaves_no_entry(rng, monkeypatch):
+    norm = random_normalized(rng, 5, 4)
+    tables = {"bigram": norm}
+    literal = parse_model_spec("bigram:literal", "listener")
+    good = [Scenario((0, 1), (0, 1)), Scenario((2, 3), (1, 2))]
+    rsa._prime(tables, good, [literal])
+    assert list(norm.__dict__["_scenario_memo"]) == good
+    # an index past the matrix fails the whole batch, and the memo is left empty
+    batch = [*good, Scenario((0, 5), (0, 1))]
+    rsa._prime(tables, batch, [literal])
+    assert norm.__dict__["_scenario_memo"] == {}
+    config = Configuration(batch[2], rsa.LISTENER, 0)
+    with pytest.raises(DataError, match="^scenario noun index out of range for this matrix$"):
+        predict(norm, config, literal)
+    # so do scores that fail their check
+    real = rsa._score_stack
+
+    def stack_with_nan(norm, nouns, adjectives):
+        # _score_stack's own check, on values holding a NaN the last scenario reads
+        values = norm.values.copy()
+        values[nouns[-1, 0], adjectives[-1, 0]] = np.nan
+        return real(SimpleNamespace(lexicon=norm.lexicon, values=values), nouns, adjectives)
+
+    with pytest.raises(DataError, match="^scores must be finite and non-negative$"):
+        stack_with_nan(norm, np.array([s.nouns for s in good]), np.array([s.adjectives for s in good]))
+    monkeypatch.setattr(rsa, "_score_stack", stack_with_nan)
+    rsa._prime(tables, good, [literal])
+    assert norm.__dict__["_scenario_memo"] == {}
+    monkeypatch.undo()
+    # a pragmatic chain that fails on its stack is left to each scenario's lazy run
+    values = rng.uniform(0.5, 1.0, (5, 4))
+    values[:2] = ZERO_FLOOR
+    floored = NormalizedAssociation("bigram", norm.lexicon, values, values == ZERO_FLOOR)
+    fails, passes = Scenario((0, 1, 2, 3), (0, 1)), Scenario((1, 2, 3, 4), (0, 1))
+    pragmatic = parse_model_spec("bigram:pragmatic:30", "listener")
+    batch = [passes, fails, good[0]]
+    rsa._prime({"bigram": floored}, batch, [literal, pragmatic])
+    memo = floored.__dict__["_scenario_memo"]
+    assert list(memo) == batch
+    assert [list(chains) for _, chains in memo.values()] == [
+        [("listener", None)], [("listener", None)], [("listener", None), ("listener", 30.0)]
+    ]
+    for scenario in batch:
+        config = Configuration(scenario, rsa.LISTENER, 1)
+        if scenario == fails:
+            with pytest.raises(DataError, match="^zero normalizer$"):
+                predict(floored, config, pragmatic)
+        else:
+            expected = oracle_predict(floored, config, pragmatic).probs
+            assert predict(floored, config, pragmatic).probs.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("workload, predicts, chains", [
@@ -492,10 +584,9 @@ def test_predict_memo_zero_row_raises_on_each_read_and_failed_chain_is_not_store
     ("gameplay", 18, 2),
 ])
 def test_chain_runs_per_scenario(monkeypatch, workload, predicts, chains):
-    # Each predict reads a row of a memoized chain: one chain per model and
-    # role for every scenario, under the predict calls the benchmark pins.
-    counts = {"predict": 0, "chain": 0, "scenario": 0}
-
+    # Each predict reads a row of a primed chain: one chain run per matrix,
+    # model and role for every chunk of scenarios, so a chunk of one runs
+    # them per scenario, under the predict calls the benchmark pins.
     def counted(name, fn):
         def call(*args):
             counts[name] += 1
@@ -505,26 +596,30 @@ def test_chain_runs_per_scenario(monkeypatch, workload, predicts, chains):
     monkeypatch.setattr(rsa, "_chains", counted("chain", rsa._chains))
     for module in (oed, evaluation):
         monkeypatch.setattr(module, "predict", counted("predict", module.predict))
-    rng = np.random.default_rng(8)
-    if workload == "gameplay":
-        scenarios = [Scenario(tuple(range(i, i + 5)), tuple(range(i, i + 8))) for i in range(4)]
-        counts["scenario"] = len(scenarios)
-        simulate_gameplay(random_normalized(rng, 12, 12), scenarios, "bigram:pragmatic:1.0", "bigram:literal")
-    else:
-        preset = cli.PRESETS[workload]
-        models = tuple(
-            ModelSet(tuple(parse_model_spec(s, role) for s in preset["models"]))
-            for role in (rsa.SPEAKER, rsa.LISTENER)
-        )
-        tables = {
-            spec.metric: random_normalized(rng, 12, 10, metric=spec.metric) for spec in models[0].models
-        }
-        monkeypatch.setattr(oed, "scenario_joint_utility", counted("scenario", oed.scenario_joint_utility))
-        search = SearchSettings(preset["nouns"], preset["adjectives"], preset["mode"], iterations=40, seed=2)
-        monte_carlo_search(tables, models, search)
-    assert counts["scenario"] >= 4
-    assert counts["predict"] == predicts * counts["scenario"]
-    assert counts["chain"] == chains * counts["scenario"]
+    for chunk in (256, 3, 1):
+        monkeypatch.setattr(rsa, "_CHUNK", chunk)
+        counts = {"predict": 0, "chain": 0, "scenario": 0}
+        rng = np.random.default_rng(8)
+        if workload == "gameplay":
+            scenarios = [Scenario(tuple(range(i, i + 5)), tuple(range(i, i + 8))) for i in range(4)]
+            counts["scenario"] = len(scenarios)
+            simulate_gameplay(random_normalized(rng, 12, 12), scenarios, "bigram:pragmatic:1.0", "bigram:literal")
+        else:
+            preset = cli.PRESETS[workload]
+            models = tuple(
+                ModelSet(tuple(parse_model_spec(s, role) for s in preset["models"]))
+                for role in (rsa.SPEAKER, rsa.LISTENER)
+            )
+            tables = {
+                spec.metric: random_normalized(rng, 12, 10, metric=spec.metric) for spec in models[0].models
+            }
+            search = SearchSettings(preset["nouns"], preset["adjectives"], preset["mode"], iterations=40, seed=2)
+            with monkeypatch.context() as patch:
+                patch.setattr(oed, "scenario_joint_utility", counted("scenario", oed.scenario_joint_utility))
+                monte_carlo_search(tables, models, search)
+        assert counts["scenario"] >= 4
+        assert counts["predict"] == predicts * counts["scenario"]
+        assert counts["chain"] == chains * math.ceil(counts["scenario"] / chunk)
 
 
 def test_zero_normalizer_in_search_keeps_scenario_words(monkeypatch):
@@ -545,3 +640,62 @@ def test_zero_normalizer_in_search_keeps_scenario_words(monkeypatch):
         messages.append(str(info.value))
     assert re.fullmatch(r"scenario noun\d noun\d noun\d / adj\d adj\d adj\d: zero normalizer", messages[0])
     assert messages == [messages[0]] * 3
+
+
+# ---------------------------------------------------------------------------
+# chunked priming: the chunk size changes no result and no error
+
+
+def _run(fn):
+    try:
+        return fn()
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_chunk_size_changes_no_result(data):
+    # Floor-heavy matrices make some stacked pragmatic chains fail as a
+    # whole, which leaves them to each scenario's lazy run; chunk None
+    # primes nothing, so every predict takes that run.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mask = float(rng.choice([0.0, 0.3, 0.5, 0.7]))
+    tables = {metric: random_normalized(rng, 9, 10, metric, mask_frac=mask) for metric in ("a", "b")}
+    k, m = data.draw(st.integers(3, 5)), data.draw(st.integers(3, 8))
+    alphas = rng.choice([0.3, 1.0, 5.0, 30.0, 100.0], size=2).tolist()
+    names = ("a:literal", f"a:pragmatic:{alphas[0]}", f"b:pragmatic:{alphas[1]}")
+    speakers, listeners = (
+        ModelSet(tuple(parse_model_spec(name, role) for name in names)) for role in (rsa.SPEAKER, rsa.LISTENER)
+    )
+    seed = int(rng.integers(1000))
+    scenarios = [
+        Scenario(tuple(rng.choice(9, size=int(rng.integers(3, 6)), replace=False).tolist()),
+                 tuple(rng.choice(10, size=int(rng.integers(3, 9)), replace=False).tolist()))
+        for _ in range(int(rng.integers(1, 21)))
+    ]
+    play = rng.choice(names, size=2).tolist()
+
+    def search(mode, models):
+        found = monte_carlo_search(tables, models, SearchSettings(k, m, mode, iterations=50, seed=seed))
+        return [(c.scenario, c.role, c.index, c.utility) for c in found]
+
+    def outcomes():
+        return [
+            _run(lambda: search("joint", (speakers, listeners))),
+            _run(lambda: search("separate-speaker", speakers)),
+            _run(lambda: search("separate-listener", listeners)),
+            _run(lambda: simulate_gameplay(tables, scenarios, *play).successes),
+        ]
+
+    results = []
+    for chunk in (None, 1, 7, 256):
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk is None:
+                patch.setattr(rsa, "_prime", lambda tables, scenarios, specs: None)
+            else:
+                patch.setattr(rsa, "_CHUNK", chunk)
+            for norm in tables.values():
+                norm.__dict__.pop("_scenario_memo", None)
+            results.append(outcomes())
+    assert results[1:] == results[:1] * 3

@@ -316,9 +316,26 @@ def test_scenario_validation():
         Scenario((0, 0), (1,))
     with pytest.raises(DataError, match="duplicate adjective"):
         Scenario((0, 1), (2, 2))
+    for nouns, adjectives in (((0, -1), (0,)), ((0, 1), (2, -3)), ((-2, 1), (-1,))):
+        with pytest.raises(DataError, match="^negative index in scenario$"):
+            Scenario(nouns, adjectives)
     scenario = Scenario((3, 1, 2), (0, 4))
     assert scenario.k == 3 and scenario.m == 2
     assert scenario.pairs == ((0, 1), (0, 2), (1, 2))
+
+
+class _Count(int):
+    pass
+
+
+@pytest.mark.parametrize("value, expected", [
+    (0, True), (-3, True), (2**70, True), (_Count(4), True),
+    (np.int64(1), True), (np.int8(-2), True), (np.uint64(7), True),
+    (True, False), (False, False), (np.bool_(True), False),
+    (1.0, False), (np.float64(1.0), False), ("1", False), (None, False), (Fraction(1), False),
+])
+def test_is_integer_truth_table(value, expected):
+    assert rsa.is_integer(value) is expected
 
 
 def test_indices_must_be_integers():
