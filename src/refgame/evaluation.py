@@ -12,8 +12,8 @@ that share role, k and m get one rsa.predict_stack call per model and
 one row-wise Spearman pass, with the bits a one-at-a-time loop over
 rsa.predict and spearman gives; agreement_measure keeps each model's
 stacks and their row ranks for every pair it is in. Gameplay calls
-predict once per clue and per pair; each call reads a row of the chain
-rsa primes for each chunk of scenarios, model and role.
+predict once per clue and per pair, reading rows of the chains rsa
+primes per chunk of scenarios. Both take rsa's one route to chains.
 
 Ranks are computed in numpy (association.average_ranks, row by row); a
 normalized matrix ranks its cells once, for metric_rank_correlation.

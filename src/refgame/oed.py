@@ -31,6 +31,7 @@ from .rsa import (
     ModelSpec,
     Scenario,
     _primed,
+    answer_support,
     configuration_record,
     is_integer,
     noun_pairs,
@@ -136,7 +137,7 @@ def response_probability(tables, config: Configuration, models: ModelSet) -> np.
     tables = Tables.of(tables)
     if models.role != config.role:
         raise DataError(f"model set role '{models.role}' != configuration role '{config.role}'")
-    return np.stack([predict(tables[m.metric], config, m).probs for m in models.models])
+    return _responses(tables, config.scenario, models, [config.index], len(answer_support(config)))[0]
 
 
 def model_information_bits(prediction_probs):
@@ -196,8 +197,8 @@ def _geometric_mean(values) -> float:
 
 
 def _responses(tables, scenario: Scenario, models: ModelSet, indices, answers: int) -> np.ndarray:
-    """response_probability of the configuration of each index, written
-    row by row into one (configurations, models, answers) array."""
+    """Each model's answer distribution for the configuration of each index,
+    written row by row into one (configurations, models, answers) array."""
     specs = [(tables[spec.metric], spec) for spec in models.models]
     out = np.empty((len(indices), len(specs), answers))
     for responses, index in zip(out, indices):

@@ -10,11 +10,14 @@ renormalize over their own axis, and read off the requested row or
 column.
 
 One chain core computes every column of the listener chain at once;
-the speaker is that chain run on the transposed matrix. predict reads a
-row of the chain memoized for its scenario and model, primed for a chunk
-of scenarios at once; predict_stack gathers rows from a stack of chains,
-and listener_probs/speaker_probs read one row on any non-negative score
-matrix, which keeps the core testable outside scenarios.
+the speaker is that chain run on the transposed matrix. _stack_chains,
+the one route from scenarios to chains, runs it once per (role, alpha)
+on the score stack of scenarios of one shape. predict reads a row of
+the chain memoized for its scenario and model, primed per chunk of
+scenarios or built alone on a miss; predict_stack gathers rows from
+one stack's chains, and listener_probs/speaker_probs read one row on
+any non-negative score matrix, which keeps the core testable outside
+scenarios.
 """
 
 from __future__ import annotations
@@ -377,64 +380,50 @@ def scenario_scores(norm: NormalizedAssociation, scenario: Scenario) -> np.ndarr
     return _score_stack(norm, np.array([scenario.nouns]), np.array([scenario.adjectives]))[0]
 
 
-def _prime(tables, scenarios, specs) -> None:
-    """Make the memo of each matrix the specs use hold the scenarios alone,
-    from one score stack and one chain run per (role, alpha) for each (k,
-    m) shape, sliced per scenario. A shape whose indices or scores fail
-    their checks stores nothing, and a chain that fails as a whole is not
-    stored, so that predict's lazy path raises at the failing scenario."""
-    wanted: dict = {}
-    for spec in specs:
-        wanted.setdefault(tables[spec.metric], {})[spec.role, spec.alpha] = None
-    shapes: dict = {}
-    for scenario in scenarios:
-        shapes.setdefault((scenario.k, scenario.m), {})[scenario] = None
-    for norm, chains in wanted.items():
-        memo = norm.__dict__["_scenario_memo"] = {}
-        for (k, m), group in shapes.items():
-            nouns = np.array([s.nouns for s in group])
-            adjectives = np.array([s.adjectives for s in group])
-            try:
-                scores = _score_stack(norm, nouns, adjectives)
-            except DataError:
-                continue
-            scores.flags.writeable = False
-            entries = [(matrix, {}) for matrix in scores]
-            for role, alpha in chains:
-                view = scores if role == LISTENER else scores.swapaxes(1, 2)
-                try:
-                    probs, zero = _chains(view, alpha)
-                except DataError:
-                    continue
-                probs.flags.writeable = zero.flags.writeable = False
-                for (_, stored), rows, flags in zip(entries, probs, zero):
-                    stored[role, alpha] = (rows, flags, *_answers(role, k, m))
-            memo.update(zip(group, entries))
+def _stack_chains(norm: NormalizedAssociation, scenarios, keys) -> dict:
+    """{(role, alpha): (probs, zero)} from _chains for each key, run on one
+    score stack of scenarios of one (k, m) shape, repeats allowed."""
+    nouns, adjectives = zip(*((s.nouns, s.adjectives) for s in scenarios))
+    scores = _score_stack(norm, np.array(nouns), np.array(adjectives))
+    return {
+        (role, alpha): _chains(scores if role == LISTENER else scores.swapaxes(1, 2), alpha)
+        for role, alpha in keys
+    }
+
+
+def _memo(norm: NormalizedAssociation, scenarios, keys) -> dict:
+    """_stack_chains sliced per scenario: {scenario: {(role, alpha):
+    (read-only probs, zero flags, support, speaker pair -> row)}}."""
+    memo: dict = {scenario: {} for scenario in scenarios}
+    for (role, alpha), (probs, zero) in _stack_chains(norm, scenarios, keys).items():
+        probs.flags.writeable = zero.flags.writeable = False
+        answers = _answers(role, scenarios[0].k, scenarios[0].m)
+        for scenario, rows, flags in zip(scenarios, probs, zero):
+            memo[scenario][role, alpha] = (rows, flags, *answers)
+    return memo
 
 
 def _primed(tables, scenarios, specs):
-    """The scenarios in order, _prime run on each chunk of _CHUNK before it."""
+    """The scenarios in order. Before each chunk of _CHUNK, the memo of
+    each matrix the specs use (in the instance dict, as `_ranks`) holds
+    the chunk's _memo per (k, m) shape, or nothing if any of its checks
+    or chains fails, so that predict raises at the failing scenario."""
+    wanted: dict = {}
+    for spec in specs:
+        wanted.setdefault(tables[spec.metric], {})[spec.role, spec.alpha] = None
     scenarios = iter(scenarios)
     while chunk := list(islice(scenarios, _CHUNK)):
-        _prime(tables, chunk, specs)
+        shapes: dict = {}
+        for scenario in chunk:
+            shapes.setdefault((scenario.k, scenario.m), {})[scenario] = None
+        for norm, keys in wanted.items():
+            memo = norm.__dict__["_scenario_memo"] = {}
+            try:
+                for group in shapes.values():
+                    memo.update(_memo(norm, list(group), keys))
+            except DataError:
+                memo.clear()
         yield from chunk
-
-
-def _memo_chain(norm: NormalizedAssociation, scenario: Scenario, role: str, alpha) -> tuple:
-    """predict's lazy path. The memo (in the instance dict, as `_ranks`) maps
-    a scenario to its read-only scores and {(role, alpha): (read-only probs,
-    zero flags, support, speaker pair -> row)}. A missing scenario replaces
-    it with a memo of its own; a failed check or chain stores nothing."""
-    entry = norm.__dict__.get("_scenario_memo", {}).get(scenario)
-    if entry is None:
-        scores = _check_scores(scenario_scores(norm, scenario))
-        scores.flags.writeable = False
-        entry = (scores, {})
-        norm.__dict__["_scenario_memo"] = {scenario: entry}
-    probs, zero = _chains(entry[0] if role == LISTENER else entry[0].T, alpha)
-    probs.flags.writeable = zero.flags.writeable = False
-    entry[1][role, alpha] = (probs, zero, *_answers(role, scenario.k, scenario.m))
-    return entry[1][role, alpha]
 
 
 def predict(
@@ -443,17 +432,20 @@ def predict(
     """Run the agent named by spec on one configuration.
 
     A literal spec carries alpha None, which the chain core runs as the
-    literal agent; a pragmatic spec runs one round with its alpha. The
-    configurations of one scenario share the matrix's memoized scores
-    and each model's memoized chain: a prediction is one of its rows,
-    read-only, at the index Configuration checked.
+    literal agent; a pragmatic spec runs one round with its alpha. A
+    prediction is a read-only row, at the index Configuration checked, of
+    a chain in the matrix's memo. A miss makes the memo the scenario's
+    entry with its one-scenario _memo merged in, or leaves it as it was.
     """
     if spec.role != config.role:
         raise DataError(f"model role '{spec.role}' != configuration role '{config.role}'")
-    entry = norm.__dict__.get("_scenario_memo", {}).get(config.scenario)
-    chain = None if entry is None else entry[1].get((spec.role, spec.alpha))
+    key = spec.role, spec.alpha
+    chains = norm.__dict__.get("_scenario_memo", {}).get(config.scenario, {})
+    chain = chains.get(key)
     if chain is None:
-        chain = _memo_chain(norm, config.scenario, spec.role, spec.alpha)
+        chains = {**chains, **_memo(norm, [config.scenario], [key])[config.scenario]}
+        norm.__dict__["_scenario_memo"] = {config.scenario: chains}
+        chain = chains[key]
     probs, zero, support, position = chain
     row = config.index if position is None else position[config.index]
     if zero[row]:
@@ -463,21 +455,18 @@ def predict(
 
 def predict_stack(norm: NormalizedAssociation, configs, spec: ModelSpec) -> np.ndarray:
     """predict on N configurations that share spec's role and one (k, m)
-    shape, from one (N, C(k,2), m) score stack and its chains: an (N,
-    answers) array whose row n has the bits of predict(norm, configs[n],
-    spec).probs. predict's checks run on the whole stack, so the error of
-    a one-configuration call is predict's; with several, it may come from
-    any failing configuration."""
+    shape, from one _stack_chains run: an (N, answers) array whose row n
+    has the bits of predict(norm, configs[n], spec).probs. predict's
+    checks run on the whole stack, so the error of a one-configuration
+    call is predict's; with several, it may come from any failing
+    configuration."""
     for config in configs:
         if config.role != spec.role:
             raise DataError(f"model role '{spec.role}' != configuration role '{config.role}'")
-    k, m = configs[0].scenario.k, configs[0].scenario.m
-    nouns = np.array([config.scenario.nouns for config in configs]).reshape(-1, k)
-    adjectives = np.array([config.scenario.adjectives for config in configs]).reshape(-1, m)
-    scores = _score_stack(norm, nouns, adjectives)
-    position = _answers(spec.role, k, m)[1]
+    scenarios = [config.scenario for config in configs]
+    probs, zero = _stack_chains(norm, scenarios, [(spec.role, spec.alpha)])[spec.role, spec.alpha]
+    position = _answers(spec.role, scenarios[0].k, scenarios[0].m)[1]
     index = [config.index if position is None else position[config.index] for config in configs]
-    probs, zero = _chains(scores if spec.role == LISTENER else scores.swapaxes(1, 2), spec.alpha)
     rows = np.arange(len(probs))
     if zero[rows, index].any():
         raise DataError("zero normalizer")

@@ -1,9 +1,9 @@
 """The search hot path against its plain-loop oracles, bit for bit.
 
 model_information_bits, filter_candidates and scenario_scores are
-array rewrites of the loops kept here, and predict's memo of scores
-and chains is checked against predict on memo-less copies of each
-matrix and against the one-column chain of conftest. Every
+array rewrites of the loops kept here, and predict's memo of chains is
+checked against predict on memo-less copies of each matrix and
+against the one-column chain of conftest. Every
 comparison is ==, never approx: the golden fixtures pin the search
 output to the last bit.
 """
@@ -418,23 +418,29 @@ def test_predict_memo_equals_memo_less_predict():
                 assert got.probs.tobytes() == expected.probs.tobytes()
 
 
-def test_predict_memo_holds_read_only_checked_scores(rng):
+def prime(tables, scenarios, specs) -> list:
+    """Run rsa._primed through scenarios, which leaves the last chunk primed."""
+    return list(rsa._primed(tables, scenarios, specs))
+
+
+def test_predict_memo_holds_read_only_chains(rng):
     norm = random_normalized(rng, 5, 4)
     scenario = Scenario((0, 2, 4), (1, 3))
     literal = parse_model_spec("bigram:literal", "listener")
     dist = predict(norm, Configuration(scenario, rsa.LISTENER, 1), literal)
     memo = norm.__dict__["_scenario_memo"]
     assert list(memo) == [scenario]
-    scores, chains = memo[scenario]
-    assert not scores.flags.writeable
-    assert (scores == scenario_scores(norm, scenario)).all()
-    # scenario_scores itself still returns a fresh, writable array
-    fresh = scenario_scores(norm, scenario)
-    assert fresh is not scores and fresh.flags.writeable
+    listener_chain = memo[scenario]["listener", None]
+    # scenario_scores still returns a fresh, writable array
+    assert scenario_scores(norm, scenario).flags.writeable
     speaker = parse_model_spec("bigram:pragmatic:2.0", "speaker")
     predict(norm, Configuration(scenario, rsa.SPEAKER, (0, 2)), speaker)
-    assert norm.__dict__["_scenario_memo"][scenario][1] is chains
+    # the miss merged the speaker chain into the scenario's entry
+    memo = norm.__dict__["_scenario_memo"]
+    assert list(memo) == [scenario]
+    chains = memo[scenario]
     assert list(chains) == [("listener", None), ("speaker", 2.0)]
+    assert chains["listener", None] is listener_chain
     for probs, zero, _, _ in chains.values():
         assert not probs.flags.writeable and not zero.flags.writeable
     # a prediction is a read-only row of its chain, not a copy
@@ -446,24 +452,37 @@ def test_predict_memo_holds_read_only_checked_scores(rng):
         dist.probs[0] = 1.0
     expected = oracle_predict(norm, Configuration(scenario, rsa.LISTENER, 1), literal)
     assert dist.probs.tobytes() == expected.probs.tobytes()
-    # a primed memo holds each scenario's read-only slices of one stack
+    # a primed memo holds each scenario's read-only slices of one stacked chain
     other = Scenario((1, 3, 4), (0, 1))
-    rsa._prime({"bigram": norm}, [scenario, other, scenario], [literal, speaker])
+    batch = [scenario, other, scenario]
+    assert prime({"bigram": norm}, batch, [literal, speaker]) == batch
     memo = norm.__dict__["_scenario_memo"]
     assert list(memo) == [scenario, other]
-    (scores, chains), (other_scores, other_chains) = memo.values()
-    assert scores.base is not None and scores.base is other_scores.base
-    assert not scores.flags.writeable
-    assert (scores == scenario_scores(norm, scenario)).all()
+    chains, other_chains = memo.values()
     assert list(chains) == list(other_chains) == [("listener", None), ("speaker", 2.0)]
     for probs, zero, _, _ in [*chains.values(), *other_chains.values()]:
         assert not probs.flags.writeable and not zero.flags.writeable
-    stack = chains["listener", None][0].base
-    assert stack is not None and stack is other_chains["listener", None][0].base
+    for key in chains:
+        stack = chains[key][0].base
+        assert stack is not None and stack is other_chains[key][0].base
+        assert chains[key][1].base is other_chains[key][1].base
     primed = predict(norm, Configuration(scenario, rsa.LISTENER, 1), literal)
     assert np.shares_memory(primed.probs, chains["listener", None][0])
     assert not primed.probs.flags.writeable
     assert primed.probs.tobytes() == expected.probs.tobytes()
+
+
+def nan_at(cell):
+    """rsa._score_stack on the matrix's values with a NaN at cell, so that
+    its own check fails on every stack holding a scenario that reads it."""
+    real = rsa._score_stack
+
+    def score_stack(norm, nouns, adjectives):
+        values = norm.values.copy()
+        values[cell] = np.nan
+        return real(SimpleNamespace(lexicon=norm.lexicon, values=values), nouns, adjectives)
+
+    return score_stack
 
 
 def test_predict_memo_stores_no_failed_scores(rng, monkeypatch):
@@ -471,15 +490,7 @@ def test_predict_memo_stores_no_failed_scores(rng, monkeypatch):
     spec = parse_model_spec("bigram:literal", "listener")
     good = Configuration(Scenario((0, 1), (0,)), rsa.LISTENER, 0)
     bad = Configuration(Scenario((2, 3), (1,)), rsa.LISTENER, 0)
-    real = rsa.scenario_scores
-
-    def scores_with_nan(norm, scenario):
-        scores = real(norm, scenario)
-        if scenario == bad.scenario:
-            scores[0, 0] = np.nan
-        return scores
-
-    monkeypatch.setattr(rsa, "scenario_scores", scores_with_nan)
+    monkeypatch.setattr(rsa, "_score_stack", nan_at((2, 1)))
     fresh = memo_less(norm)
     messages = []
     for _ in range(2):
@@ -498,15 +509,15 @@ def test_predict_memo_stores_no_failed_scores(rng, monkeypatch):
 def test_predict_memo_zero_row_raises_on_each_read_and_failed_chain_is_not_stored(rng, monkeypatch):
     norm = random_normalized(rng, 5, 4)
     scenario = Scenario((0, 1, 2), (0, 1, 2))
-    real = rsa.scenario_scores
+    real = rsa._score_stack
 
-    def first_clue_empty(norm, scenario):
-        scores = real(norm, scenario)
-        scores[:, 0] = 0.0
+    def first_clue_empty(norm, nouns, adjectives):
+        scores = real(norm, nouns, adjectives)
+        scores[:, :, 0] = 0.0
         return scores
 
-    monkeypatch.setattr(rsa, "scenario_scores", first_clue_empty)
-    scores = first_clue_empty(norm, scenario)
+    monkeypatch.setattr(rsa, "_score_stack", first_clue_empty)
+    scores = first_clue_empty(norm, np.array([scenario.nouns]), np.array([scenario.adjectives]))[0]
     literal = parse_model_spec("bigram:literal", "listener")
     for _ in range(2):
         with pytest.raises(DataError, match="^zero normalizer$"):
@@ -514,16 +525,18 @@ def test_predict_memo_zero_row_raises_on_each_read_and_failed_chain_is_not_store
         for clue in (1, 2):
             got = predict(norm, Configuration(scenario, rsa.LISTENER, clue), literal)
             assert got.probs.tobytes() == oracle_chain(scores, clue, None, "clue").tobytes()
-    chains = norm.__dict__["_scenario_memo"][scenario][1]
+    chains = norm.__dict__["_scenario_memo"][scenario]
     assert list(chains) == [("listener", None)]
     zero = chains["listener", None][1]
     assert zero.tolist() == [True, False, False] and not zero.flags.writeable
-    # the empty column fails the pragmatic chain as a whole, on every read
+    # the empty column fails the pragmatic chain as a whole, on every read,
+    # and leaves the scenario's literal chain in place
     pragmatic = parse_model_spec("bigram:pragmatic:1.0", "listener")
     for clue in (0, 1, 2, 1):
         with pytest.raises(DataError, match="^zero normalizer$"):
             predict(norm, Configuration(scenario, rsa.LISTENER, clue), pragmatic)
-    assert list(norm.__dict__["_scenario_memo"][scenario][1]) == [("listener", None)]
+    assert list(norm.__dict__["_scenario_memo"]) == [scenario]
+    assert norm.__dict__["_scenario_memo"][scenario] is chains
 
 
 def test_unprimable_batch_leaves_no_entry(rng, monkeypatch):
@@ -531,51 +544,82 @@ def test_unprimable_batch_leaves_no_entry(rng, monkeypatch):
     tables = {"bigram": norm}
     literal = parse_model_spec("bigram:literal", "listener")
     good = [Scenario((0, 1), (0, 1)), Scenario((2, 3), (1, 2))]
-    rsa._prime(tables, good, [literal])
+    prime(tables, good, [literal])
     assert list(norm.__dict__["_scenario_memo"]) == good
-    # an index past the matrix fails the whole batch, and the memo is left empty
-    batch = [*good, Scenario((0, 5), (0, 1))]
-    rsa._prime(tables, batch, [literal])
+    # an index past the matrix fails the whole batch, the shape primed
+    # before it included, and the memo is left empty
+    batch = [*good, Scenario((0, 1, 5), (0, 1))]
+    prime(tables, batch, [literal])
     assert norm.__dict__["_scenario_memo"] == {}
     config = Configuration(batch[2], rsa.LISTENER, 0)
     with pytest.raises(DataError, match="^scenario noun index out of range for this matrix$"):
         predict(norm, config, literal)
-    # so do scores that fail their check
-    real = rsa._score_stack
-
-    def stack_with_nan(norm, nouns, adjectives):
-        # _score_stack's own check, on values holding a NaN the last scenario reads
-        values = norm.values.copy()
-        values[nouns[-1, 0], adjectives[-1, 0]] = np.nan
-        return real(SimpleNamespace(lexicon=norm.lexicon, values=values), nouns, adjectives)
-
-    with pytest.raises(DataError, match="^scores must be finite and non-negative$"):
-        stack_with_nan(norm, np.array([s.nouns for s in good]), np.array([s.adjectives for s in good]))
-    monkeypatch.setattr(rsa, "_score_stack", stack_with_nan)
-    rsa._prime(tables, good, [literal])
-    assert norm.__dict__["_scenario_memo"] == {}
-    monkeypatch.undo()
-    # a pragmatic chain that fails on its stack is left to each scenario's lazy run
+    # so do scores that fail their check, here in the last scenario
+    with monkeypatch.context() as patch:
+        patch.setattr(rsa, "_score_stack", nan_at((2, 1)))
+        prime(tables, good, [literal])
+        assert norm.__dict__["_scenario_memo"] == {}
+        with pytest.raises(DataError, match="^scores must be finite and non-negative$"):
+            predict(norm, Configuration(good[1], rsa.LISTENER, 0), literal)
+    # and so does a pragmatic chain that fails on its stack: one failing
+    # scenario leaves the whole chunk to each scenario's own run
     values = rng.uniform(0.5, 1.0, (5, 4))
     values[:2] = ZERO_FLOOR
     floored = NormalizedAssociation("bigram", norm.lexicon, values, values == ZERO_FLOOR)
     fails, passes = Scenario((0, 1, 2, 3), (0, 1)), Scenario((1, 2, 3, 4), (0, 1))
     pragmatic = parse_model_spec("bigram:pragmatic:30", "listener")
-    batch = [passes, fails, good[0]]
-    rsa._prime({"bigram": floored}, batch, [literal, pragmatic])
-    memo = floored.__dict__["_scenario_memo"]
-    assert list(memo) == batch
-    assert [list(chains) for _, chains in memo.values()] == [
-        [("listener", None)], [("listener", None)], [("listener", None), ("listener", 30.0)]
-    ]
+    batch = [good[0], passes, fails]
+    prime({"bigram": floored}, batch, [literal])
+    assert list(floored.__dict__["_scenario_memo"]) == batch
+    prime({"bigram": floored}, batch, [literal, pragmatic])
+    assert floored.__dict__["_scenario_memo"] == {}
     for scenario in batch:
         config = Configuration(scenario, rsa.LISTENER, 1)
+        expected = oracle_predict(floored, config, literal).probs
+        assert predict(floored, config, literal).probs.tobytes() == expected.tobytes()
         if scenario == fails:
             with pytest.raises(DataError, match="^zero normalizer$"):
                 predict(floored, config, pragmatic)
         else:
             expected = oracle_predict(floored, config, pragmatic).probs
             assert predict(floored, config, pragmatic).probs.tobytes() == expected.tobytes()
+
+
+def test_memo_is_bounded(rng, monkeypatch):
+    # priming keeps one chunk of scenarios per matrix, and a direct predict one scenario
+    sizes = []
+
+    def sized(fn):
+        def call(norm, config, spec):
+            try:
+                return fn(norm, config, spec)
+            finally:
+                sizes.append(len(norm.__dict__.get("_scenario_memo", {})))
+        return call
+
+    for module in (oed, evaluation):
+        monkeypatch.setattr(module, "predict", sized(module.predict))
+    norm = load_normalized(GOLDEN_NORM)
+    found = monte_carlo_search(
+        norm, _exp4_models(), SearchSettings(3, 3, "joint", iterations=600, seed=7, top_k=3136)
+    )
+    assert len(found) > rsa._CHUNK
+    assert max(sizes) == rsa._CHUNK and len(norm.__dict__["_scenario_memo"]) <= rsa._CHUNK
+    table = random_normalized(rng, 12, 12)
+    scenarios = [
+        Scenario(tuple(rng.choice(12, size=3, replace=False).tolist()),
+                 tuple(rng.choice(12, size=3, replace=False).tolist()))
+        for _ in range(600)
+    ]
+    sizes.clear()
+    simulate_gameplay(table, scenarios, "bigram:pragmatic:1.0", "bigram:literal")
+    assert max(sizes) == len(set(scenarios[: rsa._CHUNK]))
+    assert len(table.__dict__["_scenario_memo"]) <= rsa._CHUNK
+    # a direct predict leaves its scenario alone in the memo
+    for matrix in (norm, memo_less(norm)):
+        config = Configuration(Scenario((0, 1, 2, 3), (0,)), rsa.LISTENER, 0)
+        predict(matrix, config, parse_model_spec("bigram:literal", rsa.LISTENER))
+        assert list(matrix.__dict__["_scenario_memo"]) == [config.scenario]
 
 
 @pytest.mark.parametrize("workload, predicts, chains", [
@@ -657,8 +701,8 @@ def _run(fn):
 @given(st.data())
 def test_chunk_size_changes_no_result(data):
     # Floor-heavy matrices make some stacked pragmatic chains fail as a
-    # whole, which leaves them to each scenario's lazy run; chunk None
-    # primes nothing, so every predict takes that run.
+    # whole, which leaves their chunk to each scenario's own run; chunk
+    # None primes nothing, so every predict takes that run.
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     mask = float(rng.choice([0.0, 0.3, 0.5, 0.7]))
     tables = {metric: random_normalized(rng, 9, 10, metric, mask_frac=mask) for metric in ("a", "b")}
@@ -692,7 +736,8 @@ def test_chunk_size_changes_no_result(data):
     for chunk in (None, 1, 7, 256):
         with pytest.MonkeyPatch.context() as patch:
             if chunk is None:
-                patch.setattr(rsa, "_prime", lambda tables, scenarios, specs: None)
+                for module in (oed, evaluation):
+                    patch.setattr(module, "_primed", lambda tables, scenarios, specs: scenarios)
             else:
                 patch.setattr(rsa, "_CHUNK", chunk)
             for norm in tables.values():
