@@ -24,7 +24,7 @@ from .lexicon import (
     RelatednessTable,
     TopicTable,
     lexicon_array,
-    parse_float_cells,
+    parse_cells,
     read_labeled_matrix,
     reject_cells,
     write_labeled_matrix,
@@ -230,22 +230,17 @@ def sparsity_report(norm: NormalizedAssociation, configurations) -> float:
     configurations = list(configurations)
     if not configurations:
         raise DataError("no configurations given")
-    mask = norm.zero_mask
     total = 0
     masked = 0
     for config in configurations:
         scenario = config.scenario
         if config.role == "speaker":
-            i, j = config.index
-            for adj in scenario.adjectives:
-                for noun in (scenario.nouns[i], scenario.nouns[j]):
-                    total += 1
-                    masked += bool(mask[noun, adj])
+            nouns = [scenario.nouns[i] for i in config.index]
+            adjectives = scenario.adjectives
         else:
-            adj = scenario.adjectives[config.index]
-            for noun in scenario.nouns:
-                total += 1
-                masked += bool(mask[noun, adj])
+            nouns, adjectives = scenario.nouns, [scenario.adjectives[config.index]]
+        total += len(nouns) * len(adjectives)
+        masked += int(norm.zero_mask[np.ix_(nouns, adjectives)].sum())
     return masked / total
 
 
@@ -306,7 +301,7 @@ def _read_matrix(path: str | Path, expect_stage: str, build):
         if stage != expect_stage:
             raise DataError(f"stage '{stage}' where '{expect_stage}' expected")
         lexicon = Lexicon(tuple(row_labels), tuple(col_labels))
-        matrix = parse_float_cells(cells, lexicon, "cell")
+        matrix = parse_cells(cells, lexicon, "cell")
         mask = _parse_mask_spec(keys.get("zero-mask", ""), lexicon.shape)
         return build(keys["metric"], lexicon, matrix, mask)
 

@@ -8,6 +8,11 @@ either return a fully validated table or raise a DataError that starts
 with the file path and names the line, cell or word at fault; nothing
 partially parsed escapes. The table types check their own contents, so
 a loader only parses and then builds its type under that file prefix.
+
+Every file's labels are checked against the lexicon in one linear pass.
+A matrix's cells, once in lexicon order, are parsed as one block by
+Python's own float or int, so each value keeps its bits; if any cell
+fails, the first bad cell in lexicon order, not file order, is named.
 """
 
 from __future__ import annotations
@@ -139,59 +144,69 @@ def read_labeled_matrix(path: str | Path) -> tuple[list[str], list[str], list[li
 def write_labeled_matrix(path, lexicon: Lexicon, matrix, comments=()) -> None:
     """Write the format read_labeled_matrix reads: comment lines, a header
     row of adjectives, then one row per noun with cells as repr() floats."""
+    rows = np.asarray(matrix, dtype=float).tolist()
     lines = list(comments)
     lines.append("\t" + "\t".join(lexicon.adjectives))
     for i, noun in enumerate(lexicon.nouns):
-        lines.append(noun + "\t" + "\t".join(repr(float(v)) for v in matrix[i]))
+        lines.append(noun + "\t" + "\t".join(map(repr, rows[i])))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def parse_float_cells(cells, lexicon: Lexicon, what: str) -> np.ndarray:
-    """Float matrix from string cells in lexicon order; a bad cell names
-    its noun and adjective."""
-    matrix = np.zeros(lexicon.shape)
-    for i, noun in enumerate(lexicon.nouns):
-        for j, adj in enumerate(lexicon.adjectives):
+def parse_cells(cells, lexicon: Lexicon, what: str, dtype=float) -> np.ndarray:
+    """A float or int64 (dtype int) matrix from lexicon-shaped string cells,
+    converted by Python's own float or int; a bad cell names its noun and
+    adjective, and an int cell int64 cannot hold is a "<what> overflow"."""
+    cells = np.asarray(cells, dtype=object)
+    try:
+        values = cells.astype(dtype)
+        if dtype is int and (values == -_INT_LIMIT - 1).any():
+            raise OverflowError  # int64 holds -2**63, too large for a count
+    except (ValueError, OverflowError):
+        fault = "non-numeric" if dtype is float else "non-integer"
+        for (i, j), text in np.ndenumerate(cells):
+            at = f"at ('{lexicon.nouns[i]}', '{lexicon.adjectives[j]}')"
             try:
-                matrix[i, j] = float(cells[i][j])
+                value = dtype(text)
             except ValueError:
-                raise DataError(
-                    f"non-numeric {what} {cells[i][j]!r} at ('{noun}', '{adj}')"
-                ) from None
-    return matrix
+                raise DataError(f"{fault} {what} {text!r} {at}") from None
+            # the sign is checked by the type
+            if dtype is int and abs(value) > _INT_LIMIT:
+                raise DataError(f"{what} overflow {value} {at}")
+        raise
+    return values
 
 
-def _align_rows(
-    row_labels: list[str],
-    col_labels: list[str],
-    cells: list[list[str]],
-    lexicon: Lexicon,
-    path: str | Path,
-):
-    """Map file rows/columns onto lexicon order, ignoring extra words.
+def _align_labels(path, labels, words, names=(("row", "noun"), ("column", "adjective"))):
+    """The np.ix_ index of the lexicon's words, in lexicon order, in a file
+    whose block of cells has one axis per sequence of labels.
 
-    Duplicate labels and lexicon words missing from the file are errors;
-    words in the file but not the lexicon are dropped with a warning.
+    words holds the lexicon's words for each axis, names its (label, word)
+    kinds. A duplicate label (the alphabetically first, axes in order) and
+    an absent word are errors; extra labels are ignored with a warning.
     """
-    for kind, labels in (("row", row_labels), ("column", col_labels)):
-        dupes = {w for w in labels if labels.count(w) > 1}
-        if dupes:
-            raise DataError(f"{path}: duplicate {kind} label '{sorted(dupes)[0]}'")
-    row_pos = {w: i for i, w in enumerate(row_labels)}
-    col_pos = {w: i for i, w in enumerate(col_labels)}
-    for noun in lexicon.nouns:
-        if noun not in row_pos:
-            raise DataError(f"{path}: noun '{noun}' absent")
-    for adj in lexicon.adjectives:
-        if adj not in col_pos:
-            raise DataError(f"{path}: adjective '{adj}' absent")
-    extra = (len(row_labels) - len(lexicon.nouns)) + (len(col_labels) - len(lexicon.adjectives))
+    positions = []
+    for axis_labels, (kind, _) in zip(labels, names):
+        position = {label: i for i, label in enumerate(axis_labels)}
+        if len(position) < len(axis_labels):
+            dupe = min(w for i, w in enumerate(axis_labels) if position[w] != i)
+            raise DataError(f"{path}: duplicate {kind} label '{dupe}'")
+        positions.append(position)
+    for position, axis_words, (_, word_kind) in zip(positions, words, names):
+        for word in axis_words:
+            if word not in position:
+                raise DataError(f"{path}: {word_kind} '{word}' absent")
+    extra = sum(map(len, labels)) - sum(map(len, words))
     if extra:
-        warnings.warn(f"{path}: ignoring {extra} word(s) outside the lexicon", stacklevel=3)
-    picked = [
-        [cells[row_pos[n]][col_pos[a]] for a in lexicon.adjectives] for n in lexicon.nouns
-    ]
-    return picked
+        # a loader calls the file's reader, which calls this
+        warnings.warn(f"{path}: ignoring {extra} word(s) outside the lexicon", stacklevel=4)
+    return np.ix_(*([p[w] for w in ws] for p, ws in zip(positions, words)))
+
+
+def _read_cells(path: str | Path, lexicon: Lexicon) -> np.ndarray:
+    """A labeled matrix file's string cells in lexicon order."""
+    rows, columns, cells, _ = read_labeled_matrix(path)
+    index = _align_labels(path, (rows, columns), (lexicon.nouns, lexicon.adjectives))
+    return np.array(cells, dtype=object)[index]
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -236,22 +251,9 @@ class CooccurrenceCounts:
 
 
 def load_counts(path: str | Path, lexicon: Lexicon) -> CooccurrenceCounts:
-    row_labels, col_labels, cells, _ = read_labeled_matrix(path)
-    picked = _align_rows(row_labels, col_labels, cells, lexicon, path)
-    z = np.zeros(lexicon.shape, dtype=np.int64)
+    cells = _read_cells(path, lexicon)
     with prefix_errors(path):
-        for i, noun in enumerate(lexicon.nouns):
-            for j, adj in enumerate(lexicon.adjectives):
-                text = picked[i][j]
-                try:
-                    value = int(text)
-                except ValueError:
-                    raise DataError(f"non-integer count {text!r} at ('{noun}', '{adj}')") from None
-                # a cell int64 cannot hold; the sign is checked by the type
-                if abs(value) > _INT_LIMIT:
-                    raise DataError(f"count overflow {value} at ('{noun}', '{adj}')")
-                z[i, j] = value
-        return CooccurrenceCounts(lexicon, z)
+        return CooccurrenceCounts(lexicon, parse_cells(cells, lexicon, "count", int))
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,16 +270,16 @@ class RelatednessTable:
 
 
 def load_relatedness(path: str | Path, lexicon: Lexicon) -> RelatednessTable:
-    row_labels, col_labels, cells, _ = read_labeled_matrix(path)
-    picked = _align_rows(row_labels, col_labels, cells, lexicon, path)
+    cells = _read_cells(path, lexicon)
     with prefix_errors(path):
-        return RelatednessTable(lexicon, parse_float_cells(picked, lexicon, "score"))
+        return RelatednessTable(lexicon, parse_cells(cells, lexicon, "score"))
 
 
 # ---------------------------------------------------------------------------
 # word-keyed vector files (embeddings, topic distributions)
 
-def _read_vector_file(path: str | Path) -> dict[str, np.ndarray]:
+def _read_vectors(path: str | Path, lexicon: Lexicon) -> dict[str, np.ndarray]:
+    """Each lexicon word's vector from a word-keyed vector file."""
     vectors: dict[str, np.ndarray] = {}
     dimension: int | None = None
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -304,19 +306,9 @@ def _read_vector_file(path: str | Path) -> dict[str, np.ndarray]:
         vectors[word] = values
     if not vectors:
         raise DataError(f"{path}: no entries")
-    return vectors
-
-
-def _pick_vectors(all_vectors, lexicon, path):
-    picked = {}
-    for word in lexicon.nouns + lexicon.adjectives:
-        if word not in all_vectors:
-            raise DataError(f"{path}: word '{word}' absent")
-        picked[word] = all_vectors[word]
-    extra = len(all_vectors) - len(picked)
-    if extra:
-        warnings.warn(f"{path}: ignoring {extra} word(s) outside the lexicon", stacklevel=3)
-    return picked
+    words = lexicon.nouns + lexicon.adjectives
+    _align_labels(path, [vectors], [words], [("word", "word")])
+    return {word: vectors[word] for word in words}
 
 
 def _word_vectors(lexicon: Lexicon, vectors, what: str) -> dict[str, np.ndarray]:
@@ -357,7 +349,7 @@ class EmbeddingTable:
 
 
 def load_embeddings(path: str | Path, lexicon: Lexicon) -> EmbeddingTable:
-    picked = _pick_vectors(_read_vector_file(path), lexicon, path)
+    picked = _read_vectors(path, lexicon)
     with prefix_errors(path):
         return EmbeddingTable(lexicon, picked)
 
@@ -382,7 +374,7 @@ class TopicTable:
 
 def load_topics(path: str | Path, lexicon: Lexicon) -> TopicTable:
     """Load topic distributions; rows off by at most 1e-6 are re-normalized."""
-    picked = _pick_vectors(_read_vector_file(path), lexicon, path)
+    picked = _read_vectors(path, lexicon)
     for word, vec in picked.items():
         total = float(vec.sum())
         if _TOPIC_EXACT_TOL < abs(total - 1.0) <= _TOPIC_RENORM_TOL:

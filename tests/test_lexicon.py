@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from refgame import (
+    ZERO_FLOOR,
     CooccurrenceCounts,
     DataError,
     EmbeddingTable,
@@ -17,6 +18,7 @@ from refgame import (
     load_normalized,
     load_relatedness,
     load_topics,
+    write_labeled_matrix,
 )
 
 from conftest import (
@@ -408,3 +410,94 @@ def test_tables_are_read_only(rng):
     table = RelatednessTable(lex, np.ones((2, 2)))
     with pytest.raises(ValueError):
         table.scores[0, 0] = 5.0
+
+
+# ---------------------------------------------------------------------------
+# first-fault rules: the cell named is the first bad one in lexicon order
+
+# lexicon order is (key, bright), (key, heavy), (lock, bright), (lock, heavy);
+# these files list lock before key and heavy before bright, so each one's
+# first bad cell in file order is (lock, heavy), the last in lexicon order
+SHUFFLED = "\theavy\tbright\nlock\t{lock_heavy}\t1\nkey\t1\t{key_bright}\n"
+
+
+@pytest.mark.parametrize("loader, key_bright, lock_heavy, message", [
+    (load_counts, "two", "1.5", "non-integer count 'two' at ('key', 'bright')"),
+    (load_counts, str(-2**63), "1.5", "count overflow -9223372036854775808 at ('key', 'bright')"),
+    (load_counts, "1.5", str(2**64), "non-integer count '1.5' at ('key', 'bright')"),
+    (load_relatedness, "high", "low", "non-numeric score 'high' at ('key', 'bright')"),
+], ids=["counts", "counts-overflow-first", "counts-non-integer-first", "relatedness"])
+def test_first_bad_cell_in_lexicon_order_is_named(tmp_path, loader, key_bright, lock_heavy, message):
+    path = tmp_path / "table.tsv"
+    path.write_text(SHUFFLED.format(key_bright=key_bright, lock_heavy=lock_heavy))
+    with pytest.raises(DataError) as info:
+        loader(path, Lexicon(("key", "lock"), ("bright", "heavy")))
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_normalized_matrix_names_first_bad_cell_row_by_row(tmp_path):
+    # (key, heavy) comes before (lock, bright) row by row, after it column by column
+    path = tmp_path / "norm.tsv"
+    path.write_text(
+        "# metric: bigram\n# stage: normalized\n# zero-mask: \n"
+        "\tbright\theavy\nkey\t0.5\thigh\nlock\tlow\t0.5\n"
+    )
+    with pytest.raises(DataError) as info:
+        load_normalized(path)
+    assert str(info.value) == f"{path}: non-numeric cell 'high' at ('key', 'heavy')"
+
+
+@pytest.mark.parametrize("rows, columns, message", [
+    (["lock", "key", "lock", "key"], ["bright", "heavy", "bright"], "duplicate row label 'key'"),
+    (["key", "lock"], ["heavy", "bright", "heavy", "bright"], "duplicate column label 'bright'"),
+    (["key", "key"], ["heavy"], "duplicate row label 'key'"),
+    (["key"], ["bright", "heavy", "heavy"], "duplicate column label 'heavy'"),
+], ids=["rows-before-columns", "columns", "before-absent-adjective", "before-absent-noun"])
+def test_duplicate_label_named_alphabetically_first(tmp_path, rows, columns, message):
+    path = tmp_path / "counts.tsv"
+    write_counts_file(path, rows, columns, [[1] * len(columns)] * len(rows))
+    with pytest.raises(DataError) as info:
+        load_counts(path, Lexicon(("key", "lock"), ("bright", "heavy")))
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("count, message", [
+    (2**63, "count overflow 9223372036854775808"),
+    (-10**20, "count overflow -100000000000000000000"),
+    (-2**63, "count overflow -9223372036854775808"),
+    (1 - 2**63, "negative count -9223372036854775807"),
+])
+def test_count_overflow_names_the_cell(tmp_path, count, message):
+    path = tmp_path / "counts.tsv"
+    path.write_text(f"\tbright\theavy\nkey\t{2**63 - 1}\t{count}\n")
+    with pytest.raises(DataError) as info:
+        load_counts(path, Lexicon(("key",), ("bright", "heavy")))
+    assert str(info.value) == f"{path}: {message} at ('key', 'heavy')"
+
+
+@pytest.mark.parametrize("loader, text", [
+    (load_counts, "\tbright\tspare\nkey\t1\t2\n"),
+    (load_relatedness, "\tbright\nkey\t0.5\nspare\t0.5\n"),
+    (load_embeddings, "key 1.0\nbright 0.5\nspare 0.1\n"),
+    (load_topics, "key 1.0\nbright 1.0\nspare 1.0\n"),
+], ids=["counts", "relatedness", "embeddings", "topics"])
+def test_extra_word_warning_points_at_the_loader_call(tmp_path, loader, text):
+    path = tmp_path / "table.txt"
+    path.write_text(text)
+    with pytest.warns(UserWarning, match="ignoring 1 word") as record:
+        loader(path, Lexicon(("key",), ("bright",)))
+    assert [w.filename for w in record] == [__file__]
+
+
+def test_written_cells_are_repr_of_float(tmp_path):
+    lex = Lexicon(("key", "lock"), ("bright", "heavy", "soft"))
+    floats = np.array([[-0.0, 5e-324, ZERO_FLOOR], [1 / 3, 1.7976931348623157e308, 2.5]])
+    ints = np.array([[0, -3, 2**62], [7, 2**53 + 1, 1]])
+    for matrix in (floats, ints):
+        path = tmp_path / "matrix.tsv"
+        write_labeled_matrix(path, lex, matrix, comments=["# metric: m"])
+        expected = ["# metric: m", "\tbright\theavy\tsoft"] + [
+            noun + "\t" + "\t".join(repr(float(v)) for v in row)
+            for noun, row in zip(lex.nouns, matrix)
+        ]
+        assert path.read_text() == "\n".join(expected) + "\n"
