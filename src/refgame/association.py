@@ -230,17 +230,22 @@ def sparsity_report(norm: NormalizedAssociation, configurations) -> float:
     configurations = list(configurations)
     if not configurations:
         raise DataError("no configurations given")
+    mask = norm.zero_mask
     total = 0
     masked = 0
     for config in configurations:
         scenario = config.scenario
         if config.role == "speaker":
-            nouns = [scenario.nouns[i] for i in config.index]
-            adjectives = scenario.adjectives
+            i, j = config.index
+            for adj in scenario.adjectives:
+                for noun in (scenario.nouns[i], scenario.nouns[j]):
+                    total += 1
+                    masked += bool(mask[noun, adj])
         else:
-            nouns, adjectives = scenario.nouns, [scenario.adjectives[config.index]]
-        total += len(nouns) * len(adjectives)
-        masked += int(norm.zero_mask[np.ix_(nouns, adjectives)].sum())
+            adj = scenario.adjectives[config.index]
+            for noun in scenario.nouns:
+                total += 1
+                masked += bool(mask[noun, adj])
     return masked / total
 
 

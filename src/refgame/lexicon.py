@@ -10,9 +10,9 @@ partially parsed escapes. The table types check their own contents, so
 a loader only parses and then builds its type under that file prefix.
 
 Every file's labels are checked against the lexicon in one linear pass.
-A matrix's cells, once in lexicon order, are parsed as one block by
-Python's own float or int, so each value keeps its bits; if any cell
-fails, the first bad cell in lexicon order, not file order, is named.
+A matrix's cells, once in lexicon order, are parsed in that order by one
+parser with Python's own float or int, so each value keeps its bits and
+the first bad cell in lexicon order, not file order, is named.
 """
 
 from __future__ import annotations
@@ -153,37 +153,32 @@ def write_labeled_matrix(path, lexicon: Lexicon, matrix, comments=()) -> None:
 
 
 def parse_cells(cells, lexicon: Lexicon, what: str, dtype=float) -> np.ndarray:
-    """A float or int64 (dtype int) matrix from lexicon-shaped string cells,
-    converted by Python's own float or int; a bad cell names its noun and
-    adjective, and an int cell int64 cannot hold is a "<what> overflow"."""
-    cells = np.asarray(cells, dtype=object)
-    try:
-        values = cells.astype(dtype)
-        if dtype is int and (values == -_INT_LIMIT - 1).any():
-            raise OverflowError  # int64 holds -2**63, too large for a count
-    except (ValueError, OverflowError):
-        fault = "non-numeric" if dtype is float else "non-integer"
-        for (i, j), text in np.ndenumerate(cells):
-            at = f"at ('{lexicon.nouns[i]}', '{lexicon.adjectives[j]}')"
+    """A float or int64 (dtype int) matrix from rows of string cells in lexicon
+    order, parsed by Python's own float or int; a bad cell, or an int cell
+    int64 cannot hold ("<what> overflow"), names its noun and adjective."""
+    fault = "non-numeric" if dtype is float else "non-integer"
+    values = np.empty(lexicon.shape, dtype)
+    for i, row in enumerate(cells):
+        for j, text in enumerate(row):
             try:
                 value = dtype(text)
             except ValueError:
-                raise DataError(f"{fault} {what} {text!r} {at}") from None
-            # the sign is checked by the type
-            if dtype is int and abs(value) > _INT_LIMIT:
-                raise DataError(f"{what} overflow {value} {at}")
-        raise
+                message = f"{fault} {what} {text!r}"
+            else:
+                # the sign is checked by the type
+                if dtype is float or abs(value) <= _INT_LIMIT:
+                    values[i, j] = value
+                    continue
+                message = f"{what} overflow {value}"
+            raise DataError(f"{message} at ('{lexicon.nouns[i]}', '{lexicon.adjectives[j]}')")
     return values
 
 
 def _align_labels(path, labels, words, names=(("row", "noun"), ("column", "adjective"))):
-    """The np.ix_ index of the lexicon's words, in lexicon order, in a file
-    whose block of cells has one axis per sequence of labels.
-
-    words holds the lexicon's words for each axis, names its (label, word)
-    kinds. A duplicate label (the alphabetically first, axes in order) and
-    an absent word are errors; extra labels are ignored with a warning.
-    """
+    """The np.ix_ index, in lexicon order, of each axis's words in its file
+    labels; names gives each axis's (label, word) kinds. A duplicate label
+    (the alphabetically first, axes in order) or an absent word is an
+    error; extra labels are ignored with a warning."""
     positions = []
     for axis_labels, (kind, _) in zip(labels, names):
         position = {label: i for i, label in enumerate(axis_labels)}
@@ -202,11 +197,11 @@ def _align_labels(path, labels, words, names=(("row", "noun"), ("column", "adjec
     return np.ix_(*([p[w] for w in ws] for p, ws in zip(positions, words)))
 
 
-def _read_cells(path: str | Path, lexicon: Lexicon) -> np.ndarray:
-    """A labeled matrix file's string cells in lexicon order."""
+def _read_cells(path: str | Path, lexicon: Lexicon) -> list[list[str]]:
+    """A labeled matrix file's rows of string cells in lexicon order."""
     rows, columns, cells, _ = read_labeled_matrix(path)
     index = _align_labels(path, (rows, columns), (lexicon.nouns, lexicon.adjectives))
-    return np.array(cells, dtype=object)[index]
+    return np.array(cells, dtype=object)[index].tolist()
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
