@@ -258,7 +258,7 @@ _STAGE_NORMALIZED = "normalized"
 
 def _mask_spec(mask: np.ndarray) -> str:
     rows, cols = np.nonzero(mask)
-    return ";".join(f"{r},{c}" for r, c in zip(rows, cols))
+    return ";".join(map("{},{}".format, rows.tolist(), cols.tolist()))
 
 
 def _parse_mask_spec(spec: str, shape: tuple[int, int]) -> np.ndarray:

@@ -15,6 +15,7 @@ each distinct key is scored once, so one seed always gives one result.
 
 from __future__ import annotations
 
+import heapq
 import math
 import numbers
 import warnings
@@ -137,7 +138,8 @@ def response_probability(tables, config: Configuration, models: ModelSet) -> np.
     tables = Tables.of(tables)
     if models.role != config.role:
         raise DataError(f"model set role '{models.role}' != configuration role '{config.role}'")
-    return _responses(tables, config.scenario, models, [config.index], len(answer_support(config)))[0]
+    out = np.empty((1, len(models), len(answer_support(config))))
+    return _responses(tables, config.scenario, models, [config.index], out)[0]
 
 
 def model_information_bits(prediction_probs):
@@ -172,16 +174,20 @@ def model_information_bits(prediction_probs):
         warnings.warn("fewer than two models: utility is identically 0", stacklevel=2)
         return 0.0 if probs.ndim == 2 else np.zeros(len(probs))
     stack = probs if probs.ndim == 3 else probs[None]
-    mixture = stack.mean(axis=1)
+    # the sum and division of stack.mean(axis=1), without its Python layer
+    mixture = np.add.reduce(stack, axis=1) / n_models
     live = mixture > 0
     columns = np.ascontiguousarray(stack.swapaxes(1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         posterior = columns / (n_models * mixture[:, :, None])
-        terms = np.where(posterior > 0, posterior * np.log2(posterior * n_models), 0.0)
-        gains = np.where(live, mixture * np.add.reduce(terms, axis=2), -0.0)
+        terms = posterior * np.log2(posterior * n_models)
+        terms[~(posterior > 0)] = 0.0  # zero and NaN posteriors
+        gains = mixture * np.add.reduce(terms, axis=2)
+    gains[~live] = -0.0
     total = np.cumsum(gains, axis=1)[:, -1]
-    # np.where(total < 0.0, 0.0, total) is max(total, 0.0): -0.0 stays -0.0
-    total = np.where(live.any(axis=1), np.where(total < 0.0, 0.0, total), 0.0)
+    # max(total, 0.0) in place: -0.0 stays -0.0
+    total[total < 0.0] = 0.0
+    total[~live.any(axis=1)] = 0.0
     return total if probs.ndim == 3 else total[0]
 
 
@@ -196,11 +202,10 @@ def _geometric_mean(values) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def _responses(tables, scenario: Scenario, models: ModelSet, indices, answers: int) -> np.ndarray:
+def _responses(tables, scenario: Scenario, models: ModelSet, indices, out: np.ndarray) -> np.ndarray:
     """Each model's answer distribution for the configuration of each index,
-    written row by row into one (configurations, models, answers) array."""
+    written row by row into out, a (configurations, models, answers) array."""
     specs = [(tables[spec.metric], spec) for spec in models.models]
-    out = np.empty((len(indices), len(specs), answers))
     for responses, index in zip(out, indices):
         config = Configuration(scenario, models.role, index)
         for row, (norm, spec) in enumerate(specs):
@@ -212,15 +217,28 @@ def scenario_joint_utility(
     tables, scenario: Scenario, speaker_models: ModelSet, listener_models: ModelSet
 ) -> float:
     """Geometric mean of every configuration utility in the scenario:
-    all C(k,2) speaker targets and all m listener clues."""
+    all C(k,2) speaker targets and all m listener clues.
+
+    Model sets of one size are scored in one model_information_bits
+    pass over both roles, each zero-padded to the longer support: a dead
+    answer adds an exact -0.0, so every utility keeps its bits."""
     if speaker_models.role != SPEAKER:
         raise DataError("speaker_models must hold speaker models")
     if listener_models.role != LISTENER:
         raise DataError("listener_models must hold listener models")
     tables = Tables.of(tables)
-    speaker = _responses(tables, scenario, speaker_models, scenario.pairs, scenario.m)
-    listener = _responses(tables, scenario, listener_models, range(scenario.m), len(scenario.pairs))
-    return _geometric_mean([*model_information_bits(speaker), *model_information_bits(listener)])
+    n_pairs, m = len(scenario.pairs), scenario.m
+    if len(speaker_models) == len(listener_models):
+        stacks = [np.zeros((n_pairs + m, len(speaker_models), max(n_pairs, m)))]
+        speaker, listener = stacks[0][:n_pairs, :, :m], stacks[0][n_pairs:, :, :n_pairs]
+    else:
+        stacks = speaker, listener = [
+            np.empty((n_pairs, len(speaker_models), m)),
+            np.empty((m, len(listener_models), n_pairs)),
+        ]
+    _responses(tables, scenario, speaker_models, scenario.pairs, speaker)
+    _responses(tables, scenario, listener_models, range(m), listener)
+    return _geometric_mean([bits for stack in stacks for bits in model_information_bits(stack)])
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +282,10 @@ def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignC
 
     rng = np.random.default_rng(settings.seed)
     pairs = noun_pairs(settings.nouns)
-    first_seen: dict[tuple, int] = {}
+    keys: dict[tuple, None] = {}
     # Scoring draws nothing from rng, so the keys depend on the seed alone;
     # first-seen order breaks utility ties.
-    for iteration in range(settings.iterations):
+    for _ in range(settings.iterations):
         nouns = tuple(sorted(rng.choice(n_nouns, size=settings.nouns, replace=False).tolist()))
         adjs = tuple(sorted(rng.choice(n_adjs, size=settings.adjectives, replace=False).tolist()))
         if role == SPEAKER:
@@ -276,8 +294,7 @@ def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignC
             key = (nouns, adjs, int(rng.integers(settings.adjectives)))
         else:
             key = (nouns, adjs, None)
-        if key not in first_seen:
-            first_seen[key] = iteration
+        keys.setdefault(key)
 
     def evaluate(scenario, index) -> float:
         try:
@@ -291,18 +308,16 @@ def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignC
                 f"scenario {' '.join(words['nouns'])} / {' '.join(words['adjectives'])}: {exc}"
             ) from None
 
-    # Each chunk of keys is scored from score stacks and chains primed for it.
-    keys = list(first_seen)
+    # Each chunk of keys is scored from score stacks and chains primed for it,
+    # as _primed yields the chunk's scenarios.
     scenarios = _primed(tables, (Scenario(nouns, adjs) for nouns, adjs, _ in keys), specs)
-    utilities = [evaluate(scenario, index) for scenario, (_, _, index) in zip(scenarios, keys)]
-
-    scored = sorted(
-        zip(keys, utilities), key=lambda item: (-item[1], first_seen[item[0]])
-    )[: settings.top_k]
-    return [
-        DesignCandidate(Scenario(nouns, adjs), role, index, utility)
-        for (nouns, adjs, index), utility in scored
-    ]
+    scored = (
+        (evaluate(scenario, index), scenario, index) for scenario, (_, _, index) in zip(scenarios, keys)
+    )
+    # the first top_k of a stable sort, holding only top_k items: ties keep
+    # the keys' first-seen order
+    best = heapq.nsmallest(settings.top_k, scored, key=lambda item: -item[0])
+    return [DesignCandidate(scenario, role, index, utility) for utility, scenario, index in best]
 
 
 # ---------------------------------------------------------------------------

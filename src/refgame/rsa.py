@@ -73,6 +73,11 @@ class Scenario:
             raise DataError("duplicate adjective in scenario")
         if min(self.nouns) < 0 or min(self.adjectives) < 0:
             raise DataError("negative index in scenario")
+        # the hash the dataclass would compute on every call, computed once
+        object.__setattr__(self, "_hash", hash((self.nouns, self.adjectives)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def k(self) -> int:
@@ -125,6 +130,15 @@ class Configuration:
     index: object
 
     def __post_init__(self):
+        index = self.index
+        # a plain in-range int clue or int pair is already in normal form
+        if type(index) is int and self.role == LISTENER:
+            if 0 <= index < self.scenario.m:
+                return
+        elif type(index) is tuple and len(index) == 2 and self.role == SPEAKER:
+            i, j = index
+            if type(i) is int and type(j) is int and 0 <= i < j < self.scenario.k:
+                return
         if self.role not in ROLES:
             raise DataError(f"unknown role {self.role!r}")
         if self.role == SPEAKER:

@@ -279,6 +279,85 @@ def test_information_bits_of_an_empty_stack_is_empty():
     assert model_information_bits(np.zeros((0, 2, 3))).shape == (0,)
 
 
+@st.composite
+def joint_responses(draw):
+    """A k x m scenario and the answer distributions of a speaker and a
+    listener model set (1-9 models, sizes equal or not) for each of its
+    configurations: answers dead in every model, configurations dead in
+    every answer, and identical rows, whose totals clamp to 0."""
+    k, m = draw(st.integers(2, 5)), draw(st.integers(1, 9))
+    n_speakers = draw(st.integers(1, 9))
+    n_listeners = draw(st.one_of(st.just(n_speakers), st.integers(1, 9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def role_stack(configurations, n_models, answers):
+        weights = rng.random((configurations, n_models, answers)) ** rng.choice([1.0, 30.0])
+        weights *= rng.random(weights.shape) < 0.7
+        weights[:, :, rng.random(answers) < 0.3] = 0.0
+        weights[:, :, 0] += weights.sum(axis=2) == 0
+        for matrix in weights:
+            kind = rng.choice(["mixed", "identical", "all dead"])
+            if kind == "identical":
+                matrix[:] = matrix[0]
+            elif kind == "all dead":
+                matrix[:] = 0.0
+        totals = weights.sum(axis=2, keepdims=True)
+        return np.divide(weights, totals, out=np.zeros_like(weights), where=totals > 0)
+
+    n_pairs = len(rsa.noun_pairs(k))
+    return k, m, role_stack(n_pairs, n_speakers, m), role_stack(m, n_listeners, n_pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(joint_responses())
+def test_one_pass_joint_utility_equals_per_role_loops(drawn):
+    # scenario_joint_utility scores both roles in one zero-padded pass when
+    # the model sets are one size, and in two otherwise; either way each
+    # configuration keeps the bits, the sign of a zero included, of the
+    # per-role oracle
+    k, m, speaker, listener = drawn
+    scenario = Scenario(tuple(range(k)), tuple(range(m)))
+    tables = {"bigram": random_normalized(np.random.default_rng(0), k, m)}
+    model_sets = [
+        # alpha n + 1 names the drawn rows of model n
+        ModelSet(tuple(rsa.ModelSpec("bigram", role, "pragmatic", n + 1.0) for n in range(len(stack[0]))))
+        for role, stack in ((rsa.SPEAKER, speaker), (rsa.LISTENER, listener))
+    ]
+
+    def drawn_predict(norm, config, spec):
+        if config.role == rsa.SPEAKER:
+            row = speaker[scenario.pairs.index(config.index)]
+        else:
+            row = listener[config.index]
+        return PredictionDistribution._checked(rsa.answer_support(config), row[int(spec.alpha) - 1])
+
+    geometric = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oed, "predict", drawn_predict)
+        patch.setattr(oed, "_geometric_mean", lambda values: geometric.append(list(values)) or 0.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            oed.scenario_joint_utility(tables, scenario, *model_sets)
+    (got,) = geometric
+    one_model = min(len(speaker[0]), len(listener[0])) < 2
+    assert any("fewer than two models" in str(w.message) for w in caught) is one_model
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        # the loop sums only live posteriors, so from 8 models on its pairwise
+        # sums may group terms differently; the masked pass is the reference there
+        expected = [
+            bits
+            for stack in (speaker, listener)
+            for bits in (
+                [masked_information_bits(matrix) for matrix in stack]
+                if len(stack[0]) >= 8 else stacked_loop_information_bits(stack)
+            )
+        ]
+        per_role = [*model_information_bits(speaker), *model_information_bits(listener)]
+    assert np.array(got, float).tobytes() == np.array(expected, float).tobytes()
+    assert np.array(got, float).tobytes() == np.array(per_role, float).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # diversity filter
 

@@ -1,5 +1,8 @@
 """Literal and pragmatic agents, scenario machinery, model specs."""
 
+import copy
+import dataclasses
+import pickle
 import re
 import warnings
 from fractions import Fraction
@@ -375,6 +378,70 @@ def test_configuration_validation():
         Configuration(scenario, "judge", 0)
     assert answer_support(Configuration(scenario, "listener", 0)) == scenario.pairs
     assert answer_support(config) == (0, 1)
+
+
+# a plain int clue or an (i, j) int pair with i < j skips the normalizing
+# checks; every other index takes them, with their texts
+@pytest.mark.parametrize("role, index, expected", [
+    ("listener", 1, 1),
+    ("listener", np.int64(2), 2),
+    ("listener", _Count(1), 1),
+    ("speaker", (0, 2), (0, 2)),
+    ("speaker", (2, 0), (0, 2)),
+    ("speaker", [1, 2], (1, 2)),
+    ("speaker", (np.int64(2), 1), (1, 2)),
+    ("speaker", np.array([0, 1]), (0, 1)),
+    ("listener", True, "clue index must be an integer, got True"),
+    ("listener", np.bool_(False), "clue index must be an integer, got np.False_"),
+    ("listener", 1.0, "clue index must be an integer, got 1.0"),
+    ("listener", (0, 1), "clue index must be an integer, got (0, 1)"),
+    ("listener", 3, "clue index 3 out of range for m=3"),
+    ("listener", -1, "clue index -1 out of range for m=3"),
+    ("listener", np.int64(7), "clue index 7 out of range for m=3"),
+    ("speaker", (True, 1), "speaker index must be a pair of integers, got (True, 1)"),
+    ("speaker", (0, 1.0), "speaker index must be a pair of integers, got (0, 1.0)"),
+    ("speaker", (0, 1, 2), "speaker index must be a pair of integers, got (0, 1, 2)"),
+    ("speaker", 1, "speaker index must be a pair of integers, got 1"),
+    ("speaker", "01", "speaker index must be a pair of integers, got '01'"),
+    ("speaker", None, "speaker index must be a pair of integers, got None"),
+    ("speaker", (1, 1), "pair (1, 1) out of range for k=4"),
+    ("speaker", (0, 4), "pair (0, 4) out of range for k=4"),
+    ("speaker", (4, 0), "pair (0, 4) out of range for k=4"),
+    ("speaker", (-1, 2), "pair (-1, 2) out of range for k=4"),
+    ("judge", 0, "unknown role 'judge'"),
+    ("judge", (0, 1), "unknown role 'judge'"),
+    ("Listener", 0, "unknown role 'Listener'"),
+    (None, (0, 1), "unknown role None"),
+])
+def test_configuration_index_texts_and_normal_form(role, index, expected):
+    scenario = Scenario((5, 6, 7, 8), (0, 1, 2))
+    if isinstance(expected, str):
+        with pytest.raises(DataError, match=f"^{re.escape(expected)}$"):
+            Configuration(scenario, role, index)
+        return
+    config = Configuration(scenario, role, index)
+    assert config.index == expected
+    assert type(config.index) is type(expected)
+    if role == "speaker":
+        assert all(type(i) is int for i in config.index)
+
+
+def test_scenario_hash_is_the_field_hash_and_survives_copies():
+    scenario = Scenario((3, 1, 2), np.array([0, 4]))
+    assert hash(scenario) == hash(((3, 1, 2), (0, 4)))
+    for other in (
+        copy.copy(scenario),
+        copy.deepcopy(scenario),
+        pickle.loads(pickle.dumps(scenario)),
+        dataclasses.replace(scenario),
+        Scenario((3, 1, 2), (0, 4)),
+    ):
+        assert other == scenario and hash(other) == hash(scenario)
+        assert {other: 1}[scenario] == 1
+    moved = dataclasses.replace(scenario, nouns=(3, 1, 5))
+    assert moved != scenario and hash(moved) == hash(((3, 1, 5), (0, 4)))
+    assert repr(scenario) == "Scenario(nouns=(3, 1, 2), adjectives=(0, 4))"
+    assert dataclasses.astuple(scenario) == ((3, 1, 2), (0, 4))
 
 
 def test_scenario_scores_products(rng):
