@@ -174,19 +174,19 @@ def parse_cells(cells, lexicon: Lexicon, what: str, dtype=float) -> np.ndarray:
     return values
 
 
-def _align_labels(path, labels, words, names=(("row", "noun"), ("column", "adjective"))):
-    """The np.ix_ index, in lexicon order, of each axis's words in its file
-    labels; names gives each axis's (label, word) kinds. A duplicate label
-    (the alphabetically first, axes in order) or an absent word is an
-    error; extra labels are ignored with a warning."""
+def _align_labels(path, labels, words):
+    """The np.ix_ index, in lexicon order, of the nouns and adjectives in
+    words among a matrix file's row and column labels. A duplicate label
+    (the alphabetically first, rows first) or an absent word is an error;
+    extra labels are ignored with a warning."""
     positions = []
-    for axis_labels, (kind, _) in zip(labels, names):
+    for axis_labels, kind in zip(labels, ("row", "column")):
         position = {label: i for i, label in enumerate(axis_labels)}
         if len(position) < len(axis_labels):
             dupe = min(w for i, w in enumerate(axis_labels) if position[w] != i)
             raise DataError(f"{path}: duplicate {kind} label '{dupe}'")
         positions.append(position)
-    for position, axis_words, (_, word_kind) in zip(positions, words, names):
+    for position, axis_words, word_kind in zip(positions, words, ("noun", "adjective")):
         for word in axis_words:
             if word not in position:
                 raise DataError(f"{path}: {word_kind} '{word}' absent")
@@ -302,7 +302,12 @@ def _read_vectors(path: str | Path, lexicon: Lexicon) -> dict[str, np.ndarray]:
     if not vectors:
         raise DataError(f"{path}: no entries")
     words = lexicon.nouns + lexicon.adjectives
-    _align_labels(path, [vectors], [words], [("word", "word")])
+    absent = [word for word in words if word not in vectors]
+    if absent:
+        raise DataError(f"{path}: word '{absent[0]}' absent")
+    extra = len(vectors) - len(words)
+    if extra:  # warned at the caller of the loader that calls this
+        warnings.warn(f"{path}: ignoring {extra} word(s) outside the lexicon", stacklevel=3)
     return {word: vectors[word] for word in words}
 
 

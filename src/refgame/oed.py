@@ -20,6 +20,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -244,6 +245,94 @@ def scenario_joint_utility(
 # ---------------------------------------------------------------------------
 # Monte Carlo search
 
+# Iterations per block of keys from raw generator words; a larger block raises peak RSS.
+_KEY_BLOCK = 8_192
+
+
+def _loop_keys(rng, n_nouns: int, n_adjs: int, settings: SearchSettings, count: int):
+    """count search keys (nouns, adjectives, index), one iteration at a
+    time: two rng.choice draws, and in a separate mode one rng.integers."""
+    k, m, role = settings.nouns, settings.adjectives, settings.role
+    pairs = noun_pairs(k)
+    for _ in range(count):
+        nouns = tuple(sorted(rng.choice(n_nouns, size=k, replace=False).tolist()))
+        adjs = tuple(sorted(rng.choice(n_adjs, size=m, replace=False).tolist()))
+        if role == SPEAKER:
+            yield nouns, adjs, pairs[int(rng.integers(len(pairs)))]
+        elif role == LISTENER:
+            yield nouns, adjs, int(rng.integers(m))
+        else:
+            yield nouns, adjs, None
+
+
+def _block_keys(rng, n_nouns: int, n_adjs: int, settings: SearchSettings, count: int):
+    """The keys _loop_keys(rng, ...) gives, from rng's raw words in blocks
+    of at most _KEY_BLOCK iterations; rng ends where the loop leaves it.
+    choice(n, size, replace=False) is Floyd's algorithm (for j from
+    n - size to n - 1, a pick in [0, j], or j if taken), then shuffle
+    draws in [0, i] for i from size - 1 down to 1, undone by sorting;
+    integers(n) is a draw in [0, n - 1]. A draw in [0, b] takes the next
+    32-bit half h, low half of a word first, and is (h * (b + 1)) >> 32,
+    or takes none if b is 0. An iteration in which Lemire's method draws
+    again, as (h * (b + 1)) % 2**32 < 2**32 % (b + 1), runs the loop."""
+    k, m, role = settings.nouns, settings.adjectives, settings.role
+    sides = ((0, n_nouns, k), (2 * k - 1, n_adjs, m))  # (first column, n, size)
+    bounds = [b for _, n, size in sides for b in (*range(n - size, n), *range(size - 1, 0, -1))]
+    bounds += [] if role is None else [k * (k - 1) // 2 - 1 if role == SPEAKER else m - 1]
+    spans = np.array(bounds, dtype=np.uint64) + 1
+    drawn = spans > 1
+    n_draws = int(drawn.sum())
+    bitgen = rng.bit_generator
+    while count:
+        rows = min(_KEY_BLOCK, count)
+        state = bitgen.state
+        buffered = state["has_uint32"]
+        halves = bitgen.random_raw((rows * n_draws - buffered + 1) // 2).view("<u4")
+        halves = np.concatenate([np.full(buffered, state["uinteger"], "<u4"), halves])
+        picks, rejected = np.zeros((rows, len(spans)), np.uint32), np.zeros(rows, bool)
+        for draw, column in enumerate(np.flatnonzero(drawn)):
+            product = halves[draw : rows * n_draws : n_draws] * spans[column]
+            rejected |= (product & 0xFFFFFFFF) < np.uint64(2**32) % spans[column]
+            picks[:, column] = product >> 32
+        good = int(rejected.argmax()) if rejected.any() else rows
+        picks = picks[:good]
+        columns = []
+        for first, n, size in sides:
+            side = picks[:, first : first + size]
+            for t in range(1, size):
+                side[(side[:, :t] == side[:, t, None]).any(axis=1), t] = n - size + t
+            side.sort(axis=1)
+            columns.append(zip(*side.T.tolist()))
+        index = picks[:, -1].tolist()  # a separate mode's integers draw
+        if role == SPEAKER:
+            index = map(noun_pairs(k).__getitem__, index)
+        columns.append(repeat(None) if role is None else index)
+        # put rng after the good rows' halves: whole words, then a buffered half
+        bitgen.state = state
+        if good:
+            fresh = good * n_draws - buffered
+            bitgen.advance((fresh + 1) // 2)  # which empties the buffer
+            if fresh % 2:
+                bitgen.state = {**bitgen.state, "has_uint32": 1, "uinteger": int(halves[good * n_draws])}
+        del halves, product, picks  # before the dict of keys grows by a block
+        yield from zip(*columns)
+        count -= good
+        if good < rows:
+            yield from _loop_keys(rng, n_nouns, n_adjs, settings, 1)
+            count -= 1
+
+
+def _search_keys(n_nouns: int, n_adjs: int, settings: SearchSettings):
+    """Every iteration's key, in order: from _block_keys, or from _loop_keys
+    if their first keys differ, as under another numpy or choice's tail shuffle."""
+
+    def keys(sampler, count=min(settings.iterations, 8)):
+        return sampler(np.random.default_rng(settings.seed), n_nouns, n_adjs, settings, count)
+
+    same = list(keys(_block_keys)) == list(keys(_loop_keys))
+    return keys(_block_keys if same else _loop_keys, settings.iterations)
+
+
 def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignCandidate]:
     """Sample scenarios uniformly, score them, return the top_k.
 
@@ -280,21 +369,8 @@ def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignC
     for spec in specs:
         tables[spec.metric]
 
-    rng = np.random.default_rng(settings.seed)
-    pairs = noun_pairs(settings.nouns)
-    keys: dict[tuple, None] = {}
-    # Scoring draws nothing from rng, so the keys depend on the seed alone;
-    # first-seen order breaks utility ties.
-    for _ in range(settings.iterations):
-        nouns = tuple(sorted(rng.choice(n_nouns, size=settings.nouns, replace=False).tolist()))
-        adjs = tuple(sorted(rng.choice(n_adjs, size=settings.adjectives, replace=False).tolist()))
-        if role == SPEAKER:
-            key = (nouns, adjs, pairs[int(rng.integers(len(pairs)))])
-        elif role == LISTENER:
-            key = (nouns, adjs, int(rng.integers(settings.adjectives)))
-        else:
-            key = (nouns, adjs, None)
-        keys.setdefault(key)
+    # keys depend on the seed alone (scoring draws nothing); first seen breaks ties
+    keys = dict.fromkeys(_search_keys(n_nouns, n_adjs, settings))
 
     def evaluate(scenario, index) -> float:
         try:
@@ -310,7 +386,7 @@ def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignC
 
     # Each chunk of keys is scored from score stacks and chains primed for it,
     # as _primed yields the chunk's scenarios.
-    scenarios = _primed(tables, (Scenario(nouns, adjs) for nouns, adjs, _ in keys), specs)
+    scenarios = _primed(tables, (Scenario._trusted(nouns, adjs) for nouns, adjs, _ in keys), specs)
     scored = (
         (evaluate(scenario, index), scenario, index) for scenario, (_, _, index) in zip(scenarios, keys)
     )

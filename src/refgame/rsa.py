@@ -79,6 +79,15 @@ class Scenario:
     def __hash__(self) -> int:
         return self._hash
 
+    @classmethod
+    def _trusted(cls, nouns: tuple, adjectives: tuple) -> Scenario:
+        """A scenario from tuples of distinct in-range ints checked by their maker."""
+        scenario = object.__new__(cls)
+        object.__setattr__(scenario, "nouns", nouns)
+        object.__setattr__(scenario, "adjectives", adjectives)
+        object.__setattr__(scenario, "_hash", hash((nouns, adjectives)))
+        return scenario
+
     @property
     def k(self) -> int:
         return len(self.nouns)

@@ -224,6 +224,15 @@ def test_load_embeddings_missing_word(tmp_path):
         load_embeddings(path, lex)
 
 
+@pytest.mark.parametrize("loader", [load_embeddings, load_topics])
+def test_vector_file_names_first_absent_word_in_lexicon_order(tmp_path, loader):
+    path = tmp_path / "vec.txt"
+    write_vector_file(path, [("spare", [1.0]), ("heavy", [1.0]), ("key", [1.0])])
+    with pytest.raises(DataError) as info:
+        loader(path, Lexicon(("key", "lock"), ("bright", "heavy")))
+    assert str(info.value) == f"{path}: word 'lock' absent"
+
+
 def test_load_embeddings_zero_vector(tmp_path):
     lex = Lexicon(("key",), ("bright",))
     path = tmp_path / "vec.txt"

@@ -6,6 +6,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from refgame import (
     Configuration,
@@ -22,6 +25,7 @@ from refgame import (
     response_probability,
     scenario_joint_utility,
 )
+from refgame import oed
 from refgame.oed import _geometric_mean, candidate_to_record, check_filter_bounds
 
 from conftest import random_normalized
@@ -405,6 +409,106 @@ def test_search_error_names_scenario(rng, monkeypatch, mode):
     with pytest.raises(DataError) as info:
         monte_carlo_search(tables, models, SearchSettings(2, 1, mode, iterations=1))
     assert str(info.value) == "scenario noun0 noun1 / adj0: boom"
+
+
+# ---------------------------------------------------------------------------
+# key sampling: raw-word blocks against the per-iteration loop
+
+
+def generator_position(rng):
+    """What a generator's next draws depend on: the PCG64 state and the
+    buffered 32-bit half, if one is held."""
+    state = rng.bit_generator.state
+    return state["state"], state["has_uint32"] and state["uinteger"]
+
+
+@st.composite
+def key_shapes(draw):
+    n_nouns = draw(st.integers(2, 40))
+    n_adjs = draw(st.integers(1, 30))
+    k = draw(st.integers(2, n_nouns))
+    m = draw(st.integers(1, n_adjs))
+    return n_nouns, n_adjs, k, m
+
+
+@hypothesis_settings(max_examples=300, deadline=None)
+@given(
+    shape=key_shapes(),
+    mode=st.sampled_from(["separate-speaker", "separate-listener", "joint"]),
+    seed=st.integers(0, 2**63),
+    block=st.sampled_from([1, 7, oed._KEY_BLOCK]),
+    halves_before=st.integers(0, 3),
+    count=st.integers(0, 60),
+)
+@example(shape=(6, 4, 6, 2), mode="separate-speaker", seed=0, block=7, halves_before=1, count=40)  # k == n_nouns
+@example(shape=(9, 5, 3, 5), mode="separate-listener", seed=1, block=7, halves_before=0, count=40)  # m == n_adjs
+@example(shape=(9, 5, 2, 1), mode="separate-speaker", seed=2, block=1, halves_before=1, count=20)  # k == 2, m == 1
+@example(shape=(2, 1, 2, 1), mode="joint", seed=3, block=7, halves_before=0, count=30)  # one possible key
+def test_block_keys_equal_loop_keys(shape, mode, seed, block, halves_before, count):
+    n_nouns, n_adjs, k, m = shape
+    settings = SearchSettings(k, m, mode, iterations=max(count, 1), seed=seed)
+    block_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (block_rng, loop_rng):
+        rng.integers(7, size=halves_before)  # one 32-bit half each: may leave one buffered
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oed, "_KEY_BLOCK", block)
+        emulated = list(oed._block_keys(block_rng, n_nouns, n_adjs, settings, count))
+    assert emulated == list(oed._loop_keys(loop_rng, n_nouns, n_adjs, settings, count))
+    assert generator_position(block_rng) == generator_position(loop_rng)
+
+
+@pytest.mark.parametrize("seed, rejected_at", [(2222, 827), (10382, 639)])
+def test_lemire_rejection_runs_that_iteration_through_the_loop(monkeypatch, seed, rejected_at):
+    # At these seeds one draw of the 3-of-300 nouns, 3-of-150 adjectives
+    # joint search is rejected by Lemire's method and drawn again, so a
+    # replay that ignores rejection diverges from the loop at that iteration.
+    settings = SearchSettings(3, 3, "joint", iterations=1000, seed=seed)
+    loop_keys, emulated, fallbacks = oed._loop_keys, [], []
+
+    def spy(rng, *args):
+        fallbacks.append(len(emulated))
+        return loop_keys(rng, *args)
+
+    monkeypatch.setattr(oed, "_loop_keys", spy)
+    for key in oed._block_keys(np.random.default_rng(seed), 300, 150, settings, 1000):
+        emulated.append(key)
+    assert fallbacks == [rejected_at]
+    assert emulated == list(loop_keys(np.random.default_rng(seed), 300, 150, settings, 1000))
+
+
+def test_search_keys_guard_falls_back_on_a_wrong_emulated_key(rng, monkeypatch):
+    tables = {"a": random_normalized(rng, 7, 5, metric="a"), "b": random_normalized(rng, 7, 5, metric="b")}
+    models = listener_set("a", "b")
+    settings = SearchSettings(3, 2, "separate-listener", iterations=400, seed=11, top_k=40)
+    expected = monte_carlo_search(tables, models, settings)
+    block_keys, calls = oed._block_keys, []
+
+    def one_wrong_key(rng, n_nouns, n_adjs, settings, count):
+        calls.append(count)
+        keys = list(block_keys(rng, n_nouns, n_adjs, settings, count))
+        nouns, adjs, index = keys[3]
+        keys[3] = nouns, adjs, 1 - index
+        return iter(keys)
+
+    monkeypatch.setattr(oed, "_block_keys", one_wrong_key)
+    assert list(oed._search_keys(7, 5, settings)) == list(
+        oed._loop_keys(np.random.default_rng(11), 7, 5, settings, 400)
+    )
+    assert calls == [8]  # the guard's keys only
+    assert monte_carlo_search(tables, models, settings) == expected
+
+
+@pytest.mark.parametrize("mode", ["separate-speaker", "separate-listener", "joint"])
+def test_search_equals_search_on_loop_keys(rng, monkeypatch, mode):
+    tables = {"a": random_normalized(rng, 9, 6, metric="a"), "b": random_normalized(rng, 9, 6, metric="b")}
+    role = {"separate-speaker": "speaker"}.get(mode, "listener")
+    models = ModelSet(tuple(ModelSpec(m, role, "literal") for m in ("a", "b")))
+    if mode == "joint":
+        models = (ModelSet(tuple(ModelSpec(m, "speaker", "literal") for m in ("a", "b"))), models)
+    settings = SearchSettings(3, 2, mode, iterations=700, seed=5, top_k=1000)
+    found = monte_carlo_search(tables, models, settings)
+    monkeypatch.setattr(oed, "_block_keys", oed._loop_keys)
+    assert monte_carlo_search(tables, models, settings) == found
 
 
 # ---------------------------------------------------------------------------

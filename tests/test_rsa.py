@@ -444,6 +444,19 @@ def test_scenario_hash_is_the_field_hash_and_survives_copies():
     assert dataclasses.astuple(scenario) == ((3, 1, 2), (0, 4))
 
 
+def test_trusted_scenario_is_the_checked_scenario():
+    trusted = Scenario._trusted((1, 4, 7), (0, 2))
+    checked = Scenario((1, 4, 7), (0, 2))
+    assert trusted == checked and hash(trusted) == hash(checked) and repr(trusted) == repr(checked)
+    for other in (pickle.loads(pickle.dumps(trusted)), copy.copy(trusted), dataclasses.replace(trusted)):
+        assert other == checked and hash(other) == hash(checked) and repr(other) == repr(checked)
+        assert {other: 1}[checked] == 1
+    moved = dataclasses.replace(trusted, adjectives=(0, 3))
+    assert moved == Scenario((1, 4, 7), (0, 3)) and hash(moved) == hash(((1, 4, 7), (0, 3)))
+    with pytest.raises(DataError, match="duplicate noun"):
+        dataclasses.replace(trusted, nouns=(1, 1, 7))  # replace builds a checked scenario
+
+
 def test_scenario_scores_products(rng):
     norm = random_normalized(rng, 6, 5)
     scenario = Scenario((4, 0, 2), (1, 3))
