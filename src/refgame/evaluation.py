@@ -12,8 +12,9 @@ that share role, k and m get one rsa.predict_stack call per model and
 one row-wise Spearman pass, with the bits a one-at-a-time loop over
 rsa.predict and spearman gives; agreement_measure keeps each model's
 stacks and their row ranks for every pair it is in. Gameplay calls
-predict once per clue and per pair, reading rows of the chains rsa
-primes per chunk of scenarios. Both take rsa's one route to chains.
+predict once per clue and per pair while rsa._primed has the scenario
+out, so each call reads a row of the chains primed for its chunk. Both
+take rsa's one route to chains.
 
 Ranks are computed in numpy (association.average_ranks, row by row); a
 normalized matrix ranks its cells once, for metric_rank_correlation.

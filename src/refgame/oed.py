@@ -384,8 +384,8 @@ def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignC
                 f"scenario {' '.join(words['nouns'])} / {' '.join(words['adjectives'])}: {exc}"
             ) from None
 
-    # Each chunk of keys is scored from score stacks and chains primed for it,
-    # as _primed yields the chunk's scenarios.
+    # Each key is scored while _primed has its scenario out, from the score
+    # stacks and chains primed for its chunk.
     scenarios = _primed(tables, (Scenario._trusted(nouns, adjs) for nouns, adjs, _ in keys), specs)
     scored = (
         (evaluate(scenario, index), scenario, index) for scenario, (_, _, index) in zip(scenarios, keys)

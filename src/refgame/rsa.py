@@ -12,12 +12,13 @@ column.
 One chain core computes every column of the listener chain at once;
 the speaker is that chain run on the transposed matrix. _stack_chains,
 the one route from scenarios to chains, runs it once per (role, alpha)
-on the score stack of scenarios of one shape. predict reads a row of
-the chain memoized for its scenario and model, primed per chunk of
-scenarios or built alone on a miss; predict_stack gathers rows from
-one stack's chains, and listener_probs/speaker_probs read one row on
-any non-negative score matrix, which keeps the core testable outside
-scenarios.
+on the score stack of scenarios of one shape. _primed runs it per chunk
+of scenarios, and as it yields each one, each matrix's memo is that
+scenario with its row of the chunk's chains; predict reads a row of
+those chains for the scenario out, and runs any other scenario alone,
+caching nothing. predict_stack gathers rows from one stack's chains,
+and listener_probs/speaker_probs read one row on any non-negative
+score matrix, which keeps the core testable outside scenarios.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ PRAGMATIC = "pragmatic"
 # Probabilities within this of the maximum count as tied for the top.
 TIE_TOL = 1e-12
 
-# Scenarios per score stack and chain run when _primed fills the memos.
+# Scenarios per score stack and chain run when _primed primes a chunk.
 _CHUNK = 256
 
 
@@ -73,11 +74,6 @@ class Scenario:
             raise DataError("duplicate adjective in scenario")
         if min(self.nouns) < 0 or min(self.adjectives) < 0:
             raise DataError("negative index in scenario")
-        # the hash the dataclass would compute on every call, computed once
-        object.__setattr__(self, "_hash", hash((self.nouns, self.adjectives)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def _trusted(cls, nouns: tuple, adjectives: tuple) -> Scenario:
@@ -85,7 +81,6 @@ class Scenario:
         scenario = object.__new__(cls)
         object.__setattr__(scenario, "nouns", nouns)
         object.__setattr__(scenario, "adjectives", adjectives)
-        object.__setattr__(scenario, "_hash", hash((nouns, adjectives)))
         return scenario
 
     @property
@@ -114,15 +109,6 @@ def _answers(role: str, k: int, m: int) -> tuple[tuple, dict | None]:
     if role == LISTENER:
         return noun_pairs(k), None
     return tuple(range(m)), {pair: row for row, pair in enumerate(noun_pairs(k))}
-
-
-@lru_cache(maxsize=None)
-def _pair_rows(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """First and second scenario positions of noun_pairs(k), as arrays."""
-    first, second = (np.array(side) for side in zip(*noun_pairs(k)))
-    first.setflags(write=False)
-    second.setflags(write=False)
-    return first, second
 
 
 @dataclass(frozen=True)
@@ -334,7 +320,7 @@ def _chains(scores: np.ndarray, alpha: float | None) -> tuple[np.ndarray, np.nda
     """
     if alpha is not None:
         alpha = float(alpha)
-        if alpha <= 0:
+        if not 0 < alpha < np.inf:
             raise DataError(f"alpha must be positive, got {alpha!r}")
         weighted, zero = _normalize(scores, -2)
         if zero is not None:
@@ -391,7 +377,7 @@ def _score_stack(norm, nouns: np.ndarray, adjectives: np.ndarray) -> np.ndarray:
     if adjectives.max() >= n_adjs:
         raise DataError("scenario adjective index out of range for this matrix")
     sub = norm.values[nouns[:, :, None], adjectives[:, None, :]]
-    first, second = _pair_rows(nouns.shape[1])
+    first, second = np.array(noun_pairs(nouns.shape[1])).T
     scores = sub[:, first] * sub[:, second]
     if not (scores.min() >= 0 and scores.max() < np.inf):
         raise DataError("scores must be finite and non-negative")
@@ -404,49 +390,46 @@ def scenario_scores(norm: NormalizedAssociation, scenario: Scenario) -> np.ndarr
 
 
 def _stack_chains(norm: NormalizedAssociation, scenarios, keys) -> dict:
-    """{(role, alpha): (probs, zero)} from _chains for each key, run on one
-    score stack of scenarios of one (k, m) shape, repeats allowed."""
+    """{(role, alpha): (read-only probs and zero flags from _chains, *_answers)}
+    for each key, run on one score stack of scenarios of one (k, m) shape,
+    repeats allowed."""
     nouns, adjectives = zip(*((s.nouns, s.adjectives) for s in scenarios))
     scores = _score_stack(norm, np.array(nouns), np.array(adjectives))
-    return {
-        (role, alpha): _chains(scores if role == LISTENER else scores.swapaxes(1, 2), alpha)
-        for role, alpha in keys
-    }
-
-
-def _memo(norm: NormalizedAssociation, scenarios, keys) -> dict:
-    """_stack_chains sliced per scenario: {scenario: {(role, alpha):
-    (read-only probs, zero flags, support, speaker pair -> row)}}."""
-    memo: dict = {scenario: {} for scenario in scenarios}
-    for (role, alpha), (probs, zero) in _stack_chains(norm, scenarios, keys).items():
+    chains = {}
+    for role, alpha in keys:
+        probs, zero = _chains(scores if role == LISTENER else scores.swapaxes(1, 2), alpha)
         probs.flags.writeable = zero.flags.writeable = False
-        answers = _answers(role, scenarios[0].k, scenarios[0].m)
-        for scenario, rows, flags in zip(scenarios, probs, zero):
-            memo[scenario][role, alpha] = (rows, flags, *answers)
-    return memo
+        chains[role, alpha] = probs, zero, *_answers(role, scenarios[0].k, scenarios[0].m)
+    return chains
 
 
 def _primed(tables, scenarios, specs):
-    """The scenarios in order. Before each chunk of _CHUNK, the memo of
-    each matrix the specs use (in the instance dict, as `_ranks`) holds
-    the chunk's _memo per (k, m) shape, or nothing if any of its checks
-    or chains fails, so that predict raises at the failing scenario."""
+    """The scenarios in order, with one _stack_chains run per chunk of
+    _CHUNK, matrix the specs use and (k, m) shape. While a scenario is out,
+    each such matrix's memo (in the instance dict, as `_ranks`) is (that
+    scenario, its row, its shape's chains), with no chains if the chunk
+    failed on that matrix, so that predict raises at the failing scenario."""
     wanted: dict = {}
     for spec in specs:
         wanted.setdefault(tables[spec.metric], {})[spec.role, spec.alpha] = None
     scenarios = iter(scenarios)
     while chunk := list(islice(scenarios, _CHUNK)):
         shapes: dict = {}
+        rows = []
         for scenario in chunk:
-            shapes.setdefault((scenario.k, scenario.m), {})[scenario] = None
+            group = shapes.setdefault((scenario.k, scenario.m), [])
+            rows.append(len(group))
+            group.append(scenario)
+        chains: dict = {}
         for norm, keys in wanted.items():
-            memo = norm.__dict__["_scenario_memo"] = {}
             try:
-                for group in shapes.values():
-                    memo.update(_memo(norm, list(group), keys))
+                chains[norm] = {shape: _stack_chains(norm, group, keys) for shape, group in shapes.items()}
             except DataError:
-                memo.clear()
-        yield from chunk
+                chains[norm] = dict.fromkeys(shapes, {})
+        for scenario, row in zip(chunk, rows):
+            for norm, by_shape in chains.items():
+                norm.__dict__["_scenario_memo"] = scenario, row, by_shape[scenario.k, scenario.m]
+            yield scenario
 
 
 def predict(
@@ -457,23 +440,21 @@ def predict(
     A literal spec carries alpha None, which the chain core runs as the
     literal agent; a pragmatic spec runs one round with its alpha. A
     prediction is a read-only row, at the index Configuration checked, of
-    a chain in the matrix's memo. A miss makes the memo the scenario's
-    entry with its one-scenario _memo merged in, or leaves it as it was.
+    the memo's chain if config's scenario is the one _primed has out, or
+    else of a chain run on that scenario alone and cached nowhere.
     """
     if spec.role != config.role:
         raise DataError(f"model role '{spec.role}' != configuration role '{config.role}'")
     key = spec.role, spec.alpha
-    chains = norm.__dict__.get("_scenario_memo", {}).get(config.scenario, {})
-    chain = chains.get(key)
+    scenario, row, chains = norm.__dict__.get("_scenario_memo", (None, 0, None))
+    chain = chains.get(key) if scenario is config.scenario else None
     if chain is None:
-        chains = {**chains, **_memo(norm, [config.scenario], [key])[config.scenario]}
-        norm.__dict__["_scenario_memo"] = {config.scenario: chains}
-        chain = chains[key]
+        row, chain = 0, _stack_chains(norm, [config.scenario], [key])[key]
     probs, zero, support, position = chain
-    row = config.index if position is None else position[config.index]
-    if zero[row]:
+    index = config.index if position is None else position[config.index]
+    if zero[row, index]:
         raise DataError("zero normalizer")
-    return PredictionDistribution._checked(support, probs[row])
+    return PredictionDistribution._checked(support, probs[row, index])
 
 
 def predict_stack(norm: NormalizedAssociation, configs, spec: ModelSpec) -> np.ndarray:
@@ -486,9 +467,8 @@ def predict_stack(norm: NormalizedAssociation, configs, spec: ModelSpec) -> np.n
     for config in configs:
         if config.role != spec.role:
             raise DataError(f"model role '{spec.role}' != configuration role '{config.role}'")
-    scenarios = [config.scenario for config in configs]
-    probs, zero = _stack_chains(norm, scenarios, [(spec.role, spec.alpha)])[spec.role, spec.alpha]
-    position = _answers(spec.role, scenarios[0].k, scenarios[0].m)[1]
+    key = spec.role, spec.alpha
+    probs, zero, _, position = _stack_chains(norm, [config.scenario for config in configs], [key])[key]
     index = [config.index if position is None else position[config.index] for config in configs]
     rows = np.arange(len(probs))
     if zero[rows, index].any():

@@ -498,56 +498,62 @@ def test_predict_memo_equals_memo_less_predict():
 
 
 def prime(tables, scenarios, specs) -> list:
-    """Run rsa._primed through scenarios, which leaves the last chunk primed."""
+    """Run rsa._primed through scenarios, which leaves the last one out."""
     return list(rsa._primed(tables, scenarios, specs))
+
+
+def memos(norm, scenarios, specs) -> list:
+    """norm's memo while each scenario is out of rsa._primed."""
+    found = []
+    for scenario in rsa._primed({norm.metric: norm}, scenarios, specs):
+        found.append(norm.__dict__["_scenario_memo"])
+        assert found[-1][0] is scenario
+    return found
 
 
 def test_predict_memo_holds_read_only_chains(rng):
     norm = random_normalized(rng, 5, 4)
     scenario = Scenario((0, 2, 4), (1, 3))
     literal = parse_model_spec("bigram:literal", "listener")
-    dist = predict(norm, Configuration(scenario, rsa.LISTENER, 1), literal)
-    memo = norm.__dict__["_scenario_memo"]
-    assert list(memo) == [scenario]
-    listener_chain = memo[scenario]["listener", None]
-    # scenario_scores still returns a fresh, writable array
-    assert scenario_scores(norm, scenario).flags.writeable
     speaker = parse_model_spec("bigram:pragmatic:2.0", "speaker")
+    config = Configuration(scenario, rsa.LISTENER, 1)
+    expected = oracle_predict(norm, config, literal)
+    # a lone prediction is a read-only row of its own chain, and writes no memo
+    dist = predict(norm, config, literal)
     predict(norm, Configuration(scenario, rsa.SPEAKER, (0, 2)), speaker)
-    # the miss merged the speaker chain into the scenario's entry
-    memo = norm.__dict__["_scenario_memo"]
-    assert list(memo) == [scenario]
-    chains = memo[scenario]
-    assert list(chains) == [("listener", None), ("speaker", 2.0)]
-    assert chains["listener", None] is listener_chain
-    for probs, zero, _, _ in chains.values():
-        assert not probs.flags.writeable and not zero.flags.writeable
-    # a prediction is a read-only row of its chain, not a copy
-    probs, _, support, _ = chains["listener", None]
-    assert dist.support is support == scenario.pairs
-    assert np.shares_memory(dist.probs, probs)
-    assert not dist.probs.flags.writeable
+    assert "_scenario_memo" not in norm.__dict__
+    assert dist.support == scenario.pairs
+    assert not dist.probs.flags.writeable and dist.probs.base is not None
     with pytest.raises(ValueError, match="read-only"):
         dist.probs[0] = 1.0
-    expected = oracle_predict(norm, Configuration(scenario, rsa.LISTENER, 1), literal)
     assert dist.probs.tobytes() == expected.probs.tobytes()
-    # a primed memo holds each scenario's read-only slices of one stacked chain
-    other = Scenario((1, 3, 4), (0, 1))
-    batch = [scenario, other, scenario]
-    assert prime({"bigram": norm}, batch, [literal, speaker]) == batch
-    memo = norm.__dict__["_scenario_memo"]
-    assert list(memo) == [scenario, other]
-    chains, other_chains = memo.values()
-    assert list(chains) == list(other_chains) == [("listener", None), ("speaker", 2.0)]
-    for probs, zero, _, _ in [*chains.values(), *other_chains.values()]:
-        assert not probs.flags.writeable and not zero.flags.writeable
-    for key in chains:
-        stack = chains[key][0].base
-        assert stack is not None and stack is other_chains[key][0].base
-        assert chains[key][1].base is other_chains[key][1].base
-    primed = predict(norm, Configuration(scenario, rsa.LISTENER, 1), literal)
+    # scenario_scores still returns a fresh, writable array
+    assert scenario_scores(norm, scenario).flags.writeable
+    # while a scenario is out, the memo is it, its row of its shape's stack
+    # and that shape's read-only chains, one per (role, alpha)
+    other, wide = Scenario((1, 3, 4), (0, 1)), Scenario((0, 1, 2, 3), (0, 2, 3))
+    batch = [scenario, other, wide, scenario]
+    found = []
+    for out in rsa._primed({"bigram": norm}, batch, [literal, speaker]):
+        memo = norm.__dict__["_scenario_memo"]
+        found.append(memo)
+        if out.k == 3:
+            primed = predict(norm, config if out is scenario else Configuration(out, rsa.LISTENER, 1), literal)
+            assert np.shares_memory(primed.probs, memo[2]["listener", None][0])
+            assert not primed.probs.flags.writeable
+            assert norm.__dict__["_scenario_memo"] is memo
+    assert [(memo[0], memo[1]) for memo in found] == [(scenario, 0), (other, 1), (wide, 0), (scenario, 2)]
+    chains, wide_chains = found[0][2], found[2][2]
+    assert found[1][2] is chains and found[3][2] is chains and wide_chains is not chains
+    for shape_chains, (k, m), rows in ((chains, (3, 2), 3), (wide_chains, (4, 3), 1)):
+        assert list(shape_chains) == [("listener", None), ("speaker", 2.0)]
+        for (role, _), (probs, zero, support, position) in shape_chains.items():
+            assert len(probs) == len(zero) == rows
+            assert not probs.flags.writeable and not zero.flags.writeable
+            assert (support, position) == rsa._answers(role, k, m)
+    primed = predict(norm, config, literal)
     assert np.shares_memory(primed.probs, chains["listener", None][0])
-    assert not primed.probs.flags.writeable
+    assert primed.support is chains["listener", None][2]
     assert primed.probs.tobytes() == expected.probs.tobytes()
 
 
@@ -570,19 +576,20 @@ def test_predict_memo_stores_no_failed_scores(rng, monkeypatch):
     good = Configuration(Scenario((0, 1), (0,)), rsa.LISTENER, 0)
     bad = Configuration(Scenario((2, 3), (1,)), rsa.LISTENER, 0)
     monkeypatch.setattr(rsa, "_score_stack", nan_at((2, 1)))
-    fresh = memo_less(norm)
     messages = []
     for _ in range(2):
         with pytest.raises(DataError) as info:
-            predict(fresh, bad, spec)
+            predict(norm, bad, spec)
         messages.append(str(info.value))
     assert messages == ["scores must be finite and non-negative"] * 2
-    assert "_scenario_memo" not in fresh.__dict__
+    assert "_scenario_memo" not in norm.__dict__
+    prime({"bigram": norm}, [good.scenario], [spec])
+    memo = norm.__dict__["_scenario_memo"]
     predict(norm, good, spec)
     for _ in range(2):
         with pytest.raises(DataError, match="^scores must be finite and non-negative$"):
             predict(norm, bad, spec)
-    assert list(norm.__dict__["_scenario_memo"]) == [good.scenario]
+    assert norm.__dict__["_scenario_memo"] is memo and memo[0] is good.scenario
 
 
 def test_predict_memo_zero_row_raises_on_each_read_and_failed_chain_is_not_stored(rng, monkeypatch):
@@ -598,24 +605,33 @@ def test_predict_memo_zero_row_raises_on_each_read_and_failed_chain_is_not_store
     monkeypatch.setattr(rsa, "_score_stack", first_clue_empty)
     scores = first_clue_empty(norm, np.array([scenario.nouns]), np.array([scenario.adjectives]))[0]
     literal = parse_model_spec("bigram:literal", "listener")
-    for _ in range(2):
-        with pytest.raises(DataError, match="^zero normalizer$"):
-            predict(norm, Configuration(scenario, rsa.LISTENER, 0), literal)
-        for clue in (1, 2):
-            got = predict(norm, Configuration(scenario, rsa.LISTENER, clue), literal)
-            assert got.probs.tobytes() == oracle_chain(scores, clue, None, "clue").tobytes()
-    chains = norm.__dict__["_scenario_memo"][scenario]
-    assert list(chains) == [("listener", None)]
-    zero = chains["listener", None][1]
-    assert zero.tolist() == [True, False, False] and not zero.flags.writeable
+
+    def read_literal():
+        for _ in range(2):
+            with pytest.raises(DataError, match="^zero normalizer$"):
+                predict(norm, Configuration(scenario, rsa.LISTENER, 0), literal)
+            for clue in (1, 2):
+                got = predict(norm, Configuration(scenario, rsa.LISTENER, clue), literal)
+                assert got.probs.tobytes() == oracle_chain(scores, clue, None, "clue").tobytes()
+
+    read_literal()
+    assert "_scenario_memo" not in norm.__dict__
+    prime({"bigram": norm}, [scenario], [literal])
+    memo = norm.__dict__["_scenario_memo"]
+    read_literal()
+    assert list(memo[2]) == [("listener", None)]
+    zero = memo[2]["listener", None][1]
+    assert zero.tolist() == [[True, False, False]] and not zero.flags.writeable
     # the empty column fails the pragmatic chain as a whole, on every read,
-    # and leaves the scenario's literal chain in place
+    # and leaves the primed literal chain in place
     pragmatic = parse_model_spec("bigram:pragmatic:1.0", "listener")
     for clue in (0, 1, 2, 1):
         with pytest.raises(DataError, match="^zero normalizer$"):
             predict(norm, Configuration(scenario, rsa.LISTENER, clue), pragmatic)
-    assert list(norm.__dict__["_scenario_memo"]) == [scenario]
-    assert norm.__dict__["_scenario_memo"][scenario] is chains
+    assert norm.__dict__["_scenario_memo"] is memo and list(memo[2]) == [("listener", None)]
+    # primed with the pragmatic spec, the chunk fails and holds no chains
+    assert [memo[2] for memo in memos(norm, [scenario], [literal, pragmatic])] == [{}]
+    read_literal()
 
 
 def test_unprimable_batch_leaves_no_entry(rng, monkeypatch):
@@ -623,21 +639,23 @@ def test_unprimable_batch_leaves_no_entry(rng, monkeypatch):
     tables = {"bigram": norm}
     literal = parse_model_spec("bigram:literal", "listener")
     good = [Scenario((0, 1), (0, 1)), Scenario((2, 3), (1, 2))]
-    prime(tables, good, [literal])
-    assert list(norm.__dict__["_scenario_memo"]) == good
+    assert [list(memo[2]) for memo in memos(norm, good, [literal])] == [[("listener", None)]] * 2
     # an index past the matrix fails the whole batch, the shape primed
-    # before it included, and the memo is left empty
+    # before it included, and every scenario is out with no chains
     batch = [*good, Scenario((0, 1, 5), (0, 1))]
-    prime(tables, batch, [literal])
-    assert norm.__dict__["_scenario_memo"] == {}
-    config = Configuration(batch[2], rsa.LISTENER, 0)
-    with pytest.raises(DataError, match="^scenario noun index out of range for this matrix$"):
-        predict(norm, config, literal)
+    assert [memo[2] for memo in memos(norm, batch, [literal])] == [{}] * 3
+    for scenario in rsa._primed(tables, batch, [literal]):
+        config = Configuration(scenario, rsa.LISTENER, 0)
+        if scenario is batch[2]:
+            with pytest.raises(DataError, match="^scenario noun index out of range for this matrix$"):
+                predict(norm, config, literal)
+        else:
+            expected = oracle_predict(norm, config, literal).probs
+            assert predict(norm, config, literal).probs.tobytes() == expected.tobytes()
     # so do scores that fail their check, here in the last scenario
     with monkeypatch.context() as patch:
         patch.setattr(rsa, "_score_stack", nan_at((2, 1)))
-        prime(tables, good, [literal])
-        assert norm.__dict__["_scenario_memo"] == {}
+        assert [memo[2] for memo in memos(norm, good, [literal])] == [{}] * 2
         with pytest.raises(DataError, match="^scores must be finite and non-negative$"):
             predict(norm, Configuration(good[1], rsa.LISTENER, 0), literal)
     # and so does a pragmatic chain that fails on its stack: one failing
@@ -648,11 +666,9 @@ def test_unprimable_batch_leaves_no_entry(rng, monkeypatch):
     fails, passes = Scenario((0, 1, 2, 3), (0, 1)), Scenario((1, 2, 3, 4), (0, 1))
     pragmatic = parse_model_spec("bigram:pragmatic:30", "listener")
     batch = [good[0], passes, fails]
-    prime({"bigram": floored}, batch, [literal])
-    assert list(floored.__dict__["_scenario_memo"]) == batch
-    prime({"bigram": floored}, batch, [literal, pragmatic])
-    assert floored.__dict__["_scenario_memo"] == {}
-    for scenario in batch:
+    assert all(memo[2] for memo in memos(floored, batch, [literal]))
+    assert [memo[2] for memo in memos(floored, batch, [literal, pragmatic])] == [{}] * 3
+    for scenario in rsa._primed({"bigram": floored}, batch, [literal, pragmatic]):
         config = Configuration(scenario, rsa.LISTENER, 1)
         expected = oracle_predict(floored, config, literal).probs
         assert predict(floored, config, literal).probs.tobytes() == expected.tobytes()
@@ -665,15 +681,15 @@ def test_unprimable_batch_leaves_no_entry(rng, monkeypatch):
 
 
 def test_memo_is_bounded(rng, monkeypatch):
-    # priming keeps one chunk of scenarios per matrix, and a direct predict one scenario
+    # the memo holds the chains of one chunk, and a direct predict writes nothing
     sizes = []
 
     def sized(fn):
         def call(norm, config, spec):
-            try:
-                return fn(norm, config, spec)
-            finally:
-                sizes.append(len(norm.__dict__.get("_scenario_memo", {})))
+            scenario, row, chains = norm.__dict__["_scenario_memo"]
+            assert scenario is config.scenario and row < rsa._CHUNK
+            sizes.append(max(len(chain[0]) for chain in chains.values()))
+            return fn(norm, config, spec)
         return call
 
     for module in (oed, evaluation):
@@ -683,7 +699,7 @@ def test_memo_is_bounded(rng, monkeypatch):
         norm, _exp4_models(), SearchSettings(3, 3, "joint", iterations=600, seed=7, top_k=3136)
     )
     assert len(found) > rsa._CHUNK
-    assert max(sizes) == rsa._CHUNK and len(norm.__dict__["_scenario_memo"]) <= rsa._CHUNK
+    assert max(sizes) == rsa._CHUNK and sizes[-1] == len(found) % rsa._CHUNK
     table = random_normalized(rng, 12, 12)
     scenarios = [
         Scenario(tuple(rng.choice(12, size=3, replace=False).tolist()),
@@ -692,13 +708,67 @@ def test_memo_is_bounded(rng, monkeypatch):
     ]
     sizes.clear()
     simulate_gameplay(table, scenarios, "bigram:pragmatic:1.0", "bigram:literal")
-    assert max(sizes) == len(set(scenarios[: rsa._CHUNK]))
-    assert len(table.__dict__["_scenario_memo"]) <= rsa._CHUNK
-    # a direct predict leaves its scenario alone in the memo
+    assert max(sizes) == rsa._CHUNK and sizes[-1] == len(scenarios) % rsa._CHUNK
+    # a direct predict leaves the memo as it was, or absent
+    config = Configuration(Scenario((0, 1, 2, 3), (0,)), rsa.LISTENER, 0)
     for matrix in (norm, memo_less(norm)):
-        config = Configuration(Scenario((0, 1, 2, 3), (0,)), rsa.LISTENER, 0)
+        memo = matrix.__dict__.get("_scenario_memo")
         predict(matrix, config, parse_model_spec("bigram:literal", rsa.LISTENER))
-        assert list(matrix.__dict__["_scenario_memo"]) == [config.scenario]
+        assert matrix.__dict__.get("_scenario_memo") is memo
+    assert "_scenario_memo" not in matrix.__dict__
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_memo_is_only_a_cache(monkeypatch, chunk):
+    # predict gives the oracle's bytes on the scenario _primed has out, on
+    # an equal but distinct scenario, on a scenario of an earlier chunk and
+    # on scenarios of a drained _primed, and the misses cache nothing
+    monkeypatch.setattr(rsa, "_CHUNK", chunk)
+    seen = []
+
+    def check(norm, config, spec):
+        expected = oracle_predict(norm, config, spec)
+        got = predict(norm, config, spec)
+        assert got.support == expected.support and got.probs.tobytes() == expected.probs.tobytes()
+
+    def checked(norm, config, spec):
+        memo = norm.__dict__["_scenario_memo"]
+        assert memo[0] is config.scenario
+        if not seen or seen[-1] is not config.scenario:
+            seen.append(config.scenario)
+        check(norm, config, spec)
+        twin = Scenario(config.scenario.nouns, config.scenario.adjectives)
+        earlier = seen[max(len(seen) - 1 - chunk, 0)]
+        for scenario in (twin, earlier):
+            check(norm, Configuration(scenario, config.role, config.index), spec)
+        assert norm.__dict__["_scenario_memo"] is memo
+        return predict(norm, config, spec)
+
+    norm = load_normalized(GOLDEN_NORM)
+    search = SearchSettings(3, 3, "joint", iterations=40, seed=7)
+    plain = monte_carlo_search(norm, _exp4_models(), search)
+    rng = np.random.default_rng(3)
+    table = random_normalized(rng, 9, 9)
+    scenarios = [
+        Scenario(tuple(rng.choice(9, size=4, replace=False).tolist()),
+                 tuple(rng.choice(9, size=3, replace=False).tolist()))
+        for _ in range(20)
+    ]
+    play = (table, scenarios, "bigram:pragmatic:2.0", "bigram:pragmatic:1.0")
+    played = simulate_gameplay(*play)
+    with monkeypatch.context() as patch:
+        for module in (oed, evaluation):
+            patch.setattr(module, "predict", checked)
+        assert monte_carlo_search(norm, _exp4_models(), search) == plain
+        assert len(seen) > chunk
+        seen.clear()
+        assert simulate_gameplay(*play) == played
+        assert len(seen) == len(scenarios)
+    specs = [parse_model_spec(s, role) for s in ("bigram:literal", "bigram:pragmatic:2.0") for role in rsa.ROLES]
+    for scenario in prime({"bigram": table}, scenarios, specs):
+        for spec in specs:
+            for index in scenario.pairs if spec.role == rsa.SPEAKER else range(scenario.m):
+                check(table, Configuration(scenario, spec.role, index), spec)
 
 
 @pytest.mark.parametrize("workload, predicts, chains", [

@@ -169,6 +169,13 @@ def test_chain_cores_validate():
         speaker_probs(np.ones((2, 2)), -1)
     with pytest.raises(DataError, match="alpha"):
         listener_probs(np.ones((2, 2)), 0, alpha=0.0)
+    # the text ModelSpec gives for an alpha outside (0, inf)
+    for alpha in (float("nan"), float("inf")):
+        for chain in (listener_probs, speaker_probs):
+            with pytest.raises(DataError, match=f"^alpha must be positive, got {alpha!r}$"):
+                chain([[1, 0.5], [0.2, 1]], 0, alpha)
+            with pytest.raises(DataError, match=f"^alpha must be positive, got {alpha!r}$"):
+                ModelSpec("bigram", rsa.LISTENER, rsa.PRAGMATIC, alpha)
     with pytest.raises(DataError, match="zero normalizer"):
         listener_probs(np.array([[0.0, 1.0], [0.0, 1.0]]), 0)
     with pytest.raises(DataError, match="non-negative"):
