@@ -10,11 +10,11 @@ sampling.
 Scoring and model agreement run in batches: records or configurations
 that share role, k and m get one rsa.predict_stack call per model and
 one row-wise Spearman pass, with the bits a one-at-a-time loop over
-rsa.predict and spearman gives; agreement_measure keeps each model's
-stacks and their row ranks for every pair it is in. Gameplay calls
+rsa.predict and spearman gives; agreement_measure caches each model's
+stack and its row ranks for every pair it is in. Gameplay calls
 predict once per clue and per pair while rsa._primed has the scenario
-out, so each call reads a row of the chains primed for its chunk. Both
-take rsa's one route to chains.
+out, so each call reads a row of the chains primed for its chunk, a
+run of scenarios of one shape. Both take rsa's one route to chains.
 
 Ranks are computed in numpy (association.average_ranks, row by row); a
 normalized matrix ranks its cells once, for metric_rank_correlation.
@@ -326,10 +326,10 @@ def model_agreement(spec_a, spec_b, tables, configurations) -> tuple[float, floa
 
 def agreement_measure(specs, tables, configurations):
     """A measure(i, j) that gives model_agreement(specs[i], specs[j],
-    tables, configurations), errors included. Each model's prediction
-    stack for a group of configurations, and the stack's centered row
-    ranks, are built once, however many pairs they serve; the ranks only
-    after the pair's stacks pass _row_spearman's checks."""
+    tables, configurations), errors included. One cache holds each
+    model's prediction stack for a group of configurations together with
+    the stack's centered row ranks, built with it, so each is built once
+    however many pairs it serves."""
     configurations = list(configurations)
     if not configurations:
         raise DataError("no configurations given")
@@ -339,23 +339,17 @@ def agreement_measure(specs, tables, configurations):
     tables = Tables.of(tables)
 
     @cache
-    def stack(index, norm, positions):
-        with prefix_errors(f"model {specs[index].spec_string()}"):
-            return predict_stack(norm, [configurations[p] for p in positions], specs[index])
-
-    @cache
-    def ranks(index, norm, positions):
-        return _centered_ranks(stack(index, norm, positions))
+    def predicted(index, positions):
+        spec = specs[index]
+        with prefix_errors(f"model {spec.spec_string()}"):
+            probs = predict_stack(tables[spec.metric], [configurations[p] for p in positions], spec)
+        return probs, _centered_ranks(probs)
 
     def measure(i, j):
-        norm_i, norm_j = tables[specs[i].metric], tables[specs[j].metric]
-
         def compute(positions):
-            key_i, key_j = (i, norm_i, tuple(positions)), (j, norm_j, tuple(positions))
-            a, b = stack(*key_i), stack(*key_j)
+            (a, ranks_a), (b, ranks_b) = predicted(i, tuple(positions)), predicted(j, tuple(positions))
             _check_rank_rows(a, b)
-            correlations = _rank_correlation(ranks(*key_i), ranks(*key_j))
-            return (_top_mask(a) & _top_mask(b)).any(axis=1), correlations
+            return (_top_mask(a) & _top_mask(b)).any(axis=1), _rank_correlation(ranks_a, ranks_b)
 
         where = f"{specs[i].spec_string()} vs {specs[j].spec_string()}: configuration"
         matches, correlations = _by_shape(configurations, compute, where)

@@ -13,19 +13,20 @@ One chain core computes every column of the listener chain at once;
 the speaker is that chain run on the transposed matrix. _stack_chains,
 the one route from scenarios to chains, runs it once per (role, alpha)
 on the score stack of scenarios of one shape. _primed runs it per chunk
-of scenarios, and as it yields each one, each matrix's memo is that
-scenario with its row of the chunk's chains; predict reads a row of
-those chains for the scenario out, and runs any other scenario alone,
-caching nothing. predict_stack gathers rows from one stack's chains,
-and listener_probs/speaker_probs read one row on any non-negative
-score matrix, which keeps the core testable outside scenarios.
+of up to _CHUNK consecutive scenarios of one shape, and as it yields
+one, each matrix's memo is that scenario with its row of the chunk's
+chains; predict reads a row of those chains for the scenario out, and
+runs any other scenario alone, caching nothing. predict_stack gathers
+rows from one stack's chains, and listener_probs/speaker_probs read one
+row on any non-negative score matrix, which keeps the core testable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations, groupby, islice
+from numbers import Real
 
 import numpy as np
 
@@ -42,13 +43,20 @@ PRAGMATIC = "pragmatic"
 # Probabilities within this of the maximum count as tied for the top.
 TIE_TOL = 1e-12
 
-# Scenarios per score stack and chain run when _primed primes a chunk.
+# Most scenarios in a chunk: a run of one (k, m) shape that _primed primes at once.
 _CHUNK = 256
 
 
 def is_integer(value) -> bool:
     """True for a Python or NumPy integer; a bool or a float is not one."""
     return type(value) is int or isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _alpha(value) -> float:
+    """A rationality weight as a float: a real number in (0, inf), not a bool."""
+    if isinstance(value, Real) and not isinstance(value, bool) and 0 < value < np.inf:
+        return float(value)
+    raise DataError(f"alpha must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -185,10 +193,7 @@ class ModelSpec:
         if self.depth == PRAGMATIC:
             if self.alpha is None:
                 raise DataError("pragmatic model needs alpha")
-            alpha = float(self.alpha)
-            if not np.isfinite(alpha) or alpha <= 0:
-                raise DataError(f"alpha must be positive, got {self.alpha!r}")
-            object.__setattr__(self, "alpha", alpha)
+            object.__setattr__(self, "alpha", _alpha(self.alpha))
         else:
             # alpha is meaningless at literal depth; normalize it away so
             # spec strings round-trip.
@@ -319,9 +324,7 @@ def _chains(scores: np.ndarray, alpha: float | None) -> tuple[np.ndarray, np.nda
     check.
     """
     if alpha is not None:
-        alpha = float(alpha)
-        if not 0 < alpha < np.inf:
-            raise DataError(f"alpha must be positive, got {alpha!r}")
+        alpha = _alpha(alpha)
         weighted, zero = _normalize(scores, -2)
         if zero is not None:
             raise DataError("zero normalizer")
@@ -404,32 +407,27 @@ def _stack_chains(norm: NormalizedAssociation, scenarios, keys) -> dict:
 
 
 def _primed(tables, scenarios, specs):
-    """The scenarios in order, with one _stack_chains run per chunk of
-    _CHUNK, matrix the specs use and (k, m) shape. While a scenario is out,
-    each such matrix's memo (in the instance dict, as `_ranks`) is (that
-    scenario, its row, its shape's chains), with no chains if the chunk
-    failed on that matrix, so that predict raises at the failing scenario."""
+    """The scenarios in order, in chunks of up to _CHUNK consecutive
+    scenarios of one (k, m) shape, with one _stack_chains run per chunk and
+    matrix the specs use. While a scenario is out, each such matrix's memo
+    (in the instance dict, as `_ranks`) is (that scenario, its position in
+    the chunk, the chunk's chains), with empty chains if the chunk failed
+    on that matrix, so that predict raises at the failing scenario."""
     wanted: dict = {}
     for spec in specs:
         wanted.setdefault(tables[spec.metric], {})[spec.role, spec.alpha] = None
-    scenarios = iter(scenarios)
-    while chunk := list(islice(scenarios, _CHUNK)):
-        shapes: dict = {}
-        rows = []
-        for scenario in chunk:
-            group = shapes.setdefault((scenario.k, scenario.m), [])
-            rows.append(len(group))
-            group.append(scenario)
-        chains: dict = {}
-        for norm, keys in wanted.items():
-            try:
-                chains[norm] = {shape: _stack_chains(norm, group, keys) for shape, group in shapes.items()}
-            except DataError:
-                chains[norm] = dict.fromkeys(shapes, {})
-        for scenario, row in zip(chunk, rows):
-            for norm, by_shape in chains.items():
-                norm.__dict__["_scenario_memo"] = scenario, row, by_shape[scenario.k, scenario.m]
-            yield scenario
+    for _, run in groupby(scenarios, lambda scenario: (scenario.k, scenario.m)):
+        while chunk := list(islice(run, _CHUNK)):
+            chains: dict = {}
+            for norm, keys in wanted.items():
+                try:
+                    chains[norm] = _stack_chains(norm, chunk, keys)
+                except DataError:
+                    chains[norm] = {}
+            for row, scenario in enumerate(chunk):
+                for norm, chunk_chains in chains.items():
+                    norm.__dict__["_scenario_memo"] = scenario, row, chunk_chains
+                yield scenario
 
 
 def predict(
@@ -458,15 +456,12 @@ def predict(
 
 
 def predict_stack(norm: NormalizedAssociation, configs, spec: ModelSpec) -> np.ndarray:
-    """predict on N configurations that share spec's role and one (k, m)
+    """predict on N configurations of spec's role that share one (k, m)
     shape, from one _stack_chains run: an (N, answers) array whose row n
-    has the bits of predict(norm, configs[n], spec).probs. predict's
-    checks run on the whole stack, so the error of a one-configuration
-    call is predict's; with several, it may come from any failing
-    configuration."""
-    for config in configs:
-        if config.role != spec.role:
-            raise DataError(f"model role '{spec.role}' != configuration role '{config.role}'")
+    has the bits of predict(norm, configs[n], spec).probs. Callers bind
+    spec to the configurations' role; predict's other checks run on the
+    whole stack, so the error of a one-configuration call is predict's;
+    with several, it may come from any failing configuration."""
     key = spec.role, spec.alpha
     probs, zero, _, position = _stack_chains(norm, [config.scenario for config in configs], [key])[key]
     index = [config.index if position is None else position[config.index] for config in configs]

@@ -529,8 +529,9 @@ def test_predict_memo_holds_read_only_chains(rng):
     assert dist.probs.tobytes() == expected.probs.tobytes()
     # scenario_scores still returns a fresh, writable array
     assert scenario_scores(norm, scenario).flags.writeable
-    # while a scenario is out, the memo is it, its row of its shape's stack
-    # and that shape's read-only chains, one per (role, alpha)
+    # while a scenario is out, the memo is it, its row of its chunk's stack
+    # and that chunk's read-only chains, one per (role, alpha); a chunk is
+    # a run of one shape, so the wide scenario ends the first chunk
     other, wide = Scenario((1, 3, 4), (0, 1)), Scenario((0, 1, 2, 3), (0, 2, 3))
     batch = [scenario, other, wide, scenario]
     found = []
@@ -542,18 +543,19 @@ def test_predict_memo_holds_read_only_chains(rng):
             assert np.shares_memory(primed.probs, memo[2]["listener", None][0])
             assert not primed.probs.flags.writeable
             assert norm.__dict__["_scenario_memo"] is memo
-    assert [(memo[0], memo[1]) for memo in found] == [(scenario, 0), (other, 1), (wide, 0), (scenario, 2)]
-    chains, wide_chains = found[0][2], found[2][2]
-    assert found[1][2] is chains and found[3][2] is chains and wide_chains is not chains
-    for shape_chains, (k, m), rows in ((chains, (3, 2), 3), (wide_chains, (4, 3), 1)):
-        assert list(shape_chains) == [("listener", None), ("speaker", 2.0)]
-        for (role, _), (probs, zero, support, position) in shape_chains.items():
+    assert [(memo[0], memo[1]) for memo in found] == [(scenario, 0), (other, 1), (wide, 0), (scenario, 0)]
+    chains, wide_chains, last_chains = found[0][2], found[2][2], found[3][2]
+    assert found[1][2] is chains
+    assert len({id(chains), id(wide_chains), id(last_chains)}) == 3
+    for chunk_chains, (k, m), rows in ((chains, (3, 2), 2), (wide_chains, (4, 3), 1), (last_chains, (3, 2), 1)):
+        assert list(chunk_chains) == [("listener", None), ("speaker", 2.0)]
+        for (role, _), (probs, zero, support, position) in chunk_chains.items():
             assert len(probs) == len(zero) == rows
             assert not probs.flags.writeable and not zero.flags.writeable
             assert (support, position) == rsa._answers(role, k, m)
     primed = predict(norm, config, literal)
-    assert np.shares_memory(primed.probs, chains["listener", None][0])
-    assert primed.support is chains["listener", None][2]
+    assert np.shares_memory(primed.probs, last_chains["listener", None][0])
+    assert primed.support is last_chains["listener", None][2]
     assert primed.probs.tobytes() == expected.probs.tobytes()
 
 
@@ -640,10 +642,10 @@ def test_unprimable_batch_leaves_no_entry(rng, monkeypatch):
     literal = parse_model_spec("bigram:literal", "listener")
     good = [Scenario((0, 1), (0, 1)), Scenario((2, 3), (1, 2))]
     assert [list(memo[2]) for memo in memos(norm, good, [literal])] == [[("listener", None)]] * 2
-    # an index past the matrix fails the whole batch, the shape primed
-    # before it included, and every scenario is out with no chains
+    # an index past the matrix fails its own chunk, which is out with no
+    # chains; the run of another shape before it keeps its chains
     batch = [*good, Scenario((0, 1, 5), (0, 1))]
-    assert [memo[2] for memo in memos(norm, batch, [literal])] == [{}] * 3
+    assert [list(memo[2]) for memo in memos(norm, batch, [literal])] == [[("listener", None)]] * 2 + [[]]
     for scenario in rsa._primed(tables, batch, [literal]):
         config = Configuration(scenario, rsa.LISTENER, 0)
         if scenario is batch[2]:
@@ -659,7 +661,8 @@ def test_unprimable_batch_leaves_no_entry(rng, monkeypatch):
         with pytest.raises(DataError, match="^scores must be finite and non-negative$"):
             predict(norm, Configuration(good[1], rsa.LISTENER, 0), literal)
     # and so does a pragmatic chain that fails on its stack: one failing
-    # scenario leaves the whole chunk to each scenario's own run
+    # scenario leaves its whole chunk to each scenario's own run, and the
+    # good run of another shape keeps its chains
     values = rng.uniform(0.5, 1.0, (5, 4))
     values[:2] = ZERO_FLOOR
     floored = NormalizedAssociation("bigram", norm.lexicon, values, values == ZERO_FLOOR)
@@ -667,7 +670,9 @@ def test_unprimable_batch_leaves_no_entry(rng, monkeypatch):
     pragmatic = parse_model_spec("bigram:pragmatic:30", "listener")
     batch = [good[0], passes, fails]
     assert all(memo[2] for memo in memos(floored, batch, [literal]))
-    assert [memo[2] for memo in memos(floored, batch, [literal, pragmatic])] == [{}] * 3
+    found = memos(floored, batch, [literal, pragmatic])
+    assert list(found[0][2]) == [("listener", None), ("listener", 30.0)]
+    assert [memo[2] for memo in found[1:]] == [{}] * 2
     for scenario in rsa._primed({"bigram": floored}, batch, [literal, pragmatic]):
         config = Configuration(scenario, rsa.LISTENER, 1)
         expected = oracle_predict(floored, config, literal).probs
@@ -893,3 +898,65 @@ def test_chunk_size_changes_no_result(data):
                 norm.__dict__.pop("_scenario_memo", None)
             results.append(outcomes())
     assert results[1:] == results[:1] * 3
+
+
+@pytest.mark.parametrize("chunk", [1, 3, rsa._CHUNK])
+def test_chunks_are_runs_of_one_shape(monkeypatch, chunk):
+    # _primed cuts each run of scenarios of one shape into chunks of up to
+    # _CHUNK: one chain run per chunk, matrix and (role, alpha), every
+    # prediction with the oracle's bytes, and the results of a run that
+    # primes nothing
+    monkeypatch.setattr(rsa, "_CHUNK", chunk)
+    rng = np.random.default_rng(21)
+    table = random_normalized(rng, 12, 12)
+
+    def drawn(k, m, count):
+        return [
+            Scenario(tuple(rng.choice(12, size=k, replace=False).tolist()),
+                     tuple(rng.choice(12, size=m, replace=False).tolist()))
+            for _ in range(count)
+        ]
+
+    # shapes A A B B A, two scenarios a letter: runs of 4, 4 and 2
+    runs = (4, 4, 2)
+    scenarios = [*drawn(3, 4, 4), *drawn(4, 2, 4), *drawn(3, 4, 2)]
+    play = (table, scenarios, "bigram:pragmatic:2.0", "bigram:literal")
+    norm = load_normalized(GOLDEN_NORM)
+    search = SearchSettings(3, 3, "joint", iterations=40, seed=7)
+    counts = {"chain": 0, "scenario": 0, "checked": 0}
+
+    def outcomes():
+        played = simulate_gameplay(*play)
+        chains, counts["chain"] = counts["chain"], 0
+        found = monte_carlo_search(norm, _exp4_models(), search)
+        return played, found, chains
+
+    with monkeypatch.context() as patch:
+        for module in (oed, evaluation):
+            patch.setattr(module, "_primed", lambda tables, scenarios, specs: scenarios)
+        played, found, _ = outcomes()
+
+    def chains(scores, alpha):
+        counts["chain"] += 1
+        return real_chains(scores, alpha)
+
+    def checked(norm, config, spec):
+        counts["checked"] += 1
+        got = predict(norm, config, spec)
+        expected = oracle_predict(norm, config, spec)
+        assert got.support == expected.support and got.probs.tobytes() == expected.probs.tobytes()
+        return got
+
+    def utility(*args):
+        counts["scenario"] += 1
+        return real_utility(*args)
+
+    real_chains, real_utility = rsa._chains, oed.scenario_joint_utility
+    monkeypatch.setattr(rsa, "_chains", chains)
+    monkeypatch.setattr(oed, "scenario_joint_utility", utility)
+    for module in (oed, evaluation):
+        monkeypatch.setattr(module, "predict", checked)
+    assert outcomes() == (played, found, 2 * sum(math.ceil(run / chunk) for run in runs))
+    assert counts["chain"] == 4 * math.ceil(counts["scenario"] / chunk)
+    plays = sum(scenario.m + len(scenario.pairs) for scenario in scenarios)
+    assert counts["scenario"] >= 4 and counts["checked"] == plays + 12 * counts["scenario"]

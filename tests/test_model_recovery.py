@@ -12,12 +12,25 @@ alone. Speaker trials alone are not held to the margin: a literal and an
 alpha-1 pragmatic speaker differ little on any 3 x 3 board, and there
 the designs beat random boards by only 1.0-1.3x on most lexicon seeds.
 
+The score side asks the same of the measures the paper reports: scored
+with `score`'s Spearman, answers sampled from one of four models
+(bigram or embedding-cosine, literal or alpha-1 pragmatic) must rank
+the generating model above the other three, on the top designs of a
+joint search over all four and on random boards; so must the
+tie-tolerant top-answer match on random boards. The top-answer match on
+the designs is not held to it: with only a literal and an alpha-1
+pragmatic bigram model to choose from, it credits the literal model
+with pragmatic answers on most lexicon seeds, since on the designs the
+two mostly share their argmax and the literal model ties more answers
+for its top.
+
 The seeds were fixed before any margin was read: LEXICON_SEED builds
 the lexicon, the search runs with SEARCH_SEED, and SAMPLE_SEED draws
 the random scenarios and the answers.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,6 +40,7 @@ from refgame import (
     CooccurrenceCounts,
     EmbeddingTable,
     ModelSet,
+    ResponseRecord,
     Scenario,
     SearchSettings,
     bigram_association,
@@ -35,6 +49,7 @@ from refgame import (
     parse_model_spec,
     predict,
     quantile_normalize,
+    score_responses,
 )
 from refgame import rsa
 
@@ -44,6 +59,7 @@ LEXICON_SEED, SEARCH_SEED, SAMPLE_SEED = 0, 0, 1
 N_NOUNS, N_ADJS, LATENT = 30, 20, 3
 DESIGNS, ANSWERS_PER_CONFIGURATION = 20, 10
 MARGIN = 1.5
+SCORED = ("bigram:literal", "bigram:pragmatic:1.0", "embedding-cosine:literal", "embedding-cosine:pragmatic:1.0")
 
 
 def generated_tables() -> dict:
@@ -77,6 +93,23 @@ def configurations(scenario: Scenario):
         yield Configuration(scenario, rsa.LISTENER, clue)
 
 
+def boards(tables, specs, rng) -> tuple[list, list]:
+    """The top designs of a joint 3 x 3 search over specs, and as many
+    random 3 x 3 scenarios drawn with rng."""
+    models = tuple(
+        ModelSet(tuple(parse_model_spec(s, role) for s in specs)) for role in (rsa.SPEAKER, rsa.LISTENER)
+    )
+    found = monte_carlo_search(
+        tables, models, SearchSettings(3, 3, "joint", iterations=2000, seed=SEARCH_SEED, top_k=DESIGNS)
+    )
+    random_scenarios = [
+        Scenario(tuple(rng.choice(N_NOUNS, 3, replace=False).tolist()),
+                 tuple(rng.choice(N_ADJS, 3, replace=False).tolist()))
+        for _ in range(DESIGNS)
+    ]
+    return [candidate.scenario for candidate in found], random_scenarios
+
+
 def log_likelihood_ratios(tables, scenarios, specs, rng) -> dict:
     """Answers drawn from specs[0] on every configuration of every
     scenario: log p0(answer) - log p1(answer) for each answer, by role."""
@@ -98,19 +131,8 @@ def log_likelihood_ratios(tables, scenarios, specs, rng) -> dict:
 ])
 def test_searched_designs_separate_models_better_than_random(specs):
     tables = generated_tables()
-    models = tuple(
-        ModelSet(tuple(parse_model_spec(s, role) for s in specs)) for role in (rsa.SPEAKER, rsa.LISTENER)
-    )
-    found = monte_carlo_search(
-        tables, models, SearchSettings(3, 3, "joint", iterations=2000, seed=SEARCH_SEED, top_k=DESIGNS)
-    )
-    designs = [candidate.scenario for candidate in found]
     rng = np.random.default_rng(SAMPLE_SEED)
-    random_scenarios = [
-        Scenario(tuple(rng.choice(N_NOUNS, 3, replace=False).tolist()),
-                 tuple(rng.choice(N_ADJS, 3, replace=False).tolist()))
-        for _ in range(DESIGNS)
-    ]
+    designs, random_scenarios = boards(tables, specs, rng)
     on_designs = log_likelihood_ratios(tables, designs, specs, rng)
     on_random = log_likelihood_ratios(tables, random_scenarios, specs, rng)
     for roles in (rsa.ROLES, (rsa.LISTENER,)):
@@ -119,3 +141,46 @@ def test_searched_designs_separate_models_better_than_random(specs):
         )
         assert mean_on_random > 0
         assert mean_on_designs >= MARGIN * mean_on_random, (roles, mean_on_designs, mean_on_random)
+
+
+def sampled_records(tables, scenarios, spec: str, rng) -> list:
+    """Response records of ANSWERS_PER_CONFIGURATION answers drawn from
+    spec on every configuration of every scenario."""
+    records = []
+    for scenario in scenarios:
+        for config in configurations(scenario):
+            model = parse_model_spec(spec, config.role)
+            probs = predict(tables[model.metric], config, model).probs
+            support = rsa.answer_support(config)
+            drawn = rng.choice(len(probs), size=ANSWERS_PER_CONFIGURATION, p=probs)
+            records.append(ResponseRecord(config, dict(Counter(support[i] for i in drawn.tolist()))))
+    return records
+
+
+def confusion(tables, scenarios, rng) -> tuple[np.ndarray, np.ndarray]:
+    """score's top_mean and rank_mean of each model in SCORED (column) on
+    answers sampled from each model in SCORED (row)."""
+    top, rank = np.empty((2, len(SCORED), len(SCORED)))
+    for row, generating in enumerate(SCORED):
+        records = sampled_records(tables, scenarios, generating, rng)
+        for column, scored in enumerate(SCORED):
+            report = score_responses(tables, scored, records)
+            top[row, column], rank[row, column] = report.top_mean, report.rank_mean
+    return top, rank
+
+
+def recovered(matrix: np.ndarray) -> list[bool]:
+    """Per row, whether the generating model scores strictly above every other."""
+    return [bool(row[n] > np.delete(row, n).max()) for n, row in enumerate(matrix)]
+
+
+def test_score_recovers_the_generating_model():
+    tables = generated_tables()
+    rng = np.random.default_rng(SAMPLE_SEED)
+    designs, random_scenarios = boards(tables, SCORED, rng)
+    everywhere = [True] * len(SCORED)
+    top, rank = confusion(tables, designs, rng)
+    assert recovered(rank) == everywhere, rank
+    top, rank = confusion(tables, random_scenarios, rng)
+    assert recovered(rank) == everywhere, rank
+    assert recovered(top) == everywhere, top

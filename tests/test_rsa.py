@@ -169,12 +169,13 @@ def test_chain_cores_validate():
         speaker_probs(np.ones((2, 2)), -1)
     with pytest.raises(DataError, match="alpha"):
         listener_probs(np.ones((2, 2)), 0, alpha=0.0)
-    # the text ModelSpec gives for an alpha outside (0, inf)
-    for alpha in (float("nan"), float("inf")):
+    # the text ModelSpec gives for an alpha outside (0, inf) or not a real number
+    for alpha in (float("nan"), float("inf"), "abc", [1], True, np.bool_(True), "2"):
+        message = f"^alpha must be positive, got {re.escape(repr(alpha))}$"
         for chain in (listener_probs, speaker_probs):
-            with pytest.raises(DataError, match=f"^alpha must be positive, got {alpha!r}$"):
+            with pytest.raises(DataError, match=message):
                 chain([[1, 0.5], [0.2, 1]], 0, alpha)
-            with pytest.raises(DataError, match=f"^alpha must be positive, got {alpha!r}$"):
+            with pytest.raises(DataError, match=message):
                 ModelSpec("bigram", rsa.LISTENER, rsa.PRAGMATIC, alpha)
     with pytest.raises(DataError, match="zero normalizer"):
         listener_probs(np.array([[0.0, 1.0], [0.0, 1.0]]), 0)
