@@ -245,7 +245,7 @@ def scenario_joint_utility(
 # ---------------------------------------------------------------------------
 # Monte Carlo search
 
-# Iterations per block of keys from raw generator words; a larger block raises peak RSS.
+# Iterations per block of search keys; a larger block raises peak RSS.
 _KEY_BLOCK = 8_192
 
 
@@ -266,36 +266,21 @@ def _loop_keys(rng, n_nouns: int, n_adjs: int, settings: SearchSettings, count: 
 
 
 def _block_keys(rng, n_nouns: int, n_adjs: int, settings: SearchSettings, count: int):
-    """The keys _loop_keys(rng, ...) gives, from rng's raw words in blocks
-    of at most _KEY_BLOCK iterations; rng ends where the loop leaves it.
-    choice(n, size, replace=False) is Floyd's algorithm (for j from
-    n - size to n - 1, a pick in [0, j], or j if taken), then shuffle
-    draws in [0, i] for i from size - 1 down to 1, undone by sorting;
-    integers(n) is a draw in [0, n - 1]. A draw in [0, b] takes the next
-    32-bit half h, low half of a word first, and is (h * (b + 1)) >> 32,
-    or takes none if b is 0. An iteration in which Lemire's method draws
-    again, as (h * (b + 1)) % 2**32 < 2**32 % (b + 1), runs the loop."""
+    """The keys _loop_keys(rng, ...) gives, in blocks of at most _KEY_BLOCK
+    iterations, each block's picks from one rng.integers call; rng ends
+    where the loop leaves it. choice(n, size, replace=False) is Floyd's
+    algorithm (for j from n - size to n - 1, a pick in [0, j], or j if
+    taken), then shuffle draws in [0, i] for i from size - 1 down to 1,
+    undone by sorting; integers(n) is a draw in [0, n - 1]. Every one is
+    Lemire's bounded draw, which integers makes row by row against an
+    array of bounds, drawing nothing where the bound is 1."""
     k, m, role = settings.nouns, settings.adjectives, settings.role
     sides = ((0, n_nouns, k), (2 * k - 1, n_adjs, m))  # (first column, n, size)
-    bounds = [b for _, n, size in sides for b in (*range(n - size, n), *range(size - 1, 0, -1))]
-    bounds += [] if role is None else [k * (k - 1) // 2 - 1 if role == SPEAKER else m - 1]
-    spans = np.array(bounds, dtype=np.uint64) + 1
-    drawn = spans > 1
-    n_draws = int(drawn.sum())
-    bitgen = rng.bit_generator
+    highs = [h for _, n, size in sides for h in (*range(n - size + 1, n + 1), *range(size, 1, -1))]
+    highs += [] if role is None else [k * (k - 1) // 2 if role == SPEAKER else m]
     while count:
         rows = min(_KEY_BLOCK, count)
-        state = bitgen.state
-        buffered = state["has_uint32"]
-        halves = bitgen.random_raw((rows * n_draws - buffered + 1) // 2).view("<u4")
-        halves = np.concatenate([np.full(buffered, state["uinteger"], "<u4"), halves])
-        picks, rejected = np.zeros((rows, len(spans)), np.uint32), np.zeros(rows, bool)
-        for draw, column in enumerate(np.flatnonzero(drawn)):
-            product = halves[draw : rows * n_draws : n_draws] * spans[column]
-            rejected |= (product & 0xFFFFFFFF) < np.uint64(2**32) % spans[column]
-            picks[:, column] = product >> 32
-        good = int(rejected.argmax()) if rejected.any() else rows
-        picks = picks[:good]
+        picks = rng.integers(0, highs, size=(rows, len(highs)), dtype=np.uint32)
         columns = []
         for first, n, size in sides:
             side = picks[:, first : first + size]
@@ -307,24 +292,15 @@ def _block_keys(rng, n_nouns: int, n_adjs: int, settings: SearchSettings, count:
         if role == SPEAKER:
             index = map(noun_pairs(k).__getitem__, index)
         columns.append(repeat(None) if role is None else index)
-        # put rng after the good rows' halves: whole words, then a buffered half
-        bitgen.state = state
-        if good:
-            fresh = good * n_draws - buffered
-            bitgen.advance((fresh + 1) // 2)  # which empties the buffer
-            if fresh % 2:
-                bitgen.state = {**bitgen.state, "has_uint32": 1, "uinteger": int(halves[good * n_draws])}
-        del halves, product, picks  # before the dict of keys grows by a block
+        del picks  # before the dict of keys grows by a block
         yield from zip(*columns)
-        count -= good
-        if good < rows:
-            yield from _loop_keys(rng, n_nouns, n_adjs, settings, 1)
-            count -= 1
+        count -= rows
 
 
 def _search_keys(n_nouns: int, n_adjs: int, settings: SearchSettings):
     """Every iteration's key, in order: from _block_keys, or from _loop_keys
-    if their first keys differ, as under another numpy or choice's tail shuffle."""
+    if their first keys differ, as under another numpy, or where choice
+    shuffles a tail (more than 10,000 items, and a size over n // 50)."""
 
     def keys(sampler, count=min(settings.iterations, 8)):
         return sampler(np.random.default_rng(settings.seed), n_nouns, n_adjs, settings, count)

@@ -412,7 +412,7 @@ def test_search_error_names_scenario(rng, monkeypatch, mode):
 
 
 # ---------------------------------------------------------------------------
-# key sampling: raw-word blocks against the per-iteration loop
+# key sampling: blocks of integers draws against the per-iteration loop
 
 
 def generator_position(rng):
@@ -444,6 +444,11 @@ def key_shapes(draw):
 @example(shape=(9, 5, 3, 5), mode="separate-listener", seed=1, block=7, halves_before=0, count=40)  # m == n_adjs
 @example(shape=(9, 5, 2, 1), mode="separate-speaker", seed=2, block=1, halves_before=1, count=20)  # k == 2, m == 1
 @example(shape=(2, 1, 2, 1), mode="joint", seed=3, block=7, halves_before=0, count=30)  # one possible key
+# the presets' shapes on a 300x150 lexicon, past what key_shapes draws
+@example(shape=(300, 150, 3, 3), mode="joint", seed=4, block=7, halves_before=1, count=500)  # exp4
+@example(shape=(300, 150, 5, 8), mode="joint", seed=5, block=oed._KEY_BLOCK, halves_before=1, count=500)  # exp1
+@example(shape=(300, 150, 3, 4), mode="separate-speaker", seed=6, block=7, halves_before=1, count=500)  # exp2
+@example(shape=(300, 150, 3, 4), mode="separate-listener", seed=7, block=oed._KEY_BLOCK, halves_before=1, count=500)  # exp2
 def test_block_keys_equal_loop_keys(shape, mode, seed, block, halves_before, count):
     n_nouns, n_adjs, k, m = shape
     settings = SearchSettings(k, m, mode, iterations=max(count, 1), seed=seed)
@@ -457,23 +462,25 @@ def test_block_keys_equal_loop_keys(shape, mode, seed, block, halves_before, cou
     assert generator_position(block_rng) == generator_position(loop_rng)
 
 
-@pytest.mark.parametrize("seed, rejected_at", [(2222, 827), (10382, 639)])
-def test_lemire_rejection_runs_that_iteration_through_the_loop(monkeypatch, seed, rejected_at):
+@pytest.mark.parametrize("seed", [2222, 10382])
+def test_lemire_rejection_draws_as_the_loop_does(seed):
     # At these seeds one draw of the 3-of-300 nouns, 3-of-150 adjectives
-    # joint search is rejected by Lemire's method and drawn again, so a
-    # replay that ignores rejection diverges from the loop at that iteration.
+    # joint search (at iteration 827 or 639) is rejected by Lemire's method
+    # and drawn again, so a replay that ignores rejection diverges there.
     settings = SearchSettings(3, 3, "joint", iterations=1000, seed=seed)
-    loop_keys, emulated, fallbacks = oed._loop_keys, [], []
+    block_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    keys = list(oed._block_keys(block_rng, 300, 150, settings, 1000))
+    assert keys == list(oed._loop_keys(loop_rng, 300, 150, settings, 1000))
+    assert generator_position(block_rng) == generator_position(loop_rng)
 
-    def spy(rng, *args):
-        fallbacks.append(len(emulated))
-        return loop_keys(rng, *args)
 
-    monkeypatch.setattr(oed, "_loop_keys", spy)
-    for key in oed._block_keys(np.random.default_rng(seed), 300, 150, settings, 1000):
-        emulated.append(key)
-    assert fallbacks == [rejected_at]
-    assert emulated == list(loop_keys(np.random.default_rng(seed), 300, 150, settings, 1000))
+def test_search_keys_guard_falls_back_on_choices_tail_shuffle():
+    # choice(n, size, replace=False) shuffles the tail of range(n) instead
+    # of running Floyd's algorithm when n > 10,000 and size > n // 50
+    settings = SearchSettings(201, 2, "joint", iterations=20, seed=3)
+    loop_keys = list(oed._loop_keys(np.random.default_rng(3), 10_001, 5, settings, 20))
+    assert list(oed._block_keys(np.random.default_rng(3), 10_001, 5, settings, 20)) != loop_keys
+    assert list(oed._search_keys(10_001, 5, settings)) == loop_keys
 
 
 def test_search_keys_guard_falls_back_on_a_wrong_emulated_key(rng, monkeypatch):
