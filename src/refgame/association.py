@@ -109,6 +109,9 @@ class Tables(dict):
         lexicon = tables.lexicon
         if any(table.lexicon != lexicon for table in tables.values()):
             raise DataError("matrices disagree on the lexicon")
+        for key, table in tables.items():
+            if table.metric != key:
+                raise DataError(f"matrix for metric '{key}' holds metric '{table.metric}'")
         return tables
 
     @property

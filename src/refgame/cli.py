@@ -49,6 +49,8 @@ from .lexicon import (
     load_topics,
 )
 from .oed import (
+    MAX_WORD_OCCURRENCE,
+    MIN_WORD_DIFFERENCE,
     MODES,
     ModelSet,
     SearchSettings,
@@ -232,17 +234,14 @@ def cmd_predict(args) -> int:
 def _resolve_oed_settings(args) -> None:
     """Fill the scenario shape, mode and models a flag leaves unset from
     the preset, and the filter bounds from their defaults, into args."""
-    preset = PRESETS.get(args.preset, {})
-    for key in ("nouns", "adjectives", "mode", "models"):
+    filter_bounds = {"min_word_diff": MIN_WORD_DIFFERENCE, "max_word_occurrence": MAX_WORD_OCCURRENCE}
+    preset = {**filter_bounds, **PRESETS.get(args.preset, {})}
+    for key in ("nouns", "adjectives", "mode", "models", *filter_bounds):
         if getattr(args, key) is None:
             setattr(args, key, preset.get(key))
         if getattr(args, key) is None:
             raise _UsageError(f"--{key if key != 'models' else 'model'} required without a preset")
     args.models = list(args.models)
-    if args.min_word_diff is None:
-        args.min_word_diff = 2
-    if args.max_word_occurrence is None:
-        args.max_word_occurrence = 20
 
 
 def cmd_oed(args) -> int:
@@ -405,12 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-word-diff",
         type=int,
         help="needs --filter: least words, per side, by which a kept candidate differs from"
-        " every other kept one (default 2)",
+        f" every other kept one (default {MIN_WORD_DIFFERENCE})",
     )
     p.add_argument(
         "--max-word-occurrence",
         type=int,
-        help="needs --filter: most kept candidates one word may appear in (default 20)",
+        help="needs --filter: most kept candidates one word may appear in"
+        f" (default {MAX_WORD_OCCURRENCE})",
     )
     p.add_argument("--output", required=True)
     p.set_defaults(handler=cmd_oed)

@@ -19,8 +19,9 @@ import heapq
 import math
 import numbers
 import warnings
+from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -45,6 +46,8 @@ MODE_SEPARATE_SPEAKER = "separate-speaker"
 MODE_SEPARATE_LISTENER = "separate-listener"
 MODE_JOINT = "joint"
 MODES = (MODE_SEPARATE_SPEAKER, MODE_SEPARATE_LISTENER, MODE_JOINT)
+MIN_WORD_DIFFERENCE = 2  # the diversity filter's default bounds
+MAX_WORD_OCCURRENCE = 20
 
 
 @dataclass(frozen=True)
@@ -391,8 +394,8 @@ def check_filter_bounds(min_word_difference: int, max_word_occurrence: int) -> N
 
 def filter_candidates(
     candidates,
-    min_word_difference: int = 2,
-    max_word_occurrence: int = 20,
+    min_word_difference: int = MIN_WORD_DIFFERENCE,
+    max_word_occurrence: int = MAX_WORD_OCCURRENCE,
 ) -> list[DesignCandidate]:
     """Greedy diversity filter over a utility-descending candidate list.
 
@@ -401,42 +404,35 @@ def filter_candidates(
     of its words has already been used max_word_occurrence times among
     kept candidates.
 
-    Kept candidates are 0/1 columns of a word x kept matrix, so one
-    sum over a candidate's word rows gives its overlap with every kept
-    candidate, and the per-side difference is each size minus that.
+    Boards of n and s words sharing o differ by max(n, s) - o, so one
+    test of n against the fewest kept words covers every kept board that
+    shares no word. Each word lists the (at most max_word_occurrence)
+    kept boards using it, so a candidate's work does not grow with kept.
     """
     candidates = list(candidates)
     check_filter_bounds(min_word_difference, max_word_occurrence)
     for earlier, later in zip(candidates, candidates[1:]):
         if earlier.utility < later.utility:
             raise DataError("candidates must be sorted by utility descending")
-    # Tag words by part of speech so a noun index can never collide with
-    # an adjective index.
-    column: dict = {}
-    rows = [
-        [column.setdefault(("n", n), len(column)) for n in c.scenario.nouns]
-        + [column.setdefault(("a", a), len(column)) for a in c.scenario.adjectives]
-        for c in candidates
-    ]
-    member = np.zeros((len(column), 16), dtype=np.uint8)
-    sizes = np.zeros(16, dtype=np.int64)
-    uses = np.zeros(len(column), dtype=np.int64)
-    kept: list[DesignCandidate] = []
-    for candidate, words in zip(candidates, rows):
-        n_kept = len(kept)
-        if n_kept:
-            overlap = member[words, :n_kept].sum(axis=0)
-            difference = np.maximum(len(words) - overlap, sizes[:n_kept] - overlap)
-            if difference.min() < min_word_difference:
-                continue
-            if uses[words].max() >= max_word_occurrence:
-                continue
-        if n_kept == sizes.size:
-            member = np.concatenate([member, np.zeros_like(member)], axis=1)
-            sizes = np.concatenate([sizes, np.zeros_like(sizes)])
-        member[words, n_kept] = 1
-        sizes[n_kept] = len(words)
-        uses[words] += 1
+    holders: dict = {}  # word -> positions in kept of the kept candidates using it
+    kept, sizes, fewest = [], [], math.inf  # and their word counts, the least of them
+    for candidate in candidates:
+        # tagged by part of speech: noun 0 and adjective 0 are different words
+        words = [("n", n) for n in candidate.scenario.nouns]
+        words += [("a", a) for a in candidate.scenario.adjectives]
+        held = [holders.get(word, ()) for word in words]
+        if any(len(positions) >= max_word_occurrence for positions in held):
+            continue
+        n = len(words)
+        if max(n, fewest) < min_word_difference:
+            continue
+        shared = Counter(chain.from_iterable(held))
+        if any(max(n, sizes[j]) - count < min_word_difference for j, count in shared.items()):
+            continue
+        for word in words:
+            holders.setdefault(word, []).append(len(kept))
+        sizes.append(n)
+        fewest = min(fewest, n)
         kept.append(candidate)
     return kept
 

@@ -380,7 +380,7 @@ def candidate_lists(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(candidate_lists(), st.integers(0, 6), st.integers(1, 6))
+@given(candidate_lists(), st.integers(0, 12), st.integers(1, 6))
 def test_filter_equals_frozenset_loop(candidates, min_diff, cap):
     kept = filter_candidates(candidates, min_word_difference=min_diff, max_word_occurrence=cap)
     expected = frozenset_filter(candidates, min_diff, cap)
@@ -393,12 +393,24 @@ def test_filter_empty_input():
 
 
 def test_filter_keeps_more_than_initial_capacity():
-    # 40 disjoint candidates, all kept: the kept-word matrix must grow
+    # 40 disjoint candidates, all kept: no bound limits how many boards are kept
     candidates = [
         DesignCandidate(Scenario((2 * i, 2 * i + 1), (i,)), None, None, 1.0) for i in range(40)
     ]
     kept = filter_candidates(candidates)
     assert kept == frozenset_filter(candidates) == candidates
+
+
+def test_filter_disjoint_boards_differ_by_their_size():
+    # boards that share no word differ by max(n, s) = 6 words
+    boards = [
+        DesignCandidate(Scenario((3 * i, 3 * i + 1, 3 * i + 2), (3 * i, 3 * i + 1, 3 * i + 2)),
+                        None, None, 1.0 - i / 10)
+        for i in range(3)
+    ]
+    assert filter_candidates(boards, min_word_difference=6) == boards
+    assert filter_candidates(boards, min_word_difference=7) == boards[:1]
+    assert frozenset_filter(boards, 6) == boards and frozenset_filter(boards, 7) == boards[:1]
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,10 @@ from refgame import (
     predict,
     response_probability,
     scenario_joint_utility,
+    simulate_gameplay,
 )
 from refgame import oed
+from refgame.association import Tables
 from refgame.oed import _geometric_mean, candidate_to_record, check_filter_bounds
 
 from conftest import random_normalized
@@ -363,6 +365,17 @@ def test_search_validation(rng):
                            SearchSettings(3, 2, "separate-listener", iterations=5))
     with pytest.raises(DataError, match="no matrices supplied"):
         monte_carlo_search({}, models, SearchSettings(3, 2, "separate-listener", iterations=5))
+
+
+def test_tables_reject_a_matrix_under_another_metric(rng):
+    # a matrix keyed by the wrong metric would be scored as that metric
+    embedding = random_normalized(rng, 4, 3, metric="embedding")
+    with pytest.raises(DataError, match="^matrix for metric 'bigram' holds metric 'embedding'$"):
+        Tables.of({"bigram": embedding})
+    with pytest.raises(DataError, match="holds metric 'embedding'"):
+        simulate_gameplay({"bigram": embedding}, [Scenario((0, 1, 2), (0, 1))],
+                          "bigram:literal", "bigram:literal")
+    assert Tables.of({"embedding": embedding}) == Tables.of(embedding) == {"embedding": embedding}
 
 
 @pytest.mark.parametrize("field, value", [
