@@ -238,6 +238,10 @@ def sparsity_report(norm: NormalizedAssociation, configurations) -> float:
     masked = 0
     for config in configurations:
         scenario = config.scenario
+        if max(scenario.nouns) >= mask.shape[0]:
+            raise DataError("scenario noun index out of range for this matrix")
+        if max(scenario.adjectives) >= mask.shape[1]:
+            raise DataError("scenario adjective index out of range for this matrix")
         if config.role == "speaker":
             i, j = config.index
             for adj in scenario.adjectives:

@@ -426,7 +426,7 @@ def filter_candidates(
         n = len(words)
         if max(n, fewest) < min_word_difference:
             continue
-        shared = Counter(chain.from_iterable(held))
+        shared = Counter(chain.from_iterable(held)) if min_word_difference else {}
         if any(max(n, sizes[j]) - count < min_word_difference for j, count in shared.items()):
             continue
         for word in words:

@@ -19,10 +19,13 @@ chains; predict reads a row of those chains for the scenario out, and
 runs any other scenario alone, caching nothing. predict_stack gathers
 rows from one stack's chains, and listener_probs/speaker_probs read one
 row on any non-negative score matrix, which keeps the core testable.
+A zero normalizer leaves a NaN chain row that its reader raises on, so
+only _score_stack's errors empty a primed chunk.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, groupby, islice
@@ -277,39 +280,31 @@ def _check_scores(scores) -> np.ndarray:
     return scores
 
 
-def _normalize(values: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """values over their sums along axis, and where those sums are zero:
-    a boolean array of the sums' shape, or None when no sum is zero.
+def _normalize(values: np.ndarray, axis: int) -> np.ndarray:
+    """values over their sums along axis: a line summing to zero is NaN
+    in every entry, and NaN spreads through later steps of a chain.
 
-    A line whose sum is zero is left as zeros. A line whose sum overflows
-    to inf is taken from its matrix divided by the matrix's maximum, so it
-    still sums to 1; every line with a finite sum keeps its bits. Scores
-    from a normalized matrix are at most 1 and cannot overflow, so only
-    callers with other scores silence numpy's overflow warning. The
-    quotient is `values / sums` in every case, so it has the memory
-    layout, and later sums over it the order, of the plain division.
+    A line whose sum overflows to inf is taken from its matrix divided by
+    the matrix's maximum, so it still sums to 1. Every other line is the
+    plain `values / sums`, with its bits, its memory layout and the order
+    of later sums over it.
     """
-    totals = values.sum(axis=axis, keepdims=True)
-    if np.count_nonzero(totals) == totals.size and totals.max() < np.inf:
-        return values / totals, None
-    zero = totals == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        totals = values.sum(axis=axis, keepdims=True)
         out = values / totals
-        np.copyto(out, 0.0, where=zero)
         over = totals == np.inf
         if over.any():
             scaled = values / values.max(axis=(-2, -1), keepdims=True)
             np.copyto(out, scaled / scaled.sum(axis=axis, keepdims=True), where=over)
-    return out, zero if zero.any() else None
+    return out
 
 
-def _chains(scores: np.ndarray, alpha: float | None) -> tuple[np.ndarray, np.ndarray]:
+def _chains(scores: np.ndarray, alpha: float | None) -> np.ndarray:
     """Every column of the listener chain on a checked (R, U) score matrix,
     or on each matrix of an (N, R, U) stack: probabilities (..., U, R)
-    whose row u is the chain's distribution for column u, and a (..., U)
-    flag for the rows whose final total is zero. A flagged row is zeros,
-    and _row raises "zero normalizer" when it is read; a zero total
-    earlier in a pragmatic chain fails the whole chain here.
+    whose row u is the chain's distribution for column u. A row whose
+    final total is zero is NaN, as is every row of a matrix whose chain
+    meets a zero total earlier; reading one raises "zero normalizer".
 
     Literal (alpha None): each column normalized. Pragmatic: normalize
     columns, raise to alpha, normalize rows, then normalize each column.
@@ -319,30 +314,22 @@ def _chains(scores: np.ndarray, alpha: float | None) -> tuple[np.ndarray, np.nda
     whole-matrix sums follow memory order (in sequence over a strided
     axis, pairwise over a contiguous one), and each column is made
     contiguous before its final sum, so that sum is pairwise like a 1-d
-    column's. Every unflagged row is then non-negative and sums to 1
-    within rounding, so a row is a valid distribution with no second
+    column's. Every row that is not NaN is then non-negative and sums to
+    1 within rounding, so a row is a valid distribution with no second
     check.
     """
     if alpha is not None:
-        alpha = _alpha(alpha)
-        weighted, zero = _normalize(scores, -2)
-        if zero is not None:
-            raise DataError("zero normalizer")
-        scores, zero = _normalize(weighted**alpha, -1)
-        if zero is not None:
-            raise DataError("zero normalizer")
-    probs, zero = _normalize(np.ascontiguousarray(scores.swapaxes(-1, -2)), -1)
-    return probs, np.zeros(probs.shape[:-1], bool) if zero is None else zero[..., 0]
+        scores = _normalize(_normalize(scores, -2) ** _alpha(alpha), -1)
+    return _normalize(np.ascontiguousarray(scores.swapaxes(-1, -2)), -1)
 
 
-def _row(chain: tuple[np.ndarray, np.ndarray], index, label: str) -> np.ndarray:
+def _row(probs: np.ndarray, index, label: str) -> np.ndarray:
     """Row `index` of a chain from _chains, for the label ("clue" or "target")."""
-    probs, zero = chain
     if not is_integer(index):
         raise DataError(f"{label} index must be an integer, got {index!r}")
     if not 0 <= index < len(probs):
         raise DataError(f"{label} index {index} out of range")
-    if zero[index]:
+    if math.isnan(probs[index, 0]):
         raise DataError("zero normalizer")
     return probs[index]
 
@@ -354,18 +341,13 @@ def listener_probs(scores, clue: int, alpha: float | None = None) -> np.ndarray:
     literal listener per column, speaker softmax-by-power across
     utterances, then the clue column renormalized.
     """
-    scores = _check_scores(scores)
-    # any finite scores may sum to inf, which _normalize handles
-    with np.errstate(over="ignore"):
-        return _row(_chains(scores, alpha), clue, "clue")
+    return _row(_chains(_check_scores(scores), alpha), clue, "clue")
 
 
 def speaker_probs(scores, target: int, alpha: float | None = None) -> np.ndarray:
     """Distribution over utterances given a target referent row: the
     listener chain run on the transposed scores."""
-    scores = _check_scores(scores)
-    with np.errstate(over="ignore"):
-        return _row(_chains(scores.T, alpha), target, "target")
+    return _row(_chains(_check_scores(scores).T, alpha), target, "target")
 
 
 # ---------------------------------------------------------------------------
@@ -393,26 +375,26 @@ def scenario_scores(norm: NormalizedAssociation, scenario: Scenario) -> np.ndarr
 
 
 def _stack_chains(norm: NormalizedAssociation, scenarios, keys) -> dict:
-    """{(role, alpha): (read-only probs and zero flags from _chains, *_answers)}
-    for each key, run on one score stack of scenarios of one (k, m) shape,
-    repeats allowed."""
+    """{(role, alpha): (read-only probs from _chains, *_answers)} for each
+    key, run on one score stack of scenarios of one (k, m) shape, repeats
+    allowed."""
     nouns, adjectives = zip(*((s.nouns, s.adjectives) for s in scenarios))
     scores = _score_stack(norm, np.array(nouns), np.array(adjectives))
     chains = {}
     for role, alpha in keys:
-        probs, zero = _chains(scores if role == LISTENER else scores.swapaxes(1, 2), alpha)
-        probs.flags.writeable = zero.flags.writeable = False
-        chains[role, alpha] = probs, zero, *_answers(role, scenarios[0].k, scenarios[0].m)
+        probs = _chains(scores if role == LISTENER else scores.swapaxes(1, 2), alpha)
+        probs.flags.writeable = False
+        chains[role, alpha] = probs, *_answers(role, scenarios[0].k, scenarios[0].m)
     return chains
 
 
 def _primed(tables, scenarios, specs):
     """The scenarios in order, in chunks of up to _CHUNK consecutive
     scenarios of one (k, m) shape, with one _stack_chains run per chunk and
-    matrix the specs use. While a scenario is out, each such matrix's memo
-    (in the instance dict, as `_ranks`) is (that scenario, its position in
-    the chunk, the chunk's chains), with empty chains if the chunk failed
-    on that matrix, so that predict raises at the failing scenario."""
+    matrix the specs use. While a scenario is out, each such matrix's
+    `_scenario_memo` is (that scenario, its position in the chunk, the
+    chunk's chains), with empty chains only if _score_stack failed on that
+    chunk, so that predict raises at the failing scenario."""
     wanted: dict = {}
     for spec in specs:
         wanted.setdefault(tables[spec.metric], {})[spec.role, spec.alpha] = None
@@ -448,11 +430,11 @@ def predict(
     chain = chains.get(key) if scenario is config.scenario else None
     if chain is None:
         row, chain = 0, _stack_chains(norm, [config.scenario], [key])[key]
-    probs, zero, support, position = chain
-    index = config.index if position is None else position[config.index]
-    if zero[row, index]:
+    probs, support, position = chain
+    dist = probs[row, config.index if position is None else position[config.index]]
+    if math.isnan(dist[0]):
         raise DataError("zero normalizer")
-    return PredictionDistribution._checked(support, probs[row, index])
+    return PredictionDistribution._checked(support, dist)
 
 
 def predict_stack(norm: NormalizedAssociation, configs, spec: ModelSpec) -> np.ndarray:
@@ -463,12 +445,12 @@ def predict_stack(norm: NormalizedAssociation, configs, spec: ModelSpec) -> np.n
     whole stack, so the error of a one-configuration call is predict's;
     with several, it may come from any failing configuration."""
     key = spec.role, spec.alpha
-    probs, zero, _, position = _stack_chains(norm, [config.scenario for config in configs], [key])[key]
+    probs, _, position = _stack_chains(norm, [config.scenario for config in configs], [key])[key]
     index = [config.index if position is None else position[config.index] for config in configs]
-    rows = np.arange(len(probs))
-    if zero[rows, index].any():
+    stack = probs[np.arange(len(probs)), index]
+    if np.isnan(stack[:, 0]).any():
         raise DataError("zero normalizer")
-    return probs[rows, index]
+    return stack
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from refgame import (
     DataError,
     EmbeddingTable,
     Lexicon,
+    ModelSpec,
     NormalizedAssociation,
     RelatednessTable,
     Scenario,
@@ -19,6 +20,7 @@ from refgame import (
     cosine_association,
     load_association,
     load_normalized,
+    predict,
     quantile_normalize,
     relatedness_association,
     save_association,
@@ -282,6 +284,24 @@ def test_sparsity_empty_error(rng):
     norm = random_normalized(rng, 2, 2)
     with pytest.raises(DataError, match="no configurations"):
         sparsity_report(norm, [])
+
+
+def test_sparsity_index_out_of_range_error(rng):
+    # predict's error for a scenario past the matrix, raised before any
+    # cell is counted, for indices the configuration does not reference too
+    norm = random_normalized(rng, 4, 3)
+    cases = (
+        (Configuration(Scenario((0, 9), (0,)), "listener", 0), "noun"),
+        (Configuration(Scenario((0, 1, 9), (0,)), "speaker", (0, 1)), "noun"),
+        (Configuration(Scenario((0, 1), (0, 3)), "listener", 0), "adjective"),
+        (Configuration(Scenario((0, 9), (0, 3)), "speaker", (0, 1)), "noun"),
+    )
+    for config, kind in cases:
+        message = f"^scenario {kind} index out of range for this matrix$"
+        with pytest.raises(DataError, match=message):
+            sparsity_report(norm, [Configuration(Scenario((0, 1), (0,)), "listener", 0), config])
+        with pytest.raises(DataError, match=message):
+            predict(norm, config, ModelSpec("bigram", config.role, "literal"))
 
 
 # ---------------------------------------------------------------------------

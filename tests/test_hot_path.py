@@ -561,13 +561,12 @@ def test_predict_memo_holds_read_only_chains(rng):
     assert len({id(chains), id(wide_chains), id(last_chains)}) == 3
     for chunk_chains, (k, m), rows in ((chains, (3, 2), 2), (wide_chains, (4, 3), 1), (last_chains, (3, 2), 1)):
         assert list(chunk_chains) == [("listener", None), ("speaker", 2.0)]
-        for (role, _), (probs, zero, support, position) in chunk_chains.items():
-            assert len(probs) == len(zero) == rows
-            assert not probs.flags.writeable and not zero.flags.writeable
+        for (role, _), (probs, support, position) in chunk_chains.items():
+            assert len(probs) == rows and not probs.flags.writeable
             assert (support, position) == rsa._answers(role, k, m)
     primed = predict(norm, config, literal)
     assert np.shares_memory(primed.probs, last_chains["listener", None][0])
-    assert primed.support is last_chains["listener", None][2]
+    assert primed.support is last_chains["listener", None][1]
     assert primed.probs.tobytes() == expected.probs.tobytes()
 
 
@@ -606,7 +605,7 @@ def test_predict_memo_stores_no_failed_scores(rng, monkeypatch):
     assert norm.__dict__["_scenario_memo"] is memo and memo[0] is good.scenario
 
 
-def test_predict_memo_zero_row_raises_on_each_read_and_failed_chain_is_not_stored(rng, monkeypatch):
+def test_predict_memo_nan_row_raises_on_each_read_and_failed_chain_is_stored(rng, monkeypatch):
     norm = random_normalized(rng, 5, 4)
     scenario = Scenario((0, 1, 2), (0, 1, 2))
     real = rsa._score_stack
@@ -634,18 +633,28 @@ def test_predict_memo_zero_row_raises_on_each_read_and_failed_chain_is_not_store
     memo = norm.__dict__["_scenario_memo"]
     read_literal()
     assert list(memo[2]) == [("listener", None)]
-    zero = memo[2]["listener", None][1]
-    assert zero.tolist() == [[True, False, False]] and not zero.flags.writeable
+    probs = memo[2]["listener", None][0]
+    assert np.isnan(probs).all(axis=2).tolist() == [[True, False, False]] and not probs.flags.writeable
+    assert not np.isnan(probs[0, 1:]).any()
     # the empty column fails the pragmatic chain as a whole, on every read,
     # and leaves the primed literal chain in place
     pragmatic = parse_model_spec("bigram:pragmatic:1.0", "listener")
-    for clue in (0, 1, 2, 1):
-        with pytest.raises(DataError, match="^zero normalizer$"):
-            predict(norm, Configuration(scenario, rsa.LISTENER, clue), pragmatic)
+
+    def read_pragmatic():
+        for clue in (0, 1, 2, 1):
+            with pytest.raises(DataError, match="^zero normalizer$"):
+                predict(norm, Configuration(scenario, rsa.LISTENER, clue), pragmatic)
+
+    read_pragmatic()
     assert norm.__dict__["_scenario_memo"] is memo and list(memo[2]) == [("listener", None)]
-    # primed with the pragmatic spec, the chunk fails and holds no chains
-    assert [memo[2] for memo in memos(norm, [scenario], [literal, pragmatic])] == [{}]
+    # primed with the pragmatic spec, the chunk stores the failed chain,
+    # NaN in every row, next to the literal one
+    (memo,) = memos(norm, [scenario], [literal, pragmatic])
+    assert list(memo[2]) == [("listener", None), ("listener", 1.0)]
+    assert np.isnan(memo[2]["listener", 1.0][0]).all()
     read_literal()
+    read_pragmatic()
+    assert norm.__dict__["_scenario_memo"] is memo
 
 
 def test_unprimable_batch_leaves_no_entry(rng, monkeypatch):
@@ -672,9 +681,8 @@ def test_unprimable_batch_leaves_no_entry(rng, monkeypatch):
         assert [memo[2] for memo in memos(norm, good, [literal])] == [{}] * 2
         with pytest.raises(DataError, match="^scores must be finite and non-negative$"):
             predict(norm, Configuration(good[1], rsa.LISTENER, 0), literal)
-    # and so does a pragmatic chain that fails on its stack: one failing
-    # scenario leaves its whole chunk to each scenario's own run, and the
-    # good run of another shape keeps its chains
+    # a pragmatic chain that fails on its stack fails only its own
+    # scenario's rows: the chunk keeps its chains for every other scenario
     values = rng.uniform(0.5, 1.0, (5, 4))
     values[:2] = ZERO_FLOOR
     floored = NormalizedAssociation("bigram", norm.lexicon, values, values == ZERO_FLOOR)
@@ -683,18 +691,21 @@ def test_unprimable_batch_leaves_no_entry(rng, monkeypatch):
     batch = [good[0], passes, fails]
     assert all(memo[2] for memo in memos(floored, batch, [literal]))
     found = memos(floored, batch, [literal, pragmatic])
-    assert list(found[0][2]) == [("listener", None), ("listener", 30.0)]
-    assert [memo[2] for memo in found[1:]] == [{}] * 2
+    assert [list(memo[2]) for memo in found] == [[("listener", None), ("listener", 30.0)]] * 3
+    assert found[1][2] is found[2][2]
+    failed = np.isnan(found[2][2]["listener", 30.0][0]).all(axis=2)
+    assert failed.tolist() == [[False, False], [True, True]]
     for scenario in rsa._primed({"bigram": floored}, batch, [literal, pragmatic]):
         config = Configuration(scenario, rsa.LISTENER, 1)
-        expected = oracle_predict(floored, config, literal).probs
-        assert predict(floored, config, literal).probs.tobytes() == expected.tobytes()
-        if scenario == fails:
-            with pytest.raises(DataError, match="^zero normalizer$"):
-                predict(floored, config, pragmatic)
-        else:
-            expected = oracle_predict(floored, config, pragmatic).probs
-            assert predict(floored, config, pragmatic).probs.tobytes() == expected.tobytes()
+        memo = floored.__dict__["_scenario_memo"]
+        for spec in (literal, pragmatic):
+            if scenario == fails and spec is pragmatic:
+                with pytest.raises(DataError, match="^zero normalizer$"):
+                    predict(floored, config, spec)
+                continue
+            got = predict(floored, config, spec).probs
+            assert np.shares_memory(got, memo[2][spec.role, spec.alpha][0])
+            assert got.tobytes() == oracle_predict(floored, config, spec).probs.tobytes()
 
 
 def test_memo_is_bounded(rng, monkeypatch):

@@ -208,11 +208,16 @@ def test_overflowing_totals_are_rescaled():
         # a column whose total is finite keeps its bits
         scores = np.array([[1e308, 0.3], [1e308, 0.7], [1.0, 0.1]])
         assert listener_probs(scores, 1).tobytes() == listener_probs(scores[:, 1:], 0).tobytes()
-    # each matrix of a stack is rescaled by its own maximum
-    with np.errstate(over="ignore"):
-        probs, zero = rsa._chains(np.array([[[1e308], [1e308]], [[1.0], [3.0]]]), None)
-    assert probs.tolist() == [[[0.5, 0.5]], [[0.25, 0.75]]]
-    assert not zero.any()
+        # each matrix of a stack is rescaled by its own maximum
+        probs = rsa._chains(np.array([[[1e308], [1e308]], [[1.0], [3.0]]]), None)
+        assert probs.tolist() == [[[0.5, 0.5]], [[0.25, 0.75]]]
+        # a zero column fails its own row, and only that row, with no warning
+        probs = rsa._chains(np.array([[[1e308, 0.0], [1e308, 0.0]], [[1.0, 0.0], [3.0, 2.0]]]), None)
+        assert np.isnan(probs[0, 1]).all() and not np.isnan(np.delete(probs.reshape(4, 2), 1, 0)).any()
+        assert probs[[0, 1, 1], [0, 0, 1]].tolist() == [[0.5, 0.5], [0.25, 0.75], [0.0, 1.0]]
+        # and a pragmatic chain that meets a zero column is NaN in that matrix only
+        probs = rsa._chains(np.array([[[1.0, 0.0], [1.0, 0.0]], [[1.0, 1.0], [3.0, 1.0]]]), 1.0)
+        assert np.isnan(probs[0]).all() and not np.isnan(probs[1]).any()
 
 
 def _outcome(call):
@@ -251,17 +256,16 @@ def test_chain_core_equals_one_column_oracle(scores, alpha, transpose):
     if transpose:
         scores = scores.T
     expected = [_outcome(lambda: oracle_chain(scores, c, alpha, label)) for c in range(scores.shape[1])]
-    chain = _outcome(lambda: rsa._chains(scores, alpha))
-    if isinstance(chain, str):
-        # a failure of the whole chain is the one-column chain's on every column
-        assert expected == [chain] * len(expected)
-        return
-    got = [_outcome(lambda: rsa._row(chain, c, label)) for c in range(scores.shape[1])]
+    probs = rsa._chains(scores, alpha)
+    got = [_outcome(lambda: rsa._row(probs, c, label)) for c in range(scores.shape[1])]
     assert all(map(_same_outcome, got, expected))
-    # the rows predict trusts without a second check are distributions
-    probs, zero = chain
-    assert probs.min() >= 0
-    assert (np.abs(probs.sum(axis=1) - 1.0) <= 1e-9).tolist() == (~zero).tolist()
+    # each row is failed, NaN in every entry, or a distribution that
+    # predict trusts without a second check
+    failed = np.isnan(probs)
+    assert (failed.all(axis=1) == failed.any(axis=1)).all()
+    live = probs[~failed.any(axis=1)]
+    assert (live >= 0).all()
+    assert (np.abs(live.sum(axis=1) - 1.0) <= 1e-9).all()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -278,11 +282,10 @@ def test_stacked_chain_core_equals_stack_oracle(data, alpha, transpose):
 
     def gathered():
         # predict_stack's read of the stacked chains
-        probs, zero = rsa._chains(stack, alpha)
-        rows = np.arange(len(stack))
-        if zero[rows, index].any():
+        got = rsa._chains(stack, alpha)[np.arange(len(stack)), index]
+        if np.isnan(got[:, 0]).any():
             raise DataError("zero normalizer")
-        return probs[rows, index]
+        return got
 
     got = _outcome(gathered)
     assert _same_outcome(got, expected)
