@@ -11,10 +11,10 @@ Scoring and model agreement run in batches: records or configurations
 that share role, k and m get one rsa.predict_stack call per model and
 one row-wise Spearman pass, with the bits a one-at-a-time loop over
 rsa.predict and spearman gives; agreement_measure caches each model's
-stack and its row ranks for every pair it is in. Gameplay calls
-predict once per clue and per pair while rsa._primed has the scenario
-out, so each call reads a row of the chains primed for its chunk, a
-run of scenarios of one shape. Both take rsa's one route to chains.
+stack and its row ranks for every pair it is in. Gameplay predicts
+each clue and pair of a chunk from rsa._chunks while rsa._primed has
+its scenario out, and sums the chunk's pair successes in one array
+pass. Both take rsa's one route to chains.
 
 Ranks are computed in numpy (association.average_ranks, row by row); a
 normalized matrix ranks its cells once, for metric_rank_correlation.
@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ from .rsa import (
     Configuration,
     ModelSpec,
     Scenario,
+    _chunks,
     _primed,
     answer_support,
     clue_from_word,
@@ -261,6 +263,8 @@ def simulate_gameplay(tables, scenarios, speaker_spec, listener_spec) -> Gamepla
     Model specs are ModelSpec values or "metric:depth[:alpha]" strings.
     A pair's success is the probability the listener recovers it when
     the speaker samples a clue: sum over clues of P(clue) * P(pair | clue).
+    Each chunk from rsa._chunks is primed, predicted a clue and a pair at
+    a time, and summed in one array pass, holding one chunk's rows at once.
     """
     scenarios = tuple(scenarios)
     if not scenarios:
@@ -270,33 +274,31 @@ def simulate_gameplay(tables, scenarios, speaker_spec, listener_spec) -> Gamepla
     tables = Tables.of(tables)
     speaker_norm = tables[speaker_spec.metric]
     listener_norm = tables[listener_spec.metric]
-    all_successes = []
-    scenario_means = []
-    flat = []
-    primed = _primed(tables, scenarios, (speaker_spec, listener_spec))
-    for number, scenario in enumerate(primed, start=1):
-        pairs = scenario.pairs
-        listener = np.empty((scenario.m, len(pairs)))
-        speaker = np.empty((len(pairs), scenario.m))
-        try:
-            model = listener_spec
-            for a, row in enumerate(listener):
-                row[:] = predict(listener_norm, Configuration(scenario, LISTENER, a), model).probs
-            model = speaker_spec
-            for pair, row in zip(pairs, speaker):
-                row[:] = predict(speaker_norm, Configuration(scenario, SPEAKER, pair), model).probs
-        except DataError as exc:
-            where = f"gameplay: scenario {number}: {model.role} model {model.spec_string()}"
-            raise DataError(f"{where}: {exc}") from None
-        # pairs x clues, summed over clues in order; an unsampled clue adds an exact 0.0
-        success = np.cumsum(np.where(speaker > 0, speaker * listener.T, 0.0), axis=1)[:, -1]
-        row = success.tolist()
-        all_successes.append(tuple(row))
-        scenario_means.append(float(success.mean()))
-        flat.extend(row)
+    successes: list = []
+    scenario_means: list = []
+    for chunk in _chunks(scenarios):
+        listener, speaker = [], []
+        primed = _primed(tables, chunk, (speaker_spec, listener_spec))
+        for number, scenario in enumerate(primed, start=len(successes) + 1):
+            try:
+                model = listener_spec
+                for a in range(scenario.m):
+                    listener.append(predict(listener_norm, Configuration(scenario, LISTENER, a), model).probs)
+                model = speaker_spec
+                for pair in scenario.pairs:
+                    speaker.append(predict(speaker_norm, Configuration(scenario, SPEAKER, pair), model).probs)
+            except DataError as exc:
+                where = f"gameplay: scenario {number}: {model.role} model {model.spec_string()}"
+                raise DataError(f"{where}: {exc}") from None
+        # (scenarios, pairs, clues), summed over clues in order; an unsampled clue adds an exact 0.0
+        listener = np.reshape(listener, (len(chunk), chunk[0].m, -1))
+        speaker = np.reshape(speaker, (len(chunk), -1, chunk[0].m))
+        success = np.cumsum(np.where(speaker > 0, speaker * listener.swapaxes(1, 2), 0.0), axis=2)[:, :, -1]
+        successes += map(tuple, success.tolist())
+        scenario_means += success.mean(axis=1).tolist()
     with prefix_errors("gameplay"):
-        mean, sem = aggregate(flat)
-    return GameplayReport(scenarios, tuple(all_successes), tuple(scenario_means), mean, sem)
+        mean, sem = aggregate(chain.from_iterable(successes))
+    return GameplayReport(scenarios, tuple(successes), tuple(scenario_means), mean, sem)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ column.
 One chain core computes every column of the listener chain at once;
 the speaker is that chain run on the transposed matrix. _stack_chains,
 the one route from scenarios to chains, runs it once per (role, alpha)
-on the score stack of scenarios of one shape. _primed runs it per chunk
-of up to _CHUNK consecutive scenarios of one shape, and as it yields
-one, each matrix's memo is that scenario with its row of the chunk's
-chains; predict reads a row of those chains for the scenario out, and
-runs any other scenario alone, caching nothing. predict_stack gathers
-rows from one stack's chains, and listener_probs/speaker_probs read one
-row on any non-negative score matrix, which keeps the core testable.
+on the score stack of scenarios of one shape. _primed runs it on each
+chunk from _chunks, up to _CHUNK consecutive scenarios of one shape; as
+it yields a scenario, each matrix's memo is that scenario with its row
+of the chunk's chains, and predict reads a row of those chains for the
+scenario out and runs any other scenario alone, caching nothing.
+predict_stack gathers rows from one stack's chains; listener_probs and
+speaker_probs read one row on any non-negative score matrix.
 A zero normalizer leaves a NaN chain row that its reader raises on, so
 only _score_stack's errors empty a primed chunk.
 """
@@ -215,6 +215,8 @@ def parse_model_spec(spec, role: str) -> ModelSpec:
         if spec.role != role:
             raise DataError(f"{spec.role} model {spec.spec_string()} given for the {role} role")
         return spec
+    if not isinstance(spec, str):
+        raise DataError(f"malformed model spec {spec!r}")
     parts = spec.split(":")
     if len(parts) not in (2, 3):
         raise DataError(f"malformed model spec {spec!r}")
@@ -388,28 +390,34 @@ def _stack_chains(norm: NormalizedAssociation, scenarios, keys) -> dict:
     return chains
 
 
+def _chunks(scenarios):
+    """The scenarios in order, as lists of up to _CHUNK consecutive
+    scenarios of one (k, m) shape."""
+    for _, run in groupby(scenarios, lambda scenario: (scenario.k, scenario.m)):
+        while chunk := list(islice(run, _CHUNK)):
+            yield chunk
+
+
 def _primed(tables, scenarios, specs):
-    """The scenarios in order, in chunks of up to _CHUNK consecutive
-    scenarios of one (k, m) shape, with one _stack_chains run per chunk and
-    matrix the specs use. While a scenario is out, each such matrix's
-    `_scenario_memo` is (that scenario, its position in the chunk, the
-    chunk's chains), with empty chains only if _score_stack failed on that
-    chunk, so that predict raises at the failing scenario."""
+    """The scenarios in order, with one _stack_chains run per chunk from
+    _chunks and matrix the specs use. While a scenario is out, each such
+    matrix's `_scenario_memo` is (that scenario, its position in the chunk,
+    the chunk's chains), with empty chains only if _score_stack failed on
+    that chunk, so that predict raises at the failing scenario."""
     wanted: dict = {}
     for spec in specs:
         wanted.setdefault(tables[spec.metric], {})[spec.role, spec.alpha] = None
-    for _, run in groupby(scenarios, lambda scenario: (scenario.k, scenario.m)):
-        while chunk := list(islice(run, _CHUNK)):
-            chains: dict = {}
-            for norm, keys in wanted.items():
-                try:
-                    chains[norm] = _stack_chains(norm, chunk, keys)
-                except DataError:
-                    chains[norm] = {}
-            for row, scenario in enumerate(chunk):
-                for norm, chunk_chains in chains.items():
-                    norm.__dict__["_scenario_memo"] = scenario, row, chunk_chains
-                yield scenario
+    for chunk in _chunks(scenarios):
+        chains: dict = {}
+        for norm, keys in wanted.items():
+            try:
+                chains[norm] = _stack_chains(norm, chunk, keys)
+            except DataError:
+                chains[norm] = {}
+        for row, scenario in enumerate(chunk):
+            for norm, chunk_chains in chains.items():
+                norm.__dict__["_scenario_memo"] = scenario, row, chunk_chains
+            yield scenario
 
 
 def predict(

@@ -1,9 +1,9 @@
 """The search hot path against its plain-loop oracles, bit for bit.
 
-model_information_bits, filter_candidates and scenario_scores are
-array rewrites of the loops kept here, and predict's memo of chains is
-checked against predict on memo-less copies of each matrix and
-against the one-column chain of conftest. Every
+model_information_bits, filter_candidates, scenario_scores and
+simulate_gameplay are array rewrites of the loops kept here, and
+predict's memo of chains is checked against predict on memo-less copies
+of each matrix and against the one-column chain of conftest. Every
 comparison is ==, never approx: the golden fixtures pin the search
 output to the last bit.
 """
@@ -12,6 +12,7 @@ import math
 import random
 import re
 import warnings
+from itertools import groupby
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,12 +25,14 @@ from refgame import (
     Configuration,
     DataError,
     DesignCandidate,
+    GameplayReport,
     ModelSet,
     NormalizedAssociation,
     PredictionDistribution,
     ZERO_FLOOR,
     Scenario,
     SearchSettings,
+    aggregate,
     filter_candidates,
     load_normalized,
     model_information_bits,
@@ -40,6 +43,8 @@ from refgame import (
     simulate_gameplay,
 )
 from refgame import cli, evaluation, oed, rsa
+from refgame.association import Tables
+from refgame.errors import prefix_errors
 
 from conftest import oracle_chain, random_normalized
 
@@ -47,7 +52,8 @@ GOLDEN_NORM = Path(__file__).parent / "data" / "golden" / "expected" / "norm_big
 
 
 # ---------------------------------------------------------------------------
-# oracles: the per-answer loop, the frozenset filter and the np.ix_ build
+# oracles: the per-answer loop, the frozenset filter, the np.ix_ build and
+# the per-scenario gameplay loop
 
 def loop_information_bits(prediction_probs) -> float:
     probs = np.asarray(prediction_probs, dtype=float)
@@ -134,6 +140,47 @@ def oracle_predict(norm, config, spec) -> PredictionDistribution:
     else:
         probs = oracle_chain(scores.T, config.scenario.pairs.index(config.index), spec.alpha, "target")
     return PredictionDistribution(rsa.answer_support(config), probs)
+
+
+def loop_simulate_gameplay(tables, scenarios, speaker_spec, listener_spec) -> GameplayReport:
+    """simulate_gameplay one scenario at a time: its predictions copied
+    into a pair of arrays, each pair's success summed over clues and the
+    scenario's mean taken before the next scenario is played."""
+    scenarios = tuple(scenarios)
+    if not scenarios:
+        raise DataError("no scenarios to play")
+    speaker_spec = parse_model_spec(speaker_spec, rsa.SPEAKER)
+    listener_spec = parse_model_spec(listener_spec, rsa.LISTENER)
+    tables = Tables.of(tables)
+    speaker_norm = tables[speaker_spec.metric]
+    listener_norm = tables[listener_spec.metric]
+    all_successes = []
+    scenario_means = []
+    flat = []
+    primed = rsa._primed(tables, scenarios, (speaker_spec, listener_spec))
+    for number, scenario in enumerate(primed, start=1):
+        pairs = scenario.pairs
+        listener = np.empty((scenario.m, len(pairs)))
+        speaker = np.empty((len(pairs), scenario.m))
+        try:
+            model = listener_spec
+            for a, row in enumerate(listener):
+                row[:] = predict(listener_norm, Configuration(scenario, rsa.LISTENER, a), model).probs
+            model = speaker_spec
+            for pair, row in zip(pairs, speaker):
+                row[:] = predict(speaker_norm, Configuration(scenario, rsa.SPEAKER, pair), model).probs
+        except DataError as exc:
+            where = f"gameplay: scenario {number}: {model.role} model {model.spec_string()}"
+            raise DataError(f"{where}: {exc}") from None
+        # pairs x clues, summed over clues in order; an unsampled clue adds an exact 0.0
+        success = np.cumsum(np.where(speaker > 0, speaker * listener.T, 0.0), axis=1)[:, -1]
+        row = success.tolist()
+        all_successes.append(tuple(row))
+        scenario_means.append(float(success.mean()))
+        flat.extend(row)
+    with prefix_errors("gameplay"):
+        mean, sem = aggregate(flat)
+    return GameplayReport(scenarios, tuple(all_successes), tuple(scenario_means), mean, sem)
 
 
 def memo_less(norm) -> NormalizedAssociation:
@@ -803,11 +850,15 @@ def test_memo_is_only_a_cache(monkeypatch, chunk):
     ("exp4", 12, 4),
     ("exp1", 72, 8),
     ("gameplay", 18, 2),
+    ("gameplay-mixed", None, 2),
 ])
 def test_chain_runs_per_scenario(monkeypatch, workload, predicts, chains):
     # Each predict reads a row of a primed chain: one chain run per matrix,
-    # model and role for every chunk of scenarios, so a chunk of one runs
-    # them per scenario, under the predict calls the benchmark pins.
+    # model and role for every chunk of a run of scenarios of one shape, so
+    # a chunk of one runs them per scenario, under the predict calls the
+    # benchmark pins per scenario; gameplay makes one per clue and per pair.
+    # Mixed gameplay alternates two shapes, so each of its runs is one
+    # scenario long.
     def counted(name, fn):
         def call(*args):
             counts[name] += 1
@@ -821,10 +872,13 @@ def test_chain_runs_per_scenario(monkeypatch, workload, predicts, chains):
         monkeypatch.setattr(rsa, "_CHUNK", chunk)
         counts = {"predict": 0, "chain": 0, "scenario": 0}
         rng = np.random.default_rng(8)
-        if workload == "gameplay":
+        if workload.startswith("gameplay"):
             scenarios = [Scenario(tuple(range(i, i + 5)), tuple(range(i, i + 8))) for i in range(4)]
-            counts["scenario"] = len(scenarios)
+            if workload == "gameplay-mixed":
+                scenarios = [s for i, big in enumerate(scenarios) for s in (big, Scenario((i, i + 1, i + 2), (i, i + 1)))]
+            shapes = [(scenario.k, scenario.m) for scenario in scenarios]
             simulate_gameplay(random_normalized(rng, 12, 12), scenarios, "bigram:pragmatic:1.0", "bigram:literal")
+            assert counts["predict"] == sum(scenario.m + len(scenario.pairs) for scenario in scenarios)
         else:
             preset = cli.PRESETS[workload]
             models = tuple(
@@ -838,9 +892,12 @@ def test_chain_runs_per_scenario(monkeypatch, workload, predicts, chains):
             with monkeypatch.context() as patch:
                 patch.setattr(oed, "scenario_joint_utility", counted("scenario", oed.scenario_joint_utility))
                 monte_carlo_search(tables, models, search)
-        assert counts["scenario"] >= 4
-        assert counts["predict"] == predicts * counts["scenario"]
-        assert counts["chain"] == chains * math.ceil(counts["scenario"] / chunk)
+            shapes = [(preset["nouns"], preset["adjectives"])] * counts["scenario"]
+        runs = [len(list(run)) for _, run in groupby(shapes)]
+        assert len(shapes) >= 4
+        if predicts is not None:
+            assert counts["predict"] == predicts * len(shapes)
+        assert counts["chain"] == chains * sum(math.ceil(run / chunk) for run in runs)
 
 
 def test_zero_normalizer_in_search_keeps_scenario_words(monkeypatch):
@@ -921,6 +978,58 @@ def test_chunk_size_changes_no_result(data):
                 norm.__dict__.pop("_scenario_memo", None)
             results.append(outcomes())
     assert results[1:] == results[:1] * 3
+
+
+# (k, m) shapes of 1 to 136 pairs: 8 and more take numpy's unrolled pairwise
+# sum in each scenario's mean, and more than 128 its recursive split
+GAMEPLAY_SHAPES = [(2, 1), (2, 3), (3, 2), (4, 4), (5, 8), (6, 3), (9, 2), (17, 2)]
+DEPTHS = ["literal", "pragmatic:0.3", "pragmatic:1.0", "pragmatic:5.0", "pragmatic:30.0", "pragmatic:100.0"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_chunked_gameplay_equals_scenario_loop(data):
+    # Every output bit and every error text of the per-scenario loop, on
+    # tables with up to 70% floor cells (alpha 100 underflows chains on
+    # them), on lists of consecutive runs of mixed shapes, and with a
+    # scenario out of range for the matrix amid a run.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mask = data.draw(st.sampled_from([0.0, 0.3, 0.5, 0.7]))
+    n_nouns, n_adjs = 18, 9
+    tables = {metric: random_normalized(rng, n_nouns, n_adjs, metric, mask_frac=mask) for metric in ("a", "b")}
+    scenarios = []
+    for k, m in data.draw(st.lists(st.sampled_from(GAMEPLAY_SHAPES), min_size=1, max_size=4)):
+        scenarios += [
+            Scenario(tuple(rng.choice(n_nouns, k, replace=False).tolist()),
+                     tuple(rng.choice(n_adjs, m, replace=False).tolist()))
+            for _ in range(data.draw(st.integers(1, 6)))
+        ]
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(scenarios) - 1))
+        nouns, adjectives = scenarios[at].nouns, scenarios[at].adjectives
+        scenarios.insert(at + 1, Scenario((n_nouns,) + nouns[1:], adjectives) if data.draw(st.booleans())
+                         else Scenario(nouns, (n_adjs,) + adjectives[1:]))
+    speaker, listener = [f"{data.draw(st.sampled_from('ab'))}:{data.draw(st.sampled_from(DEPTHS))}" for _ in range(2)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rsa, "_CHUNK", data.draw(st.sampled_from([1, 3, 256])))
+        expected = _run(lambda: loop_simulate_gameplay(tables, scenarios, speaker, listener))
+        got = _run(lambda: simulate_gameplay(tables, scenarios, speaker, listener))
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        fields = ("successes", "scenario_means", "mean", "sem")
+        assert [getattr(got, name) for name in fields] == [getattr(expected, name) for name in fields]
+
+
+def test_gameplay_error_names_the_failing_scenario_amid_a_chunk():
+    # the second scenario of a run of three is out of range for the matrix,
+    # so the chunk's score stack fails and each scenario runs alone
+    table = random_normalized(np.random.default_rng(5), 6, 6)
+    scenarios = [Scenario((0, 1, 2), (0, 1)), Scenario((0, 1, 6), (0, 1)), Scenario((3, 4, 5), (2, 3))]
+    message = "gameplay: scenario 2: listener model bigram:literal: scenario noun index out of range for this matrix"
+    for play in (simulate_gameplay, loop_simulate_gameplay):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            play(table, scenarios, "bigram:literal", "bigram:literal")
 
 
 @pytest.mark.parametrize("chunk", [1, 3, rsa._CHUNK])

@@ -19,13 +19,17 @@ from refgame import (
     DataError,
     ModelSpec,
     PredictionDistribution,
+    ResponseRecord,
     Scenario,
     answer_support,
     listener_probs,
+    model_agreement,
     noun_pairs,
     parse_model_spec,
     predict,
     scenario_scores,
+    score_responses,
+    simulate_gameplay,
     speaker_probs,
 )
 from refgame import rsa
@@ -514,6 +518,22 @@ def test_parse_model_spec_errors():
         parse_model_spec("bigram:pragmatic:0", "listener")
     with pytest.raises(DataError, match="positive"):
         parse_model_spec("bigram:pragmatic:-1", "listener")
+
+
+@pytest.mark.parametrize("spec", [None, 5, ["bigram", "literal"]])
+def test_parse_model_spec_rejects_a_spec_that_is_not_a_string(spec):
+    # the callers that take a spec string pass anything else through to here
+    message = f"^{re.escape(f'malformed model spec {spec!r}')}$"
+    with pytest.raises(DataError, match=message):
+        parse_model_spec(spec, "listener")
+    tables = {"bigram": random_normalized(np.random.default_rng(0), 4, 3)}
+    config = Configuration(Scenario((0, 1), (0,)), "listener", 0)
+    with pytest.raises(DataError, match=message):
+        simulate_gameplay(tables, [config.scenario] * 2, spec, "bigram:literal")
+    with pytest.raises(DataError, match=message):
+        score_responses(tables, spec, [ResponseRecord(config, {(0, 1): 1})])
+    with pytest.raises(DataError, match=message):
+        model_agreement(spec, "bigram:literal", tables, [config])
 
 
 def test_model_spec_literal_drops_alpha():
