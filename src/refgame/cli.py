@@ -29,7 +29,7 @@ from .association import (
     save_normalized,
     topic_association,
 )
-from .errors import DataError
+from .errors import DataError, read_text
 from .evaluation import (
     agreement_measure,
     load_responses,
@@ -139,7 +139,7 @@ def _write_manifest(args) -> None:
         "version": __version__,
     }
     Path(str(args.output) + ".manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
 
@@ -149,7 +149,7 @@ def _finish(args, text: str) -> int:
     if args.output is None:
         sys.stdout.write(text)
     else:
-        Path(args.output).write_text(text)
+        Path(args.output).write_text(text, encoding="utf-8")
         _write_manifest(args)
     return 0
 
@@ -185,7 +185,7 @@ def _load_matrices(entries) -> Tables:
 
 def _load_json(path: str):
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: malformed JSON ({exc})") from None
 

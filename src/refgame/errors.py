@@ -1,6 +1,9 @@
-"""Shared exception type for data and domain errors."""
+"""Shared exception type for data and domain errors, and the input conversions that raise it."""
 
 from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
 
 
 class DataError(ValueError):
@@ -19,3 +22,20 @@ def prefix_errors(where):
         yield
     except DataError as exc:
         raise DataError(f"{where}: {exc}") from None
+
+
+def float_array(values, where: str) -> np.ndarray:
+    """values as a float array; a non-number or ragged rows raise DataError "<where>: <numpy's text>"."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{where}: {exc}") from None
+
+
+def read_text(path) -> str:
+    """path's text, decoded as UTF-8 whatever the locale: "<path>: line N: not UTF-8" if it does not."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}: line {line}: not UTF-8") from None

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.stats import t as student_t
 
 from .association import NormalizedAssociation, Tables, average_ranks
-from .errors import DataError, prefix_errors
+from .errors import DataError, float_array, prefix_errors, read_text
 from .rsa import (
     LISTENER,
     SPEAKER,
@@ -81,10 +81,12 @@ class ResponseRecord:
                 raise DataError(f"confidence {confidence!r} outside the 1..5 scale")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "confidences", tuple(int(c) for c in self.confidences))
+        # not a field, so equality and repr do not see it; count_vector() returns a copy
+        self.__dict__["_count_vector"] = vector = np.array([counts.get(a, 0) for a in support], dtype=float)
+        vector.flags.writeable = False
 
     def count_vector(self) -> np.ndarray:
-        support = answer_support(self.configuration)
-        return np.array([self.counts.get(answer, 0) for answer in support], dtype=float)
+        return self._count_vector.copy()
 
 
 def _top_mask(probs: np.ndarray) -> np.ndarray:
@@ -152,7 +154,7 @@ def _reject_non_finite(values: np.ndarray, message: str) -> None:
 def aggregate(scores) -> tuple[float, float]:
     """Mean and standard error (ddof=1). All-equal scores give SEM
     exactly 0.0; a NaN or infinite score is an error."""
-    scores = np.asarray(list(scores), dtype=float)
+    scores = float_array(list(scores), "aggregation")
     if scores.size < 2:
         raise DataError("aggregation needs at least two scores")
     _reject_non_finite(scores, "aggregation: the scores hold")
@@ -230,12 +232,14 @@ def score_responses(tables, model, records) -> ScoreReport:
         members = [configurations[p] for p in positions]
         spec = specs[members[0].role]
         probs = predict_stack(tables[spec.metric], members, spec)
-        counts = np.array([records[p].count_vector() for p in positions])
+        counts = np.array([records[p]._count_vector for p in positions])
         modal = counts == counts.max(axis=1, keepdims=True)
         return (_top_mask(probs) & modal).any(axis=1), _row_spearman(probs, counts)
 
     tops, ranks = _by_shape(configurations, compute, f"{label}: record")
-    tops, ranks = tuple(tops.tolist()), tuple(ranks.tolist())
+    # one float object per nonzero value (Spearman over a few answers takes a few); zeros keep their sign
+    distinct: dict = {}
+    tops, ranks = tuple(tops.tolist()), tuple(distinct.setdefault(r, r) if r else r for r in ranks.tolist())
     with prefix_errors(label):
         top_mean, top_sem = aggregate(tops)
         rank_mean, rank_sem = aggregate(ranks)
@@ -265,6 +269,7 @@ def simulate_gameplay(tables, scenarios, speaker_spec, listener_spec) -> Gamepla
     the speaker samples a clue: sum over clues of P(clue) * P(pair | clue).
     Each chunk from rsa._chunks is primed, predicted a clue and a pair at
     a time, and summed in one array pass, holding one chunk's rows at once.
+    Its clue and pair configurations are Configuration._trusted, unchecked.
     """
     scenarios = tuple(scenarios)
     if not scenarios:
@@ -274,6 +279,7 @@ def simulate_gameplay(tables, scenarios, speaker_spec, listener_spec) -> Gamepla
     tables = Tables.of(tables)
     speaker_norm = tables[speaker_spec.metric]
     listener_norm = tables[listener_spec.metric]
+    trusted = Configuration._trusted
     successes: list = []
     scenario_means: list = []
     for chunk in _chunks(scenarios):
@@ -283,10 +289,10 @@ def simulate_gameplay(tables, scenarios, speaker_spec, listener_spec) -> Gamepla
             try:
                 model = listener_spec
                 for a in range(scenario.m):
-                    listener.append(predict(listener_norm, Configuration(scenario, LISTENER, a), model).probs)
+                    listener.append(predict(listener_norm, trusted(scenario, LISTENER, a), model).probs)
                 model = speaker_spec
                 for pair in scenario.pairs:
-                    speaker.append(predict(speaker_norm, Configuration(scenario, SPEAKER, pair), model).probs)
+                    speaker.append(predict(speaker_norm, trusted(scenario, SPEAKER, pair), model).probs)
             except DataError as exc:
                 where = f"gameplay: scenario {number}: {model.role} model {model.spec_string()}"
                 raise DataError(f"{where}: {exc}") from None
@@ -366,8 +372,8 @@ def confidence_ttest(group_a, group_b) -> tuple[float, float]:
     Both groups zero-variance: equal means give (0.0, 1.0), unequal
     means give (signed infinity, 0.0). A NaN or infinite value is an error.
     """
-    a = np.asarray(list(group_a), dtype=float)
-    b = np.asarray(list(group_b), dtype=float)
+    a = float_array(list(group_a), "t-test: the first group")
+    b = float_array(list(group_b), "t-test: the second group")
     if a.size < 2 or b.size < 2:
         raise DataError("each group needs at least two values")
     _reject_non_finite(a, "t-test: the first group holds")
@@ -424,7 +430,7 @@ def read_jsonl(path: str | Path, parse, empty: str) -> list:
     a file with no records raises "path: <empty>".
     """
     items = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         with prefix_errors(f"{path}:{lineno}"):

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, prefix_errors
+from .errors import DataError, prefix_errors, read_text
 
 _INT_LIMIT = np.iinfo(np.int64).max
 
@@ -81,7 +81,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
     nouns: list[str] = []
     adjectives: list[str] = []
     section: list[str] | None = None
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -116,7 +116,7 @@ def read_labeled_matrix(path: str | Path) -> tuple[list[str], list[str], list[li
     header: list[str] | None = None
     row_labels: list[str] = []
     cells: list[list[str]] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         if not raw.strip():
             continue
         if raw.lstrip().startswith("#"):
@@ -149,7 +149,7 @@ def write_labeled_matrix(path, lexicon: Lexicon, matrix, comments=()) -> None:
     lines.append("\t" + "\t".join(lexicon.adjectives))
     for i, noun in enumerate(lexicon.nouns):
         lines.append(noun + "\t" + "\t".join(map(repr, rows[i])))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def parse_cells(cells, lexicon: Lexicon, what: str, dtype=float) -> np.ndarray:
@@ -277,7 +277,7 @@ def _read_vectors(path: str | Path, lexicon: Lexicon) -> dict[str, np.ndarray]:
     """Each lexicon word's vector from a word-keyed vector file."""
     vectors: dict[str, np.ndarray] = {}
     dimension: int | None = None
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         if not raw.strip():
             continue
         fields = raw.split()

@@ -26,7 +26,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .association import Tables
-from .errors import DataError
+from .errors import DataError, float_array
 from .rsa import (
     LISTENER,
     SPEAKER,
@@ -165,7 +165,7 @@ def model_information_bits(prediction_probs):
     which adds in order; a dead answer adds an exact -0.0, which leaves
     every total, a -0.0 one included, as it was without it.
     """
-    probs = np.asarray(prediction_probs, dtype=float)
+    probs = float_array(prediction_probs, "prediction matrix")
     if probs.ndim not in (2, 3):
         raise DataError("prediction matrix must be 2-d, or a 3-d stack of 2-d matrices")
     if probs.shape[-1] == 0:
@@ -207,13 +207,12 @@ def _geometric_mean(values) -> float:
 
 
 def _responses(tables, scenario: Scenario, models: ModelSet, indices, out: np.ndarray) -> np.ndarray:
-    """Each model's answer distribution for the configuration of each index,
-    written row by row into out, a (configurations, models, answers) array."""
+    """Each model's answer distribution for each index's configuration, written
+    at once into out, a (configurations, models, answers) array; an index is a
+    range(m) clue, a noun_pairs(k) pair or the index of a checked Configuration."""
     specs = [(tables[spec.metric], spec) for spec in models.models]
-    for responses, index in zip(out, indices):
-        config = Configuration(scenario, models.role, index)
-        for row, (norm, spec) in enumerate(specs):
-            responses[row] = predict(norm, config, spec).probs
+    configs = [Configuration._trusted(scenario, models.role, index) for index in indices]
+    out[...] = [[predict(norm, config, spec).probs for norm, spec in specs] for config in configs]
     return out
 
 
@@ -242,7 +241,7 @@ def scenario_joint_utility(
         ]
     _responses(tables, scenario, speaker_models, scenario.pairs, speaker)
     _responses(tables, scenario, listener_models, range(m), listener)
-    return _geometric_mean([bits for stack in stacks for bits in model_information_bits(stack)])
+    return _geometric_mean(np.concatenate([model_information_bits(stack) for stack in stacks]).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ chunk from _chunks, up to _CHUNK consecutive scenarios of one shape; as
 it yields a scenario, each matrix's memo is that scenario with its row
 of the chunk's chains, and predict reads a row of those chains for the
 scenario out and runs any other scenario alone, caching nothing.
+Gameplay and oed's responses make their range(m) clue and noun_pairs(k) pair
+configurations with the unchecked Configuration._trusted.
 predict_stack gathers rows from one stack's chains; listener_probs and
 speaker_probs read one row on any non-negative score matrix.
 A zero normalizer leaves a NaN chain row that its reader raises on, so
@@ -34,7 +36,7 @@ from numbers import Real
 import numpy as np
 
 from .association import NormalizedAssociation
-from .errors import DataError
+from .errors import DataError, float_array
 
 SPEAKER = "speaker"
 LISTENER = "listener"
@@ -48,6 +50,7 @@ TIE_TOL = 1e-12
 
 # Most scenarios in a chunk: a run of one (k, m) shape that _primed primes at once.
 _CHUNK = 256
+_NO_MEMO = (None, 0, None)  # what predict reads while _primed has no scenario out
 
 
 def is_integer(value) -> bool:
@@ -70,8 +73,11 @@ class Scenario:
     adjectives: tuple[int, ...]
 
     def __post_init__(self):
-        nouns, adjectives = tuple(self.nouns), tuple(self.adjectives)
-        if not all(map(is_integer, nouns + adjectives)):
+        try:
+            nouns, adjectives = tuple(self.nouns), tuple(self.adjectives)
+        except TypeError:  # not iterable
+            nouns, adjectives = self.nouns, self.adjectives
+        if not (type(nouns) is tuple is type(adjectives) and all(map(is_integer, nouns + adjectives))):
             raise DataError(f"scenario indices must be integers, got {nouns!r} and {adjectives!r}")
         object.__setattr__(self, "nouns", tuple(map(int, nouns)))
         object.__setattr__(self, "adjectives", tuple(map(int, adjectives)))
@@ -166,6 +172,14 @@ class Configuration:
                 raise DataError(f"clue index {idx} out of range for m={self.scenario.m}")
             object.__setattr__(self, "index", idx)
 
+    @classmethod
+    def _trusted(cls, scenario: Scenario, role: str, index) -> Configuration:
+        """An unchecked configuration, for a range(m) clue or a noun_pairs(k) pair."""
+        config = object.__new__(cls)
+        fields = config.__dict__
+        fields["scenario"], fields["role"], fields["index"] = scenario, role, index
+        return config
+
 
 def answer_support(config: Configuration) -> tuple:
     """Ordered answers a responder can give: noun pairs for a listener
@@ -259,8 +273,8 @@ class PredictionDistribution:
         """A distribution over a read-only row of a chain from _chains,
         which is one by construction: no copy and no second check."""
         dist = object.__new__(cls)
-        object.__setattr__(dist, "support", support)
-        object.__setattr__(dist, "probs", probs)
+        fields = dist.__dict__
+        fields["support"], fields["probs"] = support, probs
         return dist
 
     def argmax_answers(self) -> tuple:
@@ -273,7 +287,7 @@ class PredictionDistribution:
 # the chain core on a referent x utterance score matrix, or a stack of them
 
 def _check_scores(scores) -> np.ndarray:
-    scores = np.asarray(scores, dtype=float)
+    scores = float_array(scores, "score matrix")
     if scores.ndim != 2 or scores.size == 0:
         raise DataError("score matrix must be nonempty and 2-d")
     # min() is NaN when any cell is, and NaN >= 0 is False.
@@ -431,15 +445,16 @@ def predict(
     the memo's chain if config's scenario is the one _primed has out, or
     else of a chain run on that scenario alone and cached nowhere.
     """
-    if spec.role != config.role:
-        raise DataError(f"model role '{spec.role}' != configuration role '{config.role}'")
-    key = spec.role, spec.alpha
-    scenario, row, chains = norm.__dict__.get("_scenario_memo", (None, 0, None))
+    role, index = config.role, config.index
+    if spec.role != role:
+        raise DataError(f"model role '{spec.role}' != configuration role '{role}'")
+    key = role, spec.alpha
+    scenario, row, chains = norm.__dict__.get("_scenario_memo", _NO_MEMO)
     chain = chains.get(key) if scenario is config.scenario else None
     if chain is None:
         row, chain = 0, _stack_chains(norm, [config.scenario], [key])[key]
     probs, support, position = chain
-    dist = probs[row, config.index if position is None else position[config.index]]
+    dist = probs[row, index if position is None else position[index]]
     if math.isnan(dist[0]):
         raise DataError("zero normalizer")
     return PredictionDistribution._checked(support, dist)

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,6 +483,52 @@ def test_domain_error_is_exit_1(data, capsys, tmp_path):
     ])
     assert code == 1
     assert "error:" in err and "no observations" in err
+
+
+def _with_latin1_line_2(path, tmp_path):
+    """A copy of path with a Latin-1 "# café" comment as its line 2."""
+    first, rest = path.read_bytes().split(b"\n", 1)
+    bad = tmp_path / f"latin1_{path.name}"
+    bad.write_bytes(first + b"\n" + "# café\n".encode("latin-1") + rest)
+    return bad
+
+
+@pytest.mark.parametrize("command", ["ingest", "normalize", "oed"])
+def test_a_file_that_is_not_utf8_is_exit_1(data, capsys, tmp_path, command):
+    raw = tmp_path / "raw.tsv"
+    ingest = ["ingest", "counts", str(data["counts"]), "--lexicon", str(data["lexicon"]), "--output", str(raw)]
+    assert run_cli(capsys, ingest)[0] == 0
+    source = {"ingest": data["lexicon"], "normalize": raw, "oed": data["norm"]["bigram"]}[command]
+    bad = _with_latin1_line_2(source, tmp_path)
+    out = str(tmp_path / "out")
+    argv = {
+        "ingest": [*ingest[:4], str(bad), "--output", out],
+        "normalize": ["normalize", str(bad), "--output", out],
+        "oed": ["oed", "--matrix", str(bad), "--preset", "exp4", "--iterations", "5", "--output", out],
+    }[command]
+    assert run_cli(capsys, argv) == (1, "", f"error: {bad}: line 2: not UTF-8\n")
+
+
+def test_utf8_files_under_an_ascii_locale(tmp_path):
+    # With the C locale, and UTF-8 mode off, open() would default to ASCII;
+    # every file is read and written as UTF-8 all the same.
+    nouns = ("café", *NOUNS[1:])
+    lexicon = "\n".join(["[nouns]", *nouns, "[adjectives]", *ADJS]) + "\n"
+    counts = "\n".join(["\t" + "\t".join(ADJS), *(noun + "\t1\t2\t3\t4\t5\t6" for noun in nouns)]) + "\n"
+    (tmp_path / "lexicon.txt").write_text(lexicon, encoding="utf-8")
+    (tmp_path / "counts.tsv").write_text(counts, encoding="utf-8")
+    package_root = str(Path(refgame.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join([package_root, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    script = (
+        "import locale, sys; from refgame.cli import main\n"
+        "assert not sys.flags.utf8_mode and locale.getpreferredencoding(False) != 'UTF-8'\n"
+        "sys.exit(main(['ingest', 'counts', 'counts.tsv', '--lexicon', 'lexicon.txt', '--output', 'raw.tsv']))\n"
+    )
+    child = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert load_association(tmp_path / "raw.tsv").lexicon.nouns[0] == "café"
+    assert "café" in (tmp_path / "raw.tsv").read_bytes().decode("utf-8")
 
 
 @pytest.mark.parametrize("command", ["predict", "oed", "score", "compare", "simulate"])

@@ -1,5 +1,6 @@
 """Scoring against response data, gameplay simulation, report rendering."""
 
+import dataclasses
 import json
 import math
 import re
@@ -95,6 +96,41 @@ def test_response_record_validation():
         ResponseRecord(config, {(0, 1): -1})
     with pytest.raises(DataError, match="1..5"):
         ResponseRecord(config, {(0, 1): 2}, confidences=(6,))
+
+
+def test_count_vector_is_built_once_and_read_only():
+    record = listener_record((3, 0, 1))
+    stored = record._count_vector
+    assert not stored.flags.writeable and stored.tolist() == [3.0, 0.0, 1.0]
+    fresh = record.count_vector()
+    assert fresh.flags.writeable and not np.shares_memory(fresh, stored)
+    fresh[0] = 9.0
+    assert record.count_vector().tolist() == [3.0, 0.0, 1.0]
+    # not a field: equality, repr and astuple see the three fields only
+    assert record == listener_record((3, 0, 1)) and "_count_vector" not in repr(record)
+    assert len(dataclasses.astuple(record)) == 3
+
+
+def test_score_responses_reads_the_stored_count_vectors(rng, monkeypatch):
+    norm = random_normalized(rng, 4, 4, metric="bigram")
+    records = [listener_record((3, 0, 1)), listener_record((0, 2, 2))]
+    expected = score_responses({"bigram": norm}, "bigram:literal", records)
+    monkeypatch.setattr(ResponseRecord, "count_vector", lambda self: pytest.fail("count_vector called"))
+    assert score_responses({"bigram": norm}, "bigram:literal", records) == expected
+
+
+def test_equal_rank_correlations_share_one_float(rng):
+    # a report keeps one float object per nonzero correlation value, each
+    # with the bits of spearman on its own record
+    norm = random_normalized(rng, 5, 5, metric="bigram")
+    records = [listener_record(counts) for counts in [(3, 0, 1), (1, 0, 3), (2, 2, 2), (0, 1, 3)] * 5]
+    report = score_responses({"bigram": norm}, "bigram:literal", records)
+    for record, got in zip(records, report.rank_correlations):
+        expected = spearman(predict(norm, record.configuration, parse_model_spec("bigram:literal", "listener")).probs,
+                            record.count_vector())
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+    nonzero = [r for r in report.rank_correlations if r]
+    assert 0 < len({id(r) for r in nonzero}) == len(set(nonzero)) < len(nonzero)
 
 
 def test_modal_answers_tie():
@@ -254,6 +290,16 @@ def test_aggregate_matches_formula(rng):
 def test_aggregate_needs_two():
     with pytest.raises(DataError, match="at least two"):
         aggregate([0.5])
+
+
+def test_aggregate_and_ttest_reject_non_numbers_as_data_errors():
+    text = "could not convert string to float: 'a'"
+    with pytest.raises(DataError, match=f"^aggregation: {text}$"):
+        aggregate(["a", "b"])
+    with pytest.raises(DataError, match=f"^t-test: the first group: {text}$"):
+        confidence_ttest(["a", "b"], [1, 2])
+    with pytest.raises(DataError, match=f"^t-test: the second group: {text}$"):
+        confidence_ttest([1, 2], ["a", "b"])
 
 
 @pytest.mark.parametrize("scores, value", [

@@ -1,6 +1,6 @@
 """The search hot path against its plain-loop oracles, bit for bit.
 
-model_information_bits, filter_candidates, scenario_scores and
+model_information_bits, filter_candidates, scenario_scores, oed._responses and
 simulate_gameplay are array rewrites of the loops kept here, and
 predict's memo of chains is checked against predict on memo-less copies
 of each matrix and against the one-column chain of conftest. Every
@@ -403,6 +403,79 @@ def test_one_pass_joint_utility_equals_per_role_loops(drawn):
         per_role = [*model_information_bits(speaker), *model_information_bits(listener)]
     assert np.array(got, float).tobytes() == np.array(expected, float).tobytes()
     assert np.array(got, float).tobytes() == np.array(per_role, float).tobytes()
+
+
+def _row_by_row(tables, scenario, models, indices, out):
+    """out filled as _responses filled it before its one-step write: one
+    checked Configuration per index and one predict per row."""
+    for responses, index in zip(out, indices):
+        config = Configuration(scenario, models.role, index)
+        for row, spec in enumerate(models.models):
+            responses[row] = predict(tables[spec.metric], config, spec).probs
+    return out
+
+
+@pytest.mark.parametrize("n_speakers, n_listeners", [(2, 2), (4, 4), (3, 1), (2, 4)])
+def test_joint_responses_equal_one_predict_per_row(monkeypatch, n_speakers, n_listeners):
+    # The stacks scenario_joint_utility scores, one zero-padded stack for
+    # model sets of one size and two stacks otherwise, hold the bytes of the
+    # row-by-row fill, on scenarios out of _primed and on lone ones;
+    # response_probability's rows do too.
+    rng = np.random.default_rng(31)
+    tables = Tables.of({m: random_normalized(rng, 9, 8, m, mask_frac=0.3) for m in ("a", "b")})
+    depths = ("literal", "pragmatic:1.0", "pragmatic:5.0", "pragmatic:0.3")
+
+    def model_set(role, n):
+        return ModelSet(tuple(parse_model_spec(f"{'ab'[i % 2]}:{depths[i]}", role) for i in range(n)))
+
+    speakers, listeners = model_set(rsa.SPEAKER, n_speakers), model_set(rsa.LISTENER, n_listeners)
+    scenarios = [
+        Scenario(tuple(rng.choice(9, k, replace=False).tolist()), tuple(rng.choice(8, m, replace=False).tolist()))
+        for k, m in ((2, 1), (3, 3), (3, 3), (5, 8), (4, 2))
+    ]
+    seen = []
+    real_bits = oed.model_information_bits
+    monkeypatch.setattr(oed, "model_information_bits", lambda stack: seen.append(stack.copy()) or real_bits(stack))
+    primed = rsa._primed(tables, scenarios, speakers.models + listeners.models)
+    for scenario in [*scenarios, *primed]:
+        seen.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a one-model set warns
+            oed.scenario_joint_utility(tables, scenario, speakers, listeners)
+        pairs, m = scenario.pairs, scenario.m
+        if n_speakers == n_listeners:
+            expected = [np.zeros((len(pairs) + m, n_speakers, max(len(pairs), m)))]
+            _row_by_row(tables, scenario, speakers, pairs, expected[0][: len(pairs), :, :m])
+            _row_by_row(tables, scenario, listeners, range(m), expected[0][len(pairs):, :, : len(pairs)])
+        else:
+            expected = [
+                _row_by_row(tables, scenario, speakers, pairs, np.empty((len(pairs), n_speakers, m))),
+                _row_by_row(tables, scenario, listeners, range(m), np.empty((m, n_listeners, len(pairs)))),
+            ]
+        assert [(s.shape, s.tobytes()) for s in seen] == [(e.shape, e.tobytes()) for e in expected]
+        for models, indices in ((speakers, pairs), (listeners, range(m))):
+            for index in indices:
+                config = Configuration(scenario, models.role, index)
+                got = oed.response_probability(tables, config, models)
+                row = _row_by_row(tables, scenario, models, [index], np.empty((1, *got.shape)))[0]
+                assert got.tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("alpha", ["1.0", "5.0"])
+def test_gameplay_on_trusted_configurations_equals_scenario_loop(alpha):
+    # gameplay's unchecked clue and pair configurations play the bits of the
+    # loop's checked ones, with the pragmatic agent on either side
+    rng = np.random.default_rng(47)
+    tables = {metric: random_normalized(rng, 30, 20, metric, mask_frac=0.3) for metric in ("a", "b")}
+    scenarios = [
+        Scenario(tuple(rng.choice(30, k, replace=False).tolist()), tuple(rng.choice(20, m, replace=False).tolist()))
+        for k, m in [(5, 8)] * 40 + [(3, 3)] * 20 + [(2, 1)] * 3 + [(5, 8)] * 5
+    ]
+    fields = ("scenarios", "successes", "scenario_means", "mean", "sem")
+    for speaker, listener in ((f"a:pragmatic:{alpha}", "b:literal"), ("a:literal", f"b:pragmatic:{alpha}")):
+        got = simulate_gameplay(tables, scenarios, speaker, listener)
+        expected = loop_simulate_gameplay(tables, scenarios, speaker, listener)
+        assert [getattr(got, name) for name in fields] == [getattr(expected, name) for name in fields]
 
 
 # ---------------------------------------------------------------------------

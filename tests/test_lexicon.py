@@ -1,5 +1,7 @@
 """Vocabulary and resource-file ingestion."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -510,3 +512,12 @@ def test_written_cells_are_repr_of_float(tmp_path):
             for noun, row in zip(lex.nouns, matrix)
         ]
         assert path.read_text() == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("load", [load_lexicon, load_counts, load_embeddings], ids=lambda f: f.__name__)
+def test_a_file_that_is_not_utf8_names_its_line(tmp_path, load):
+    # "café" in Latin-1 on line 3: the path and line, not a UnicodeDecodeError
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("[nouns]\nheart\ncafé\n".encode("latin-1"))
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 3: not UTF-8$"):
+        load(path) if load is load_lexicon else load(path, make_lexicon(2, 2))

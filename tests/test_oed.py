@@ -109,6 +109,15 @@ def test_information_single_model_warns():
         assert model_information_bits(np.array([[0.5, 0.5]])) == 0.0
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("abc", "could not convert string to float: 'abc'"),
+    ([[0.5, 0.5], [1.0]], "setting an array element with a sequence"),
+], ids=["text", "ragged"])
+def test_information_bits_reject_non_numbers_as_data_errors(bad, message):
+    with pytest.raises(DataError, match=f"^prediction matrix: {re.escape(message)}"):
+        model_information_bits(bad)
+
+
 def test_information_three_model_mixture_hand_case():
     # three deterministic models over three answers: mixture is uniform,
     # each answer pins down the model, so the utility is log2(3)

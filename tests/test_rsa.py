@@ -472,6 +472,34 @@ def test_trusted_scenario_is_the_checked_scenario():
         dataclasses.replace(trusted, nouns=(1, 1, 7))  # replace builds a checked scenario
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 9), st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_trusted_configuration_is_the_checked_configuration(k, m, seed):
+    # every clue from range(m) and every pair from noun_pairs(k) is in normal
+    # form, so the unchecked build equals the checked one, hash and repr too
+    rng = np.random.default_rng(seed)
+    scenario = Scenario(tuple(rng.choice(40, k, replace=False).tolist()),
+                        tuple(rng.choice(40, m, replace=False).tolist()))
+    for role, indices in (("listener", range(m)), ("speaker", noun_pairs(k))):
+        for index in indices:
+            trusted = Configuration._trusted(scenario, role, index)
+            checked = Configuration(scenario, role, index)
+            assert trusted == checked and hash(trusted) == hash(checked) and repr(trusted) == repr(checked)
+            assert type(trusted.index) is type(checked.index)
+            assert {trusted: 1}[checked] == 1
+
+
+def test_non_sequences_and_ragged_scores_are_data_errors():
+    with pytest.raises(DataError, match=r"^scenario indices must be integers, got None and \(1,\)$"):
+        Scenario(None, (1,))
+    with pytest.raises(DataError, match="^scenario indices must be integers, got 3 and 1$"):
+        Scenario(3, 1)
+    with pytest.raises(DataError, match="^score matrix: setting an array element with a sequence"):
+        listener_probs([[1, 1], [1]], 0)
+    with pytest.raises(DataError, match="^score matrix: could not convert string to float: 'x'$"):
+        speaker_probs([["x", 1], [1, 1]], 0)
+
+
 def test_scenario_scores_products(rng):
     norm = random_normalized(rng, 6, 5)
     scenario = Scenario((4, 0, 2), (1, 3))
