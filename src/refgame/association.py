@@ -10,6 +10,7 @@ after ranking.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -103,6 +104,9 @@ class Tables(dict):
             return tables
         if isinstance(tables, NormalizedAssociation):
             tables = {tables.metric: tables}
+        values = tables.values() if isinstance(tables, Mapping) else [None]
+        if not all(isinstance(table, NormalizedAssociation) for table in values):
+            raise DataError(f"expected normalized matrices by metric, got {type(tables).__name__}")
         tables = cls(tables)
         if not tables:
             raise DataError("no matrices supplied")
@@ -215,6 +219,8 @@ def quantile_normalize(assoc: AssociationMatrix) -> NormalizedAssociation:
     and each cell becomes rank / cell_count. Masked cells are overwritten
     with ZERO_FLOOR afterwards, so the mask wins over the rank.
     """
+    if not isinstance(assoc, AssociationMatrix):
+        raise DataError(f"expected an association matrix, got {type(assoc).__name__}")
     flat = assoc.raw.ravel()
     ranks = average_ranks(flat)
     values = (ranks / flat.size).reshape(assoc.raw.shape)
@@ -230,12 +236,13 @@ def sparsity_report(norm: NormalizedAssociation, configurations) -> float:
     clue adjective crossed with every scenario noun. References are
     counted with multiplicity across configurations.
     """
+    if not isinstance(norm, NormalizedAssociation):
+        raise DataError(f"expected a normalized matrix, got {type(norm).__name__}")
     configurations = list(configurations)
     if not configurations:
         raise DataError("no configurations given")
     mask = norm.zero_mask
-    total = 0
-    masked = 0
+    total = masked = 0
     for config in configurations:
         scenario = config.scenario
         if max(scenario.nouns) >= mask.shape[0]:
@@ -243,16 +250,11 @@ def sparsity_report(norm: NormalizedAssociation, configurations) -> float:
         if max(scenario.adjectives) >= mask.shape[1]:
             raise DataError("scenario adjective index out of range for this matrix")
         if config.role == "speaker":
-            i, j = config.index
-            for adj in scenario.adjectives:
-                for noun in (scenario.nouns[i], scenario.nouns[j]):
-                    total += 1
-                    masked += bool(mask[noun, adj])
+            nouns, adjectives = [scenario.nouns[i] for i in config.index], scenario.adjectives
         else:
-            adj = scenario.adjectives[config.index]
-            for noun in scenario.nouns:
-                total += 1
-                masked += bool(mask[noun, adj])
+            nouns, adjectives = scenario.nouns, [scenario.adjectives[config.index]]
+        cells = mask[np.ix_(nouns, adjectives)]
+        total, masked = total + cells.size, masked + int(cells.sum())
     return masked / total
 
 

@@ -182,29 +182,26 @@ def _by_shape(configurations, compute, where: str) -> tuple[np.ndarray, np.ndarr
     """compute(positions) -> (flags, values), one entry per position, once
     for each group of configurations that share role, k and m; positions
     are 0-based and ascending. The results come back in file order, as an
-    int and a float array. On a DataError the failing groups are run again
-    one configuration at a time, in file order, and the first error is
-    raised as "<where> <1-based position>: <message>": the error a loop
-    over the configurations would meet first."""
+    int and a float array. On a group's DataError every position is run
+    alone, in file order, and the first error raised as "<where> <1-based
+    position>: <message>", as a loop would meet it (batch and single runs
+    have the same bits); if none fails alone, the group's error is."""
     groups: dict = {}
     for position, config in enumerate(configurations):
         scenario = config.scenario
         groups.setdefault((config.role, scenario.k, scenario.m), []).append(position)
     flags = np.zeros(len(configurations), int)
     values = np.zeros(len(configurations))
-    failed = []
     for positions in groups.values():
         try:
             flags[positions], values[positions] = compute(positions)
-        except DataError as exc:
-            failed.append((positions, exc))
-    for position in sorted(p for positions, _ in failed for p in positions):
-        try:
-            compute([position])
-        except DataError as exc:
-            raise DataError(f"{where} {position + 1}: {exc}") from None
-    if failed:
-        raise failed[0][1]
+        except DataError:
+            for position in range(len(configurations)):
+                try:
+                    compute([position])
+                except DataError as exc:
+                    raise DataError(f"{where} {position + 1}: {exc}") from None
+            raise
     return flags, values
 
 

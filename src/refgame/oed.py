@@ -8,20 +8,20 @@ search scores a whole scenario by the geometric mean of its
 configuration utilities, so one uninformative configuration drags the
 whole scenario down.
 
-Search is plain Monte Carlo over uniformly sampled scenarios with
-deduplication: candidate keys come from the seeded generator alone and
-each distinct key is scored once, so one seed always gives one result.
+Search is plain Monte Carlo in three phases over one array of keys from the
+seeded generator alone, so one seed gives one result: the distinct keys in
+first-seen order, a utility for each, and the top_k by a stable sort.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import numbers
 import warnings
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -251,23 +251,21 @@ def scenario_joint_utility(
 _KEY_BLOCK = 8_192
 
 
-def _loop_keys(rng, n_nouns: int, n_adjs: int, settings: SearchSettings, count: int):
-    """count search keys (nouns, adjectives, index), one iteration at a
-    time: two rng.choice draws, and in a separate mode one rng.integers."""
+def _loop_keys(rng, n_nouns: int, n_adjs: int, settings: SearchSettings, count: int) -> np.ndarray:
+    """count search keys, one iteration at a time: a uint32 row of the sorted
+    nouns and adjectives from two rng.choice draws, and in a separate mode the
+    rng.integers index draw, a clue or a position in noun_pairs(k)."""
     k, m, role = settings.nouns, settings.adjectives, settings.role
-    pairs = noun_pairs(k)
-    for _ in range(count):
-        nouns = tuple(sorted(rng.choice(n_nouns, size=k, replace=False).tolist()))
-        adjs = tuple(sorted(rng.choice(n_adjs, size=m, replace=False).tolist()))
-        if role == SPEAKER:
-            yield nouns, adjs, pairs[int(rng.integers(len(pairs)))]
-        elif role == LISTENER:
-            yield nouns, adjs, int(rng.integers(m))
-        else:
-            yield nouns, adjs, None
+    keys = np.empty((count, k + m + (role is not None)), np.uint32)
+    for key in keys:
+        key[:k] = np.sort(rng.choice(n_nouns, size=k, replace=False))
+        key[k : k + m] = np.sort(rng.choice(n_adjs, size=m, replace=False))
+        if role is not None:
+            key[k + m] = rng.integers(k * (k - 1) // 2 if role == SPEAKER else m)
+    return keys
 
 
-def _block_keys(rng, n_nouns: int, n_adjs: int, settings: SearchSettings, count: int):
+def _block_keys(rng, n_nouns: int, n_adjs: int, settings: SearchSettings, count: int) -> np.ndarray:
     """The keys _loop_keys(rng, ...) gives, in blocks of at most _KEY_BLOCK
     iterations, each block's picks from one rng.integers call; rng ends
     where the loop leaves it. choice(n, size, replace=False) is Floyd's
@@ -280,26 +278,20 @@ def _block_keys(rng, n_nouns: int, n_adjs: int, settings: SearchSettings, count:
     sides = ((0, n_nouns, k), (2 * k - 1, n_adjs, m))  # (first column, n, size)
     highs = [h for _, n, size in sides for h in (*range(n - size + 1, n + 1), *range(size, 1, -1))]
     highs += [] if role is None else [k * (k - 1) // 2 if role == SPEAKER else m]
-    while count:
-        rows = min(_KEY_BLOCK, count)
-        picks = rng.integers(0, highs, size=(rows, len(highs)), dtype=np.uint32)
-        columns = []
+    columns = [c for first, _, size in sides for c in range(first, first + size)] + [-1] * (role is not None)
+    keys = np.empty((count, len(columns)), np.uint32)
+    for start in range(0, count, _KEY_BLOCK):
+        picks = rng.integers(0, highs, size=(min(_KEY_BLOCK, count - start), len(highs)), dtype=np.uint32)
         for first, n, size in sides:
             side = picks[:, first : first + size]
             for t in range(1, size):
                 side[(side[:, :t] == side[:, t, None]).any(axis=1), t] = n - size + t
             side.sort(axis=1)
-            columns.append(zip(*side.T.tolist()))
-        index = picks[:, -1].tolist()  # a separate mode's integers draw
-        if role == SPEAKER:
-            index = map(noun_pairs(k).__getitem__, index)
-        columns.append(repeat(None) if role is None else index)
-        del picks  # before the dict of keys grows by a block
-        yield from zip(*columns)
-        count -= rows
+        keys[start : start + _KEY_BLOCK] = picks[:, columns]
+    return keys
 
 
-def _search_keys(n_nouns: int, n_adjs: int, settings: SearchSettings):
+def _search_keys(n_nouns: int, n_adjs: int, settings: SearchSettings) -> np.ndarray:
     """Every iteration's key, in order: from _block_keys, or from _loop_keys
     if their first keys differ, as under another numpy, or where choice
     shuffles a tail (more than 10,000 items, and a size over n // 50)."""
@@ -307,8 +299,20 @@ def _search_keys(n_nouns: int, n_adjs: int, settings: SearchSettings):
     def keys(sampler, count=min(settings.iterations, 8)):
         return sampler(np.random.default_rng(settings.seed), n_nouns, n_adjs, settings, count)
 
-    same = list(keys(_block_keys)) == list(keys(_loop_keys))
+    same = np.array_equal(keys(_block_keys), keys(_loop_keys))
     return keys(_block_keys if same else _loop_keys, settings.iterations)
+
+
+def _first_seen(keys: np.ndarray) -> np.ndarray:
+    """The distinct rows of keys in first-seen order: a stable lexsort puts
+    equal rows together, earliest first, and keeps each run's first."""
+    order = np.lexsort(keys.T)
+    first = np.zeros(len(keys), bool)
+    first[:1] = True
+    for column in keys.T:
+        column = column[order]
+        first[1:] |= column[1:] != column[:-1]
+    return keys[np.sort(order[first])]
 
 
 def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignCandidate]:
@@ -328,7 +332,7 @@ def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignC
     if settings.adjectives > n_adjs:
         raise DataError(f"scenario wants {settings.adjectives} adjectives, lexicon has {n_adjs}")
 
-    role = settings.role
+    k, m, role = settings.nouns, settings.adjectives, settings.role
     if role is None:
         try:
             speaker_models, listener_models = models
@@ -346,15 +350,16 @@ def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignC
     # Check every metric now, so a missing one fails before any key is drawn.
     for spec in specs:
         tables[spec.metric]
+    indices = noun_pairs(k) if role == SPEAKER else range(m)  # by a separate mode's index draw
 
-    # keys depend on the seed alone (scoring draws nothing); first seen breaks ties
-    keys = dict.fromkeys(_search_keys(n_nouns, n_adjs, settings))
+    def scenario_of(row: list) -> Scenario:
+        return Scenario._trusted(tuple(row[:k]), tuple(row[k : k + m]))
 
-    def evaluate(scenario, index) -> float:
+    def evaluate(scenario: Scenario, draw=None) -> float:
         try:
             if role is None:
                 return scenario_joint_utility(tables, scenario, speaker_models, listener_models)
-            config = Configuration(scenario, role, index)
+            config = Configuration._trusted(scenario, role, indices[draw])
             return model_information_bits(response_probability(tables, config, models))
         except DataError as exc:
             words = scenario_record(scenario, tables.lexicon)
@@ -362,16 +367,19 @@ def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignC
                 f"scenario {' '.join(words['nouns'])} / {' '.join(words['adjectives'])}: {exc}"
             ) from None
 
-    # Each key is scored while _primed has its scenario out, from the score
-    # stacks and chains primed for its chunk.
-    scenarios = _primed(tables, (Scenario._trusted(nouns, adjs) for nouns, adjs, _ in keys), specs)
-    scored = (
-        (evaluate(scenario, index), scenario, index) for scenario, (_, _, index) in zip(scenarios, keys)
-    )
-    # the first top_k of a stable sort, holding only top_k items: ties keep
-    # the keys' first-seen order
-    best = heapq.nsmallest(settings.top_k, scored, key=lambda item: -item[0])
-    return [DesignCandidate(scenario, role, index, utility) for utility, scenario, index in best]
+    # 1. The distinct keys, first seen first; keys depend on the seed alone.
+    keys = _first_seen(_search_keys(n_nouns, n_adjs, settings))
+    # 2. Each key's utility, from the chains _primed primes per chunk; rows become ints a block at a time.
+    rows = chain.from_iterable(keys[i : i + _KEY_BLOCK].tolist() for i in range(0, len(keys), _KEY_BLOCK))
+    scenarios = _primed(tables, map(scenario_of, rows), specs)
+    utilities = map(evaluate, scenarios) if role is None else map(evaluate, scenarios, keys[:, -1])
+    utility = np.fromiter(utilities, float, len(keys))
+    # 3. The first top_k of a stable sort: ties keep first-seen order, and -0.0 ties with 0.0.
+    best = np.argsort(-utility, kind="stable")[: settings.top_k]
+    return [
+        DesignCandidate(scenario_of(row), role, None if role is None else indices[row[-1]], value)
+        for row, value in zip(keys[best].tolist(), utility[best].tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +416,9 @@ def filter_candidates(
     shares no word. Each word lists the (at most max_word_occurrence)
     kept boards using it, so a candidate's work does not grow with kept.
     """
-    candidates = list(candidates)
+    candidates = list(candidates) if isinstance(candidates, Iterable) else [None]
+    if not all(isinstance(candidate, DesignCandidate) for candidate in candidates):
+        raise DataError("candidates must be an iterable of DesignCandidates")
     check_filter_bounds(min_word_difference, max_word_occurrence)
     for earlier, later in zip(candidates, candidates[1:]):
         if earlier.utility < later.utility:

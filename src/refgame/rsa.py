@@ -17,8 +17,8 @@ chunk from _chunks, up to _CHUNK consecutive scenarios of one shape; as
 it yields a scenario, each matrix's memo is that scenario with its row
 of the chunk's chains, and predict reads a row of those chains for the
 scenario out and runs any other scenario alone, caching nothing.
-Gameplay and oed's responses make their range(m) clue and noun_pairs(k) pair
-configurations with the unchecked Configuration._trusted.
+Gameplay and oed (its responses and separate-mode search) make their range(m)
+clue and noun_pairs(k) pair configurations with the unchecked Configuration._trusted.
 predict_stack gathers rows from one stack's chains; listener_probs and
 speaker_probs read one row on any non-negative score matrix.
 A zero normalizer leaves a NaN chain row that its reader raises on, so
@@ -142,15 +142,6 @@ class Configuration:
     index: object
 
     def __post_init__(self):
-        index = self.index
-        # a plain in-range int clue or int pair is already in normal form
-        if type(index) is int and self.role == LISTENER:
-            if 0 <= index < self.scenario.m:
-                return
-        elif type(index) is tuple and len(index) == 2 and self.role == SPEAKER:
-            i, j = index
-            if type(i) is int and type(j) is int and 0 <= i < j < self.scenario.k:
-                return
         if self.role not in ROLES:
             raise DataError(f"unknown role {self.role!r}")
         if self.role == SPEAKER:

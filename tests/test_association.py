@@ -286,6 +286,14 @@ def test_sparsity_empty_error(rng):
         sparsity_report(norm, [])
 
 
+def test_non_matrices_are_data_errors():
+    config = Configuration(Scenario((0, 1), (0,)), "listener", 0)
+    with pytest.raises(DataError, match="^expected an association matrix, got NoneType$"):
+        quantile_normalize(None)
+    with pytest.raises(DataError, match="^expected a normalized matrix, got NoneType$"):
+        sparsity_report(None, [config])
+
+
 def test_sparsity_index_out_of_range_error(rng):
     # predict's error for a scenario past the matrix, raised before any
     # cell is counted, for indices the configuration does not reference too

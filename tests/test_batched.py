@@ -354,6 +354,21 @@ def test_score_error_names_the_lowest_failing_record():
         score_responses(tables, "bigram:literal", records)
 
 
+def test_by_shape_raises_the_group_error_when_no_position_fails_alone():
+    configurations = [Configuration(Scenario((0, 1), (0,)), "listener", 0)] * 3
+    runs = []
+
+    def compute(positions):
+        runs.append(positions)
+        if len(positions) > 1:
+            raise DataError("batch only")
+        return [1], [0.5]
+
+    with pytest.raises(DataError, match="^batch only$"):
+        evaluation._by_shape(configurations, compute, "record")
+    assert runs == [[0, 1, 2], [0], [1], [2]]
+
+
 # ---------------------------------------------------------------------------
 # errors that name the model and the item
 

@@ -1,7 +1,10 @@
 """Information utilities, Monte Carlo design search, filters."""
 
+import dataclasses
+import heapq
 import math
 import re
+import zlib
 from itertools import combinations
 
 import numpy as np
@@ -387,6 +390,19 @@ def test_tables_reject_a_matrix_under_another_metric(rng):
     assert Tables.of({"embedding": embedding}) == Tables.of(embedding) == {"embedding": embedding}
 
 
+def test_non_tables_and_non_candidates_are_data_errors(rng):
+    models = listener_set("a", "b")
+    settings = SearchSettings(3, 2, "separate-listener", iterations=5)
+    for tables in (None, [1, 2], {"a": 1}):
+        with pytest.raises(DataError, match="^expected normalized matrices by metric, got "):
+            Tables.of(tables)
+        with pytest.raises(DataError, match="^expected normalized matrices by metric, got "):
+            monte_carlo_search(tables, models, settings)
+    for candidates in (None, [1, 2], 3, [cand((0, 1), (0,), 0.5), None]):
+        with pytest.raises(DataError, match="^candidates must be an iterable of DesignCandidates$"):
+            filter_candidates(candidates)
+
+
 @pytest.mark.parametrize("field, value", [
     ("nouns", 2.5), ("adjectives", 2.0), ("iterations", 2.5), ("iterations", True),
     ("seed", 1.5), ("seed", "1"), ("top_k", 1.5), ("top_k", None),
@@ -437,6 +453,11 @@ def test_search_error_names_scenario(rng, monkeypatch, mode):
 # key sampling: blocks of integers draws against the per-iteration loop
 
 
+def same_keys(found, expected) -> bool:
+    """Two key arrays are one: uint32, one shape, equal rows."""
+    return found.dtype == expected.dtype == np.uint32 and np.array_equal(found, expected)
+
+
 def generator_position(rng):
     """What a generator's next draws depend on: the PCG64 state and the
     buffered 32-bit half, if one is held."""
@@ -479,8 +500,8 @@ def test_block_keys_equal_loop_keys(shape, mode, seed, block, halves_before, cou
         rng.integers(7, size=halves_before)  # one 32-bit half each: may leave one buffered
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oed, "_KEY_BLOCK", block)
-        emulated = list(oed._block_keys(block_rng, n_nouns, n_adjs, settings, count))
-    assert emulated == list(oed._loop_keys(loop_rng, n_nouns, n_adjs, settings, count))
+        emulated = oed._block_keys(block_rng, n_nouns, n_adjs, settings, count)
+    assert same_keys(emulated, oed._loop_keys(loop_rng, n_nouns, n_adjs, settings, count))
     assert generator_position(block_rng) == generator_position(loop_rng)
 
 
@@ -491,8 +512,8 @@ def test_lemire_rejection_draws_as_the_loop_does(seed):
     # and drawn again, so a replay that ignores rejection diverges there.
     settings = SearchSettings(3, 3, "joint", iterations=1000, seed=seed)
     block_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    keys = list(oed._block_keys(block_rng, 300, 150, settings, 1000))
-    assert keys == list(oed._loop_keys(loop_rng, 300, 150, settings, 1000))
+    keys = oed._block_keys(block_rng, 300, 150, settings, 1000)
+    assert same_keys(keys, oed._loop_keys(loop_rng, 300, 150, settings, 1000))
     assert generator_position(block_rng) == generator_position(loop_rng)
 
 
@@ -500,9 +521,10 @@ def test_search_keys_guard_falls_back_on_choices_tail_shuffle():
     # choice(n, size, replace=False) shuffles the tail of range(n) instead
     # of running Floyd's algorithm when n > 10,000 and size > n // 50
     settings = SearchSettings(201, 2, "joint", iterations=20, seed=3)
-    loop_keys = list(oed._loop_keys(np.random.default_rng(3), 10_001, 5, settings, 20))
-    assert list(oed._block_keys(np.random.default_rng(3), 10_001, 5, settings, 20)) != loop_keys
-    assert list(oed._search_keys(10_001, 5, settings)) == loop_keys
+    loop_keys = oed._loop_keys(np.random.default_rng(3), 10_001, 5, settings, 20)
+    block_keys = oed._block_keys(np.random.default_rng(3), 10_001, 5, settings, 20)
+    assert not np.array_equal(block_keys, loop_keys)
+    assert same_keys(oed._search_keys(10_001, 5, settings), loop_keys)
 
 
 def test_search_keys_guard_falls_back_on_a_wrong_emulated_key(rng, monkeypatch):
@@ -514,15 +536,13 @@ def test_search_keys_guard_falls_back_on_a_wrong_emulated_key(rng, monkeypatch):
 
     def one_wrong_key(rng, n_nouns, n_adjs, settings, count):
         calls.append(count)
-        keys = list(block_keys(rng, n_nouns, n_adjs, settings, count))
-        nouns, adjs, index = keys[3]
-        keys[3] = nouns, adjs, 1 - index
-        return iter(keys)
+        keys = block_keys(rng, n_nouns, n_adjs, settings, count)
+        keys[3, -1] = 1 - keys[3, -1]  # the other of two clues
+        return keys
 
     monkeypatch.setattr(oed, "_block_keys", one_wrong_key)
-    assert list(oed._search_keys(7, 5, settings)) == list(
-        oed._loop_keys(np.random.default_rng(11), 7, 5, settings, 400)
-    )
+    loop_keys = oed._loop_keys(np.random.default_rng(11), 7, 5, settings, 400)
+    assert same_keys(oed._search_keys(7, 5, settings), loop_keys)
     assert calls == [8]  # the guard's keys only
     assert monte_carlo_search(tables, models, settings) == expected
 
@@ -538,6 +558,137 @@ def test_search_equals_search_on_loop_keys(rng, monkeypatch, mode):
     found = monte_carlo_search(tables, models, settings)
     monkeypatch.setattr(oed, "_block_keys", oed._loop_keys)
     assert monte_carlo_search(tables, models, settings) == found
+
+
+# ---------------------------------------------------------------------------
+# the search against the loop it replaced: tuple keys, a first-seen dict, a heap
+
+
+def oracle_search(tables, models, settings):
+    """monte_carlo_search as a loop: dict.fromkeys over _loop_keys' keys as
+    tuples, each key scored alone, then heapq.nsmallest."""
+    tables = Tables.of(tables)
+    k, m, role = settings.nouns, settings.adjectives, settings.role
+    rng = np.random.default_rng(settings.seed)
+    rows = oed._loop_keys(rng, *tables.lexicon.shape, settings, settings.iterations).tolist()
+    keys = dict.fromkeys((tuple(row[:k]), tuple(row[k : k + m]), tuple(row[k + m :])) for row in rows)
+
+    def scored(nouns, adjectives, draw):
+        scenario = Scenario(nouns, adjectives)
+        if role is None:
+            return scenario_joint_utility(tables, scenario, *models), scenario, None
+        index = list(combinations(range(k), 2))[draw[0]] if role == "speaker" else draw[0]
+        probs = response_probability(tables, Configuration(scenario, role, index), models)
+        return oed.model_information_bits(probs), scenario, index
+
+    best = heapq.nsmallest(settings.top_k, (scored(*key) for key in keys), key=lambda item: -item[0])
+    return [DesignCandidate(scenario, role, index, utility) for utility, scenario, index in best]
+
+
+def assert_same_candidates(found, expected):
+    assert found == expected
+    assert all(type(candidate.utility) is float for candidate in found)
+    bits = [np.float64(candidate.utility).view(np.uint64) for candidate in expected]
+    assert [np.float64(candidate.utility).view(np.uint64) for candidate in found] == bits
+
+
+MODEL_INFORMATION_BITS = oed.model_information_bits
+
+
+def signed_zeros(probs):
+    """model_information_bits, with a utility of 0 made -0.0 for about half
+    of the answer matrices (by a checksum of their bytes)."""
+    utility = MODEL_INFORMATION_BITS(probs)
+    if utility == 0 and zlib.crc32(np.asarray(probs).tobytes()) % 2:
+        return -0.0
+    return utility
+
+
+@hypothesis_settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from([(2, 1, 2, 1), (3, 2, 2, 1), (4, 3, 3, 2), (5, 4, 3, 2), (6, 5, 4, 3)]),
+    mode=st.sampled_from(["separate-speaker", "separate-listener", "joint"]),
+    iterations=st.integers(1, 80),
+    seed=st.integers(0, 2**32),
+    top_k_offset=st.integers(-3, 3),
+    identical=st.booleans(),
+    minus_zero=st.booleans(),
+)
+@example(shape=(2, 1, 2, 1), mode="joint", iterations=40, seed=0, top_k_offset=0, identical=False,
+         minus_zero=False)
+@example(shape=(4, 3, 3, 2), mode="separate-listener", iterations=80, seed=1, top_k_offset=-3, identical=True,
+         minus_zero=True)
+@example(shape=(4, 3, 3, 2), mode="separate-speaker", iterations=80, seed=2, top_k_offset=3, identical=True,
+         minus_zero=True)
+def test_search_equals_the_tuple_key_heap_search(
+    shape, mode, iterations, seed, top_k_offset, identical, minus_zero
+):
+    # tiny lexicons repeat most keys; identical models tie every utility at 0
+    n_nouns, n_adjs, k, m = shape
+    rng = np.random.default_rng(seed)
+    tables = {name: random_normalized(rng, n_nouns, n_adjs, metric=name) for name in ("a", "b")}
+    second = ("a", "literal", None) if identical else ("b", "pragmatic", 2.0)
+
+    def model_set(role):
+        return ModelSet((ModelSpec("a", role, "literal"), ModelSpec(second[0], role, *second[1:])))
+
+    settings = SearchSettings(k, m, mode, iterations=iterations, seed=seed)
+    models = (model_set("speaker"), model_set("listener")) if mode == "joint" else model_set(settings.role)
+    rows = oed._loop_keys(np.random.default_rng(seed), n_nouns, n_adjs, settings, iterations)
+    unique = len(dict.fromkeys(map(tuple, rows.tolist())))
+    settings = dataclasses.replace(settings, top_k=max(1, unique + top_k_offset))
+    with pytest.MonkeyPatch.context() as patch:
+        if minus_zero and mode != "joint":  # a joint utility of 0 is the geometric mean's 0.0
+            patch.setattr(oed, "model_information_bits", signed_zeros)
+        found = monte_carlo_search(tables, models, settings)
+        expected = oracle_search(tables, models, settings)
+    assert len(found) == min(settings.top_k, unique)
+    assert_same_candidates(found, expected)
+
+
+def test_search_ties_minus_zero_with_zero_in_first_seen_order(rng, monkeypatch):
+    tables = {"a": random_normalized(rng, 6, 4, metric="a")}
+    models = listener_set("a", "a")  # every utility is 0
+    settings = SearchSettings(3, 2, "separate-listener", iterations=60, seed=4, top_k=1000)
+    monkeypatch.setattr(oed, "model_information_bits", signed_zeros)
+    found = monte_carlo_search(tables, models, settings)
+    signs = {math.copysign(1, candidate.utility) for candidate in found}
+    assert signs == {1.0, -1.0}
+    assert_same_candidates(found, oracle_search(tables, models, settings))
+
+
+@hypothesis_settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(0, 60),
+    columns=st.integers(1, 4),
+    values=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+)
+def test_first_seen_keeps_each_distinct_row_where_it_first_appears(rows, columns, values, seed):
+    keys = np.random.default_rng(seed).integers(0, values, size=(rows, columns), dtype=np.uint32)
+    unique = oed._first_seen(keys)
+    assert unique.dtype == np.uint32 and unique.shape[1] == columns
+    assert list(map(tuple, unique.tolist())) == list(dict.fromkeys(map(tuple, keys.tolist())))
+
+
+def test_guard_fallback_keys_go_through_the_array_path(rng, monkeypatch):
+    tables = {name: random_normalized(rng, 7, 5, metric=name) for name in ("a", "b")}
+    models = ModelSet((ModelSpec("a", "speaker", "literal"), ModelSpec("b", "speaker", "literal")))
+    settings = SearchSettings(3, 2, "separate-speaker", iterations=300, seed=8, top_k=25)
+    loop_keys, calls = oed._loop_keys, []
+
+    def wrong_block_keys(rng, n_nouns, n_adjs, settings, count):
+        return loop_keys(rng, n_nouns, n_adjs, settings, count)[::-1].copy()
+
+    def recorded_loop_keys(rng, n_nouns, n_adjs, settings, count):
+        calls.append(count)
+        return loop_keys(rng, n_nouns, n_adjs, settings, count)
+
+    monkeypatch.setattr(oed, "_block_keys", wrong_block_keys)
+    monkeypatch.setattr(oed, "_loop_keys", recorded_loop_keys)
+    found = monte_carlo_search(tables, models, settings)
+    assert calls == [8, 300]  # the guard's keys, then every key from the loop
+    assert_same_candidates(found, oracle_search(tables, models, settings))
 
 
 # ---------------------------------------------------------------------------
