@@ -94,32 +94,22 @@ def _top_mask(probs: np.ndarray) -> np.ndarray:
     return probs.max(axis=1, keepdims=True) - probs <= TIE_TOL
 
 
-def _check_rank_rows(x: np.ndarray, y: np.ndarray) -> None:
-    """_row_spearman's checks: rows of at least two entries, no NaN."""
-    if x.shape[-1] < 2:
-        raise DataError("rank correlation needs at least two entries")
-    for which, values in (("first", x), ("second", y)):
-        if np.isnan(values).any():
-            raise DataError(f"rank correlation: the {which} vector holds NaN")
-
-
 def _centered_ranks(values: np.ndarray) -> np.ndarray:
     """Each row's descending average ranks minus their mean, which for
     ranks 1..n is always (n + 1) / 2 exactly."""
     return average_ranks(-values) - (values.shape[-1] + 1) / 2
 
 
-def _row_spearman(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Spearman correlation of each row of x with the same row of y, by
-    descending average ranks; a row with either side constant gives 0.
-    Each row's sums of products are the BLAS dot that a 1-d `@` takes,
-    reached through matmul of (N, 1, n) by (N, n, 1)."""
-    _check_rank_rows(x, y)
-    return _rank_correlation(_centered_ranks(x), _centered_ranks(y))
-
-
 def _rank_correlation(rank_x: np.ndarray, rank_y: np.ndarray) -> np.ndarray:
-    """_row_spearman's correlation step, on rows of ranks minus their mean."""
+    """Spearman correlation of each row of two _centered_ranks arrays,
+    rows of at least two entries; a row with either side constant gives
+    0. Each row's sums of products are the BLAS dot that a 1-d `@` takes,
+    reached through matmul of (N, 1, n) by (N, n, 1). Only spearman checks
+    for NaN: predict_stack raises on a NaN chain row (NaN in every entry
+    or none), counts are ResponseRecord's checked integers, and a
+    normalized matrix holds finite cells."""
+    if rank_x.shape[-1] < 2:
+        raise DataError("rank correlation needs at least two entries")
 
     def dot(a, b):
         return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
@@ -142,7 +132,12 @@ def spearman(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise DataError("rank correlation needs two equal-length vectors")
-    return float(_row_spearman(x[None], y[None])[0])
+    if x.size < 2:
+        raise DataError("rank correlation needs at least two entries")
+    for which, values in (("first", x), ("second", y)):
+        if np.isnan(values).any():
+            raise DataError(f"rank correlation: the {which} vector holds NaN")
+    return float(_rank_correlation(_centered_ranks(x[None]), _centered_ranks(y[None]))[0])
 
 
 def _reject_non_finite(values: np.ndarray, message: str) -> None:
@@ -231,7 +226,8 @@ def score_responses(tables, model, records) -> ScoreReport:
         probs = predict_stack(tables[spec.metric], members, spec)
         counts = np.array([records[p]._count_vector for p in positions])
         modal = counts == counts.max(axis=1, keepdims=True)
-        return (_top_mask(probs) & modal).any(axis=1), _row_spearman(probs, counts)
+        ranks = _rank_correlation(_centered_ranks(probs), _centered_ranks(counts))
+        return (_top_mask(probs) & modal).any(axis=1), ranks
 
     tops, ranks = _by_shape(configurations, compute, f"{label}: record")
     # one float object per nonzero value (Spearman over a few answers takes a few); zeros keep their sign
@@ -311,8 +307,6 @@ def metric_rank_correlation(a: NormalizedAssociation, b: NormalizedAssociation) 
     """Spearman correlation between two metrics' normalized cells, from cached ranks."""
     if a.lexicon.nouns != b.lexicon.nouns or a.lexicon.adjectives != b.lexicon.adjectives:
         raise DataError("matrices disagree on the lexicon")
-    if a.values.size < 2:
-        raise DataError("rank correlation needs at least two entries")
     return float(_rank_correlation(a._ranks, b._ranks)[0])
 
 
@@ -353,7 +347,6 @@ def agreement_measure(specs, tables, configurations):
     def measure(i, j):
         def compute(positions):
             (a, ranks_a), (b, ranks_b) = predicted(i, tuple(positions)), predicted(j, tuple(positions))
-            _check_rank_rows(a, b)
             return (_top_mask(a) & _top_mask(b)).any(axis=1), _rank_correlation(ranks_a, ranks_b)
 
         where = f"{specs[i].spec_string()} vs {specs[j].spec_string()}: configuration"

@@ -455,14 +455,15 @@ def test_gameplay_predicts_per_scenario(monkeypatch):
 
 def per_pair_rank_matrix(specs, tables, configurations):
     """agreement_measure as it was before it kept ranks: one stack per
-    model, then _row_spearman, which ranks both stacks, for every pair."""
+    model, then both stacks ranked and correlated for every pair."""
     specs = [parse_model_spec(spec, configurations[0].role) for spec in specs]
     stacks = [predict_stack(tables[spec.metric], configurations, spec) for spec in specs]
 
     def measure(i, j):
         a, b = stacks[i], stacks[j]
         matches = (evaluation._top_mask(a) & evaluation._top_mask(b)).any(axis=1)
-        return float(np.mean(matches)), float(np.mean(evaluation._row_spearman(a, b)))
+        ranks = evaluation._rank_correlation(evaluation._centered_ranks(a), evaluation._centered_ranks(b))
+        return float(np.mean(matches)), float(np.mean(ranks))
 
     return _symmetric(range(len(specs)), measure)
 
