@@ -31,6 +31,7 @@ from .association import (
 )
 from .errors import DataError, read_text
 from .evaluation import (
+    _render,
     agreement_measure,
     load_responses,
     metric_rank_correlation,
@@ -110,7 +111,13 @@ PRESETS = {
     },
 }
 
-_INGEST_KINDS = ("counts", "embeddings", "relatedness", "topics")
+# Each ingest kind's raw association, from its resource file and the lexicon.
+_INGEST = {
+    "counts": lambda path, lexicon: bigram_association(load_counts(path, lexicon)),
+    "embeddings": lambda path, lexicon: cosine_association(load_embeddings(path, lexicon)),
+    "relatedness": lambda path, lexicon: relatedness_association(load_relatedness(path, lexicon)),
+    "topics": lambda path, lexicon: topic_association(load_topics(path, lexicon)),
+}
 
 # Flags that name an input file; with the --matrix paths they are the
 # inputs a manifest records.
@@ -194,16 +201,7 @@ def _load_json(path: str):
 # subcommands
 
 def cmd_ingest(args) -> int:
-    lexicon = load_lexicon(args.lexicon)
-    if args.kind == "counts":
-        assoc = bigram_association(load_counts(args.input, lexicon))
-    elif args.kind == "embeddings":
-        assoc = cosine_association(load_embeddings(args.input, lexicon))
-    elif args.kind == "relatedness":
-        assoc = relatedness_association(load_relatedness(args.input, lexicon))
-    else:
-        assoc = topic_association(load_topics(args.input, lexicon))
-    save_association(assoc, args.output)
+    save_association(_INGEST[args.kind](args.input, load_lexicon(args.lexicon)), args.output)
     _write_manifest(args)
     return 0
 
@@ -221,14 +219,11 @@ def cmd_predict(args) -> int:
     config = configuration_from_record(_load_json(args.config), lexicon)
     spec = _parse_spec(args.model, config.role)
     dist = predict(tables[spec.metric], config, spec)
-    lines = ["# answer\tprobability"]
-    for answer, prob in zip(dist.support, dist.probs):
-        if config.role == LISTENER:
-            name = ",".join(pair_words(config.scenario, answer, lexicon))
-        else:
-            name = clue_word(config.scenario, answer, lexicon)
-        lines.append(f"{name}\t{repr(float(prob))}")
-    return _finish(args, "\n".join(lines) + "\n")
+    if config.role == LISTENER:
+        names = [",".join(pair_words(config.scenario, pair, lexicon)) for pair in dist.support]
+    else:
+        names = [clue_word(config.scenario, clue, lexicon) for clue in dist.support]
+    return _finish(args, _render(("answer", "probability"), zip(names, dist.probs), "tsv"))
 
 
 def _resolve_oed_settings(args) -> None:
@@ -371,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="build a raw association matrix from a resource file")
-    p.add_argument("kind", choices=_INGEST_KINDS)
+    p.add_argument("kind", choices=_INGEST)
     p.add_argument("input")
     p.add_argument("--lexicon", required=True)
     p.add_argument("--output", required=True)
