@@ -81,35 +81,13 @@ _LITERAL_ALL = (
 # Experiment presets: scenario shape, search mode, and model set.
 PRESETS = {
     "exp1": {"nouns": 5, "adjectives": 8, "mode": "joint", "models": _LITERAL_ALL},
-    "exp2-speaker": {
-        "nouns": 3,
-        "adjectives": 4,
-        "mode": "separate-speaker",
-        "models": _LITERAL_ALL,
-    },
-    "exp2-listener": {
-        "nouns": 3,
-        "adjectives": 4,
-        "mode": "separate-listener",
-        "models": _LITERAL_ALL,
-    },
-    "exp3": {
-        "nouns": 3,
-        "adjectives": 3,
-        "mode": "joint",
-        "models": (
-            "bigram:literal",
-            "embedding-cosine:literal",
-            "graph-relatedness:literal",
-        ),
-    },
-    "exp4": {
-        "nouns": 3,
-        "adjectives": 3,
-        "mode": "joint",
-        "models": ("bigram:literal", "bigram:pragmatic:1.0"),
-    },
+    "exp2-speaker": {"nouns": 3, "adjectives": 4, "mode": "separate-speaker", "models": _LITERAL_ALL},
+    "exp2-listener": {"nouns": 3, "adjectives": 4, "mode": "separate-listener", "models": _LITERAL_ALL},
+    # every literal model but topic distance
+    "exp3": {"nouns": 3, "adjectives": 3, "mode": "joint", "models": _LITERAL_ALL[:3]},
+    "exp4": {"nouns": 3, "adjectives": 3, "mode": "joint", "models": ("bigram:literal", "bigram:pragmatic:1.0")},
 }
+
 
 # Each ingest kind's raw association, from its resource file and the lexicon.
 _INGEST = {

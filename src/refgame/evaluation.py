@@ -18,7 +18,10 @@ pass. Both take rsa's one route to chains.
 
 Ranks are computed in numpy (association.average_ranks, row by row); a
 normalized matrix ranks its cells once, for metric_rank_correlation.
-scipy serves only the Student t tail (t.sf) of confidence_ttest.
+Every path correlates ranks in _rank_correlation, which needs two
+entries a row; only spearman, which takes outside vectors, checks for
+NaN, as batch rows hold none. scipy serves only the Student t tail
+(t.sf) of confidence_ttest.
 """
 
 from __future__ import annotations

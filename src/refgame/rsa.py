@@ -21,8 +21,8 @@ Gameplay and oed (its responses and separate-mode search) make their range(m)
 clue and noun_pairs(k) pair configurations with the unchecked Configuration._trusted.
 predict_stack gathers rows from one stack's chains; listener_probs and
 speaker_probs read one row on any non-negative score matrix.
-A zero normalizer leaves a NaN chain row that its reader raises on, so
-only _score_stack's errors empty a primed chunk.
+Only a line of zero scores leaves a NaN chain row, which its reader
+raises on, so only _score_stack's errors empty a primed chunk.
 """
 
 from __future__ import annotations
@@ -309,9 +309,10 @@ def _normalize(values: np.ndarray, axis: int) -> np.ndarray:
 def _chains(scores: np.ndarray, alpha: float | None) -> np.ndarray:
     """Every column of the listener chain on a checked (R, U) score matrix,
     or on each matrix of an (N, R, U) stack: probabilities (..., U, R)
-    whose row u is the chain's distribution for column u. A row whose
-    final total is zero is NaN, as is every row of a matrix whose chain
-    meets a zero total earlier; reading one raises "zero normalizer".
+    whose row u is the chain's distribution for column u. Only a line of
+    zero scores leaves a NaN row, which its reader raises "zero normalizer"
+    on: a literal chain's row for that column, or every row of a pragmatic
+    chain's matrix. A pragmatic row that underflows is taken from _log_chains.
 
     Literal (alpha None): each column normalized. Pragmatic: normalize
     columns, raise to alpha, normalize rows, then normalize each column.
@@ -325,9 +326,29 @@ def _chains(scores: np.ndarray, alpha: float | None) -> np.ndarray:
     1 within rounding, so a row is a valid distribution with no second
     check.
     """
-    if alpha is not None:
-        scores = _normalize(_normalize(scores, -2) ** _alpha(alpha), -1)
-    return _normalize(np.ascontiguousarray(scores.swapaxes(-1, -2)), -1)
+    if alpha is None:
+        return _normalize(np.ascontiguousarray(scores.swapaxes(-1, -2)), -1)
+    alpha = _alpha(alpha)
+    weighted = _normalize(_normalize(scores, -2) ** alpha, -1)
+    probs = _normalize(np.ascontiguousarray(weighted.swapaxes(-1, -2)), -1)
+    failed = np.isnan(probs[..., :1])
+    if failed.any():
+        np.copyto(probs, _log_chains(scores, alpha), where=failed)
+    return probs
+
+
+def _log_chains(scores: np.ndarray, alpha: float) -> np.ndarray:
+    """_chains' pragmatic chain with one log-sum-exp per normalize step,
+    so nothing underflows; a line of zero scores, all -inf, still gives
+    NaN. Its sums add in _chains' order."""
+
+    def normalize(logs, axis):
+        top = logs.max(axis=axis, keepdims=True)
+        return logs - top - np.log(np.exp(logs - top).sum(axis=axis, keepdims=True))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weighted = normalize(alpha * normalize(np.log(scores), -2), -1)
+        return np.exp(normalize(np.ascontiguousarray(weighted.swapaxes(-1, -2)), -1))
 
 
 def _row(probs: np.ndarray, index, label: str) -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -55,6 +56,18 @@ def random_normalized(rng, n_nouns: int, n_adjs: int, metric: str = "bigram", ma
     return quantile_normalize(AssociationMatrix(metric, lexicon, raw, mask))
 
 
+def with_empty_noun(norm: NormalizedAssociation, noun: int) -> NormalizedAssociation:
+    """norm with every score of one noun 0, past NormalizedAssociation's
+    check, which no normalized matrix passes: each pair holding that noun
+    scores 0 on every clue, so on a scenario with the noun every
+    pragmatic chain meets a zero normalizer in every row."""
+    values = norm.values.copy()
+    values[noun] = 0.0
+    empty = object.__new__(NormalizedAssociation)
+    empty.__dict__.update(metric=norm.metric, lexicon=norm.lexicon, values=values, zero_mask=norm.zero_mask)
+    return empty
+
+
 # ---------------------------------------------------------------------------
 # the chain as one column of one matrix, and one column per stacked matrix:
 # the bodies of rsa's chain before one core ran every column at once
@@ -96,6 +109,36 @@ def oracle_stack_chain(scores: np.ndarray, index: np.ndarray, alpha, label: str)
     weighted = oracle_normalize(scores, axis=1) ** alpha
     chosen = oracle_normalize(weighted, axis=2)[rows, :, index]
     return oracle_normalize(np.ascontiguousarray(chosen), axis=1)
+
+
+def exact_chains(scores, alpha) -> list:
+    """Every column of the listener chain on a score matrix at 50
+    significant digits, where nothing underflows: per column, its
+    distribution as floats, or "zero normalizer" where an exact total is
+    0, which only a line of zero scores gives."""
+    with mpmath.workdps(50):
+        cells = [[mpmath.mpf(float(v)) for v in row] for row in np.asarray(scores)]
+
+        def normalized(line):
+            total = mpmath.fsum(line)
+            if total == 0:
+                raise DataError("zero normalizer")
+            return [v / total for v in line]
+
+        def outcome(column):
+            try:
+                return np.array([float(v) for v in normalized(column)])
+            except DataError as exc:
+                return str(exc)
+
+        if alpha is not None:
+            power = mpmath.mpf(float(alpha))
+            try:
+                columns = [normalized(list(column)) for column in zip(*cells)]
+                cells = [normalized([v**power for v in row]) for row in zip(*columns)]
+            except DataError as exc:
+                return [str(exc)] * len(cells[0])
+        return [outcome(list(column)) for column in zip(*cells)]
 
 
 def write_lexicon_file(path, nouns, adjectives):

@@ -31,7 +31,7 @@ from refgame import (
     simulate_gameplay,
     spearman,
 )
-from refgame import evaluation
+from refgame import evaluation, rsa
 from refgame.association import average_ranks
 from refgame.cli import _symmetric
 from refgame.rsa import predict_stack
@@ -204,18 +204,19 @@ def test_predict_stack_rows_equal_predict(drawn, model, role, count):
         assert np.array_equal(predict_stack(norm, group, spec), np.array(expected))
 
 
-def test_predict_stack_single_errors_are_predicts():
-    # the chain underflows at alpha 100 on this lexicon; one bad index
+def test_predict_stack_single_errors_are_predicts(monkeypatch):
+    # every third scenario has an empty pair; some index a noun past the matrix
     norm = random_normalized(np.random.default_rng(0), 8, 6, mask_frac=0.4)
     rng = np.random.default_rng(1)
+    scenarios = [
+        Scenario(tuple(rng.choice(9, 3, replace=False).tolist()), tuple(rng.choice(6, 3, replace=False).tolist()))
+        for _ in range(60)
+    ]
+    empty_first_pair(monkeypatch, scenarios[::3])
+    spec = parse_model_spec("bigram:pragmatic:100", "listener")
     seen = set()
-    for _ in range(60):
-        scenario = Scenario(
-            tuple(rng.choice(9, 3, replace=False).tolist()),
-            tuple(rng.choice(6, 3, replace=False).tolist()),
-        )
+    for scenario in scenarios:
         config = Configuration(scenario, "listener", int(rng.integers(3)))
-        spec = parse_model_spec("bigram:pragmatic:100", "listener")
         try:
             predict(norm, config, spec)
         except DataError as exc:
@@ -372,10 +373,29 @@ def test_by_shape_raises_the_group_error_when_no_position_fails_alone():
 # ---------------------------------------------------------------------------
 # errors that name the model and the item
 
-def underflow_lexicon():
-    """8 x 6, 40% of cells at the floor: a pragmatic alpha-100 chain
-    underflows to a zero normalizer on some scenarios."""
+def floor_heavy_lexicon():
+    """8 x 6, 40% of cells at the floor: before the chain took an
+    underflowing row through logs, a pragmatic alpha-30 or alpha-100
+    chain met a zero normalizer on some of its scenarios."""
     return {"bigram": random_normalized(np.random.default_rng(0), 8, 6, mask_frac=0.4)}
+
+
+def empty_first_pair(monkeypatch, scenarios):
+    """Patch rsa._score_stack so that the first pair of each of these
+    scenarios scores 0 on every clue, which no normalized matrix gives.
+    On such a scenario every chain but the literal listener's meets a
+    zero normalizer: the pragmatic ones in every row."""
+    empty = {(scenario.nouns, scenario.adjectives) for scenario in scenarios}
+    real = rsa._score_stack
+
+    def score_stack(norm, nouns, adjectives):
+        scores = real(norm, nouns, adjectives)
+        for row, key in enumerate(zip(map(tuple, nouns.tolist()), map(tuple, adjectives.tolist()))):
+            if key in empty:
+                scores[row, 0] = 0.0
+        return scores
+
+    monkeypatch.setattr(rsa, "_score_stack", score_stack)
 
 
 def random_scenarios(rng, count):
@@ -388,20 +408,28 @@ def random_scenarios(rng, count):
     ]
 
 
-def test_model_agreement_error_names_models_and_configuration():
-    tables = underflow_lexicon()
-    rng = np.random.default_rng(1)
-    configurations = [
-        Configuration(scenario, "listener", int(rng.integers(3)))
-        for scenario in random_scenarios(rng, 20)
-    ]
+def listener_configurations(rng, count):
+    return [Configuration(scenario, "listener", int(rng.integers(3))) for scenario in random_scenarios(rng, count)]
+
+
+def test_model_agreement_error_names_models_and_configuration(monkeypatch):
+    configurations = listener_configurations(np.random.default_rng(1), 20)
+    empty_first_pair(monkeypatch, [configurations[5].scenario])
     message = (
         "bigram:literal vs bigram:pragmatic:100.0: configuration 6: "
         "model bigram:pragmatic:100.0: zero normalizer"
     )
     for call in (model_agreement, oracle_agreement):
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-            call("bigram:literal", "bigram:pragmatic:100", tables, configurations)
+            call("bigram:literal", "bigram:pragmatic:100", floor_heavy_lexicon(), configurations)
+
+
+def test_floor_heavy_agreement_is_the_per_configuration_loop():
+    # the plain chains underflowed on configurations 6 and 2 of these
+    tables = floor_heavy_lexicon()
+    configurations = listener_configurations(np.random.default_rng(1), 20)
+    for models in (("bigram:literal", "bigram:pragmatic:100"), ("bigram:pragmatic:30", "bigram:pragmatic:1000")):
+        assert model_agreement(*models, tables, configurations) == oracle_agreement(*models, tables, configurations)
 
 
 @pytest.mark.parametrize("models, message", [
@@ -409,33 +437,45 @@ def test_model_agreement_error_names_models_and_configuration():
      "bigram:pragmatic:100.0 vs bigram:pragmatic:100.0: configuration 6: "
      "model bigram:pragmatic:100.0: zero normalizer"),
     (["bigram:literal", "bigram:pragmatic:1", "bigram:pragmatic:100", "bigram:pragmatic:1000"],
-     "bigram:literal vs bigram:pragmatic:100.0: configuration 6: "
-     "model bigram:pragmatic:100.0: zero normalizer"),
+     "bigram:literal vs bigram:pragmatic:1.0: configuration 6: "
+     "model bigram:pragmatic:1.0: zero normalizer"),
 ])
-def test_agreement_measure_error_is_the_row_major_loops_first(models, message):
+def test_agreement_measure_error_is_the_row_major_loops_first(monkeypatch, models, message):
     # each model is predicted once per group, yet the error names the
     # pair a row-major loop over i <= j fails on first
-    tables = underflow_lexicon()
-    rng = np.random.default_rng(1)
-    configurations = [
-        Configuration(scenario, "listener", int(rng.integers(3)))
-        for scenario in random_scenarios(rng, 20)
-    ]
+    configurations = listener_configurations(np.random.default_rng(1), 20)
+    empty_first_pair(monkeypatch, [configurations[5].scenario])
     for call in (oracle_agreement_matrix, measured_matrix):
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-            call(models, tables, configurations)
+            call(models, floor_heavy_lexicon(), configurations)
 
 
-@pytest.mark.parametrize("speaker, listener, message", [
-    ("bigram:pragmatic:100", "bigram:literal",
+@pytest.mark.parametrize("speaker, listener, empty, message", [
+    ("bigram:pragmatic:100", "bigram:literal", 0,
      "gameplay: scenario 1: speaker model bigram:pragmatic:100.0: zero normalizer"),
-    ("bigram:literal", "bigram:pragmatic:100",
+    ("bigram:literal", "bigram:pragmatic:100", 3,
      "gameplay: scenario 4: listener model bigram:pragmatic:100.0: zero normalizer"),
 ])
-def test_gameplay_error_names_scenario_and_model(speaker, listener, message):
+def test_gameplay_error_names_scenario_and_model(monkeypatch, speaker, listener, empty, message):
     scenarios = random_scenarios(np.random.default_rng(2), 30)
+    empty_first_pair(monkeypatch, [scenarios[empty]])
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-        simulate_gameplay(underflow_lexicon(), scenarios, speaker, listener)
+        simulate_gameplay(floor_heavy_lexicon(), scenarios, speaker, listener)
+
+
+@pytest.mark.parametrize("speaker, listener", [
+    ("bigram:pragmatic:100", "bigram:literal"),
+    ("bigram:literal", "bigram:pragmatic:100"),
+    ("bigram:pragmatic:1000", "bigram:pragmatic:30"),
+])
+def test_floor_heavy_gameplay_plays_each_scenario_as_alone(speaker, listener):
+    # the plain chains underflowed at scenario 1, 4 and 1 of these
+    tables = floor_heavy_lexicon()
+    scenarios = random_scenarios(np.random.default_rng(2), 30)
+    report = simulate_gameplay(tables, scenarios, speaker, listener)
+    alone = [simulate_gameplay(tables, [scenario], speaker, listener).successes[0] for scenario in scenarios]
+    assert report.successes == tuple(alone)
+    assert all(0.0 <= success <= 1.0 for row in report.successes for success in row)
 
 
 def test_gameplay_predicts_per_scenario(monkeypatch):

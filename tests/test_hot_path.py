@@ -29,7 +29,6 @@ from refgame import (
     ModelSet,
     NormalizedAssociation,
     PredictionDistribution,
-    ZERO_FLOOR,
     Scenario,
     SearchSettings,
     aggregate,
@@ -46,7 +45,7 @@ from refgame import cli, evaluation, oed, rsa
 from refgame.association import Tables
 from refgame.errors import prefix_errors
 
-from conftest import oracle_chain, random_normalized
+from conftest import oracle_chain, random_normalized, with_empty_noun
 
 GOLDEN_NORM = Path(__file__).parent / "data" / "golden" / "expected" / "norm_bigram.tsv"
 
@@ -803,10 +802,8 @@ def test_unprimable_batch_leaves_no_entry(rng, monkeypatch):
             predict(norm, Configuration(good[1], rsa.LISTENER, 0), literal)
     # a pragmatic chain that fails on its stack fails only its own
     # scenario's rows: the chunk keeps its chains for every other scenario
-    values = rng.uniform(0.5, 1.0, (5, 4))
-    values[:2] = ZERO_FLOOR
-    floored = NormalizedAssociation("bigram", norm.lexicon, values, values == ZERO_FLOOR)
-    fails, passes = Scenario((0, 1, 2, 3), (0, 1)), Scenario((1, 2, 3, 4), (0, 1))
+    floored = with_empty_noun(norm, 4)
+    fails, passes = Scenario((1, 2, 3, 4), (0, 1)), Scenario((0, 1, 2, 3), (0, 1))
     pragmatic = parse_model_spec("bigram:pragmatic:30", "listener")
     batch = [good[0], passes, fails]
     assert all(memo[2] for memo in memos(floored, batch, [literal]))
@@ -974,9 +971,10 @@ def test_chain_runs_per_scenario(monkeypatch, workload, predicts, chains):
 
 
 def test_zero_normalizer_in_search_keeps_scenario_words(monkeypatch):
-    # floor-heavy cells underflow the alpha-100 chain on some scenarios
-    norm = random_normalized(np.random.default_rng(0), 8, 6, mask_frac=0.4)
-    specs = ("bigram:literal", "bigram:pragmatic:100")
+    # the first sampled scenario with noun 5 fails the pragmatic chain; at
+    # alpha 1 the oracle path's plain chain cannot underflow first
+    norm = with_empty_noun(random_normalized(np.random.default_rng(0), 8, 6, mask_frac=0.4), 5)
+    specs = ("bigram:literal", "bigram:pragmatic:1")
     models = tuple(
         ModelSet(tuple(parse_model_spec(s, role) for s in specs)) for role in (rsa.SPEAKER, rsa.LISTENER)
     )

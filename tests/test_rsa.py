@@ -34,7 +34,7 @@ from refgame import (
 )
 from refgame import rsa
 
-from conftest import oracle_chain, oracle_stack_chain, random_normalized
+from conftest import exact_chains, oracle_chain, oracle_stack_chain, random_normalized
 
 ALPHAS = st.sampled_from([None, 0.3, 1.0, 5.0, 30.0, 100.0])
 
@@ -252,17 +252,28 @@ def _same_outcome(got, expected):
     return got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
+def _matches_exact(got, exact) -> bool:
+    """A row where the float oracle underflows: the exact chain's error,
+    or its distribution within 1e-12."""
+    if isinstance(got, str) or isinstance(exact, str):
+        return got == exact
+    return np.abs(got - exact).max() <= 1e-12
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(scores=chain_scores(), alpha=ALPHAS, transpose=st.booleans())
 def test_chain_core_equals_one_column_oracle(scores, alpha, transpose):
-    # the speaker runs on the .T view, so both memory orders are covered
+    # the speaker runs on the .T view, so both memory orders are covered;
+    # where the float oracle meets a zero total, the exact chain is the oracle
     label = "target" if transpose else "clue"
     if transpose:
         scores = scores.T
     expected = [_outcome(lambda: oracle_chain(scores, c, alpha, label)) for c in range(scores.shape[1])]
     probs = rsa._chains(scores, alpha)
     got = [_outcome(lambda: rsa._row(probs, c, label)) for c in range(scores.shape[1])]
-    assert all(map(_same_outcome, got, expected))
+    exact = exact_chains(scores, alpha) if any(isinstance(e, str) for e in expected) else expected
+    for found, oracle, exact_row in zip(got, expected, exact):
+        assert _matches_exact(found, exact_row) if isinstance(oracle, str) else _same_outcome(found, oracle)
     # each row is failed, NaN in every entry, or a distribution that
     # predict trusts without a second check
     failed = np.isnan(probs)
@@ -292,7 +303,19 @@ def test_stacked_chain_core_equals_stack_oracle(data, alpha, transpose):
         return got
 
     got = _outcome(gathered)
-    assert _same_outcome(got, expected)
+    if isinstance(expected, str):
+        # the float oracle meets a zero total in some matrix: the stack
+        # fails only if the exact chain does, and each row that the
+        # one-column oracle cannot give is the exact chain's
+        exact = [exact_chains(matrix, alpha)[column] for matrix, column in zip(stack, index)]
+        if any(isinstance(row, str) for row in exact):
+            assert _same_outcome(got, "zero normalizer")
+        else:
+            for matrix, column, found, exact_row in zip(stack, index, got, exact):
+                oracle = _outcome(lambda: oracle_chain(matrix, column, alpha, "clue"))
+                assert _matches_exact(found, exact_row) if isinstance(oracle, str) else _same_outcome(found, oracle)
+    else:
+        assert _same_outcome(got, expected)
     # each matrix's chain alone has the bits of its row of the stack
     if not isinstance(got, str):
         for matrix, column, row in zip(stack, index, got):
@@ -320,6 +343,81 @@ def test_speaker_is_listener_on_transpose(scores, alpha, target):
         assert speaker == listener
     else:
         assert np.array_equal(speaker, listener)
+
+
+@st.composite
+def floor_heavy_scores(draw):
+    """A 1-10 by 1-8 score matrix whose cells are mostly at the floors
+    ZERO_FLOOR**2 and ZERO_FLOOR, the rest in (ZERO_FLOOR**2, 1]: no line
+    sums to zero, yet a plain pragmatic chain can underflow on it."""
+    shape = (draw(st.integers(1, 10)), draw(st.integers(1, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = rng.uniform(ZERO_FLOOR**2, 1.0, shape)
+    floors = rng.random(shape) < draw(st.sampled_from([0.3, 0.5, 0.7]))
+    scores[floors] = rng.choice([ZERO_FLOOR**2, ZERO_FLOOR], size=floors.sum())
+    return scores
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(scores=floor_heavy_scores(), alpha=st.sampled_from([0.1, 1.0, 10.0, 30.0, 100.0, 1000.0]),
+       data=st.data())
+def test_pragmatic_chain_on_floor_cells_is_the_exact_chain(scores, alpha, data):
+    # every row is a distribution within 1e-12 of the exact chain; a row
+    # the plain chain (the oracle) gives keeps its bits; relabelling the
+    # referents and utterances permutes the output the same way
+    probs = rsa._chains(scores, alpha)
+    assert np.isfinite(probs).all() and (probs >= 0).all()
+    assert (np.abs(probs.sum(axis=1) - 1.0) <= 1e-9).all()
+    for column, (row, exact) in enumerate(zip(probs, exact_chains(scores, alpha))):
+        assert np.abs(row - exact).max() <= 1e-12
+        plain = _outcome(lambda: oracle_chain(scores, column, alpha, "clue"))
+        assert isinstance(plain, str) or row.tobytes() == plain.tobytes()
+    referents = data.draw(st.permutations(range(scores.shape[0])))
+    utterances = data.draw(st.permutations(range(scores.shape[1])))
+    relabelled = rsa._chains(scores[referents][:, utterances], alpha)
+    assert np.abs(relabelled - probs[utterances][:, referents]).max() <= 1e-12
+
+
+# matrices whose plain chains underflow, each with one of its shape whose chain does not
+UNDERFLOWS = [[1, 1], [1, 0.5], [1e-14, 1e-14]]
+PLAIN = [[1, 1], [1, 1e-9], [1e-9, 1]]
+
+
+@pytest.mark.parametrize("scores, plain, clue, alpha", [
+    (UNDERFLOWS, PLAIN, 0, 30.0),
+    (UNDERFLOWS, PLAIN, 0, 100.0),
+    (UNDERFLOWS, PLAIN, 0, 1000.0),
+    # no row of the middle step underflows, only the last step's column
+    ([[1, 0.5, 1e-3], [1e-3, 0.5, 1]], [[1, 1e-9, 1], [1e-9, 1, 1e-9]], 1, 2000.0),
+])
+def test_chain_that_underflowed_matches_the_exact_chain(scores, plain, clue, alpha):
+    scores, plain = np.array(scores), np.array(plain)
+    with pytest.raises(DataError, match="^zero normalizer$"):
+        oracle_chain(scores, clue, alpha, "clue")
+    got = listener_probs(scores, clue, alpha)
+    assert np.abs(got - exact_chains(scores, alpha)[clue]).max() <= 1e-12
+    assert speaker_probs(scores.T, clue, alpha).tobytes() == got.tobytes()
+    # in a stack, only the rows that underflow are recomputed
+    stack = rsa._chains(np.array([plain, scores, plain[::-1]]), alpha)
+    for matrix, chain in zip((plain, scores, plain[::-1]), stack):
+        assert chain.tobytes() == rsa._chains(matrix, alpha).tobytes()
+        for column, row in enumerate(chain):
+            expected = _outcome(lambda: oracle_chain(matrix, column, alpha, "clue"))
+            assert (matrix is scores and isinstance(expected, str)) or row.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [None, 1.0, 30.0, 100.0, 1000.0])
+def test_a_zero_line_still_fails_the_chain(alpha):
+    # an empty column fails every pragmatic row; an empty row fails every
+    # pragmatic row, while the literal chain reads each column alone
+    for scores, literal in (([[0, 1], [0, 2]], [True, False]), ([[0, 0], [1, 2]], [False, False])):
+        probs = rsa._chains(np.array(scores, float), alpha)
+        failed = np.isnan(probs).all(axis=1).tolist()
+        assert failed == (literal if alpha is None else [True, True])
+        for clue, fails in enumerate(failed):
+            if fails:
+                with pytest.raises(DataError, match="^zero normalizer$"):
+                    listener_probs(scores, clue, alpha)
 
 
 # ---------------------------------------------------------------------------
