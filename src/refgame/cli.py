@@ -88,7 +88,6 @@ PRESETS = {
     "exp4": {"nouns": 3, "adjectives": 3, "mode": "joint", "models": ("bigram:literal", "bigram:pragmatic:1.0")},
 }
 
-
 # Each ingest kind's raw association, from its resource file and the lexicon.
 _INGEST = {
     "counts": lambda path, lexicon: bigram_association(load_counts(path, lexicon)),

@@ -229,8 +229,8 @@ def score_responses(tables, model, records) -> ScoreReport:
         probs = predict_stack(tables[spec.metric], members, spec)
         counts = np.array([records[p]._count_vector for p in positions])
         modal = counts == counts.max(axis=1, keepdims=True)
-        ranks = _rank_correlation(_centered_ranks(probs), _centered_ranks(counts))
-        return (_top_mask(probs) & modal).any(axis=1), ranks
+        correlations = _rank_correlation(_centered_ranks(probs), _centered_ranks(counts))
+        return (_top_mask(probs) & modal).any(axis=1), correlations
 
     tops, ranks = _by_shape(configurations, compute, f"{label}: record")
     # one float object per nonzero value (Spearman over a few answers takes a few); zeros keep their sign
