@@ -57,10 +57,10 @@ def random_normalized(rng, n_nouns: int, n_adjs: int, metric: str = "bigram", ma
 
 
 def with_empty_noun(norm: NormalizedAssociation, noun: int) -> NormalizedAssociation:
-    """norm with every score of one noun 0, past NormalizedAssociation's
-    check, which no normalized matrix passes: each pair holding that noun
-    scores 0 on every clue, so on a scenario with the noun every
-    pragmatic chain meets a zero normalizer in every row."""
+    """A copy of norm in which one noun scores 0 on every adjective, built
+    past NormalizedAssociation's check, which rejects a 0: each pair with
+    that noun scores 0 on every clue, so on a scenario holding the noun
+    every pragmatic chain meets a zero normalizer in every row."""
     values = norm.values.copy()
     values[noun] = 0.0
     empty = object.__new__(NormalizedAssociation)
