@@ -29,7 +29,7 @@ from .association import (
     save_normalized,
     topic_association,
 )
-from .errors import DataError, read_text
+from .errors import DataError, prefix_errors, read_text
 from .evaluation import (
     _render,
     agreement_measure,
@@ -193,7 +193,9 @@ def cmd_normalize(args) -> int:
 def cmd_predict(args) -> int:
     tables = _load_matrices(args.matrix)
     lexicon = tables.lexicon
-    config = configuration_from_record(_load_json(args.config), lexicon)
+    record = _load_json(args.config)
+    with prefix_errors(args.config):
+        config = configuration_from_record(record, lexicon)
     spec = _parse_spec(args.model, config.role)
     dist = predict(tables[spec.metric], config, spec)
     if config.role == LISTENER:
@@ -341,29 +343,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"refgame {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    model_spec = "METRIC:DEPTH[:ALPHA]"
+    commands = {}
 
-    p = sub.add_parser("ingest", help="build a raw association matrix from a resource file")
+    def command(name, handler, summary, matrix=True):
+        p = commands[name] = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        if matrix:
+            p.add_argument("--matrix", action="append", required=True, metavar="[METRIC=]PATH")
+        return p
+
+    p = command("ingest", cmd_ingest, "build a raw association matrix from a resource file", matrix=False)
     p.add_argument("kind", choices=_INGEST)
     p.add_argument("input")
     p.add_argument("--lexicon", required=True)
-    p.add_argument("--output", required=True)
-    p.set_defaults(handler=cmd_ingest)
 
-    p = sub.add_parser("normalize", help="quantile-normalize a raw matrix")
+    p = command("normalize", cmd_normalize, "quantile-normalize a raw matrix", matrix=False)
     p.add_argument("input")
-    p.add_argument("--output", required=True)
-    p.set_defaults(handler=cmd_normalize)
 
-    p = sub.add_parser("predict", help="run one model on one configuration")
-    p.add_argument("--matrix", action="append", required=True, metavar="[METRIC=]PATH")
+    p = command("predict", cmd_predict, "run one model on one configuration")
     p.add_argument("--config", required=True)
-    p.add_argument("--model", required=True, metavar="METRIC:DEPTH[:ALPHA]")
-    p.add_argument("--output")
-    p.set_defaults(handler=cmd_predict)
+    p.add_argument("--model", required=True, metavar=model_spec)
 
-    p = sub.add_parser("oed", help="search for informative scenarios or configurations")
-    p.add_argument("--matrix", action="append", required=True, metavar="[METRIC=]PATH")
-    p.add_argument("--model", action="append", dest="models", metavar="METRIC:DEPTH[:ALPHA]")
+    p = command("oed", cmd_oed, "search for informative scenarios or configurations")
+    p.add_argument("--model", action="append", dest="models", metavar=model_spec)
     p.add_argument("--preset", choices=sorted(PRESETS))
     p.add_argument("--nouns", type=int)
     p.add_argument("--adjectives", type=int)
@@ -384,44 +387,33 @@ def build_parser() -> argparse.ArgumentParser:
         help="needs --filter: most kept candidates one word may appear in"
         f" (default {MAX_WORD_OCCURRENCE})",
     )
-    p.add_argument("--output", required=True)
-    p.set_defaults(handler=cmd_oed)
 
-    p = sub.add_parser("score", help="score models against response records")
-    p.add_argument("--matrix", action="append", required=True, metavar="[METRIC=]PATH")
+    p = command("score", cmd_score, "score models against response records")
     p.add_argument("--responses", required=True)
-    p.add_argument(
-        "--model", action="append", dest="models", required=True, metavar="METRIC:DEPTH[:ALPHA]"
-    )
-    p.add_argument("--format", choices=("tsv", "table"), default="tsv")
-    p.add_argument("--output")
-    p.set_defaults(handler=cmd_score)
+    p.add_argument("--model", action="append", dest="models", required=True, metavar=model_spec)
 
-    p = sub.add_parser("compare", help="metric-vs-metric and model-vs-model agreement matrices")
-    p.add_argument("--matrix", action="append", required=True, metavar="[METRIC=]PATH")
+    p = command("compare", cmd_compare, "metric-vs-metric and model-vs-model agreement matrices")
     p.add_argument("--configs", help="JSONL of configuration records")
     p.add_argument(
         "--model",
         action="append",
         dest="models",
         default=[],
-        metavar="METRIC:DEPTH[:ALPHA]",
+        metavar=model_spec,
         help="needs --configs: a model to compare on the configurations"
         " (default: each metric's literal model)",
     )
-    p.add_argument("--format", choices=("tsv", "table"), default="tsv")
-    p.add_argument("--output")
-    p.set_defaults(handler=cmd_compare)
 
-    p = sub.add_parser("simulate", help="analytic speaker-listener gameplay over scenarios")
-    p.add_argument("--matrix", action="append", required=True, metavar="[METRIC=]PATH")
+    p = command("simulate", cmd_simulate, "analytic speaker-listener gameplay over scenarios")
     p.add_argument("--scenarios", required=True, help="JSONL of scenario or candidate records")
-    p.add_argument("--speaker", required=True, metavar="METRIC:DEPTH[:ALPHA]")
-    p.add_argument("--listener", required=True, metavar="METRIC:DEPTH[:ALPHA]")
-    p.add_argument("--format", choices=("tsv", "table"), default="tsv")
-    p.add_argument("--output")
-    p.set_defaults(handler=cmd_simulate)
+    p.add_argument("--speaker", required=True, metavar=model_spec)
+    p.add_argument("--listener", required=True, metavar=model_spec)
 
+    # after each command's own flags: a report's --format, then --output
+    for name, p in commands.items():
+        if name in ("score", "compare", "simulate"):
+            p.add_argument("--format", choices=("tsv", "table"), default="tsv")
+        p.add_argument("--output", required=name in ("ingest", "normalize", "oed"))
     return parser
 
 
@@ -449,7 +441,7 @@ def main(argv=None) -> int:
         name = exc.filename if exc.filename else exc
         print(f"error: no such input: {name}", file=sys.stderr)
         return 2
-    except (IsADirectoryError, PermissionError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

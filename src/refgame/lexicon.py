@@ -37,7 +37,8 @@ _TOPIC_RENORM_TOL = 1e-6
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Ordered noun and adjective vocabularies."""
+    """Ordered noun and adjective vocabularies of words as a file carries
+    them: lower case, no whitespace, and no leading '#', which is a comment."""
 
     nouns: tuple[str, ...]
     adjectives: tuple[str, ...]
@@ -49,7 +50,7 @@ class Lexicon:
             if not words:
                 raise DataError(f"lexicon section '{section}' is empty")
             for word in words:
-                if not word or word != word.strip() or any(ch.isspace() for ch in word):
+                if not word or word != word.lower() or word[0] == "#" or any(ch.isspace() for ch in word):
                     raise DataError(f"invalid word {word!r} in '{section}'")
         seen: dict[str, str] = {}
         for section, words in (("nouns", self.nouns), ("adjectives", self.adjectives)):
@@ -99,7 +100,8 @@ def load_lexicon(path: str | Path) -> Lexicon:
         if any(ch.isspace() for ch in word):
             raise DataError(f"{path}:{lineno}: expected one word, got {line!r}")
         section.append(word)
-    return Lexicon(tuple(nouns), tuple(adjectives))
+    with prefix_errors(path):
+        return Lexicon(tuple(nouns), tuple(adjectives))
 
 
 # ---------------------------------------------------------------------------

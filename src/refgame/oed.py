@@ -222,26 +222,24 @@ def scenario_joint_utility(
     """Geometric mean of every configuration utility in the scenario:
     all C(k,2) speaker targets and all m listener clues.
 
-    Model sets of one size are scored in one model_information_bits
-    pass over both roles, each zero-padded to the longer support: a dead
-    answer adds an exact -0.0, so every utility keeps its bits."""
+    Both roles' answers sit in one (C(k,2) + m, models, answers) stack,
+    zero-padded to the larger role's models and support: a padded answer
+    is dead and adds an exact -0.0, so every utility keeps its bits. Sets
+    of one size take one model_information_bits pass, others one per role."""
     if speaker_models.role != SPEAKER:
         raise DataError("speaker_models must hold speaker models")
     if listener_models.role != LISTENER:
         raise DataError("listener_models must hold listener models")
     tables = Tables.of(tables)
     n_pairs, m = len(scenario.pairs), scenario.m
-    if len(speaker_models) == len(listener_models):
-        stacks = [np.zeros((n_pairs + m, len(speaker_models), max(n_pairs, m)))]
-        speaker, listener = stacks[0][:n_pairs, :, :m], stacks[0][n_pairs:, :, :n_pairs]
-    else:
-        stacks = speaker, listener = [
-            np.empty((n_pairs, len(speaker_models), m)),
-            np.empty((m, len(listener_models), n_pairs)),
-        ]
-    _responses(tables, scenario, speaker_models, scenario.pairs, speaker)
-    _responses(tables, scenario, listener_models, range(m), listener)
-    return _geometric_mean(np.concatenate([model_information_bits(stack) for stack in stacks]).tolist())
+    n_speakers, n_listeners = len(speaker_models), len(listener_models)
+    stack = np.zeros((n_pairs + m, max(n_speakers, n_listeners), max(n_pairs, m)))
+    _responses(tables, scenario, speaker_models, scenario.pairs, stack[:n_pairs, :n_speakers, :m])
+    _responses(tables, scenario, listener_models, range(m), stack[n_pairs:, :n_listeners, :n_pairs])
+    passes = [stack]
+    if n_speakers != n_listeners:  # each role over its own models
+        passes = [stack[:n_pairs, :n_speakers], stack[n_pairs:, :n_listeners]]
+    return _geometric_mean(np.concatenate([model_information_bits(rows) for rows in passes]).tolist())
 
 
 # ---------------------------------------------------------------------------

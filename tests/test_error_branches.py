@@ -5,6 +5,7 @@ asserting the exact text: every failure is a DataError (or a CLI exit
 code with an "error:" line) that names its cause.
 """
 
+import json
 import re
 
 import numpy as np
@@ -256,6 +257,33 @@ def test_cli_config_is_json(tmp_path, norm, capsys):
     assert cli.main(argv) == 1
     detail = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
     assert capsys.readouterr().err == f"error: {config}: malformed JSON ({detail})\n"
+
+
+@pytest.mark.parametrize("record, message", [
+    ({**LISTENER, "role": "judge"}, "unknown role 'judge'"),
+    ({"scenario": SCENARIO, "role": "listener"}, "listener configuration record lacks clue"),
+    ({**LISTENER, "scenario": {**SCENARIO, "nouns": ["x", "noun1"]}}, "noun 'x' absent"),
+])
+def test_cli_config_record_errors_name_the_file(tmp_path, norm, capsys, record, message):
+    matrix, config = tmp_path / "norm.tsv", tmp_path / "config.json"
+    save_normalized(norm, matrix)
+    config.write_text(json.dumps(record))
+    argv = ["predict", "--matrix", str(matrix), "--config", str(config), "--model", "bigram:literal"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[nouns]\nkey\n[adjectives]\n", "lexicon section 'adjectives' is empty"),
+    ("[nouns]\nletter\nletter\n[adjectives]\nbright\n", "word 'letter' duplicated in 'nouns'"),
+])
+def test_cli_lexicon_errors_name_the_file(tmp_path, capsys, text, message):
+    lexicon, counts = tmp_path / "lexicon.txt", tmp_path / "counts.tsv"
+    lexicon.write_text(text)
+    counts.write_text("\tbright\nkey\t1\n")
+    argv = ["ingest", "counts", str(counts), "--lexicon", str(lexicon), "--output", str(tmp_path / "raw.tsv")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {lexicon}: {message}\n"
 
 
 def test_cli_input_that_is_a_directory(tmp_path, capsys):

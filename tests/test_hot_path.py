@@ -416,10 +416,10 @@ def _row_by_row(tables, scenario, models, indices, out):
 
 @pytest.mark.parametrize("n_speakers, n_listeners", [(2, 2), (4, 4), (3, 1), (2, 4)])
 def test_joint_responses_equal_one_predict_per_row(monkeypatch, n_speakers, n_listeners):
-    # The stacks scenario_joint_utility scores, one zero-padded stack for
-    # model sets of one size and two stacks otherwise, hold the bytes of the
-    # row-by-row fill, on scenarios out of _primed and on lone ones;
-    # response_probability's rows do too.
+    # The arrays scenario_joint_utility scores, its one zero-padded stack for
+    # model sets of one size and each role's view of it otherwise, hold the
+    # bytes of the row-by-row fill, on scenarios out of _primed and on lone
+    # ones; response_probability's rows do too.
     rng = np.random.default_rng(31)
     tables = Tables.of({m: random_normalized(rng, 9, 8, m, mask_frac=0.3) for m in ("a", "b")})
     depths = ("literal", "pragmatic:1.0", "pragmatic:5.0", "pragmatic:0.3")
@@ -442,15 +442,13 @@ def test_joint_responses_equal_one_predict_per_row(monkeypatch, n_speakers, n_li
             warnings.simplefilter("ignore")  # a one-model set warns
             oed.scenario_joint_utility(tables, scenario, speakers, listeners)
         pairs, m = scenario.pairs, scenario.m
+        stack = np.zeros((len(pairs) + m, max(n_speakers, n_listeners), max(len(pairs), m)))
+        _row_by_row(tables, scenario, speakers, pairs, stack[: len(pairs), :n_speakers, :m])
+        _row_by_row(tables, scenario, listeners, range(m), stack[len(pairs):, :n_listeners, : len(pairs)])
         if n_speakers == n_listeners:
-            expected = [np.zeros((len(pairs) + m, n_speakers, max(len(pairs), m)))]
-            _row_by_row(tables, scenario, speakers, pairs, expected[0][: len(pairs), :, :m])
-            _row_by_row(tables, scenario, listeners, range(m), expected[0][len(pairs):, :, : len(pairs)])
+            expected = [stack]
         else:
-            expected = [
-                _row_by_row(tables, scenario, speakers, pairs, np.empty((len(pairs), n_speakers, m))),
-                _row_by_row(tables, scenario, listeners, range(m), np.empty((m, n_listeners, len(pairs)))),
-            ]
+            expected = [stack[: len(pairs), :n_speakers], stack[len(pairs):, :n_listeners]]
         assert [(s.shape, s.tobytes()) for s in seen] == [(e.shape, e.tobytes()) for e in expected]
         for models, indices in ((speakers, pairs), (listeners, range(m))):
             for index in indices:

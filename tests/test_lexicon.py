@@ -101,6 +101,24 @@ def test_lexicon_roundtrip(tmp_path):
     assert load_lexicon(tmp_path / "lex.txt") == lex
 
 
+@pytest.mark.parametrize("nouns, adjectives, message", [
+    # a '#' word would read back as a comment, an upper-case one lowercased
+    (("#a", "b"), ("x", "y"), "invalid word '#a' in 'nouns'"),
+    (("Apple", "b"), ("x", "Y"), "invalid word 'Apple' in 'nouns'"),
+    (("a", "b"), ("x", "Y"), "invalid word 'Y' in 'adjectives'"),
+])
+def test_lexicon_words_are_as_a_file_carries_them(nouns, adjectives, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        Lexicon(nouns, adjectives)
+
+
+def test_matrix_label_starting_with_hash_is_an_invalid_word(tmp_path):
+    path = tmp_path / "raw.tsv"
+    path.write_text("# metric: bigram\n# stage: raw\n\tx\t#y\na\t1.0\t2.0\nb\t3.0\t4.0\n")
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}: invalid word')} '#y' in 'adjectives'$"):
+        load_association(path)
+
+
 # ---------------------------------------------------------------------------
 # counts
 
