@@ -115,7 +115,8 @@ def test_lexicon_words_are_as_a_file_carries_them(nouns, adjectives, message):
 def test_matrix_label_starting_with_hash_is_an_invalid_word(tmp_path):
     path = tmp_path / "raw.tsv"
     path.write_text("# metric: bigram\n# stage: raw\n\tx\t#y\na\t1.0\t2.0\nb\t3.0\t4.0\n")
-    with pytest.raises(DataError, match=f"^{re.escape(f'{path}: invalid word')} '#y' in 'adjectives'$"):
+    message = f"{path}: invalid word '#y' in 'adjectives'"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         load_association(path)
 
 
