@@ -48,9 +48,10 @@ for cand in candidates[:5]:
     as_ = " ".join(adjs[j] for j in cand.scenario.adjectives)
     print(f"  {cand.utility:.4f}  [{ns}] x [{as_}]")
 
-# the diversity filter: once a scenario is accepted, later ones must
-# differ in at least two words per side and no word may appear more
-# than 20 times overall
+# the diversity filter: once a scenario is accepted, a later one must
+# differ from it by at least two words (the larger of the two boards'
+# counts of words the other lacks, nouns and adjectives together), and
+# no word may appear more than 20 times overall
 kept = filter_candidates(candidates)
 print(f"\ndiversity filter: {len(candidates)} -> {len(kept)}")
 print("top five after filtering:")

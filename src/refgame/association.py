@@ -123,7 +123,8 @@ class Tables(dict):
         return next(iter(self.values())).lexicon
 
     def __missing__(self, metric):
-        raise DataError(f"no matrix supplied for metric '{metric}'")
+        held = "', '".join(self)
+        raise DataError(f"no matrix supplied for metric '{metric}'; the matrices hold '{held}'")
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +229,13 @@ def quantile_normalize(assoc: AssociationMatrix) -> NormalizedAssociation:
     return NormalizedAssociation(assoc.metric, assoc.lexicon, values, assoc.zero_mask.copy())
 
 
+def check_scenario_fit(shape: tuple[int, int], top_noun: int, top_adjective: int) -> None:
+    """Reject a scenario whose largest noun or adjective index is past a (nouns, adjectives) shape."""
+    for kind, top, size in (("noun", top_noun, shape[0]), ("adjective", top_adjective, shape[1])):
+        if top >= size:
+            raise DataError(f"scenario {kind} index out of range for this matrix")
+
+
 def sparsity_report(norm: NormalizedAssociation, configurations) -> float:
     """Fraction of cell references falling on masked cells.
 
@@ -245,10 +253,7 @@ def sparsity_report(norm: NormalizedAssociation, configurations) -> float:
     total = masked = 0
     for config in configurations:
         scenario = config.scenario
-        if max(scenario.nouns) >= mask.shape[0]:
-            raise DataError("scenario noun index out of range for this matrix")
-        if max(scenario.adjectives) >= mask.shape[1]:
-            raise DataError("scenario adjective index out of range for this matrix")
+        check_scenario_fit(mask.shape, max(scenario.nouns), max(scenario.adjectives))
         if config.role == "speaker":
             nouns, adjectives = [scenario.nouns[i] for i in config.index], scenario.adjectives
         else:

@@ -241,13 +241,11 @@ def cmd_oed(args) -> int:
         raise _UsageError(str(exc)) from None
     tables = _load_matrices(args.matrix)
     lexicon = tables.lexicon
-    if settings.role is None:
-        models = (
-            ModelSet(tuple(_parse_spec(s, SPEAKER) for s in args.models)),
-            ModelSet(tuple(_parse_spec(s, LISTENER) for s in args.models)),
-        )
-    else:
-        models = ModelSet(tuple(_parse_spec(s, settings.role) for s in args.models))
+
+    def model_set(role):
+        return ModelSet(tuple(_parse_spec(s, role) for s in args.models))
+
+    models = (model_set(SPEAKER), model_set(LISTENER)) if settings.role is None else model_set(settings.role)
     candidates = monte_carlo_search(tables, models, settings)
     if args.filter:
         candidates = filter_candidates(
@@ -300,10 +298,7 @@ def cmd_compare(args) -> int:
             by_role.setdefault(config.role, []).append(config)
         for role in sorted(by_role):
             role_configs = by_role[role]
-            if args.models:
-                specs = [_parse_spec(s, role) for s in args.models]
-            else:
-                specs = [_parse_spec(f"{m}:literal", role) for m in metrics]
+            specs = [_parse_spec(s, role) for s in args.models or [f"{m}:literal" for m in metrics]]
             labels = [s.spec_string() for s in specs]
             measure = agreement_measure(specs, tables, role_configs)
             agreement = _symmetric(range(len(specs)), measure)
@@ -378,8 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--min-word-diff",
         type=int,
-        help="needs --filter: least words, per side, by which a kept candidate differs from"
-        f" every other kept one (default {MIN_WORD_DIFFERENCE})",
+        help="needs --filter: least words by which a kept candidate differs from every other"
+        " kept one, the larger of the two boards' counts of words the other lacks"
+        f" (default {MIN_WORD_DIFFERENCE})",
     )
     p.add_argument(
         "--max-word-occurrence",

@@ -24,10 +24,10 @@ def prefix_errors(where):
         raise DataError(f"{where}: {exc}") from None
 
 
-def float_array(values, where: str) -> np.ndarray:
-    """values as a float array; a non-number or ragged rows raise DataError "<where>: <numpy's text>"."""
+def float_array(values, where: str, dtype=float) -> np.ndarray:
+    """values as a float (or dtype) array; a non-number or ragged rows raise DataError "<where>: <numpy's text>"."""
     try:
-        return np.asarray(values, dtype=float)
+        return np.asarray(values, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{where}: {exc}") from None
 

@@ -42,12 +42,12 @@ from .errors import DataError, float_array, prefix_errors, read_text
 from .rsa import (
     LISTENER,
     SPEAKER,
-    TIE_TOL,
     Configuration,
     ModelSpec,
     Scenario,
     _chunks,
     _primed,
+    _top_mask,
     answer_support,
     clue_from_word,
     configuration_from_record,
@@ -92,11 +92,6 @@ class ResponseRecord:
         return self._count_vector.copy()
 
 
-def _top_mask(probs: np.ndarray) -> np.ndarray:
-    """Per row, the answers within TIE_TOL of the row's maximum."""
-    return probs.max(axis=1, keepdims=True) - probs <= TIE_TOL
-
-
 def _centered_ranks(values: np.ndarray) -> np.ndarray:
     """Each row's descending average ranks minus their mean, which for
     ranks 1..n is always (n + 1) / 2 exactly."""
@@ -131,8 +126,8 @@ def spearman(x, y) -> float:
     Either vector constant yields 0 by convention (no ranking signal,
     not an error). A NaN is an error; +-inf ranks as the extreme it is.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = float_array(x, "rank correlation: the first vector")
+    y = float_array(y, "rank correlation: the second vector")
     if x.shape != y.shape or x.ndim != 1:
         raise DataError("rank correlation needs two equal-length vectors")
     if x.size < 2:
@@ -150,17 +145,19 @@ def _reject_non_finite(values: np.ndarray, message: str) -> None:
 
 
 def aggregate(scores) -> tuple[float, float]:
-    """Mean and standard error (ddof=1). All-equal scores give SEM
-    exactly 0.0; a NaN or infinite score is an error."""
+    """Mean and standard error (ddof=1). One score has SEM nan, as ddof=1
+    is undefined there; two or more all-equal scores give SEM exactly
+    0.0; a NaN or infinite score is an error."""
     scores = float_array(list(scores), "aggregation")
-    if scores.size < 2:
-        raise DataError("aggregation needs at least two scores")
+    if scores.size < 1:
+        raise DataError("aggregation needs at least one score")
     _reject_non_finite(scores, "aggregation: the scores hold")
     mean = float(scores.mean())
+    if scores.size == 1:
+        return mean, float("nan")
     if (scores == scores[0]).all():
         return mean, 0.0
-    sem = float(scores.std(ddof=1) / np.sqrt(scores.size))
-    return mean, sem
+    return mean, float(scores.std(ddof=1) / np.sqrt(scores.size))
 
 
 @dataclass(frozen=True)

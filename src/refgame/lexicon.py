@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, prefix_errors, read_text
+from .errors import DataError, float_array, prefix_errors, read_text
 
 _INT_LIMIT = np.iinfo(np.int64).max
 
@@ -222,7 +222,7 @@ def reject_cells(bad: np.ndarray, values: np.ndarray, lexicon: Lexicon, message:
 
 def lexicon_array(values, lexicon: Lexicon, what: str, dtype=float) -> np.ndarray:
     """A read-only, lexicon-shaped, all-finite copy of values; `what` names them in errors."""
-    array = np.array(values, dtype=dtype)
+    array = float_array(values, what, dtype).copy(order="K")
     if array.shape != lexicon.shape:
         raise DataError(f"{what} shape {array.shape} != lexicon shape {lexicon.shape}")
     reject_cells(~np.isfinite(array), array, lexicon, f"non-finite {what}")
@@ -237,7 +237,7 @@ class CooccurrenceCounts:
     z: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.z)
+        z = float_array(self.z, "count table", None)
         if not np.issubdtype(z.dtype, np.integer):
             raise DataError("counts must be integers")
         z = lexicon_array(z, self.lexicon, "count table", z.dtype)

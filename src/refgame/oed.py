@@ -73,6 +73,13 @@ class ModelSet:
         return len(self.models)
 
 
+def _check_integers(settings: dict) -> None:
+    """Reject the first setting, in order, whose value is not an integer."""
+    for name, value in settings.items():
+        if not is_integer(value):
+            raise DataError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SearchSettings:
     """Monte Carlo search knobs."""
@@ -85,10 +92,7 @@ class SearchSettings:
     top_k: int = 500
 
     def __post_init__(self):
-        for field in ("nouns", "adjectives", "iterations", "seed", "top_k"):
-            value = getattr(self, field)
-            if not is_integer(value):
-                raise DataError(f"{field} must be an integer, got {value!r}")
+        _check_integers({name: value for name, value in vars(self).items() if name != "mode"})
         if self.nouns < 2:
             raise DataError("need at least two nouns per scenario")
         if self.adjectives < 1:
@@ -385,12 +389,7 @@ def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignC
 
 def check_filter_bounds(min_word_difference: int, max_word_occurrence: int) -> None:
     """Reject diversity-filter bounds that filter_candidates cannot use."""
-    for name, value in (
-        ("min_word_difference", min_word_difference),
-        ("max_word_occurrence", max_word_occurrence),
-    ):
-        if not is_integer(value):
-            raise DataError(f"{name} must be an integer, got {value!r}")
+    _check_integers({"min_word_difference": min_word_difference, "max_word_occurrence": max_word_occurrence})
     if min_word_difference < 0:
         raise DataError("min_word_difference must be non-negative")
     if max_word_occurrence < 1:
@@ -405,9 +404,10 @@ def filter_candidates(
     """Greedy diversity filter over a utility-descending candidate list.
 
     Walk the list once; keep a candidate only if it differs from every
-    kept one by at least min_word_difference words (per side) and none
-    of its words has already been used max_word_occurrence times among
-    kept candidates.
+    kept one by at least min_word_difference words, the larger of the
+    two boards' counts of words the other lacks, nouns and adjectives
+    together, and none of its words has already been used
+    max_word_occurrence times among kept candidates.
 
     Boards of n and s words sharing o differ by max(n, s) - o, so one
     test of n against the fewest kept words covers every kept board that

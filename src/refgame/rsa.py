@@ -30,12 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, groupby, islice
+from itertools import combinations, compress, groupby, islice
 from numbers import Real
 
 import numpy as np
 
-from .association import NormalizedAssociation
+from .association import NormalizedAssociation, check_scenario_fit
 from .errors import DataError, float_array
 
 SPEAKER = "speaker"
@@ -51,6 +51,7 @@ TIE_TOL = 1e-12
 # Most scenarios in a chunk: a run of one (k, m) shape that _primed primes at once.
 _CHUNK = 256
 _NO_MEMO = (None, 0, None)  # what predict reads while _primed has no scenario out
+_TINY = np.finfo(float).tiny  # a chain's total or cell below this has lost precision
 
 
 def is_integer(value) -> bool:
@@ -63,6 +64,11 @@ def _alpha(value) -> float:
     if isinstance(value, Real) and not isinstance(value, bool) and 0 < value < np.inf:
         return float(value)
     raise DataError(f"alpha must be positive, got {value!r}")
+
+
+def _top_mask(probs: np.ndarray) -> np.ndarray:
+    """Per row, the answers within TIE_TOL of the row's maximum."""
+    return probs.max(axis=1, keepdims=True) - probs <= TIE_TOL
 
 
 @dataclass(frozen=True)
@@ -270,8 +276,7 @@ class PredictionDistribution:
 
     def argmax_answers(self) -> tuple:
         """Answers whose probability is within TIE_TOL of the maximum."""
-        top = float(self.probs.max())
-        return tuple(a for a, p in zip(self.support, self.probs) if top - p <= TIE_TOL)
+        return tuple(compress(self.support, _top_mask(self.probs[None])[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +293,9 @@ def _check_scores(scores) -> np.ndarray:
 
 
 def _normalize(values: np.ndarray, axis: int) -> np.ndarray:
-    """values over their sums along axis: a line summing to zero is NaN
-    in every entry, and NaN spreads through later steps of a chain.
+    """values over their sums along axis: a line whose sum is zero, or
+    below the smallest normal float and so short of precision, is NaN in
+    every entry, and NaN spreads through later steps of a chain.
 
     A line whose sum overflows to inf is taken from its matrix divided by
     the matrix's maximum, so it still sums to 1. Every other line is the
@@ -303,6 +309,8 @@ def _normalize(values: np.ndarray, axis: int) -> np.ndarray:
         if over.any():
             scaled = values / values.max(axis=(-2, -1), keepdims=True)
             np.copyto(out, scaled / scaled.sum(axis=axis, keepdims=True), where=over)
+        if (lost := totals < _TINY).any():
+            np.copyto(out, np.nan, where=lost)
     return out
 
 
@@ -312,7 +320,8 @@ def _chains(scores: np.ndarray, alpha: float | None) -> np.ndarray:
     whose row u is the chain's distribution for column u. Only a line of
     zero scores leaves a NaN row, which its reader raises "zero normalizer"
     on: a literal chain's row for that column, or every row of a pragmatic
-    chain's matrix. A pragmatic row that underflows is taken from _log_chains.
+    chain's matrix. A row whose line total, or pragmatic matrix's positive
+    cell, falls below the smallest normal float comes from _log_chains.
 
     Literal (alpha None): each column normalized. Pragmatic: normalize
     columns, raise to alpha, normalize rows, then normalize each column.
@@ -326,10 +335,15 @@ def _chains(scores: np.ndarray, alpha: float | None) -> np.ndarray:
     1 within rounding, so a row is a valid distribution with no second
     check.
     """
-    if alpha is None:
-        return _normalize(np.ascontiguousarray(scores.swapaxes(-1, -2)), -1)
-    alpha = _alpha(alpha)
-    weighted = _normalize(_normalize(scores, -2) ** alpha, -1)
+    weighted = scores
+    if alpha is not None:
+        alpha = _alpha(alpha)
+        columns = _normalize(scores, -2)
+        powered = columns ** alpha
+        low = columns if alpha < 1 else powered  # the smaller of the two
+        if low.min() < _TINY:  # a positive cell that fell below it lost precision
+            powered[((scores > 0) & (low < _TINY)).any(axis=(-2, -1))] = np.nan
+        weighted = _normalize(powered, -1)
     probs = _normalize(np.ascontiguousarray(weighted.swapaxes(-1, -2)), -1)
     failed = np.isnan(probs[..., :1])
     if failed.any():
@@ -337,18 +351,20 @@ def _chains(scores: np.ndarray, alpha: float | None) -> np.ndarray:
     return probs
 
 
-def _log_chains(scores: np.ndarray, alpha: float) -> np.ndarray:
-    """_chains' pragmatic chain with one log-sum-exp per normalize step,
-    so nothing underflows; a line of zero scores, all -inf, still gives
-    NaN. Its sums add in _chains' order."""
+def _log_chains(scores: np.ndarray, alpha: float | None) -> np.ndarray:
+    """_chains' chain with one log-sum-exp per normalize step, so nothing
+    underflows; a line of zero scores, all -inf, still gives NaN. Its sums
+    add in _chains' order."""
 
     def normalize(logs, axis):
         top = logs.max(axis=axis, keepdims=True)
         return logs - top - np.log(np.exp(logs - top).sum(axis=axis, keepdims=True))
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        weighted = normalize(alpha * normalize(np.log(scores), -2), -1)
-        return np.exp(normalize(np.ascontiguousarray(weighted.swapaxes(-1, -2)), -1))
+        logs = np.log(scores)
+        if alpha is not None:
+            logs = normalize(alpha * normalize(logs, -2), -1)
+        return np.exp(normalize(np.ascontiguousarray(logs.swapaxes(-1, -2)), -1))
 
 
 def _row(probs: np.ndarray, index, label: str) -> np.ndarray:
@@ -384,11 +400,7 @@ def speaker_probs(scores, target: int, alpha: float | None = None) -> np.ndarray
 def _score_stack(norm, nouns: np.ndarray, adjectives: np.ndarray) -> np.ndarray:
     """Checked (N, C(k,2), m) pair-adjective association products of N
     scenarios, given as an (N, k) noun and an (N, m) adjective index array."""
-    n_nouns, n_adjs = norm.lexicon.shape
-    if nouns.max() >= n_nouns:
-        raise DataError("scenario noun index out of range for this matrix")
-    if adjectives.max() >= n_adjs:
-        raise DataError("scenario adjective index out of range for this matrix")
+    check_scenario_fit(norm.lexicon.shape, nouns.max(), adjectives.max())
     sub = norm.values[nouns[:, :, None], adjectives[:, None, :]]
     first, second = np.array(noun_pairs(nouns.shape[1])).T
     scores = sub[:, first] * sub[:, second]

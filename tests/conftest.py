@@ -73,10 +73,23 @@ def with_empty_noun(norm: NormalizedAssociation, noun: int) -> NormalizedAssocia
 # the bodies of rsa's chain before one core ran every column at once
 
 def oracle_normalize(values: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """values over their totals; a total below the smallest normal float,
+    zero included, is one the float chain cannot divide by with full
+    precision, and fails as rsa's chain fails a zero line."""
     totals = values.sum(axis=axis, keepdims=axis is not None)
-    if (totals <= 0) if axis is None else (np.count_nonzero(totals) < totals.size):
+    if np.any(totals < np.finfo(float).tiny):
         raise DataError("zero normalizer")
     return values / totals
+
+
+def oracle_lost(scores: np.ndarray, columns: np.ndarray, alpha: float) -> np.ndarray:
+    """columns**alpha, failing where a positive score's cell falls below
+    the smallest normal float before or after the power, as rsa's chain
+    then recomputes its matrix in logs."""
+    weighted = columns**alpha
+    if ((scores > 0) & (np.minimum(columns, weighted) < np.finfo(float).tiny)).any():
+        raise DataError("zero normalizer")
+    return weighted
 
 
 def oracle_chain(scores: np.ndarray, index: int, alpha, label: str) -> np.ndarray:
@@ -90,7 +103,7 @@ def oracle_chain(scores: np.ndarray, index: int, alpha, label: str) -> np.ndarra
     alpha = float(alpha)
     if alpha <= 0:
         raise DataError(f"alpha must be positive, got {alpha!r}")
-    weighted = oracle_normalize(scores, axis=0) ** alpha
+    weighted = oracle_lost(scores, oracle_normalize(scores, axis=0), alpha)
     return oracle_normalize(oracle_normalize(weighted, axis=1)[:, index])
 
 
@@ -106,7 +119,7 @@ def oracle_stack_chain(scores: np.ndarray, index: np.ndarray, alpha, label: str)
     alpha = float(alpha)
     if alpha <= 0:
         raise DataError(f"alpha must be positive, got {alpha!r}")
-    weighted = oracle_normalize(scores, axis=1) ** alpha
+    weighted = oracle_lost(scores, oracle_normalize(scores, axis=1), alpha)
     chosen = oracle_normalize(weighted, axis=2)[rows, :, index]
     return oracle_normalize(np.ascontiguousarray(chosen), axis=1)
 

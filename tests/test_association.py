@@ -1,5 +1,7 @@
 """Association metrics and quantile normalization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -26,9 +28,11 @@ from refgame import (
     save_association,
     save_normalized,
     sparsity_report,
+    spearman,
     topic_association,
 )
 
+from refgame.association import Tables
 from conftest import make_lexicon, random_normalized
 
 
@@ -372,3 +376,32 @@ def test_non_numeric_cell_names_noun_and_adjective(tmp_path):
     )
     with pytest.raises(DataError, match=r"non-numeric cell 'x' at \('noun0', 'adj1'\)"):
         load_normalized(tmp_path / "bad.tsv")
+
+
+def test_a_missing_metric_names_the_metrics_supplied(rng):
+    tables = Tables.of(random_normalized(rng, 3, 2, "bigrma"))
+    with pytest.raises(DataError, match="^no matrix supplied for metric 'bigram'; the matrices hold 'bigrma'$"):
+        tables["bigram"]
+
+
+RAGGED = "setting an array element with a sequence"
+LEXICON_2X2 = make_lexicon(2, 2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: AssociationMatrix("b", LEXICON_2X2, "abc"),
+     "association score: could not convert string to float: 'abc'"),
+    (lambda: AssociationMatrix("b", LEXICON_2X2, [[1, 2], [3]]), f"association score: {RAGGED}"),
+    (lambda: AssociationMatrix("b", LEXICON_2X2, np.ones((2, 2)), [[True], [True, False]]), f"zero-mask: {RAGGED}"),
+    (lambda: NormalizedAssociation("b", LEXICON_2X2, "x", np.zeros((2, 2), bool)),
+     "normalized score: could not convert string to float: 'x'"),
+    (lambda: RelatednessTable(LEXICON_2X2, "x"), "relatedness score: could not convert string to float: 'x'"),
+    (lambda: CooccurrenceCounts(LEXICON_2X2, [[1, 2], [3]]), f"count table: {RAGGED}"),
+    (lambda: spearman("ab", "cd"), "rank correlation: the first vector: could not convert string to float: 'ab'"),
+    (lambda: spearman([1, 2], [1, [2, 3]]), f"rank correlation: the second vector: {RAGGED}"),
+], ids=["string-raw", "ragged-raw", "ragged-mask", "string-normalized", "string-relatedness",
+        "ragged-counts", "string-spearman", "ragged-spearman"])
+def test_wrong_typed_arrays_raise_data_errors(build, message):
+    # numpy's own text, after what the values are
+    with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+        build()

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -914,17 +915,10 @@ def test_score_table_format(data, capsys, tmp_path):
     assert "model" in out and "bigram:literal" in out and "\t" not in out
 
 
-@pytest.mark.parametrize("command, nouns, message", [
-    ("score", [["heart", "phone", "wedding"]],
-     "model bigram:literal: aggregation needs at least two scores"),
-    ("score", [["heart", "phone", "wedding"], ["heart", "phone"]],
-     "model bigram:literal: record 2: rank correlation needs at least two entries"),
-    ("simulate", [["heart", "phone"]], "gameplay: aggregation needs at least two scores"),
-], ids=["one-record", "two-noun-listener", "one-pair-gameplay"])
-def test_scoring_and_gameplay_errors_name_what_failed(
-    data, capsys, tmp_path, command, nouns, message
-):
-    # one record, or one scenario, per noun list, all on the clue "empty"
+def _score_or_simulate(data, capsys, tmp_path, command, nouns):
+    """run_cli's outcome of score or simulate with the bigram literal
+    models on one record, or one scenario, per noun list, all on the clue
+    "empty"."""
     scenarios = [{"nouns": words, "adjectives": ["dying", "empty"]} for words in nouns]
     path = tmp_path / "records.jsonl"
     if command == "score":
@@ -941,10 +935,31 @@ def test_scoring_and_gameplay_errors_name_what_failed(
         extra = ["--scenarios", str(path), "--speaker", "bigram:literal"]
         extra += ["--listener", "bigram:literal"]
     path.write_text("".join(json.dumps(line) + "\n" for line in lines))
-    code, out, err = run_cli(capsys, [command, "--matrix", str(data["norm"]["bigram"]), *extra])
+    return run_cli(capsys, [command, "--matrix", str(data["norm"]["bigram"]), *extra])
+
+
+@pytest.mark.parametrize("command, nouns, message", [
+    ("score", [["heart", "phone", "wedding"], ["heart", "phone"]],
+     "model bigram:literal: record 2: rank correlation needs at least two entries"),
+], ids=["two-noun-listener"])
+def test_scoring_and_gameplay_errors_name_what_failed(
+    data, capsys, tmp_path, command, nouns, message
+):
+    code, out, err = _score_or_simulate(data, capsys, tmp_path, command, nouns)
     assert code == 1
     assert err == f"error: {message}\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("command, nouns, expected", [
+    ("score", [["heart", "phone", "wedding"]], r"bigram:literal\t\S+\tnan\t\S+\tnan"),
+    ("simulate", [["heart", "phone"]], r"# overall\tmean=1\.0\tsem=nan"),
+], ids=["one-record", "one-pair-gameplay"])
+def test_one_score_reports_its_mean_and_nan_sem(data, capsys, tmp_path, command, nouns, expected):
+    # one record, or one scenario of one pair, has a mean but no ddof=1 SEM
+    code, out, err = _score_or_simulate(data, capsys, tmp_path, command, nouns)
+    assert (code, err) == (0, "")
+    assert re.fullmatch(expected, out.splitlines()[-1])
 
 
 # ---------------------------------------------------------------------------

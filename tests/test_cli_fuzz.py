@@ -65,13 +65,10 @@ COMMANDS = {
 CASES = [(name, file) for name, (_, files) in COMMANDS.items() for file in files]
 
 # The errors that name another cause than the mutated file: a word it no
-# longer holds, named in another input that still uses the word; a matrix
-# that now holds another metric than the models ask for; and a response
-# file left with one record, whose mean score could be reported but is not.
+# longer holds, named in another input that still uses the word; and a
+# matrix that now holds another metric than the models ask for.
 ABSENT = re.compile(r"^error: ([^:]+)(:\d+)?: (noun|adjective|word) '.*' absent$")
-OTHER_CAUSE = re.compile(
-    r"^error: (no matrix supplied for metric '.*'|model \S+: aggregation needs at least two scores)$"
-)
+OTHER_CAUSE = re.compile(r"^error: no matrix supplied for metric '.*'$")
 
 
 def _jsonl(records) -> str:

@@ -287,9 +287,13 @@ def test_aggregate_matches_formula(rng):
     assert sem == pytest.approx(float(np.std(scores, ddof=1)) / math.sqrt(20), abs=1e-15)
 
 
-def test_aggregate_needs_two():
-    with pytest.raises(DataError, match="at least two"):
-        aggregate([0.5])
+def test_aggregate_of_one_score_has_nan_sem():
+    # the mean of one score is defined; its ddof=1 standard error is not
+    mean, sem = aggregate([0.5])
+    assert mean == 0.5 and math.isnan(sem)
+    assert aggregate([0.5, 0.5]) == (0.5, 0.0)
+    with pytest.raises(DataError, match="^aggregation needs at least one score$"):
+        aggregate([])
 
 
 def test_aggregate_and_ttest_reject_non_numbers_as_data_errors():
@@ -402,9 +406,9 @@ def test_average_success_validation(rng):
     tables = {"bigram": random_normalized(rng, 3, 2)}
     with pytest.raises(DataError, match="^no scenarios to play$"):
         simulate_gameplay(tables, [], "bigram:literal", "bigram:literal")
-    # one scenario of two nouns is one pair: nothing to aggregate
-    with pytest.raises(DataError, match="^gameplay: aggregation needs at least two scores$"):
-        simulate_gameplay(tables, [Scenario((0, 1), (0, 1))], "bigram:literal", "bigram:literal")
+    # one scenario of two nouns is one pair: its success is the mean, with SEM nan
+    report = simulate_gameplay(tables, [Scenario((0, 1), (0, 1))], "bigram:literal", "bigram:literal")
+    assert report.mean == report.successes[0][0] == 1.0 and math.isnan(report.sem)
 
 
 def test_simulate_gameplay_uniform_models(rng):

@@ -345,26 +345,32 @@ def test_speaker_is_listener_on_transpose(scores, alpha, target):
         assert np.array_equal(speaker, listener)
 
 
+SUBNORMAL = 3e-310  # below np.finfo(float).tiny, about 2.2e-308
+
+
 @st.composite
 def floor_heavy_scores(draw):
     """A 1-10 by 1-8 score matrix whose cells are mostly at the floors
-    ZERO_FLOOR**2 and ZERO_FLOOR, the rest in (ZERO_FLOOR**2, 1]: no line
-    sums to zero, yet a plain pragmatic chain can underflow on it."""
+    ZERO_FLOOR**2, ZERO_FLOOR and, sometimes, the subnormal SUBNORMAL,
+    the rest in (ZERO_FLOOR**2, 1]: no line sums to zero, yet a plain
+    chain can underflow on it or divide by a subnormal total."""
     shape = (draw(st.integers(1, 10)), draw(st.integers(1, 8)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scores = rng.uniform(ZERO_FLOOR**2, 1.0, shape)
     floors = rng.random(shape) < draw(st.sampled_from([0.3, 0.5, 0.7]))
-    scores[floors] = rng.choice([ZERO_FLOOR**2, ZERO_FLOOR], size=floors.sum())
+    levels = [ZERO_FLOOR**2, ZERO_FLOOR] + [SUBNORMAL] * draw(st.booleans())
+    scores[floors] = rng.choice(levels, size=floors.sum())
     return scores
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(scores=floor_heavy_scores(), alpha=st.sampled_from([0.1, 1.0, 10.0, 30.0, 100.0, 1000.0]),
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(scores=floor_heavy_scores(), alpha=st.sampled_from([None, 0.1, 1.0, 10.0, 30.0, 100.0, 1000.0]),
        data=st.data())
-def test_pragmatic_chain_on_floor_cells_is_the_exact_chain(scores, alpha, data):
-    # every row is a distribution within 1e-12 of the exact chain; a row
-    # the plain chain (the oracle) gives keeps its bits; relabelling the
-    # referents and utterances permutes the output the same way
+def test_chain_on_floor_cells_is_the_exact_chain(scores, alpha, data):
+    # literal or pragmatic, every row is a distribution within 1e-12 of
+    # the exact chain; a row the plain chain (the oracle) gives from
+    # normal totals keeps its bits; relabelling the referents and
+    # utterances permutes the output the same way
     probs = rsa._chains(scores, alpha)
     assert np.isfinite(probs).all() and (probs >= 0).all()
     assert (np.abs(probs.sum(axis=1) - 1.0) <= 1e-9).all()
@@ -378,9 +384,10 @@ def test_pragmatic_chain_on_floor_cells_is_the_exact_chain(scores, alpha, data):
     assert np.abs(relabelled - probs[utterances][:, referents]).max() <= 1e-12
 
 
-# matrices whose plain chains underflow, each with one of its shape whose chain does not
+# matrices whose plain chains underflow, each with one of its shape whose
+# chain has no positive cell below the smallest normal float at that alpha
 UNDERFLOWS = [[1, 1], [1, 0.5], [1e-14, 1e-14]]
-PLAIN = [[1, 1], [1, 1e-9], [1e-9, 1]]
+PLAIN = [[1, 0], [1, 1], [0, 1]]
 
 
 @pytest.mark.parametrize("scores, plain, clue, alpha", [
@@ -388,7 +395,15 @@ PLAIN = [[1, 1], [1, 1e-9], [1e-9, 1]]
     (UNDERFLOWS, PLAIN, 0, 100.0),
     (UNDERFLOWS, PLAIN, 0, 1000.0),
     # no row of the middle step underflows, only the last step's column
-    ([[1, 0.5, 1e-3], [1e-3, 0.5, 1]], [[1, 1e-9, 1], [1e-9, 1, 1e-9]], 1, 2000.0),
+    ([[1, 0.5, 1e-3], [1e-3, 0.5, 1]], [[1, 0, 1], [0, 1, 0]], 1, 2000.0),
+    # a middle-step row total is subnormal, not zero: 3.0e-316 and 3.2e-316
+    ([[7e-4, 6e-4, 1e-5], [1, 1, 1]], [[1, 1, 1], [1, 0.5, 1]], 1, 100.0),
+    ([[7e-4, 6.5e-4], [1 - 7e-4, 1 - 6.5e-4]], [[1, 0.5], [0.5, 1]], 1, 100.0),
+    # every total is normal, but referent 1's cell of clue 0 underflows at
+    # the power step: the plain chain gives (1, 0) for the exact (0, 1)
+    ([[0.55, 0.37, 1], [0.45, 0.63, 1e-4]], [[1, 0, 1], [0, 1, 0]], 0, 1000.0),
+    # a literal column whose total is subnormal
+    ([[SUBNORMAL, 1], [SUBNORMAL, 1]], [[1, 1], [0.5, 1]], 0, None),
 ])
 def test_chain_that_underflowed_matches_the_exact_chain(scores, plain, clue, alpha):
     scores, plain = np.array(scores), np.array(plain)
