@@ -82,7 +82,7 @@ def oracle_normalize(values: np.ndarray, axis: int | None = None) -> np.ndarray:
     return values / totals
 
 
-def oracle_lost(scores: np.ndarray, columns: np.ndarray, alpha: float) -> np.ndarray:
+def oracle_power(scores: np.ndarray, columns: np.ndarray, alpha: float) -> np.ndarray:
     """columns**alpha, failing where a positive score's cell falls below
     the smallest normal float before or after the power, as rsa's chain
     then recomputes its matrix in logs."""
@@ -103,7 +103,7 @@ def oracle_chain(scores: np.ndarray, index: int, alpha, label: str) -> np.ndarra
     alpha = float(alpha)
     if alpha <= 0:
         raise DataError(f"alpha must be positive, got {alpha!r}")
-    weighted = oracle_lost(scores, oracle_normalize(scores, axis=0), alpha)
+    weighted = oracle_power(scores, oracle_normalize(scores, axis=0), alpha)
     return oracle_normalize(oracle_normalize(weighted, axis=1)[:, index])
 
 
@@ -119,7 +119,7 @@ def oracle_stack_chain(scores: np.ndarray, index: np.ndarray, alpha, label: str)
     alpha = float(alpha)
     if alpha <= 0:
         raise DataError(f"alpha must be positive, got {alpha!r}")
-    weighted = oracle_lost(scores, oracle_normalize(scores, axis=1), alpha)
+    weighted = oracle_power(scores, oracle_normalize(scores, axis=1), alpha)
     chosen = oracle_normalize(weighted, axis=2)[rows, :, index]
     return oracle_normalize(np.ascontiguousarray(chosen), axis=1)
 
