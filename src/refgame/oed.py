@@ -25,6 +25,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import rsa
 from .association import Tables
 from .errors import DataError, float_array
 from .rsa import (
@@ -34,11 +35,11 @@ from .rsa import (
     ModelSpec,
     Scenario,
     _primed,
-    answer_support,
     configuration_record,
     is_integer,
     noun_pairs,
     predict,
+    predict_stack,
     scenario_record,
 )
 
@@ -141,13 +142,12 @@ class DesignCandidate:
 
 
 def response_probability(tables, config: Configuration, models: ModelSet) -> np.ndarray:
-    """Each model's answer distribution over the configuration's
-    support, one row per model in model-set order."""
+    """Each model's answer distribution over the configuration's support, one row
+    per model in model-set order: one predict_stack per model, as separate-mode search."""
     tables = Tables.of(tables)
     if models.role != config.role:
         raise DataError(f"model set role '{models.role}' != configuration role '{config.role}'")
-    out = np.empty((1, len(models), len(answer_support(config))))
-    return _responses(tables, config.scenario, models, [config.index], out)[0]
+    return np.stack([predict_stack(tables[spec.metric], [config], spec)[0] for spec in models.models])
 
 
 def model_information_bits(prediction_probs):
@@ -211,9 +211,8 @@ def _geometric_mean(values) -> float:
 
 
 def _responses(tables, scenario: Scenario, models: ModelSet, indices, out: np.ndarray) -> np.ndarray:
-    """Each model's answer distribution for each index's configuration, written
-    at once into out, a (configurations, models, answers) array; an index is a
-    range(m) clue, a noun_pairs(k) pair or the index of a checked Configuration."""
+    """Each model's answer distribution for each index's configuration, a range(m) clue
+    or a noun_pairs(k) pair, written at once into out, a (configurations, models, answers) array."""
     specs = [(tables[spec.metric], spec) for spec in models.models]
     configs = [Configuration._trusted(scenario, models.role, index) for index in indices]
     out[...] = [[predict(norm, config, spec).probs for norm, spec in specs] for config in configs]
@@ -357,25 +356,27 @@ def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignC
     def scenario_of(row: list) -> Scenario:
         return Scenario._trusted(tuple(row[:k]), tuple(row[k : k + m]))
 
-    def evaluate(scenario: Scenario, draw=None) -> float:
+    def utilities(chunk: list) -> np.ndarray:
         try:
             if role is None:
-                return scenario_joint_utility(tables, scenario, speaker_models, listener_models)
-            config = Configuration._trusted(scenario, role, indices[draw])
-            return model_information_bits(response_probability(tables, config, models))
+                scenarios = _primed(tables, map(scenario_of, chunk), specs)
+                joint = (scenario_joint_utility(tables, s, speaker_models, listener_models) for s in scenarios)
+                return np.fromiter(joint, float, len(chunk))
+            configs = [Configuration._trusted(scenario_of(row), role, indices[row[-1]]) for row in chunk]
+            stack = [predict_stack(tables[spec.metric], configs, spec) for spec in specs]
+            return model_information_bits(np.stack(stack, axis=1))
         except DataError as exc:
-            words = scenario_record(scenario, tables.lexicon)
-            raise DataError(
-                f"scenario {' '.join(words['nouns'])} / {' '.join(words['adjectives'])}: {exc}"
-            ) from None
+            if len(chunk) > 1:  # re-run key by key: the first key that fails alone names the error
+                return np.concatenate([utilities([row]) for row in chunk])
+            words = scenario_record(scenario_of(chunk[0]), tables.lexicon)
+            raise DataError(f"scenario {' '.join(words['nouns'])} / {' '.join(words['adjectives'])}: {exc}") from None
 
     # 1. The distinct keys, first seen first; keys depend on the seed alone.
     keys = _first_seen(_search_keys(n_nouns, n_adjs, settings))
-    # 2. Each key's utility, from the chains _primed primes per chunk; rows become ints a block at a time.
-    rows = chain.from_iterable(keys[i : i + _KEY_BLOCK].tolist() for i in range(0, len(keys), _KEY_BLOCK))
-    scenarios = _primed(tables, map(scenario_of, rows), specs)
-    utilities = map(evaluate, scenarios) if role is None else map(evaluate, scenarios, keys[:, -1])
-    utility = np.fromiter(utilities, float, len(keys))
+    # 2. Each key's utility, a chunk of keys (as ints) at a time: in joint mode each scenario from the
+    # chains _primed primes for the chunk, in a separate mode the whole chunk, one predict_stack per model.
+    chunks = (keys[i : i + rsa._CHUNK].tolist() for i in range(0, len(keys), rsa._CHUNK))
+    utility = np.concatenate(list(map(utilities, chunks)))
     # 3. The first top_k of a stable sort: ties keep first-seen order, and -0.0 ties with 0.0.
     best = np.argsort(-utility, kind="stable")[: settings.top_k]
     return [

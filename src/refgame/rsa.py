@@ -12,17 +12,16 @@ column.
 One chain core computes every column of the listener chain at once;
 the speaker is that chain run on the transposed matrix. _stack_chains,
 the one route from scenarios to chains, runs it once per (role, alpha)
-on the score stack of scenarios of one shape. _primed runs it on each
-chunk from _chunks, up to _CHUNK consecutive scenarios of one shape; as
-it yields a scenario, each matrix's memo is that scenario with its row
-of the chunk's chains, and predict reads a row of those chains for the
-scenario out and runs any other scenario alone, caching nothing.
-Gameplay and oed (its responses and separate-mode search) make their range(m)
-clue and noun_pairs(k) pair configurations with the unchecked Configuration._trusted.
-predict_stack gathers rows from one stack's chains; listener_probs and
-speaker_probs read one row on any non-negative score matrix.
-Only a line of zero scores leaves a NaN chain row, which its reader
-raises on, so only _score_stack's errors empty a primed chunk.
+on the score stack of scenarios of one shape. predict_stack gathers a
+row per configuration from one such run, for scoring, comparison and
+separate-mode search. For joint search and gameplay, _primed runs it on
+each chunk from _chunks, up to _CHUNK consecutive scenarios of one
+shape; while it has a scenario out, each matrix's memo is that scenario
+with its row of the chunk's chains, and predict reads that row and runs
+any other scenario alone, caching nothing. listener_probs and
+speaker_probs read one row on any non-negative score matrix. Only a
+line of zero scores leaves a NaN chain row, which its reader raises on,
+so only _score_stack's errors empty a primed chunk.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """The search hot path against its plain-loop oracles, bit for bit.
 
-model_information_bits, filter_candidates, scenario_scores, oed._responses and
-simulate_gameplay are array rewrites of the loops kept here, and
-predict's memo of chains is checked against predict on memo-less copies
-of each matrix and against the one-column chain of conftest. Every
-comparison is ==, never approx: the golden fixtures pin the search
-output to the last bit.
+model_information_bits, filter_candidates, scenario_scores, oed._responses,
+separate-mode search and simulate_gameplay are array rewrites of the loops
+kept here, and predict's memo of chains is checked against predict on
+memo-less copies of each matrix and against the one-column chain of
+conftest. Every comparison is ==, never approx: the golden fixtures pin
+the search output to the last bit.
 """
 
 import math
@@ -185,6 +185,44 @@ def loop_simulate_gameplay(tables, scenarios, speaker_spec, listener_spec) -> Ga
 def memo_less(norm) -> NormalizedAssociation:
     """A fresh copy of norm, so its score memo is empty."""
     return NormalizedAssociation(norm.metric, norm.lexicon, norm.values, norm.zero_mask)
+
+
+def oracle_row(norm, config, spec) -> np.ndarray:
+    """oracle_predict's probabilities; where its float chain underflows, which
+    it fails as a zero line, those of predict on the configuration alone,
+    which then takes rsa's log chain (and fails a zero line the same way);
+    config's scenario is a fresh one, so no memo holds it."""
+    try:
+        return oracle_predict(norm, config, spec).probs
+    except DataError:
+        return predict(norm, config, spec).probs
+
+
+def oracle_separate_search(tables, models, search) -> list:
+    """monte_carlo_search in a separate mode, key by key, as the search was
+    before it scored chunks: the distinct keys of _loop_keys in first-seen
+    order, each a checked Configuration scored by loop_information_bits on
+    its oracle rows, the first failing key named; then a stable sort."""
+    tables = Tables.of(tables)
+    k, m, role = search.nouns, search.adjectives, search.role
+    rows = oed._loop_keys(np.random.default_rng(search.seed), *tables.lexicon.shape, search, search.iterations)
+    found = []
+    for key in dict.fromkeys(map(tuple, rows.tolist())):
+        scenario = Scenario(key[:k], key[k : k + m])
+        config = Configuration(scenario, role, scenario.pairs[key[-1]] if role == rsa.SPEAKER else key[-1])
+        try:
+            probs = [oracle_row(tables[spec.metric], config, spec) for spec in models.models]
+        except DataError as exc:
+            words = rsa.scenario_record(scenario, tables.lexicon)
+            where = f"scenario {' '.join(words['nouns'])} / {' '.join(words['adjectives'])}"
+            raise DataError(f"{where}: {exc}") from None
+        found.append(DesignCandidate(scenario, role, config.index, loop_information_bits(probs)))
+    return sorted(found, key=lambda candidate: -candidate.utility)[: search.top_k]
+
+
+def candidate_bits(candidates) -> list:
+    """Each candidate's fields, its utility as hex so that -0.0 differs from 0.0."""
+    return [(c.scenario, c.role, c.index, float(c.utility).hex()) for c in candidates]
 
 
 # ---------------------------------------------------------------------------
@@ -917,6 +955,8 @@ def test_memo_is_only_a_cache(monkeypatch, chunk):
 @pytest.mark.parametrize("workload, predicts, chains", [
     ("exp4", 12, 4),
     ("exp1", 72, 8),
+    ("exp2-speaker", 0, 4),
+    ("exp2-listener", 0, 4),
     ("gameplay", 18, 2),
     ("gameplay-mixed", None, 2),
 ])
@@ -926,7 +966,8 @@ def test_chain_runs_per_scenario(monkeypatch, workload, predicts, chains):
     # a chunk of one runs them per scenario, under the predict calls the
     # benchmark pins per scenario; gameplay makes one per clue and per pair.
     # Mixed gameplay alternates two shapes, so each of its runs is one
-    # scenario long.
+    # scenario long. A separate mode makes no predict call and writes no
+    # memo: one predict_stack, so one chain run, per model and chunk of keys.
     def counted(name, fn):
         def call(*args):
             counts[name] += 1
@@ -938,7 +979,7 @@ def test_chain_runs_per_scenario(monkeypatch, workload, predicts, chains):
         monkeypatch.setattr(module, "predict", counted("predict", module.predict))
     for chunk in (256, 3, 1):
         monkeypatch.setattr(rsa, "_CHUNK", chunk)
-        counts = {"predict": 0, "chain": 0, "scenario": 0}
+        counts = {"predict": 0, "chain": 0}
         rng = np.random.default_rng(8)
         if workload.startswith("gameplay"):
             scenarios = [Scenario(tuple(range(i, i + 5)), tuple(range(i, i + 8))) for i in range(4)]
@@ -949,18 +990,15 @@ def test_chain_runs_per_scenario(monkeypatch, workload, predicts, chains):
             assert counts["predict"] == sum(scenario.m + len(scenario.pairs) for scenario in scenarios)
         else:
             preset = cli.PRESETS[workload]
-            models = tuple(
-                ModelSet(tuple(parse_model_spec(s, role) for s in preset["models"]))
-                for role in (rsa.SPEAKER, rsa.LISTENER)
-            )
+            sets = {role: ModelSet(tuple(parse_model_spec(s, role) for s in preset["models"])) for role in rsa.ROLES}
             tables = {
-                spec.metric: random_normalized(rng, 12, 10, metric=spec.metric) for spec in models[0].models
+                spec.metric: random_normalized(rng, 12, 10, metric=spec.metric) for spec in sets[rsa.SPEAKER].models
             }
             search = SearchSettings(preset["nouns"], preset["adjectives"], preset["mode"], iterations=40, seed=2)
-            with monkeypatch.context() as patch:
-                patch.setattr(oed, "scenario_joint_utility", counted("scenario", oed.scenario_joint_utility))
-                monte_carlo_search(tables, models, search)
-            shapes = [(preset["nouns"], preset["adjectives"])] * counts["scenario"]
+            models = (sets[rsa.SPEAKER], sets[rsa.LISTENER]) if search.role is None else sets[search.role]
+            # top_k is past the iterations, so every distinct key comes back
+            shapes = [(preset["nouns"], preset["adjectives"])] * len(monte_carlo_search(tables, models, search))
+            assert any("_scenario_memo" in norm.__dict__ for norm in tables.values()) is (search.role is None)
         runs = [len(list(run)) for _, run in groupby(shapes)]
         assert len(shapes) >= 4
         if predicts is not None:
@@ -1005,7 +1043,8 @@ def _run(fn):
 def test_chunk_size_changes_no_result(data):
     # Floor-heavy matrices make some stacked pragmatic chains fail as a
     # whole, which leaves their chunk to each scenario's own run; chunk
-    # None primes nothing, so every predict takes that run.
+    # None primes nothing, so every predict takes that run. The chunk is
+    # also the run of keys a separate-mode search scores at once.
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     mask = float(rng.choice([0.0, 0.3, 0.5, 0.7]))
     tables = {metric: random_normalized(rng, 9, 10, metric, mask_frac=mask) for metric in ("a", "b")}
@@ -1101,6 +1140,71 @@ def test_gameplay_error_names_the_failing_scenario_amid_a_chunk():
     for play in (simulate_gameplay, loop_simulate_gameplay):
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             play(table, scenarios, "bigram:literal", "bigram:literal")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_separate_search_chunks_equal_per_key_oracle(data):
+    # Every chunk size gives the per-key oracle's candidates, the sign of a
+    # zero utility included, or its error text, on tables with up to 70%
+    # floor cells (alpha 30 and 100 underflow chains on them) and sets of
+    # two to four literal and pragmatic models.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mask = data.draw(st.sampled_from([0.0, 0.3, 0.5, 0.7]))
+    tables = {metric: random_normalized(rng, 9, 10, metric, mask_frac=mask) for metric in ("a", "b")}
+    mode = data.draw(st.sampled_from(["separate-speaker", "separate-listener"]))
+    search = SearchSettings(
+        data.draw(st.integers(2, 5)), data.draw(st.integers(1, 8)), mode,
+        iterations=data.draw(st.integers(1, 80)), seed=data.draw(st.integers(0, 1000)),
+        top_k=data.draw(st.integers(1, 90)),
+    )
+    depths = data.draw(st.lists(st.sampled_from(DEPTHS), min_size=2, max_size=4))
+    models = ModelSet(tuple(parse_model_spec(f"{'ab'[i % 2]}:{d}", search.role) for i, d in enumerate(depths)))
+    expected = _run(lambda: candidate_bits(oracle_separate_search(tables, models, search)))
+    for chunk in (1, 7, 256):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rsa, "_CHUNK", chunk)
+            assert _run(lambda: candidate_bits(monte_carlo_search(tables, models, search))) == expected
+
+
+def _failing_key_search(failure):
+    """A separate-listener search on a 12 x 10 table in which some keys fail,
+    by an empty noun 5 under a pragmatic model or by a NaN cell (noun 5,
+    adjective 2) that fails _score_stack's check, and the first failing
+    key's position among the distinct keys and its scenario's words."""
+    table = random_normalized(np.random.default_rng(6), 12, 10)
+    if failure == "empty noun":
+        table = with_empty_noun(table, 5)
+    specs = ("bigram:literal", "bigram:pragmatic:1.0")
+    models = ModelSet(tuple(parse_model_spec(s, rsa.LISTENER) for s in specs))
+    search = SearchSettings(3, 3, "separate-listener", iterations=100, seed=3)
+    rows = oed._loop_keys(np.random.default_rng(search.seed), 12, 10, search, search.iterations).tolist()
+    keys = list(dict.fromkeys(map(tuple, rows)))
+    first = next(i for i, key in enumerate(keys) if 5 in key[:3] and (failure == "empty noun" or 2 in key[3:6]))
+    nouns = " ".join(f"noun{i}" for i in keys[first][:3])
+    adjectives = " ".join(f"adj{i}" for i in keys[first][3:6])
+    return {"bigram": table}, models, search, first, f"scenario {nouns} / {adjectives}"
+
+
+@pytest.mark.parametrize("failure, reason", [
+    ("empty noun", "zero normalizer"),
+    ("NaN cell", "scores must be finite and non-negative"),
+])
+def test_separate_search_names_the_first_failing_key_amid_a_chunk(monkeypatch, failure, reason):
+    # A chunk whose predict_stack fails, on a chain's zero normalizer or on
+    # _score_stack's check, is re-run key by key: the error names the first
+    # key, in first-seen order, that fails alone, whatever the chunk size.
+    tables, models, search, first, words = _failing_key_search(failure)
+    assert first % 7 and first < 256  # amid a chunk of 7 and of 256
+    if failure == "NaN cell":
+        monkeypatch.setattr(rsa, "_score_stack", nan_at((5, 2)))
+    else:
+        assert _run(lambda: oracle_separate_search(tables, models, search)) == f"DataError: {words}: {reason}"
+    for chunk in (7, 256):
+        monkeypatch.setattr(rsa, "_CHUNK", chunk)
+        with pytest.raises(DataError) as info:
+            monte_carlo_search(tables, models, search)
+        assert str(info.value) == f"{words}: {reason}"
 
 
 @pytest.mark.parametrize("chunk", [1, 3, rsa._CHUNK])

@@ -439,7 +439,8 @@ def test_search_error_names_scenario(rng, monkeypatch, mode):
     def boom(*args):
         raise DataError("boom")
 
-    monkeypatch.setattr("refgame.oed.predict", boom)
+    # a separate mode predicts a block of configurations at once, joint mode one at a time
+    monkeypatch.setattr(oed, "predict_stack" if mode == "separate-listener" else "predict", boom)
     tables = {"a": random_normalized(rng, 2, 1, metric="a")}
     models = listener_set("a", "a")
     if mode == "joint":
@@ -597,7 +598,10 @@ MODEL_INFORMATION_BITS = oed.model_information_bits
 
 def signed_zeros(probs):
     """model_information_bits, with a utility of 0 made -0.0 for about half
-    of the answer matrices (by a checksum of their bytes)."""
+    of the answer matrices (by a checksum of their bytes): on a 2-d matrix,
+    or on each matrix of a 3-d stack."""
+    if np.ndim(probs) == 3:
+        return np.array([signed_zeros(matrix) for matrix in probs])
     utility = MODEL_INFORMATION_BITS(probs)
     if utility == 0 and zlib.crc32(np.asarray(probs).tobytes()) % 2:
         return -0.0
