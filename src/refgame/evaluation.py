@@ -8,13 +8,13 @@ is computed analytically by summing over clue choices instead of
 sampling.
 
 Scoring and model agreement run in batches: records or configurations
-that share role, k and m get one rsa.predict_stack call per model and
-one row-wise Spearman pass, with the bits a one-at-a-time loop over
-rsa.predict and spearman gives; agreement_measure caches each model's
-stack and its row ranks for every pair it is in. Gameplay predicts
-each clue and pair of a chunk from rsa._chunks while rsa._primed has
-its scenario out, and sums the chunk's pair successes in one array
-pass. Both take rsa's one route to chains.
+that share role, k and m get one rsa.predict_stack call per model on
+their rsa.config_columns and one row-wise Spearman pass, with the bits
+of a one-at-a-time loop over rsa.predict and spearman; agreement_measure
+caches each model's stack and its row ranks for every pair it is in.
+Gameplay predicts each clue and pair of a chunk from rsa._chunks while
+rsa._primed has its scenario out, and sums the chunk's pair successes in
+one array pass. Both take rsa's one route to chains.
 
 Ranks are computed in numpy (association.average_ranks, row by row); a
 normalized matrix ranks its cells once, for metric_rank_correlation.
@@ -50,6 +50,7 @@ from .rsa import (
     _top_mask,
     answer_support,
     clue_from_word,
+    config_columns,
     configuration_from_record,
     is_integer,
     pair_from_words,
@@ -221,9 +222,8 @@ def score_responses(tables, model, records) -> ScoreReport:
     label = f"model {first_spec.spec_string()}"
 
     def compute(positions):
-        members = [configurations[p] for p in positions]
-        spec = specs[members[0].role]
-        probs = predict_stack(tables[spec.metric], members, spec)
+        spec = specs[configurations[positions[0]].role]
+        probs = predict_stack(tables, [spec], *config_columns([configurations[p] for p in positions]))[:, 0]
         counts = np.array([records[p]._count_vector for p in positions])
         modal = counts == counts.max(axis=1, keepdims=True)
         correlations = _rank_correlation(_centered_ranks(probs), _centered_ranks(counts))
@@ -341,7 +341,7 @@ def agreement_measure(specs, tables, configurations):
     def predicted(index, positions):
         spec = specs[index]
         with prefix_errors(f"model {spec.spec_string()}"):
-            probs = predict_stack(tables[spec.metric], [configurations[p] for p in positions], spec)
+            probs = predict_stack(tables, [spec], *config_columns([configurations[p] for p in positions]))[:, 0]
         return probs, _centered_ranks(probs)
 
     def measure(i, j):

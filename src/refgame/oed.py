@@ -35,6 +35,7 @@ from .rsa import (
     ModelSpec,
     Scenario,
     _primed,
+    config_columns,
     configuration_record,
     is_integer,
     noun_pairs,
@@ -143,11 +144,11 @@ class DesignCandidate:
 
 def response_probability(tables, config: Configuration, models: ModelSet) -> np.ndarray:
     """Each model's answer distribution over the configuration's support, one row
-    per model in model-set order: one predict_stack per model, as separate-mode search."""
+    per model in model-set order: separate-mode search's predict_stack on one key."""
     tables = Tables.of(tables)
     if models.role != config.role:
         raise DataError(f"model set role '{models.role}' != configuration role '{config.role}'")
-    return np.stack([predict_stack(tables[spec.metric], [config], spec)[0] for spec in models.models])
+    return predict_stack(tables, models.models, *config_columns([config]))[0]
 
 
 def model_information_bits(prediction_probs):
@@ -356,26 +357,25 @@ def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignC
     def scenario_of(row: list) -> Scenario:
         return Scenario._trusted(tuple(row[:k]), tuple(row[k : k + m]))
 
-    def utilities(chunk: list) -> np.ndarray:
+    def utilities(chunk: np.ndarray) -> np.ndarray:
         try:
             if role is None:
-                scenarios = _primed(tables, map(scenario_of, chunk), specs)
+                scenarios = _primed(tables, map(scenario_of, chunk.tolist()), specs)
                 joint = (scenario_joint_utility(tables, s, speaker_models, listener_models) for s in scenarios)
                 return np.fromiter(joint, float, len(chunk))
-            configs = [Configuration._trusted(scenario_of(row), role, indices[row[-1]]) for row in chunk]
-            stack = [predict_stack(tables[spec.metric], configs, spec) for spec in specs]
-            return model_information_bits(np.stack(stack, axis=1))
+            stack = predict_stack(tables, specs, chunk[:, :k], chunk[:, k : k + m], chunk[:, -1])
+            return model_information_bits(stack)
         except DataError as exc:
             if len(chunk) > 1:  # re-run key by key: the first key that fails alone names the error
-                return np.concatenate([utilities([row]) for row in chunk])
-            words = scenario_record(scenario_of(chunk[0]), tables.lexicon)
+                return np.concatenate([utilities(row[None]) for row in chunk])
+            words = scenario_record(scenario_of(chunk[0].tolist()), tables.lexicon)
             raise DataError(f"scenario {' '.join(words['nouns'])} / {' '.join(words['adjectives'])}: {exc}") from None
 
     # 1. The distinct keys, first seen first; keys depend on the seed alone.
     keys = _first_seen(_search_keys(n_nouns, n_adjs, settings))
-    # 2. Each key's utility, a chunk of keys (as ints) at a time: in joint mode each scenario from the
-    # chains _primed primes for the chunk, in a separate mode the whole chunk, one predict_stack per model.
-    chunks = (keys[i : i + rsa._CHUNK].tolist() for i in range(0, len(keys), rsa._CHUNK))
+    # 2. Each key's utility, a chunk of keys at a time: in joint mode each scenario from the chains _primed primes
+    # for it; in a separate mode the whole chunk, its key columns fed to one predict_stack (a score stack per matrix).
+    chunks = (keys[i : i + rsa._CHUNK] for i in range(0, len(keys), rsa._CHUNK))
     utility = np.concatenate(list(map(utilities, chunks)))
     # 3. The first top_k of a stable sort: ties keep first-seen order, and -0.0 ties with 0.0.
     best = np.argsort(-utility, kind="stable")[: settings.top_k]

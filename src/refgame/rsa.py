@@ -11,17 +11,17 @@ column.
 
 One chain core computes every column of the listener chain at once;
 the speaker is that chain run on the transposed matrix. _stack_chains,
-the one route from scenarios to chains, runs it once per (role, alpha)
-on the score stack of scenarios of one shape. predict_stack gathers a
-row per configuration from one such run, for scoring, comparison and
-separate-mode search. For joint search and gameplay, _primed runs it on
-each chunk from _chunks, up to _CHUNK consecutive scenarios of one
-shape; while it has a scenario out, each matrix's memo is that scenario
-with its row of the chunk's chains, and predict reads that row and runs
-any other scenario alone, caching nothing. listener_probs and
-speaker_probs read one row on any non-negative score matrix. Only a
-line of zero scores leaves a NaN chain row, which its reader raises on,
-so only _score_stack's errors empty a primed chunk.
+the one route to chains, runs it once per (role, alpha) on the score
+stack of one matrix and N scenarios of one shape, given as index arrays;
+_by_matrix groups specs so that each matrix builds one stack per batch.
+predict_stack gathers every spec's row for each configuration, for
+scoring, comparison and separate-mode search. For joint search and
+gameplay, _primed runs it on each chunk from _chunks, up to _CHUNK
+consecutive scenarios of one shape; while it has a scenario out, each
+matrix's memo is that scenario with its row of the chunk's chains, and
+predict reads that row and runs any other scenario alone, caching
+nothing. Only a line of zero scores leaves a NaN chain row, which its
+reader raises on, so only _score_stack's errors empty a primed chunk.
 """
 
 from __future__ import annotations
@@ -413,18 +413,24 @@ def scenario_scores(norm: NormalizedAssociation, scenario: Scenario) -> np.ndarr
     return _score_stack(norm, np.array([scenario.nouns]), np.array([scenario.adjectives]))[0]
 
 
-def _stack_chains(norm: NormalizedAssociation, scenarios, keys) -> dict:
-    """{(role, alpha): (read-only probs from _chains, *_answers)} for each
-    key, run on one score stack of scenarios of one (k, m) shape, repeats
-    allowed."""
-    nouns, adjectives = zip(*((s.nouns, s.adjectives) for s in scenarios))
-    scores = _score_stack(norm, np.array(nouns), np.array(adjectives))
+def _stack_chains(norm: NormalizedAssociation, nouns: np.ndarray, adjectives: np.ndarray, keys) -> dict:
+    """{(role, alpha): (read-only probs from _chains, *_answers)} for each key, run on the score
+    stack of N scenarios of one shape, given as (N, k) noun and (N, m) adjective index arrays."""
+    scores = _score_stack(norm, nouns, adjectives)
     chains = {}
     for role, alpha in keys:
         probs = _chains(scores if role == LISTENER else scores.swapaxes(1, 2), alpha)
         probs.flags.writeable = False
-        chains[role, alpha] = probs, *_answers(role, scenarios[0].k, scenarios[0].m)
+        chains[role, alpha] = probs, *_answers(role, nouns.shape[1], adjectives.shape[1])
     return chains
+
+
+def _by_matrix(tables, specs) -> dict:
+    """{matrix: {(role, alpha): None}} for the matrices the specs use, in first-use order."""
+    wanted: dict = {}
+    for spec in specs:
+        wanted.setdefault(tables[spec.metric], {})[spec.role, spec.alpha] = None
+    return wanted
 
 
 def _chunks(scenarios):
@@ -439,18 +445,15 @@ def _primed(tables, scenarios, specs):
     """The scenarios in order, with one _stack_chains run per chunk from
     _chunks and matrix the specs use. While a scenario is out, each such
     matrix's `_scenario_memo` is (that scenario, its position in the chunk,
-    the chunk's chains), with empty chains only if _score_stack failed on
-    that chunk, so that predict raises at the failing scenario."""
-    wanted: dict = {}
-    for spec in specs:
-        wanted.setdefault(tables[spec.metric], {})[spec.role, spec.alpha] = None
+    the chunk's chains), with every matrix's chains empty if _score_stack
+    failed on that chunk, so that predict raises at the failing scenario."""
+    wanted = _by_matrix(tables, specs)
     for chunk in _chunks(scenarios):
-        chains: dict = {}
-        for norm, keys in wanted.items():
-            try:
-                chains[norm] = _stack_chains(norm, chunk, keys)
-            except DataError:
-                chains[norm] = {}
+        nouns, adjectives = map(np.array, zip(*((s.nouns, s.adjectives) for s in chunk)))
+        try:
+            chains = {norm: _stack_chains(norm, nouns, adjectives, keys) for norm, keys in wanted.items()}
+        except DataError:
+            chains = dict.fromkeys(wanted, {})
         for row, scenario in enumerate(chunk):
             for norm, chunk_chains in chains.items():
                 norm.__dict__["_scenario_memo"] = scenario, row, chunk_chains
@@ -475,7 +478,7 @@ def predict(
     scenario, row, chains = norm.__dict__.get("_scenario_memo", _NO_MEMO)
     chain = chains.get(key) if scenario is config.scenario else None
     if chain is None:
-        row, chain = 0, _stack_chains(norm, [config.scenario], [key])[key]
+        row, chain = 0, _stack_chains(norm, *config_columns([config])[:2], [key])[key]
     probs, support, position = chain
     dist = probs[row, index if position is None else position[index]]
     if math.isnan(dist[0]):
@@ -483,18 +486,23 @@ def predict(
     return PredictionDistribution._checked(support, dist)
 
 
-def predict_stack(norm: NormalizedAssociation, configs, spec: ModelSpec) -> np.ndarray:
-    """predict on N configurations of spec's role that share one (k, m)
-    shape, from one _stack_chains run: an (N, answers) array whose row n
-    has the bits of predict(norm, configs[n], spec).probs. Callers bind
-    spec to the configurations' role; predict's other checks run on the
-    whole stack, so the error of a one-configuration call is predict's;
-    with several, it may come from any failing configuration."""
-    key = spec.role, spec.alpha
-    probs, _, position = _stack_chains(norm, [config.scenario for config in configs], [key])[key]
-    index = [config.index if position is None else position[config.index] for config in configs]
-    stack = probs[np.arange(len(probs)), index]
-    if np.isnan(stack[:, 0]).any():
+def config_columns(configs) -> tuple:
+    """predict_stack's columns for configurations of one role and (k, m) shape:
+    (N, k) noun and (N, m) adjective index arrays, and each one's chain row."""
+    nouns, adjectives = map(np.array, zip(*((c.scenario.nouns, c.scenario.adjectives) for c in configs)))
+    position = _answers(configs[0].role, nouns.shape[1], adjectives.shape[1])[1]
+    return nouns, adjectives, np.array([c.index if position is None else position[c.index] for c in configs])
+
+
+def predict_stack(tables, specs, nouns: np.ndarray, adjectives: np.ndarray, rows) -> np.ndarray:
+    """predict's bits for each of specs, bound by the caller to the configurations'
+    role, on N configurations of one (k, m) shape given as config_columns gives them:
+    (N, specs, answers) from one score stack per matrix. predict's other checks run
+    on the whole stack, so a one-configuration, one-spec call raises predict's error."""
+    chains = {norm: _stack_chains(norm, nouns, adjectives, keys) for norm, keys in _by_matrix(tables, specs).items()}
+    probs = np.stack([chains[tables[spec.metric]][spec.role, spec.alpha][0] for spec in specs], axis=1)
+    stack = probs[np.arange(len(probs)), :, rows]
+    if np.isnan(stack[..., 0]).any():
         raise DataError("zero normalizer")
     return stack
 

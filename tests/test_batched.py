@@ -34,7 +34,7 @@ from refgame import (
 from refgame import evaluation, rsa
 from refgame.association import average_ranks
 from refgame.cli import _symmetric
-from refgame.rsa import predict_stack
+from refgame.rsa import config_columns, predict_stack
 
 from conftest import make_lexicon, oracle_modal_answers, random_normalized
 
@@ -187,26 +187,29 @@ def assert_same_error(exc, call):
 # the stacked chain and the row ranks
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(tables_and_rng(), MODELS, st.sampled_from(["listener", "speaker"]), st.integers(1, 40))
-def test_predict_stack_rows_equal_predict(drawn, model, role, count):
+@given(tables_and_rng(), st.lists(MODELS, min_size=1, max_size=4), st.sampled_from(["listener", "speaker"]),
+       st.integers(1, 40))
+def test_predict_stack_rows_equal_predict(drawn, models, role, count):
+    # one to four models, repeats and shared matrices allowed: row [n, s]
+    # is predict's row for configuration n and model s
     tables, rng = drawn
     configurations = random_configurations(rng, tables["bigram"].lexicon, count, [role], True)
-    spec = parse_model_spec(model, role)
-    norm = tables[spec.metric]
+    specs = [parse_model_spec(model, role) for model in models]
     for shape in sorted({(c.scenario.k, c.scenario.m) for c in configurations}):
         group = [c for c in configurations if (c.scenario.k, c.scenario.m) == shape]
         try:
-            expected = [predict(norm, config, spec).probs for config in group]
+            expected = [[predict(tables[spec.metric], config, spec).probs for spec in specs] for config in group]
         except DataError:
             with pytest.raises(DataError):
-                predict_stack(norm, group, spec)
+                predict_stack(tables, specs, *config_columns(group))
             continue
-        assert np.array_equal(predict_stack(norm, group, spec), np.array(expected))
+        assert np.array_equal(predict_stack(tables, specs, *config_columns(group)), np.array(expected))
 
 
 def test_predict_stack_single_errors_are_predicts(monkeypatch):
     # every third scenario has an empty pair; some index a noun past the matrix
     norm = random_normalized(np.random.default_rng(0), 8, 6, mask_frac=0.4)
+    tables = {"bigram": norm}
     rng = np.random.default_rng(1)
     scenarios = [
         Scenario(tuple(rng.choice(9, 3, replace=False).tolist()), tuple(rng.choice(6, 3, replace=False).tolist()))
@@ -221,10 +224,10 @@ def test_predict_stack_single_errors_are_predicts(monkeypatch):
             predict(norm, config, spec)
         except DataError as exc:
             seen.add(str(exc))
-            assert_same_error(exc, lambda: predict_stack(norm, [config], spec))
+            assert_same_error(exc, lambda: predict_stack(tables, [spec], *config_columns([config])))
             continue
         expected = predict(norm, config, spec).probs
-        assert np.array_equal(predict_stack(norm, [config], spec)[0], expected)
+        assert np.array_equal(predict_stack(tables, [spec], *config_columns([config]))[0, 0], expected)
     assert seen == {"zero normalizer", "scenario noun index out of range for this matrix"}
 
 
@@ -497,7 +500,7 @@ def per_pair_rank_matrix(specs, tables, configurations):
     """agreement_measure as it was before it kept ranks: one stack per
     model, then both stacks ranked and correlated for every pair."""
     specs = [parse_model_spec(spec, configurations[0].role) for spec in specs]
-    stacks = [predict_stack(tables[spec.metric], configurations, spec) for spec in specs]
+    stacks = [predict_stack(tables, [spec], *config_columns(configurations))[:, 0] for spec in specs]
 
     def measure(i, j):
         a, b = stacks[i], stacks[j]

@@ -967,7 +967,9 @@ def test_chain_runs_per_scenario(monkeypatch, workload, predicts, chains):
     # benchmark pins per scenario; gameplay makes one per clue and per pair.
     # Mixed gameplay alternates two shapes, so each of its runs is one
     # scenario long. A separate mode makes no predict call and writes no
-    # memo: one predict_stack, so one chain run, per model and chunk of keys.
+    # memo: one predict_stack per chunk of keys, which builds one score
+    # stack per matrix and runs the chain once per matrix and (role, alpha),
+    # here once per model, as the exp2 models read four matrices.
     def counted(name, fn):
         def call(*args):
             counts[name] += 1
@@ -1004,6 +1006,35 @@ def test_chain_runs_per_scenario(monkeypatch, workload, predicts, chains):
         if predicts is not None:
             assert counts["predict"] == predicts * len(shapes)
         assert counts["chain"] == chains * sum(math.ceil(run / chunk) for run in runs)
+
+
+@pytest.mark.parametrize("mode", ["separate-speaker", "separate-listener"])
+def test_separate_search_builds_one_score_stack_per_chunk(monkeypatch, mode):
+    # Models that share a matrix share its score stack: one _score_stack
+    # call per chunk of keys, not one per model. The key array's columns
+    # are the stack's index arrays and chain rows, so no key builds a
+    # Configuration, and only each returned candidate builds a Scenario.
+    counts = {}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(rsa, "_score_stack", counted("scores", rsa._score_stack))
+    for cls, name in ((Configuration, "configuration"), (Scenario, "scenario")):
+        monkeypatch.setattr(cls, "__post_init__", counted(name, cls.__post_init__))
+        monkeypatch.setattr(cls, "_trusted", classmethod(counted(name, cls._trusted.__func__)))
+    models = dict(zip(("separate-speaker", "separate-listener"), _exp4_models()))[mode]
+    table = random_normalized(np.random.default_rng(9), 12, 10)
+    for chunk, top_k in ((256, 5), (7, 40)):
+        monkeypatch.setattr(rsa, "_CHUNK", chunk)
+        search = SearchSettings(3, 3, mode, iterations=300, seed=4, top_k=top_k)
+        n_keys = len(oed._first_seen(oed._search_keys(12, 10, search)))
+        counts.update(scores=0, configuration=0, scenario=0)
+        assert len(monte_carlo_search(table, models, search)) == top_k
+        assert counts == {"scores": math.ceil(n_keys / chunk), "configuration": 0, "scenario": top_k}
 
 
 def test_zero_normalizer_in_search_keeps_scenario_words(monkeypatch):

@@ -79,6 +79,21 @@ def test_response_probability_identical_models(rng):
     assert np.array_equal(probs[0], probs[1])
 
 
+@pytest.mark.parametrize("role, index", [("speaker", (1, 3)), ("listener", 2)])
+def test_response_probability_rows_are_predicts_on_a_shared_matrix(rng, role, index):
+    # every model reads one matrix, so every row comes from its one score
+    # stack, and each is that model's predict row, bit for bit
+    tables = {"a": random_normalized(rng, 6, 5, metric="a", mask_frac=0.3)}
+    config = Configuration(Scenario((0, 2, 3, 5), (0, 1, 4)), role, index)
+    models = ModelSet((ModelSpec("a", role, "literal"),) + tuple(
+        ModelSpec("a", role, "pragmatic", alpha) for alpha in (0.3, 5.0, 30.0)
+    ))
+    probs = response_probability(tables, config, models)
+    assert probs.shape == (4, 3 if role == "speaker" else 6)
+    for row, model in zip(probs, models.models):
+        assert row.tobytes() == predict(tables["a"], config, model).probs.tobytes()
+
+
 def test_response_probability_role_mismatch(rng):
     tables = {"a": random_normalized(rng, 4, 4, metric="a")}
     config = Configuration(Scenario((0, 1), (0,)), "speaker", (0, 1))
