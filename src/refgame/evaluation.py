@@ -7,11 +7,11 @@ mean plus standard error. Gameplay success for a speaker-listener pair
 is computed analytically by summing over clue choices instead of
 sampling.
 
-Scoring and model agreement run in batches: records or configurations
-that share role, k and m get one rsa.predict_stack call per model on
-their rsa.config_columns and one row-wise Spearman pass, with the bits
-of a one-at-a-time loop over rsa.predict and spearman; agreement_measure
-caches each model's stack and its row ranks for every pair it is in.
+Scoring and model agreement run rsa._run_batches on batches of up to
+rsa._CHUNK records or configurations that share role, k and m, one
+rsa.predict_stack call per model and one row-wise Spearman pass each,
+with the bits and first error of a loop over rsa.predict and spearman;
+agreement_measure caches each model's stack and row ranks for all pairs.
 Gameplay predicts each clue and pair of a chunk from rsa._chunks while
 rsa._primed has its scenario out, and sums the chunk's pair successes in
 one array pass. Both take rsa's one route to chains.
@@ -37,6 +37,7 @@ import numpy as np
 # `from scipy import stats` loads it through scipy's lazy attribute hook
 from scipy.stats import t as student_t
 
+from . import rsa
 from .association import NormalizedAssociation, Tables, average_ranks
 from .errors import DataError, float_array, prefix_errors, read_text
 from .rsa import (
@@ -174,31 +175,14 @@ class ScoreReport:
     rank_sem: float
 
 
-def _by_shape(configurations, compute, where: str) -> tuple[np.ndarray, np.ndarray]:
-    """compute(positions) -> (flags, values), one entry per position, once
-    for each group of configurations that share role, k and m; positions
-    are 0-based and ascending. The results come back in file order, as an
-    int and a float array. On a group's DataError every position is run
-    alone, in file order, and the first error raised as "<where> <1-based
-    position>: <message>", as a loop would meet it (batch and single runs
-    have the same bits); if none fails alone, the group's error is."""
+def _by_shape(configurations) -> list:
+    """Positions of the configurations in batches of up to rsa._CHUNK that
+    share role, k and m, each batch ascending."""
     groups: dict = {}
     for position, config in enumerate(configurations):
         scenario = config.scenario
         groups.setdefault((config.role, scenario.k, scenario.m), []).append(position)
-    flags = np.zeros(len(configurations), int)
-    values = np.zeros(len(configurations))
-    for positions in groups.values():
-        try:
-            flags[positions], values[positions] = compute(positions)
-        except DataError:
-            for position in range(len(configurations)):
-                try:
-                    compute([position])
-                except DataError as exc:
-                    raise DataError(f"{where} {position + 1}: {exc}") from None
-            raise
-    return flags, values
+    return [group[i : i + rsa._CHUNK] for group in groups.values() for i in range(0, len(group), rsa._CHUNK)]
 
 
 def score_responses(tables, model, records) -> ScoreReport:
@@ -207,9 +191,9 @@ def score_responses(tables, model, records) -> ScoreReport:
     `model` is a ModelSpec or a "metric:depth[:alpha]" string; a string
     is bound to each record's role, so one string can score a mixed-role
     response file. `tables` maps metric ids to normalized matrices.
-    Records that share role, k and m are predicted and ranked together,
-    with the bits of one record at a time. An error names the model, and
-    the 1-based record it arose on.
+    Up to rsa._CHUNK records that share role, k and m are predicted and
+    ranked together, with the bits of one record at a time. An error names
+    the model, and the 1-based record that fails first.
     """
     records = list(records)
     if not records:
@@ -229,10 +213,11 @@ def score_responses(tables, model, records) -> ScoreReport:
         correlations = _rank_correlation(_centered_ranks(probs), _centered_ranks(counts))
         return (_top_mask(probs) & modal).any(axis=1), correlations
 
-    tops, ranks = _by_shape(configurations, compute, f"{label}: record")
+    tops, ranks = rsa._run_batches(_by_shape(configurations), compute, lambda p: f"{label}: record {p + 1}")
     # one float object per nonzero value (Spearman over a few answers takes a few); zeros keep their sign
     distinct: dict = {}
-    tops, ranks = tuple(tops.tolist()), tuple(distinct.setdefault(r, r) if r else r for r in ranks.tolist())
+    tops = tuple(tops.astype(int).tolist())
+    ranks = tuple(distinct.setdefault(r, r) if r else r for r in ranks.tolist())
     with prefix_errors(label):
         top_mean, top_sem = aggregate(tops)
         rank_mean, rank_sem = aggregate(ranks)
@@ -315,20 +300,19 @@ def model_agreement(spec_a, spec_b, tables, configurations) -> tuple[float, floa
     correlation of their distributions, over configurations.
 
     Specs are ModelSpec values or strings bound to the configurations'
-    shared role. Configurations that share k and m are predicted and
-    ranked together, with the bits of one configuration at a time. An
-    error names both models, the 1-based configuration and the model
-    that failed on it.
+    shared role. Up to rsa._CHUNK configurations that share k and m are
+    predicted and ranked together, with the bits of one configuration at a
+    time. An error names both models, the 1-based configuration that fails
+    first and the model that failed on it.
     """
     return agreement_measure((spec_a, spec_b), tables, configurations)(0, 1)
 
 
 def agreement_measure(specs, tables, configurations):
     """A measure(i, j) that gives model_agreement(specs[i], specs[j],
-    tables, configurations), errors included. One cache holds each
-    model's prediction stack for a group of configurations together with
-    the stack's centered row ranks, built with it, so each is built once
-    however many pairs it serves."""
+    tables, configurations), errors included, from batches cut once. One
+    cache holds each model's prediction stack for a batch and its centered
+    row ranks, so each is built once however many pairs it serves."""
     configurations = list(configurations)
     if not configurations:
         raise DataError("no configurations given")
@@ -336,6 +320,7 @@ def agreement_measure(specs, tables, configurations):
         raise DataError("configurations mix roles")
     specs = [parse_model_spec(spec, configurations[0].role) for spec in specs]
     tables = Tables.of(tables)
+    batches = _by_shape(configurations)
 
     @cache
     def predicted(index, positions):
@@ -350,7 +335,7 @@ def agreement_measure(specs, tables, configurations):
             return (_top_mask(a) & _top_mask(b)).any(axis=1), _rank_correlation(ranks_a, ranks_b)
 
         where = f"{specs[i].spec_string()} vs {specs[j].spec_string()}: configuration"
-        matches, correlations = _by_shape(configurations, compute, where)
+        matches, correlations = rsa._run_batches(batches, compute, lambda p: f"{where} {p + 1}")
         return float(np.mean(matches)), float(np.mean(correlations))
 
     return measure

@@ -357,26 +357,25 @@ def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignC
     def scenario_of(row: list) -> Scenario:
         return Scenario._trusted(tuple(row[:k]), tuple(row[k : k + m]))
 
-    def utilities(chunk: np.ndarray) -> np.ndarray:
-        try:
-            if role is None:
-                scenarios = _primed(tables, map(scenario_of, chunk.tolist()), specs)
-                joint = (scenario_joint_utility(tables, s, speaker_models, listener_models) for s in scenarios)
-                return np.fromiter(joint, float, len(chunk))
-            stack = predict_stack(tables, specs, chunk[:, :k], chunk[:, k : k + m], chunk[:, -1])
-            return model_information_bits(stack)
-        except DataError as exc:
-            if len(chunk) > 1:  # re-run key by key: the first key that fails alone names the error
-                return np.concatenate([utilities(row[None]) for row in chunk])
-            words = scenario_record(scenario_of(chunk[0].tolist()), tables.lexicon)
-            raise DataError(f"scenario {' '.join(words['nouns'])} / {' '.join(words['adjectives'])}: {exc}") from None
+    def utilities(positions) -> tuple[np.ndarray]:
+        chunk = keys[positions]
+        if role is None:
+            scenarios = _primed(tables, map(scenario_of, chunk.tolist()), specs)
+            joint = (scenario_joint_utility(tables, s, speaker_models, listener_models) for s in scenarios)
+            return (np.fromiter(joint, float, len(chunk)),)
+        stack = predict_stack(tables, specs, chunk[:, :k], chunk[:, k : k + m], chunk[:, -1])
+        return (model_information_bits(stack),)
+
+    def where(position: int) -> str:
+        words = scenario_record(scenario_of(keys[position].tolist()), tables.lexicon)
+        return f"scenario {' '.join(words['nouns'])} / {' '.join(words['adjectives'])}"
 
     # 1. The distinct keys, first seen first; keys depend on the seed alone.
     keys = _first_seen(_search_keys(n_nouns, n_adjs, settings))
-    # 2. Each key's utility, a chunk of keys at a time: in joint mode each scenario from the chains _primed primes
-    # for it; in a separate mode the whole chunk, its key columns fed to one predict_stack (a score stack per matrix).
-    chunks = (keys[i : i + rsa._CHUNK] for i in range(0, len(keys), rsa._CHUNK))
-    utility = np.concatenate(list(map(utilities, chunks)))
+    # 2. Each key's utility, by rsa._run_batches on batches of up to rsa._CHUNK consecutive keys: in joint mode each
+    # scenario from the chains _primed primes; in a separate mode one predict_stack and information pass a batch.
+    batches = np.split(np.arange(len(keys)), range(rsa._CHUNK, len(keys), rsa._CHUNK))
+    (utility,) = rsa._run_batches(batches, utilities, where)
     # 3. The first top_k of a stable sort: ties keep first-seen order, and -0.0 ties with 0.0.
     best = np.argsort(-utility, kind="stable")[: settings.top_k]
     return [

@@ -9,19 +9,20 @@ rationality weight alpha (applied exactly once, at that middle step),
 renormalize over their own axis, and read off the requested row or
 column.
 
-One chain core computes every column of the listener chain at once;
-the speaker is that chain run on the transposed matrix. _stack_chains,
-the one route to chains, runs it once per (role, alpha) on the score
-stack of one matrix and N scenarios of one shape, given as index arrays;
-_by_matrix groups specs so that each matrix builds one stack per batch.
-predict_stack gathers every spec's row for each configuration, for
-scoring, comparison and separate-mode search. For joint search and
-gameplay, _primed runs it on each chunk from _chunks, up to _CHUNK
-consecutive scenarios of one shape; while it has a scenario out, each
-matrix's memo is that scenario with its row of the chunk's chains, and
-predict reads that row and runs any other scenario alone, caching
-nothing. Only a line of zero scores leaves a NaN chain row, which its
-reader raises on, so only _score_stack's errors empty a primed chunk.
+One chain core computes every column of the listener chain at once; the
+speaker is that chain run on the transposed matrix. _stack_chains, the
+one route to chains, runs it once per (role, alpha) on the score stack
+of one matrix and N scenarios of one shape, given as index arrays;
+_by_matrix groups specs so that each matrix builds one stack per batch,
+and predict_stack gathers every spec's row of a batch. Scoring,
+comparison and search run batches of up to _CHUNK items of one shape
+through _run_batches, whose one failure rule runs a failing batch's
+items and all later ones alone and names the first to fail. Joint search
+and gameplay run _primed on chunks from _chunks; while it has a scenario
+out, each matrix's memo is that scenario with its row of the chunk's
+chains, which predict reads; it runs any other scenario alone, caching
+nothing. Only a zero-score line leaves a NaN chain row, which its reader
+raises on, so only _score_stack's errors empty a primed chunk.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress, groupby, islice
+from itertools import chain, combinations, compress, groupby, islice
 from numbers import Real
 
 import numpy as np
@@ -47,7 +48,7 @@ PRAGMATIC = "pragmatic"
 # Probabilities within this of the maximum count as tied for the top.
 TIE_TOL = 1e-12
 
-# Most scenarios in a chunk: a run of one (k, m) shape that _primed primes at once.
+# Most items of one shape that _primed primes at once, or that _run_batches runs as a batch.
 _CHUNK = 256
 _NO_MEMO = (None, 0, None)  # what predict reads while _primed has no scenario out
 _TINY = np.finfo(float).tiny  # a chain's total or cell below this has lost precision
@@ -439,6 +440,27 @@ def _chunks(scenarios):
     for _, run in groupby(scenarios, lambda scenario: (scenario.k, scenario.m)):
         while chunk := list(islice(run, _CHUNK)):
             yield chunk
+
+
+def _run_batches(batches, run, where) -> list:
+    """Each array run(batch) returns, an entry per position, joined in position order, for
+    batches of positions, each up to _CHUNK items of one shape, on which run has each item's
+    bits run alone. On a batch's DataError each position of it and of every later batch runs
+    alone, ascending, and the first to fail (as a loop over positions would meet it) raises
+    "<where(position)>: <its error>"; if none fails alone, the batch's own error is raised."""
+    results = []
+    for number, batch in enumerate(batches):
+        try:
+            results.append(run(batch))
+        except DataError:
+            for position in sorted(chain.from_iterable(batches[number:])):
+                try:
+                    run([position])
+                except DataError as exc:
+                    raise DataError(f"{where(position)}: {exc}") from None
+            raise
+    order = np.argsort(np.concatenate(batches))
+    return [np.concatenate(parts)[order] for parts in zip(*results)]
 
 
 def _primed(tables, scenarios, specs):

@@ -358,19 +358,49 @@ def test_score_error_names_the_lowest_failing_record():
         score_responses(tables, "bigram:literal", records)
 
 
-def test_by_shape_raises_the_group_error_when_no_position_fails_alone():
-    configurations = [Configuration(Scenario((0, 1), (0,)), "listener", 0)] * 3
+def batch_only(runs):
+    """A run that records its positions and fails on a batch of two or
+    more that holds position 2, and on no position alone."""
+
+    def run(positions):
+        runs.append(list(positions))
+        if len(positions) > 1 and 2 in positions:
+            raise DataError("batch only")
+        return [0.5] * len(positions)
+
+    return run
+
+
+def test_run_batches_raises_the_batch_error_when_no_position_fails_alone():
+    runs = []
+    with pytest.raises(DataError, match="^batch only$"):
+        rsa._run_batches([[0, 1, 2]], batch_only(runs), lambda position: f"record {position + 1}")
+    assert runs == [[0, 1, 2], [0], [1], [2]]
+
+
+def test_run_batches_runs_no_passed_batch_again():
+    # the second batch fails: only it and the batches after it run alone
+    runs = []
+    with pytest.raises(DataError, match="^batch only$"):
+        rsa._run_batches([[0, 1], [2, 3]], batch_only(runs), lambda position: f"record {position + 1}")
+    assert runs == [[0, 1], [2, 3], [2], [3]]
+
+
+def test_run_batches_names_the_lowest_position_that_fails_alone():
+    # batches interleave positions, as groups of one shape do; position 3 fails,
+    # in the batch after the first failing one, and position 5 fails earlier
     runs = []
 
-    def compute(positions):
-        runs.append(positions)
-        if len(positions) > 1:
-            raise DataError("batch only")
-        return [1], [0.5]
+    def run(positions):
+        runs.append(list(positions))
+        if {3, 5} & set(positions):
+            raise DataError("bad item")
+        return [0.5] * len(positions)
 
-    with pytest.raises(DataError, match="^batch only$"):
-        evaluation._by_shape(configurations, compute, "record")
-    assert runs == [[0, 1, 2], [0], [1], [2]]
+    batches = [[0, 2], [1, 5], [3, 4]]
+    with pytest.raises(DataError, match="^record 4: bad item$"):
+        rsa._run_batches(batches, run, lambda position: f"record {position + 1}")
+    assert runs == [[0, 2], [1, 5], [1], [3]]
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +481,84 @@ def test_agreement_measure_error_is_the_row_major_loops_first(monkeypatch, model
     for call in (oracle_agreement_matrix, measured_matrix):
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             call(models, floor_heavy_lexicon(), configurations)
+
+
+# ---------------------------------------------------------------------------
+# batches of up to rsa._CHUNK: a group of one shape cut into several batches
+
+def batched_scores(tables, model, records):
+    report = score_responses(tables, model, records)
+    return report.top_answers, report.rank_correlations
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    tables_and_rng(), st.lists(MODELS, min_size=1, max_size=3),
+    st.sampled_from(["listener", "speaker"]), st.integers(8, 24), st.integers(0, 4), st.sampled_from([1, 7]),
+)
+def test_score_and_compare_past_one_chunk_equal_the_oracles(drawn, models, role, count, one_answer, chunk):
+    # groups of up to 24 configurations cut into batches of 1 or 7
+    tables, rng = drawn
+    configurations = random_configurations(rng, tables["bigram"].lexicon, count, [role], one_answer == 0)
+    records = [random_record(rng, config) for config in configurations]
+    pair = (models[0], models[-1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rsa, "_CHUNK", chunk)
+        calls = (
+            (lambda: oracle_scores(tables, models[0], records),
+             lambda: batched_scores(tables, models[0], records)),
+            (lambda: oracle_agreement(*pair, tables, configurations),
+             lambda: model_agreement(*pair, tables, configurations)),
+            (lambda: oracle_agreement_matrix(models, tables, configurations),
+             lambda: measured_matrix(models, tables, configurations)),
+        )
+        for oracle, batched in calls:
+            try:
+                expected = oracle()
+            except DataError as exc:
+                assert_same_error(exc, batched)
+                continue
+            assert repr(batched()) == repr(expected)  # repr tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_error_texts_hold_past_one_chunk(chunk):
+    # the first failing record or configuration sits in the first of 3 or 20 batches
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rsa, "_CHUNK", chunk)
+        test_score_error_names_the_lowest_failing_record()
+    for models, message in [
+        (["bigram:pragmatic:100", "bigram:literal"],
+         "bigram:pragmatic:100.0 vs bigram:pragmatic:100.0: configuration 6: "
+         "model bigram:pragmatic:100.0: zero normalizer"),
+        (["bigram:literal", "bigram:pragmatic:1", "bigram:pragmatic:100", "bigram:pragmatic:1000"],
+         "bigram:literal vs bigram:pragmatic:1.0: configuration 6: "
+         "model bigram:pragmatic:1.0: zero normalizer"),
+    ]:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rsa, "_CHUNK", chunk)
+            test_agreement_measure_error_is_the_row_major_loops_first(patch, models, message)
+
+
+def test_batches_of_seven_make_three_stacks_per_model(monkeypatch):
+    # 20 configurations of one shape: ceil(20 / 7) batches, one predict_stack per model and batch
+    monkeypatch.setattr(rsa, "_CHUNK", 7)
+    calls = []
+
+    def counted(tables, specs, *columns):
+        calls.append(len(columns[0]))
+        return predict_stack(tables, specs, *columns)
+
+    monkeypatch.setattr(evaluation, "predict_stack", counted)
+    tables = {"bigram": random_normalized(np.random.default_rng(4), 8, 6)}
+    configurations = listener_configurations(np.random.default_rng(1), 20)
+    rng = np.random.default_rng(2)
+    score_responses(tables, "bigram:literal", [random_record(rng, config) for config in configurations])
+    assert calls == [7, 7, 6]
+    calls.clear()
+    models = ["bigram:literal", "bigram:pragmatic:1", "bigram:pragmatic:5"]
+    measured_matrix(models, tables, configurations)
+    assert sorted(calls) == [6] * 3 + [7] * 6
 
 
 @pytest.mark.parametrize("speaker, listener, empty, message", [

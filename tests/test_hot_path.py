@@ -1198,17 +1198,20 @@ def test_separate_search_chunks_equal_per_key_oracle(data):
             assert _run(lambda: candidate_bits(monte_carlo_search(tables, models, search))) == expected
 
 
-def _failing_key_search(failure):
-    """A separate-listener search on a 12 x 10 table in which some keys fail,
-    by an empty noun 5 under a pragmatic model or by a NaN cell (noun 5,
-    adjective 2) that fails _score_stack's check, and the first failing
-    key's position among the distinct keys and its scenario's words."""
+def _failing_key_search(failure, mode="separate-listener"):
+    """A search (separate-listener, or joint on _exp4_models) on a 12 x 10
+    table in which some keys fail, by an empty noun 5 under a pragmatic
+    model or by a NaN cell (noun 5, adjective 2) that fails _score_stack's
+    check, and the first failing key's position among the distinct keys
+    and its scenario's words."""
     table = random_normalized(np.random.default_rng(6), 12, 10)
     if failure == "empty noun":
         table = with_empty_noun(table, 5)
     specs = ("bigram:literal", "bigram:pragmatic:1.0")
     models = ModelSet(tuple(parse_model_spec(s, rsa.LISTENER) for s in specs))
-    search = SearchSettings(3, 3, "separate-listener", iterations=100, seed=3)
+    if mode == "joint":
+        models = _exp4_models()
+    search = SearchSettings(3, 3, mode, iterations=100, seed=3)
     rows = oed._loop_keys(np.random.default_rng(search.seed), 12, 10, search, search.iterations).tolist()
     keys = list(dict.fromkeys(map(tuple, rows)))
     first = next(i for i, key in enumerate(keys) if 5 in key[:3] and (failure == "empty noun" or 2 in key[3:6]))
@@ -1236,6 +1239,19 @@ def test_separate_search_names_the_first_failing_key_amid_a_chunk(monkeypatch, f
         with pytest.raises(DataError) as info:
             monte_carlo_search(tables, models, search)
         assert str(info.value) == f"{words}: {reason}"
+
+
+def test_joint_search_names_the_first_failing_key_amid_a_chunk(monkeypatch):
+    # Joint mode re-runs a failing batch key by key through the same
+    # rsa._run_batches: a scenario holding the empty noun fails its speaker
+    # chain, and the first such key in first-seen order is named.
+    tables, models, search, first, words = _failing_key_search("empty noun", "joint")
+    assert first % 7 and first < 256  # amid a chunk of 7 and of 256
+    for chunk in (7, 256):
+        monkeypatch.setattr(rsa, "_CHUNK", chunk)
+        with pytest.raises(DataError) as info:
+            monte_carlo_search(tables, models, search)
+        assert str(info.value) == f"{words}: zero normalizer"
 
 
 @pytest.mark.parametrize("chunk", [1, 3, rsa._CHUNK])
