@@ -7,14 +7,14 @@ mean plus standard error. Gameplay success for a speaker-listener pair
 is computed analytically by summing over clue choices instead of
 sampling.
 
-Scoring and model agreement run rsa._run_batches on batches of up to
-rsa._CHUNK records or configurations that share role, k and m, one
-rsa.predict_stack call per model and one row-wise Spearman pass each,
-with the bits and first error of a loop over rsa.predict and spearman;
+Scoring, model agreement and gameplay run rsa._run_batches on batches
+that rsa._by_shape cuts: up to rsa._CHUNK records, configurations or
+scenarios of one shape from anywhere in the list, with the bits and
+first error of a loop over them. Scoring and agreement make one
+rsa.predict_stack call per model and one row-wise Spearman pass a batch;
 agreement_measure caches each model's stack and row ranks for all pairs.
-Gameplay predicts each clue and pair of a chunk from rsa._chunks while
-rsa._primed has its scenario out, and sums the chunk's pair successes in
-one array pass. Both take rsa's one route to chains.
+Gameplay predicts each clue and pair while rsa._primed has its scenario
+out, and sums a batch's pair successes in one array pass.
 
 Ranks are computed in numpy (association.average_ranks, row by row); a
 normalized matrix ranks its cells once, for metric_rank_correlation.
@@ -46,7 +46,6 @@ from .rsa import (
     Configuration,
     ModelSpec,
     Scenario,
-    _chunks,
     _primed,
     _top_mask,
     answer_support,
@@ -175,16 +174,6 @@ class ScoreReport:
     rank_sem: float
 
 
-def _by_shape(configurations) -> list:
-    """Positions of the configurations in batches of up to rsa._CHUNK that
-    share role, k and m, each batch ascending."""
-    groups: dict = {}
-    for position, config in enumerate(configurations):
-        scenario = config.scenario
-        groups.setdefault((config.role, scenario.k, scenario.m), []).append(position)
-    return [group[i : i + rsa._CHUNK] for group in groups.values() for i in range(0, len(group), rsa._CHUNK)]
-
-
 def score_responses(tables, model, records) -> ScoreReport:
     """Score a model against every response record.
 
@@ -213,7 +202,8 @@ def score_responses(tables, model, records) -> ScoreReport:
         correlations = _rank_correlation(_centered_ranks(probs), _centered_ranks(counts))
         return (_top_mask(probs) & modal).any(axis=1), correlations
 
-    tops, ranks = rsa._run_batches(_by_shape(configurations), compute, lambda p: f"{label}: record {p + 1}")
+    batches = rsa._by_shape((config.role, config.scenario.k, config.scenario.m) for config in configurations)
+    tops, ranks = rsa._run_batches(batches, compute, lambda p: f"{label}: record {p + 1}")
     # one float object per nonzero value (Spearman over a few answers takes a few); zeros keep their sign
     distinct: dict = {}
     tops = tuple(tops.astype(int).tolist())
@@ -245,9 +235,10 @@ def simulate_gameplay(tables, scenarios, speaker_spec, listener_spec) -> Gamepla
     Model specs are ModelSpec values or "metric:depth[:alpha]" strings.
     A pair's success is the probability the listener recovers it when
     the speaker samples a clue: sum over clues of P(clue) * P(pair | clue).
-    Each chunk from rsa._chunks is primed, predicted a clue and a pair at
-    a time, and summed in one array pass, holding one chunk's rows at once.
-    Its clue and pair configurations are Configuration._trusted, unchecked.
+    Batches of up to rsa._CHUNK scenarios of one shape, from anywhere in the
+    list, are primed, predicted a clue and a pair at a time and summed in one
+    array pass, under rsa._run_batches' failure rule. Its clue and pair
+    configurations are Configuration._trusted, unchecked.
     """
     scenarios = tuple(scenarios)
     if not scenarios:
@@ -258,31 +249,31 @@ def simulate_gameplay(tables, scenarios, speaker_spec, listener_spec) -> Gamepla
     speaker_norm = tables[speaker_spec.metric]
     listener_norm = tables[listener_spec.metric]
     trusted = Configuration._trusted
-    successes: list = []
-    scenario_means: list = []
-    for chunk in _chunks(scenarios):
+
+    def play(positions):
+        batch = [scenarios[p] for p in positions]
         listener, speaker = [], []
-        primed = _primed(tables, chunk, (speaker_spec, listener_spec))
-        for number, scenario in enumerate(primed, start=len(successes) + 1):
-            try:
-                model = listener_spec
+        model = listener_spec  # the listener reads chains first; only a lone scenario's error is named
+        try:
+            for scenario in _primed(tables, batch, (speaker_spec, listener_spec)):
                 for a in range(scenario.m):
-                    listener.append(predict(listener_norm, trusted(scenario, LISTENER, a), model).probs)
+                    listener.append(predict(listener_norm, trusted(scenario, LISTENER, a), listener_spec).probs)
                 model = speaker_spec
                 for pair in scenario.pairs:
-                    speaker.append(predict(speaker_norm, trusted(scenario, SPEAKER, pair), model).probs)
-            except DataError as exc:
-                where = f"gameplay: scenario {number}: {model.role} model {model.spec_string()}"
-                raise DataError(f"{where}: {exc}") from None
+                    speaker.append(predict(speaker_norm, trusted(scenario, SPEAKER, pair), speaker_spec).probs)
+        except DataError as exc:
+            raise DataError(f"{model.role} model {model.spec_string()}: {exc}") from None
         # (scenarios, pairs, clues), summed over clues in order; an unsampled clue adds an exact 0.0
-        listener = np.reshape(listener, (len(chunk), chunk[0].m, -1))
-        speaker = np.reshape(speaker, (len(chunk), -1, chunk[0].m))
+        listener = np.reshape(listener, (len(batch), batch[0].m, -1))
+        speaker = np.reshape(speaker, (len(batch), -1, batch[0].m))
         success = np.cumsum(np.where(speaker > 0, speaker * listener.swapaxes(1, 2), 0.0), axis=2)[:, :, -1]
-        successes += map(tuple, success.tolist())
-        scenario_means += success.mean(axis=1).tolist()
+        return np.fromiter(map(tuple, success.tolist()), object, len(batch)), success.mean(axis=1)
+
+    batches = rsa._by_shape((scenario.k, scenario.m) for scenario in scenarios)
+    successes, scenario_means = rsa._run_batches(batches, play, lambda p: f"gameplay: scenario {p + 1}")
     with prefix_errors("gameplay"):
         mean, sem = aggregate(chain.from_iterable(successes))
-    return GameplayReport(scenarios, tuple(successes), tuple(scenario_means), mean, sem)
+    return GameplayReport(scenarios, tuple(successes), tuple(scenario_means.tolist()), mean, sem)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +311,7 @@ def agreement_measure(specs, tables, configurations):
         raise DataError("configurations mix roles")
     specs = [parse_model_spec(spec, configurations[0].role) for spec in specs]
     tables = Tables.of(tables)
-    batches = _by_shape(configurations)
+    batches = rsa._by_shape((config.role, config.scenario.k, config.scenario.m) for config in configurations)
 
     @cache
     def predicted(index, positions):

@@ -360,7 +360,7 @@ def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignC
     def utilities(positions) -> tuple[np.ndarray]:
         chunk = keys[positions]
         if role is None:
-            scenarios = _primed(tables, map(scenario_of, chunk.tolist()), specs)
+            scenarios = _primed(tables, list(map(scenario_of, chunk.tolist())), specs)
             joint = (scenario_joint_utility(tables, s, speaker_models, listener_models) for s in scenarios)
             return (np.fromiter(joint, float, len(chunk)),)
         stack = predict_stack(tables, specs, chunk[:, :k], chunk[:, k : k + m], chunk[:, -1])

@@ -15,14 +15,15 @@ one route to chains, runs it once per (role, alpha) on the score stack
 of one matrix and N scenarios of one shape, given as index arrays;
 _by_matrix groups specs so that each matrix builds one stack per batch,
 and predict_stack gathers every spec's row of a batch. Scoring,
-comparison and search run batches of up to _CHUNK items of one shape
-through _run_batches, whose one failure rule runs a failing batch's
-items and all later ones alone and names the first to fail. Joint search
-and gameplay run _primed on chunks from _chunks; while it has a scenario
-out, each matrix's memo is that scenario with its row of the chunk's
-chains, which predict reads; it runs any other scenario alone, caching
-nothing. Only a zero-score line leaves a NaN chain row, which its reader
-raises on, so only _score_stack's errors empty a primed chunk.
+comparison, search and gameplay run batches of up to _CHUNK items of
+one shape, from anywhere in a list, through _run_batches, whose one
+failure rule runs a failing batch's items and all later ones alone and
+names the first to fail. Joint search and gameplay run _primed on each
+batch of scenarios; while it has a scenario out, each matrix's memo is
+that scenario with its row of the batch's chains, which predict reads;
+it runs any other scenario alone, caching nothing. Only a zero-score
+line leaves a NaN chain row, which its reader raises on, so only
+_score_stack's errors fail _primed.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, compress, groupby, islice
+from itertools import chain, combinations, compress
 from numbers import Real
 
 import numpy as np
@@ -48,7 +49,7 @@ PRAGMATIC = "pragmatic"
 # Probabilities within this of the maximum count as tied for the top.
 TIE_TOL = 1e-12
 
-# Most items of one shape that _primed primes at once, or that _run_batches runs as a batch.
+# Most items of one shape in a batch that _run_batches runs, and so that _primed primes.
 _CHUNK = 256
 _NO_MEMO = (None, 0, None)  # what predict reads while _primed has no scenario out
 _TINY = np.finfo(float).tiny  # a chain's total or cell below this has lost precision
@@ -434,20 +435,21 @@ def _by_matrix(tables, specs) -> dict:
     return wanted
 
 
-def _chunks(scenarios):
-    """The scenarios in order, as lists of up to _CHUNK consecutive
-    scenarios of one (k, m) shape."""
-    for _, run in groupby(scenarios, lambda scenario: (scenario.k, scenario.m)):
-        while chunk := list(islice(run, _CHUNK)):
-            yield chunk
+def _by_shape(shapes) -> list:
+    """Positions of items, given by their shape keys, in batches of up to _CHUNK
+    positions that share a key, each batch ascending, keys in first-seen order."""
+    groups: dict = {}
+    for position, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(position)
+    return [group[i : i + _CHUNK] for group in groups.values() for i in range(0, len(group), _CHUNK)]
 
 
 def _run_batches(batches, run, where) -> list:
-    """Each array run(batch) returns, an entry per position, joined in position order, for
-    batches of positions, each up to _CHUNK items of one shape, on which run has each item's
-    bits run alone. On a batch's DataError each position of it and of every later batch runs
-    alone, ascending, and the first to fail (as a loop over positions would meet it) raises
-    "<where(position)>: <its error>"; if none fails alone, the batch's own error is raised."""
+    """Each array run(batch) returns, an entry per position, joined in position order, for batches
+    of positions, each up to _CHUNK items of one shape from anywhere in the list, on which run has
+    each item's bits run alone. On a batch's DataError each position of it and of every later batch
+    runs alone, ascending, and the first to fail (as a loop over positions would meet it, since earlier
+    batches passed) raises "<where(position)>: <its error>"; else the batch's own error is raised."""
     results = []
     for number, batch in enumerate(batches):
         try:
@@ -463,23 +465,17 @@ def _run_batches(batches, run, where) -> list:
     return [np.concatenate(parts)[order] for parts in zip(*results)]
 
 
-def _primed(tables, scenarios, specs):
-    """The scenarios in order, with one _stack_chains run per chunk from
-    _chunks and matrix the specs use. While a scenario is out, each such
-    matrix's `_scenario_memo` is (that scenario, its position in the chunk,
-    the chunk's chains), with every matrix's chains empty if _score_stack
-    failed on that chunk, so that predict raises at the failing scenario."""
-    wanted = _by_matrix(tables, specs)
-    for chunk in _chunks(scenarios):
-        nouns, adjectives = map(np.array, zip(*((s.nouns, s.adjectives) for s in chunk)))
-        try:
-            chains = {norm: _stack_chains(norm, nouns, adjectives, keys) for norm, keys in wanted.items()}
-        except DataError:
-            chains = dict.fromkeys(wanted, {})
-        for row, scenario in enumerate(chunk):
-            for norm, chunk_chains in chains.items():
-                norm.__dict__["_scenario_memo"] = scenario, row, chunk_chains
-            yield scenario
+def _primed(tables, batch, specs):
+    """The scenarios of batch, a list of up to _CHUNK of one (k, m) shape, in
+    order, after one _stack_chains run per matrix the specs use, which raises
+    its error before any is out. While a scenario is out, each such matrix's
+    `_scenario_memo` is (that scenario, its row in batch, the batch's chains)."""
+    nouns, adjectives = map(np.array, zip(*((s.nouns, s.adjectives) for s in batch)))
+    chains = {norm: _stack_chains(norm, nouns, adjectives, keys) for norm, keys in _by_matrix(tables, specs).items()}
+    for row, scenario in enumerate(batch):
+        for norm, batch_chains in chains.items():
+            norm.__dict__["_scenario_memo"] = scenario, row, batch_chains
+        yield scenario
 
 
 def predict(

@@ -403,6 +403,18 @@ def test_run_batches_names_the_lowest_position_that_fails_alone():
     assert runs == [[0, 2], [1, 5], [1], [3]]
 
 
+@pytest.mark.parametrize("chunk, batches", [
+    (256, [[0, 2, 5], [1, 4], [3]]),
+    (2, [[0, 2], [5], [1, 4], [3]]),
+])
+def test_by_shape_batches_each_key_from_anywhere_in_first_seen_order(monkeypatch, chunk, batches):
+    # positions that share a shape key, wherever they lie, make batches of
+    # up to _CHUNK (read at call time), each ascending, keys in first-seen order
+    monkeypatch.setattr(rsa, "_CHUNK", chunk)
+    shapes = [(3, 3), (5, 8), (3, 3), (2, 1), (5, 8), (3, 3)]
+    assert rsa._by_shape(iter(shapes)) == batches
+
+
 # ---------------------------------------------------------------------------
 # errors that name the model and the item
 

@@ -12,7 +12,7 @@ import math
 import random
 import re
 import warnings
-from itertools import groupby
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -142,22 +142,23 @@ def oracle_predict(norm, config, spec) -> PredictionDistribution:
 
 
 def loop_simulate_gameplay(tables, scenarios, speaker_spec, listener_spec) -> GameplayReport:
-    """simulate_gameplay one scenario at a time: its predictions copied
-    into a pair of arrays, each pair's success summed over clues and the
-    scenario's mean taken before the next scenario is played."""
+    """simulate_gameplay one scenario at a time, with no batch and no memo:
+    plain predict on checked Configurations and memo-less copies of the
+    matrices, its predictions copied into a pair of arrays, each pair's
+    success summed over clues and the scenario's mean taken before the
+    next scenario is played."""
     scenarios = tuple(scenarios)
     if not scenarios:
         raise DataError("no scenarios to play")
     speaker_spec = parse_model_spec(speaker_spec, rsa.SPEAKER)
     listener_spec = parse_model_spec(listener_spec, rsa.LISTENER)
     tables = Tables.of(tables)
-    speaker_norm = tables[speaker_spec.metric]
-    listener_norm = tables[listener_spec.metric]
+    speaker_norm = memo_less(tables[speaker_spec.metric])
+    listener_norm = memo_less(tables[listener_spec.metric])
     all_successes = []
     scenario_means = []
     flat = []
-    primed = rsa._primed(tables, scenarios, (speaker_spec, listener_spec))
-    for number, scenario in enumerate(primed, start=1):
+    for number, scenario in enumerate(scenarios, start=1):
         pairs = scenario.pairs
         listener = np.empty((scenario.m, len(pairs)))
         speaker = np.empty((len(pairs), scenario.m))
@@ -456,8 +457,8 @@ def _row_by_row(tables, scenario, models, indices, out):
 def test_joint_responses_equal_one_predict_per_row(monkeypatch, n_speakers, n_listeners):
     # The arrays scenario_joint_utility scores, its one zero-padded stack for
     # model sets of one size and each role's view of it otherwise, hold the
-    # bytes of the row-by-row fill, on scenarios out of _primed and on lone
-    # ones; response_probability's rows do too.
+    # bytes of the row-by-row fill, on scenarios out of _primed, run once per
+    # one-shape batch, and on lone ones; response_probability's rows do too.
     rng = np.random.default_rng(31)
     tables = Tables.of({m: random_normalized(rng, 9, 8, m, mask_frac=0.3) for m in ("a", "b")})
     depths = ("literal", "pragmatic:1.0", "pragmatic:5.0", "pragmatic:0.3")
@@ -473,7 +474,7 @@ def test_joint_responses_equal_one_predict_per_row(monkeypatch, n_speakers, n_li
     seen = []
     real_bits = oed.model_information_bits
     monkeypatch.setattr(oed, "model_information_bits", lambda stack: seen.append(stack.copy()) or real_bits(stack))
-    primed = rsa._primed(tables, scenarios, speakers.models + listeners.models)
+    primed = primed_batches(tables, scenarios, speakers.models + listeners.models)
     for scenario in [*scenarios, *primed]:
         seen.clear()
         with warnings.catch_warnings():
@@ -664,15 +665,22 @@ def test_predict_memo_equals_memo_less_predict():
                 assert got.probs.tobytes() == expected.probs.tobytes()
 
 
+def primed_batches(tables, scenarios, specs):
+    """The scenarios out of rsa._primed, run once on each one-shape batch
+    that rsa._by_shape cuts, in turn, as gameplay runs it."""
+    for batch in rsa._by_shape((scenario.k, scenario.m) for scenario in scenarios):
+        yield from rsa._primed(tables, [scenarios[position] for position in batch], specs)
+
+
 def prime(tables, scenarios, specs) -> list:
-    """Run rsa._primed through scenarios, which leaves the last one out."""
-    return list(rsa._primed(tables, scenarios, specs))
+    """Run primed_batches through scenarios, which leaves the last one out."""
+    return list(primed_batches(tables, scenarios, specs))
 
 
 def memos(norm, scenarios, specs) -> list:
-    """norm's memo while each scenario is out of rsa._primed."""
+    """norm's memo while each scenario is out of primed_batches."""
     found = []
-    for scenario in rsa._primed({norm.metric: norm}, scenarios, specs):
+    for scenario in primed_batches({norm.metric: norm}, scenarios, specs):
         found.append(norm.__dict__["_scenario_memo"])
         assert found[-1][0] is scenario
     return found
@@ -696,20 +704,20 @@ def test_predict_memo_holds_read_only_chains(rng):
     assert dist.probs.tobytes() == expected.probs.tobytes()
     # scenario_scores still returns a fresh, writable array
     assert scenario_scores(norm, scenario).flags.writeable
-    # while a scenario is out, the memo is it, its row of its chunk's stack
-    # and that chunk's read-only chains, one per (role, alpha); a chunk is
-    # a run of one shape, so the wide scenario ends the first chunk
+    # while a scenario is out, the memo is it, its row of its batch's stack
+    # and that batch's read-only chains, one per (role, alpha); _primed runs
+    # once per batch, each of one shape
     other, wide = Scenario((1, 3, 4), (0, 1)), Scenario((0, 1, 2, 3), (0, 2, 3))
-    batch = [scenario, other, wide, scenario]
     found = []
-    for out in rsa._primed({"bigram": norm}, batch, [literal, speaker]):
-        memo = norm.__dict__["_scenario_memo"]
-        found.append(memo)
-        if out.k == 3:
-            primed = predict(norm, config if out is scenario else Configuration(out, rsa.LISTENER, 1), literal)
-            assert np.shares_memory(primed.probs, memo[2]["listener", None][0])
-            assert not primed.probs.flags.writeable
-            assert norm.__dict__["_scenario_memo"] is memo
+    for batch in ([scenario, other], [wide], [scenario]):
+        for out in rsa._primed({"bigram": norm}, batch, [literal, speaker]):
+            memo = norm.__dict__["_scenario_memo"]
+            found.append(memo)
+            if out.k == 3:
+                primed = predict(norm, config if out is scenario else Configuration(out, rsa.LISTENER, 1), literal)
+                assert np.shares_memory(primed.probs, memo[2]["listener", None][0])
+                assert not primed.probs.flags.writeable
+                assert norm.__dict__["_scenario_memo"] is memo
     assert [(memo[0], memo[1]) for memo in found] == [(scenario, 0), (other, 1), (wide, 0), (scenario, 0)]
     chains, wide_chains, last_chains = found[0][2], found[2][2], found[3][2]
     assert found[1][2] is chains
@@ -818,26 +826,36 @@ def test_unprimable_batch_leaves_no_entry(rng, monkeypatch):
     literal = parse_model_spec("bigram:literal", "listener")
     good = [Scenario((0, 1), (0, 1)), Scenario((2, 3), (1, 2))]
     assert [list(memo[2]) for memo in memos(norm, good, [literal])] == [[("listener", None)]] * 2
-    # an index past the matrix fails its own chunk, which is out with no
-    # chains; the run of another shape before it keeps its chains
-    batch = [*good, Scenario((0, 1, 5), (0, 1))]
-    assert [list(memo[2]) for memo in memos(norm, batch, [literal])] == [[("listener", None)]] * 2 + [[]]
-    for scenario in rsa._primed(tables, batch, [literal]):
+    memo = norm.__dict__["_scenario_memo"]
+    # an index past the matrix fails its batch's score stack: _primed raises
+    # _score_stack's error before any scenario is out, the memo of the batch
+    # before it stays, and predict gives the oracle's bytes or error
+    outside = Scenario((0, 1, 5), (0, 1))
+    with pytest.raises(DataError, match="^scenario noun index out of range for this matrix$"):
+        prime(tables, [outside], [literal])
+    assert norm.__dict__["_scenario_memo"] is memo
+    for scenario in (*good, outside):
         config = Configuration(scenario, rsa.LISTENER, 0)
-        if scenario is batch[2]:
+        if scenario is outside:
             with pytest.raises(DataError, match="^scenario noun index out of range for this matrix$"):
                 predict(norm, config, literal)
         else:
             expected = oracle_predict(norm, config, literal).probs
             assert predict(norm, config, literal).probs.tobytes() == expected.tobytes()
-    # so do scores that fail their check, here in the last scenario
+    # so do scores that fail their check, here in the last scenario; fresh
+    # scenarios, as the memo still holds the last one's healthy chains
+    fresh = [Scenario(scenario.nouns, scenario.adjectives) for scenario in good]
     with monkeypatch.context() as patch:
         patch.setattr(rsa, "_score_stack", nan_at((2, 1)))
-        assert [memo[2] for memo in memos(norm, good, [literal])] == [{}] * 2
         with pytest.raises(DataError, match="^scores must be finite and non-negative$"):
-            predict(norm, Configuration(good[1], rsa.LISTENER, 0), literal)
+            prime(tables, fresh, [literal])
+        assert norm.__dict__["_scenario_memo"] is memo
+        config = Configuration(fresh[0], rsa.LISTENER, 0)
+        assert predict(norm, config, literal).probs.tobytes() == oracle_predict(norm, config, literal).probs.tobytes()
+        with pytest.raises(DataError, match="^scores must be finite and non-negative$"):
+            predict(norm, Configuration(fresh[1], rsa.LISTENER, 0), literal)
     # a pragmatic chain that fails on its stack fails only its own
-    # scenario's rows: the chunk keeps its chains for every other scenario
+    # scenario's rows: the batch keeps its chains for every other scenario
     floored = with_empty_noun(norm, 4)
     fails, passes = Scenario((1, 2, 3, 4), (0, 1)), Scenario((0, 1, 2, 3), (0, 1))
     pragmatic = parse_model_spec("bigram:pragmatic:30", "listener")
@@ -848,7 +866,7 @@ def test_unprimable_batch_leaves_no_entry(rng, monkeypatch):
     assert found[1][2] is found[2][2]
     failed = np.isnan(found[2][2]["listener", 30.0][0]).all(axis=2)
     assert failed.tolist() == [[False, False], [True, True]]
-    for scenario in rsa._primed({"bigram": floored}, batch, [literal, pragmatic]):
+    for scenario in primed_batches({"bigram": floored}, batch, [literal, pragmatic]):
         config = Configuration(scenario, rsa.LISTENER, 1)
         memo = floored.__dict__["_scenario_memo"]
         for spec in (literal, pragmatic):
@@ -962,14 +980,15 @@ def test_memo_is_only_a_cache(monkeypatch, chunk):
 ])
 def test_chain_runs_per_scenario(monkeypatch, workload, predicts, chains):
     # Each predict reads a row of a primed chain: one chain run per matrix,
-    # model and role for every chunk of a run of scenarios of one shape, so
-    # a chunk of one runs them per scenario, under the predict calls the
-    # benchmark pins per scenario; gameplay makes one per clue and per pair.
-    # Mixed gameplay alternates two shapes, so each of its runs is one
-    # scenario long. A separate mode makes no predict call and writes no
-    # memo: one predict_stack per chunk of keys, which builds one score
-    # stack per matrix and runs the chain once per matrix and (role, alpha),
-    # here once per model, as the exp2 models read four matrices.
+    # model and role for every batch of up to _CHUNK scenarios of one shape,
+    # from anywhere in the list, so a batch of one runs them per scenario,
+    # under the predict calls the benchmark pins per scenario; gameplay makes
+    # one per clue and per pair. Mixed gameplay alternates two shapes, and
+    # each shape's scenarios still make one batch. A separate mode makes no
+    # predict call and writes no memo: one predict_stack per chunk of keys,
+    # which builds one score stack per matrix and runs the chain once per
+    # matrix and (role, alpha), here once per model, as the exp2 models
+    # read four matrices.
     def counted(name, fn):
         def call(*args):
             counts[name] += 1
@@ -1001,11 +1020,10 @@ def test_chain_runs_per_scenario(monkeypatch, workload, predicts, chains):
             # top_k is past the iterations, so every distinct key comes back
             shapes = [(preset["nouns"], preset["adjectives"])] * len(monte_carlo_search(tables, models, search))
             assert any("_scenario_memo" in norm.__dict__ for norm in tables.values()) is (search.role is None)
-        runs = [len(list(run)) for _, run in groupby(shapes)]
         assert len(shapes) >= 4
         if predicts is not None:
             assert counts["predict"] == predicts * len(shapes)
-        assert counts["chain"] == chains * sum(math.ceil(run / chunk) for run in runs)
+        assert counts["chain"] == chains * sum(math.ceil(count / chunk) for count in Counter(shapes).values())
 
 
 @pytest.mark.parametrize("mode", ["separate-speaker", "separate-listener"])
@@ -1164,13 +1182,20 @@ def test_chunked_gameplay_equals_scenario_loop(data):
 
 def test_gameplay_error_names_the_failing_scenario_amid_a_chunk():
     # the second scenario of a run of three is out of range for the matrix,
-    # so the chunk's score stack fails and each scenario runs alone
+    # so the chunk's score stack fails and each scenario runs alone; in
+    # shapes A B A B with scenarios 2 and 3 out of range, shape A's batch,
+    # which holds scenario 3, runs and fails first, yet scenario 2 is named
     table = random_normalized(np.random.default_rng(5), 6, 6)
-    scenarios = [Scenario((0, 1, 2), (0, 1)), Scenario((0, 1, 6), (0, 1)), Scenario((3, 4, 5), (2, 3))]
     message = "gameplay: scenario 2: listener model bigram:literal: scenario noun index out of range for this matrix"
-    for play in (simulate_gameplay, loop_simulate_gameplay):
-        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-            play(table, scenarios, "bigram:literal", "bigram:literal")
+    cases = [
+        [Scenario((0, 1, 2), (0, 1)), Scenario((0, 1, 6), (0, 1)), Scenario((3, 4, 5), (2, 3))],
+        [Scenario((0, 1, 2), (0, 1)), Scenario((0, 1, 2, 6), (0,)), Scenario((3, 4, 6), (2, 3)),
+         Scenario((2, 3, 4, 5), (1,))],
+    ]
+    for scenarios in cases:
+        for play in (simulate_gameplay, loop_simulate_gameplay):
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                play(table, scenarios, "bigram:literal", "bigram:literal")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -1256,10 +1281,10 @@ def test_joint_search_names_the_first_failing_key_amid_a_chunk(monkeypatch):
 
 @pytest.mark.parametrize("chunk", [1, 3, rsa._CHUNK])
 def test_chunks_are_runs_of_one_shape(monkeypatch, chunk):
-    # _primed cuts each run of scenarios of one shape into chunks of up to
-    # _CHUNK: one chain run per chunk, matrix and (role, alpha), every
-    # prediction with the oracle's bytes, and the results of a run that
-    # primes nothing
+    # gameplay cuts the scenarios of each shape, from anywhere in the list,
+    # into batches of up to _CHUNK: one chain run per batch, matrix and
+    # (role, alpha), every prediction with the oracle's bytes, and the
+    # results of a run that primes nothing
     monkeypatch.setattr(rsa, "_CHUNK", chunk)
     rng = np.random.default_rng(21)
     table = random_normalized(rng, 12, 12)
@@ -1271,8 +1296,8 @@ def test_chunks_are_runs_of_one_shape(monkeypatch, chunk):
             for _ in range(count)
         ]
 
-    # shapes A A B B A, two scenarios a letter: runs of 4, 4 and 2
-    runs = (4, 4, 2)
+    # shapes A A B B A, two scenarios a letter: 6 of shape A and 4 of B
+    counts_by_shape = (6, 4)
     scenarios = [*drawn(3, 4, 4), *drawn(4, 2, 4), *drawn(3, 4, 2)]
     play = (table, scenarios, "bigram:pragmatic:2.0", "bigram:literal")
     norm = load_normalized(GOLDEN_NORM)
@@ -1310,7 +1335,7 @@ def test_chunks_are_runs_of_one_shape(monkeypatch, chunk):
     monkeypatch.setattr(oed, "scenario_joint_utility", utility)
     for module in (oed, evaluation):
         monkeypatch.setattr(module, "predict", checked)
-    assert outcomes() == (played, found, 2 * sum(math.ceil(run / chunk) for run in runs))
+    assert outcomes() == (played, found, 2 * sum(math.ceil(count / chunk) for count in counts_by_shape))
     assert counts["chain"] == 4 * math.ceil(counts["scenario"] / chunk)
     plays = sum(scenario.m + len(scenario.pairs) for scenario in scenarios)
     assert counts["scenario"] >= 4 and counts["checked"] == plays + 12 * counts["scenario"]
