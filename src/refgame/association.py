@@ -82,9 +82,9 @@ class NormalizedAssociation:
 
     @cached_property
     def _ranks(self) -> np.ndarray:
-        """The cells' descending average ranks minus their mean, one read-only
-        row: a Spearman rank step, cached, as `values` is a frozen copy."""
-        ranks = average_ranks(-self.values.reshape(1, -1)) - (self.values.size + 1) / 2
+        """_centered_ranks of the cells as one read-only row: a Spearman rank
+        step, cached, as `values` is a frozen copy."""
+        ranks = _centered_ranks(self.values.reshape(1, -1))
         ranks.flags.writeable = False
         return ranks
 
@@ -211,6 +211,12 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     ranks = np.empty(values.shape)
     np.put_along_axis(ranks, order, grouped, -1)
     return ranks
+
+
+def _centered_ranks(values: np.ndarray) -> np.ndarray:
+    """Each row's descending average ranks minus their mean, which for
+    ranks 1..n is always (n + 1) / 2 exactly."""
+    return average_ranks(-values) - (values.shape[-1] + 1) / 2
 
 
 def quantile_normalize(assoc: AssociationMatrix) -> NormalizedAssociation:

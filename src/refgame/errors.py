@@ -33,9 +33,9 @@ def float_array(values, where: str, dtype=float) -> np.ndarray:
 
 
 def read_text(path) -> str:
-    """path's text, decoded as UTF-8 whatever the locale: "<path>: line N: not UTF-8" if it does not."""
+    """path's text as UTF-8, whatever the locale, less a leading BOM: "<path>: line N: not UTF-8" if not."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path}: line {line}: not UTF-8") from None

@@ -16,8 +16,8 @@ agreement_measure caches each model's stack and row ranks for all pairs.
 Gameplay predicts each clue and pair while rsa._primed has its scenario
 out, and sums a batch's pair successes in one array pass.
 
-Ranks are computed in numpy (association.average_ranks, row by row); a
-normalized matrix ranks its cells once, for metric_rank_correlation.
+Ranks are centred in numpy by association._centered_ranks, row by row;
+a normalized matrix ranks its cells once, for metric_rank_correlation.
 Every path correlates ranks in _rank_correlation, which needs two
 entries a row; only spearman, which takes outside vectors, checks for
 NaN, as batch rows hold none. scipy serves only the Student t tail
@@ -38,7 +38,7 @@ import numpy as np
 from scipy.stats import t as student_t
 
 from . import rsa
-from .association import NormalizedAssociation, Tables, average_ranks
+from .association import NormalizedAssociation, Tables, _centered_ranks
 from .errors import DataError, float_array, prefix_errors, read_text
 from .rsa import (
     LISTENER,
@@ -91,12 +91,6 @@ class ResponseRecord:
 
     def count_vector(self) -> np.ndarray:
         return self._count_vector.copy()
-
-
-def _centered_ranks(values: np.ndarray) -> np.ndarray:
-    """Each row's descending average ranks minus their mean, which for
-    ranks 1..n is always (n + 1) / 2 exactly."""
-    return average_ranks(-values) - (values.shape[-1] + 1) / 2
 
 
 def _rank_correlation(rank_x: np.ndarray, rank_y: np.ndarray) -> np.ndarray:

@@ -211,15 +211,6 @@ def _geometric_mean(values) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def _responses(tables, scenario: Scenario, models: ModelSet, indices, out: np.ndarray) -> np.ndarray:
-    """Each model's answer distribution for each index's configuration, a range(m) clue
-    or a noun_pairs(k) pair, written at once into out, a (configurations, models, answers) array."""
-    specs = [(tables[spec.metric], spec) for spec in models.models]
-    configs = [Configuration._trusted(scenario, models.role, index) for index in indices]
-    out[...] = [[predict(norm, config, spec).probs for norm, spec in specs] for config in configs]
-    return out
-
-
 def scenario_joint_utility(
     tables, scenario: Scenario, speaker_models: ModelSet, listener_models: ModelSet
 ) -> float:
@@ -227,9 +218,11 @@ def scenario_joint_utility(
     all C(k,2) speaker targets and all m listener clues.
 
     Both roles' answers sit in one (C(k,2) + m, models, answers) stack,
-    zero-padded to the larger role's models and support: a padded answer
-    is dead and adds an exact -0.0, so every utility keeps its bits. Sets
-    of one size take one model_information_bits pass, others one per role."""
+    which one loop over the roles fills a role at a time, a predict per
+    configuration and model, zero-padded to the larger role's models and
+    support: a padded answer is dead and adds an exact -0.0, so every
+    utility keeps its bits. Sets of one size take one
+    model_information_bits pass, others one per role."""
     if speaker_models.role != SPEAKER:
         raise DataError("speaker_models must hold speaker models")
     if listener_models.role != LISTENER:
@@ -238,8 +231,12 @@ def scenario_joint_utility(
     n_pairs, m = len(scenario.pairs), scenario.m
     n_speakers, n_listeners = len(speaker_models), len(listener_models)
     stack = np.zeros((n_pairs + m, max(n_speakers, n_listeners), max(n_pairs, m)))
-    _responses(tables, scenario, speaker_models, scenario.pairs, stack[:n_pairs, :n_speakers, :m])
-    _responses(tables, scenario, listener_models, range(m), stack[n_pairs:, :n_listeners, :n_pairs])
+    roles = ((speaker_models, scenario.pairs, stack[:n_pairs, :n_speakers, :m]),
+             (listener_models, range(m), stack[n_pairs:, :n_listeners, :n_pairs]))
+    for models, indices, out in roles:
+        specs = [(tables[spec.metric], spec) for spec in models.models]
+        configs = [Configuration._trusted(scenario, models.role, index) for index in indices]
+        out[...] = [[predict(norm, config, spec).probs for norm, spec in specs] for config in configs]
     passes = [stack]
     if n_speakers != n_listeners:  # each role over its own models
         passes = [stack[:n_pairs, :n_speakers], stack[n_pairs:, :n_listeners]]

@@ -10,20 +10,20 @@ renormalize over their own axis, and read off the requested row or
 column.
 
 One chain core computes every column of the listener chain at once; the
-speaker is that chain run on the transposed matrix. _stack_chains, the
-one route to chains, runs it once per (role, alpha) on the score stack
-of one matrix and N scenarios of one shape, given as index arrays;
-_by_matrix groups specs so that each matrix builds one stack per batch,
-and predict_stack gathers every spec's row of a batch. Scoring,
-comparison, search and gameplay run batches of up to _CHUNK items of
-one shape, from anywhere in a list, through _run_batches, whose one
-failure rule runs a failing batch's items and all later ones alone and
-names the first to fail. Joint search and gameplay run _primed on each
-batch of scenarios; while it has a scenario out, each matrix's memo is
-that scenario with its row of the batch's chains, which predict reads;
-it runs any other scenario alone, caching nothing. Only a zero-score
-line leaves a NaN chain row, which its reader raises on, so only
-_score_stack's errors fail _primed.
+speaker is that chain run on the transposed matrix. _stack_chains is
+the one builder of a batch's chains, called once by each of _primed,
+predict_stack and predict's lone run: it groups specs by matrix, builds
+one score stack per matrix of N scenarios of one shape, given as index
+arrays, and runs the chain once per (role, alpha) on it; predict_stack
+gathers every spec's row of a batch. Scoring, comparison, search and
+gameplay run batches of up to _CHUNK items of one shape, from anywhere
+in a list, through _run_batches, whose one failure rule runs a failing
+batch's items and all later ones alone and names the first to fail.
+Joint search and gameplay run _primed on each batch of scenarios; while
+it has a scenario out, each matrix's memo is that scenario with its row
+of the batch's chains, which predict reads; it runs any other scenario
+alone, caching nothing. Only a zero-score line leaves a NaN chain row,
+which its reader raises on, so only _score_stack's errors fail _primed.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ class PredictionDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.array(self.probs, dtype=float)
+        probs = float_array(self.probs, "probabilities").copy()
         support = tuple(self.support)
         if probs.ndim != 1 or len(support) != probs.size:
             raise DataError("support and probabilities differ in length")
@@ -415,24 +415,20 @@ def scenario_scores(norm: NormalizedAssociation, scenario: Scenario) -> np.ndarr
     return _score_stack(norm, np.array([scenario.nouns]), np.array([scenario.adjectives]))[0]
 
 
-def _stack_chains(norm: NormalizedAssociation, nouns: np.ndarray, adjectives: np.ndarray, keys) -> dict:
-    """{(role, alpha): (read-only probs from _chains, *_answers)} for each key, run on the score
-    stack of N scenarios of one shape, given as (N, k) noun and (N, m) adjective index arrays."""
-    scores = _score_stack(norm, nouns, adjectives)
-    chains = {}
-    for role, alpha in keys:
-        probs = _chains(scores if role == LISTENER else scores.swapaxes(1, 2), alpha)
-        probs.flags.writeable = False
-        chains[role, alpha] = probs, *_answers(role, nouns.shape[1], adjectives.shape[1])
-    return chains
-
-
-def _by_matrix(tables, specs) -> dict:
-    """{matrix: {(role, alpha): None}} for the matrices the specs use, in first-use order."""
-    wanted: dict = {}
+def _stack_chains(tables, specs, nouns: np.ndarray, adjectives: np.ndarray) -> dict:
+    """{matrix: {(role, alpha): (read-only probs from _chains, *_answers)}} for the matrices the
+    specs use, in first-use order: one score stack per matrix of N scenarios of one shape, given as
+    (N, k) noun and (N, m) adjective index arrays, and one chain run on it per (role, alpha)."""
+    chains: dict = {}
     for spec in specs:
-        wanted.setdefault(tables[spec.metric], {})[spec.role, spec.alpha] = None
-    return wanted
+        chains.setdefault(tables[spec.metric], {})[spec.role, spec.alpha] = None
+    for norm, keys in chains.items():
+        scores = _score_stack(norm, nouns, adjectives)
+        for role, alpha in keys:  # each key's None becomes its chain
+            probs = _chains(scores if role == LISTENER else scores.swapaxes(1, 2), alpha)
+            probs.flags.writeable = False
+            keys[role, alpha] = probs, *_answers(role, nouns.shape[1], adjectives.shape[1])
+    return chains
 
 
 def _by_shape(shapes) -> list:
@@ -467,11 +463,11 @@ def _run_batches(batches, run, where) -> list:
 
 def _primed(tables, batch, specs):
     """The scenarios of batch, a list of up to _CHUNK of one (k, m) shape, in
-    order, after one _stack_chains run per matrix the specs use, which raises
-    its error before any is out. While a scenario is out, each such matrix's
+    order, after one _stack_chains call for the specs, which raises its error
+    before any is out. While a scenario is out, each such matrix's
     `_scenario_memo` is (that scenario, its row in batch, the batch's chains)."""
     nouns, adjectives = map(np.array, zip(*((s.nouns, s.adjectives) for s in batch)))
-    chains = {norm: _stack_chains(norm, nouns, adjectives, keys) for norm, keys in _by_matrix(tables, specs).items()}
+    chains = _stack_chains(tables, specs, nouns, adjectives)
     for row, scenario in enumerate(batch):
         for norm, batch_chains in chains.items():
             norm.__dict__["_scenario_memo"] = scenario, row, batch_chains
@@ -487,7 +483,8 @@ def predict(
     literal agent; a pragmatic spec runs one round with its alpha. A
     prediction is a read-only row, at the index Configuration checked, of
     the memo's chain if config's scenario is the one _primed has out, or
-    else of a chain run on that scenario alone and cached nowhere.
+    else of the chain one _stack_chains call runs on that scenario and
+    spec alone, cached nowhere.
     """
     role, index = config.role, config.index
     if spec.role != role:
@@ -496,7 +493,7 @@ def predict(
     scenario, row, chains = norm.__dict__.get("_scenario_memo", _NO_MEMO)
     chain = chains.get(key) if scenario is config.scenario else None
     if chain is None:
-        row, chain = 0, _stack_chains(norm, *config_columns([config])[:2], [key])[key]
+        row, chain = 0, _stack_chains({spec.metric: norm}, [spec], *config_columns([config])[:2])[norm][key]
     probs, support, position = chain
     dist = probs[row, index if position is None else position[index]]
     if math.isnan(dist[0]):
@@ -515,9 +512,9 @@ def config_columns(configs) -> tuple:
 def predict_stack(tables, specs, nouns: np.ndarray, adjectives: np.ndarray, rows) -> np.ndarray:
     """predict's bits for each of specs, bound by the caller to the configurations'
     role, on N configurations of one (k, m) shape given as config_columns gives them:
-    (N, specs, answers) from one score stack per matrix. predict's other checks run
+    (N, specs, answers) from one _stack_chains call. predict's other checks run
     on the whole stack, so a one-configuration, one-spec call raises predict's error."""
-    chains = {norm: _stack_chains(norm, nouns, adjectives, keys) for norm, keys in _by_matrix(tables, specs).items()}
+    chains = _stack_chains(tables, specs, nouns, adjectives)
     probs = np.stack([chains[tables[spec.metric]][spec.role, spec.alpha][0] for spec in specs], axis=1)
     stack = probs[np.arange(len(probs)), :, rows]
     if np.isnan(stack[..., 0]).any():

@@ -31,7 +31,7 @@ from refgame import (
     simulate_gameplay,
     spearman,
 )
-from refgame import evaluation, rsa
+from refgame import association, evaluation, rsa
 from refgame.association import average_ranks
 from refgame.cli import _symmetric
 from refgame.rsa import config_columns, predict_stack
@@ -646,7 +646,7 @@ def test_agreement_measure_ranks_each_stack_once(monkeypatch):
         calls.append(values.shape)
         return average_ranks(values)
 
-    monkeypatch.setattr(evaluation, "average_ranks", counted)
+    monkeypatch.setattr(association, "average_ranks", counted)
     expected = per_pair_rank_matrix(models, tables, configurations)
     assert len(calls) == 20
     calls.clear()

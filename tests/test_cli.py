@@ -1,5 +1,7 @@
 """End-to-end command tests: exit codes, outputs, manifests, determinism."""
 
+import codecs
+import dataclasses
 import hashlib
 import json
 import os
@@ -16,6 +18,7 @@ from refgame import (
     AssociationMatrix,
     Configuration,
     CooccurrenceCounts,
+    DataError,
     EmbeddingTable,
     Lexicon,
     ModelSpec,
@@ -26,7 +29,11 @@ from refgame import (
     bigram_association,
     cosine_association,
     load_association,
+    load_counts,
+    load_embeddings,
+    load_lexicon,
     load_normalized,
+    load_responses,
     predict,
     quantile_normalize,
     relatedness_association,
@@ -510,6 +517,52 @@ def test_a_file_that_is_not_utf8_is_exit_1(data, capsys, tmp_path, command):
     assert run_cli(capsys, argv) == (1, "", f"error: {bad}: line 2: not UTF-8\n")
 
 
+
+def _comparable(value):
+    """A loaded value with its arrays as bytes and its dataclasses as fields, so two loads compare with ==."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return [_comparable(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _comparable(item) for key, item in value.items()}
+    if dataclasses.is_dataclass(value):
+        return type(value), {field.name: _comparable(getattr(value, field.name)) for field in dataclasses.fields(value)}
+    return value
+
+
+def test_a_leading_byte_order_mark_is_dropped(data, capsys, tmp_path):
+    # A UTF-8 file may open with a byte-order mark (BOM): every input kind
+    # loads from it as from the same file without one.
+    lexicon = data["lexicon_obj"]
+    raw = tmp_path / "raw.tsv"
+    save_association(bigram_association(load_counts(data["counts"], lexicon)), raw)
+    responses = tmp_path / "responses.jsonl"
+    listener = json.loads(data["listener_config"].read_text())
+    responses.write_text(json.dumps({"configuration": listener, "answers": [[["heart", "phone"], 3]]}) + "\n")
+    predict_argv = ["predict", "--matrix", str(data["norm"]["bigram"]), "--model", "bigram:literal", "--config"]
+    kinds = {
+        "lexicon": (data["lexicon"], load_lexicon),
+        "counts matrix": (data["counts"], lambda path: load_counts(path, lexicon)),
+        "association matrix": (raw, load_association),
+        "normalized matrix": (data["norm"]["bigram"], load_normalized),
+        "vector file": (data["embeddings"], lambda path: load_embeddings(path, lexicon)),
+        "JSONL records": (responses, lambda path: load_responses(path, lexicon)),
+        "predict --config JSON": (data["listener_config"], lambda path: run_cli(capsys, [*predict_argv, str(path)])),
+    }
+    for kind, (path, load) in kinds.items():
+        marked = tmp_path / f"bom_{path.name}"
+        marked.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        plain = _comparable(load(path))
+        assert _comparable(load(marked)) == plain, kind
+    assert plain[0] == 0
+    # "café" in Latin-1 on line 3, after the mark: still the path and line
+    bad = tmp_path / "bom_latin1.txt"
+    bad.write_bytes(codecs.BOM_UTF8 + "[nouns]\nheart\ncafé\n".encode("latin-1"))
+    with pytest.raises(DataError, match=f"^{re.escape(str(bad))}: line 3: not UTF-8$"):
+        load_lexicon(bad)
+
+
 def test_utf8_files_under_an_ascii_locale(tmp_path):
     # With the C locale, and UTF-8 mode off, open() would default to ASCII;
     # every file is read and written as UTF-8 all the same.
@@ -806,7 +859,6 @@ def test_compare_ranks_each_matrix_once(data, capsys, monkeypatch):
         return average_ranks(values)
 
     monkeypatch.setattr(association, "average_ranks", counted)
-    monkeypatch.setattr(evaluation, "average_ranks", counted)
     argv = ["compare", *(a for m in metrics for a in ("--matrix", str(data["norm"][m])))]
     code, out, err = run_cli(capsys, argv)
     assert code == 0, err

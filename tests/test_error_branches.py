@@ -85,6 +85,27 @@ def test_prediction_distribution_is_not_empty():
         PredictionDistribution((), [])
 
 
+@pytest.mark.parametrize("probs, start", [
+    (["a", "b"], "could not convert string to float: 'a'"),
+    ([0.5, [0.25, 0.25]], "setting an array element with a sequence"),
+], ids=["string", "ragged"])
+def test_prediction_distribution_probabilities_are_numbers(probs, start):
+    # numpy's own text for the values, whole, after what they are
+    with pytest.raises(ValueError) as numpy_error:
+        np.asarray(probs, dtype=float)
+    assert str(numpy_error.value).startswith(start)
+    with raises(f"probabilities: {numpy_error.value}"):
+        PredictionDistribution((0, 1), probs)
+
+
+def test_prediction_distribution_keeps_the_callers_array_writeable():
+    probs = np.array([0.25, 0.75])
+    dist = PredictionDistribution((0, 1), probs)
+    assert probs.flags.writeable and not dist.probs.flags.writeable
+    probs[0] = 1.0
+    assert dist.probs.tolist() == [0.25, 0.75]
+
+
 @pytest.mark.parametrize("scores", [[[]], [1.0, 2.0], [[[1.0]]]])
 def test_score_matrix_is_nonempty_and_2d(scores):
     with raises("score matrix must be nonempty and 2-d"):

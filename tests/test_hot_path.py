@@ -1,11 +1,11 @@
 """The search hot path against its plain-loop oracles, bit for bit.
 
-model_information_bits, filter_candidates, scenario_scores, oed._responses,
-separate-mode search and simulate_gameplay are array rewrites of the loops
-kept here, and predict's memo of chains is checked against predict on
-memo-less copies of each matrix and against the one-column chain of
-conftest. Every comparison is ==, never approx: the golden fixtures pin
-the search output to the last bit.
+model_information_bits, filter_candidates, scenario_scores, the response
+stack of scenario_joint_utility, separate-mode search and simulate_gameplay
+are array rewrites of the loops kept here, and predict's memo of chains is
+checked against predict on memo-less copies of each matrix and against the
+one-column chain of conftest. Every comparison is ==, never approx: the
+golden fixtures pin the search output to the last bit.
 """
 
 import math
@@ -444,8 +444,8 @@ def test_one_pass_joint_utility_equals_per_role_loops(drawn):
 
 
 def _row_by_row(tables, scenario, models, indices, out):
-    """out filled as _responses filled it before its one-step write: one
-    checked Configuration per index and one predict per row."""
+    """out filled as scenario_joint_utility fills a role's block, but with
+    one checked Configuration per index and one predict per row."""
     for responses, index in zip(out, indices):
         config = Configuration(scenario, models.role, index)
         for row, spec in enumerate(models.models):
@@ -1053,6 +1053,40 @@ def test_separate_search_builds_one_score_stack_per_chunk(monkeypatch, mode):
         counts.update(scores=0, configuration=0, scenario=0)
         assert len(monte_carlo_search(table, models, search)) == top_k
         assert counts == {"scores": math.ceil(n_keys / chunk), "configuration": 0, "scenario": top_k}
+
+
+@pytest.mark.parametrize("workload, stacks", [("exp4", 1), ("exp1", 4), ("gameplay", 1)])
+def test_primed_batches_build_one_score_stack_per_matrix(monkeypatch, workload, stacks):
+    # _primed's one _stack_chains call groups the specs by matrix: exp4's
+    # two bigram models serve both roles from one score stack, exp1's four
+    # metrics build four, and gameplay's speaker and listener on one matrix
+    # share one, per batch of up to _CHUNK scenarios. Every predict reads
+    # the memo, so no scenario builds a stack of its own.
+    counts = {"scores": 0}
+
+    def counted(*args):
+        counts["scores"] += 1
+        return real(*args)
+
+    real = rsa._score_stack
+    monkeypatch.setattr(rsa, "_score_stack", counted)
+    for chunk in (256, 7):
+        monkeypatch.setattr(rsa, "_CHUNK", chunk)
+        counts["scores"] = 0
+        rng = np.random.default_rng(10)
+        if workload == "gameplay":
+            scenarios = [Scenario(tuple(range(i, i + 3)), tuple(range(i, i + 4))) for i in range(9)]
+            simulate_gameplay(random_normalized(rng, 12, 12), scenarios, "bigram:pragmatic:1.0", "bigram:literal")
+            batches = math.ceil(len(scenarios) / chunk)
+        else:
+            preset = cli.PRESETS[workload]
+            sets = tuple(ModelSet(tuple(parse_model_spec(s, role) for s in preset["models"])) for role in rsa.ROLES)
+            tables = {spec.metric: random_normalized(rng, 12, 10, metric=spec.metric) for spec in sets[0].models}
+            search = SearchSettings(preset["nouns"], preset["adjectives"], preset["mode"], iterations=40, seed=2)
+            # top_k is past the iterations, so every distinct key comes back
+            batches = math.ceil(len(monte_carlo_search(tables, sets, search)) / chunk)
+        assert batches >= (2 if chunk == 7 else 1)
+        assert counts["scores"] == stacks * batches
 
 
 def test_zero_normalizer_in_search_keeps_scenario_words(monkeypatch):
