@@ -1,11 +1,11 @@
 """Scoring model predictions against responses, and analytic gameplay.
 
-Two per-trial scores: tie-tolerant top-answer match (did the modal
-response land in the model's argmax set) and Spearman rank correlation
-between predicted probabilities and response counts. Aggregation is
-mean plus standard error. Gameplay success for a speaker-listener pair
-is computed analytically by summing over clue choices instead of
-sampling.
+Two per-trial scores: top-answer match (does a modal response land in
+the model's argmax set, both sets read by rsa._top_mask's tie) and
+Spearman rank correlation between predicted probabilities and response
+counts, aggregated as mean plus standard error. Gameplay success is
+computed analytically by summing over clue choices instead of sampling.
+Response files place answer words in their scenario by rsa.word_positions.
 
 Scoring, model agreement and gameplay run rsa._run_batches on batches
 that rsa._by_shape cuts: up to rsa._CHUNK records, configurations or
@@ -49,11 +49,9 @@ from .rsa import (
     _primed,
     _top_mask,
     answer_support,
-    clue_from_word,
     config_columns,
     configuration_from_record,
     is_integer,
-    pair_from_words,
     parse_model_spec,
     predict,
     predict_stack,
@@ -192,9 +190,8 @@ def score_responses(tables, model, records) -> ScoreReport:
         spec = specs[configurations[positions[0]].role]
         probs = predict_stack(tables, [spec], *config_columns([configurations[p] for p in positions]))[:, 0]
         counts = np.array([records[p]._count_vector for p in positions])
-        modal = counts == counts.max(axis=1, keepdims=True)
         correlations = _rank_correlation(_centered_ranks(probs), _centered_ranks(counts))
-        return (_top_mask(probs) & modal).any(axis=1), correlations
+        return (_top_mask(probs) & _top_mask(counts)).any(axis=1), correlations
 
     batches = rsa._by_shape((config.role, config.scenario.k, config.scenario.m) for config in configurations)
     tops, ranks = rsa._run_batches(batches, compute, lambda p: f"{label}: record {p + 1}")
@@ -257,10 +254,10 @@ def simulate_gameplay(tables, scenarios, speaker_spec, listener_spec) -> Gamepla
                     speaker.append(predict(speaker_norm, trusted(scenario, SPEAKER, pair), speaker_spec).probs)
         except DataError as exc:
             raise DataError(f"{model.role} model {model.spec_string()}: {exc}") from None
-        # (scenarios, pairs, clues), summed over clues in order; an unsampled clue adds an exact 0.0
+        # (scenarios, pairs, clues), summed over clues in order; an unsampled clue adds 0.0: no listener row is NaN
         listener = np.reshape(listener, (len(batch), batch[0].m, -1))
         speaker = np.reshape(speaker, (len(batch), -1, batch[0].m))
-        success = np.cumsum(np.where(speaker > 0, speaker * listener.swapaxes(1, 2), 0.0), axis=2)[:, :, -1]
+        success = np.cumsum(speaker * listener.swapaxes(1, 2), axis=2)[:, :, -1]
         return np.fromiter(map(tuple, success.tolist()), object, len(batch)), success.mean(axis=1)
 
     batches = rsa._by_shape((scenario.k, scenario.m) for scenario in scenarios)
@@ -374,9 +371,9 @@ def response_from_record(record: dict, lexicon) -> ResponseRecord:
         except (TypeError, ValueError):
             raise DataError(f"malformed answer entry {item!r}") from None
         if config.role == LISTENER:
-            answer: object = pair_from_words(config.scenario, answer_words, lexicon, "answer noun")
+            answer: object = rsa.word_positions(config.scenario, answer_words, lexicon, "noun", "answer noun")
         else:
-            answer = clue_from_word(config.scenario, answer_words, lexicon, "answer adjective")
+            (answer,) = rsa.word_positions(config.scenario, [answer_words], lexicon, "adjective", "answer adjective")
         if answer in counts:
             raise DataError(f"duplicate answer entry {answer_words!r}")
         counts[answer] = count

@@ -353,18 +353,21 @@ def _chains(scores: np.ndarray, alpha: float | None) -> np.ndarray:
 
 
 def _log_chains(scores: np.ndarray, alpha: float | None) -> np.ndarray:
-    """_chains' chain with one log-sum-exp per normalize step, so nothing
-    underflows; a line of zero scores, all -inf, still gives NaN. Its sums
-    add in _chains' order."""
+    """_chains' chain with one log-sum-exp per normalize step, so nothing underflows. Pragmatic logs
+    lose each row's top, then each column's, before alpha scales them: constants the normalizes drop
+    that leave a 0 in every line, which no alpha overflows. A zero line alone gives NaN; sums add in _chains' order."""
 
     def normalize(logs, axis):
         top = logs.max(axis=axis, keepdims=True)
         return logs - top - np.log(np.exp(logs - top).sum(axis=axis, keepdims=True))
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         logs = np.log(scores)
         if alpha is not None:
-            logs = normalize(alpha * normalize(logs, -2), -1)
+            gaps = normalize(logs, -2)
+            gaps = gaps - gaps.max(axis=-1, keepdims=True)
+            rows = np.log(np.exp(alpha * gaps).sum(axis=-1, keepdims=True))
+            logs = alpha * (gaps - gaps.max(axis=-2, keepdims=True)) - rows
         return np.exp(normalize(np.ascontiguousarray(logs.swapaxes(-1, -2)), -1))
 
 
@@ -477,7 +480,7 @@ def _primed(tables, batch, specs):
 def predict(
     norm: NormalizedAssociation, config: Configuration, spec: ModelSpec
 ) -> PredictionDistribution:
-    """Run the agent named by spec on one configuration.
+    """Run the agent named by spec, of norm's metric, on one configuration.
 
     A literal spec carries alpha None, which the chain core runs as the
     literal agent; a pragmatic spec runs one round with its alpha. A
@@ -489,6 +492,8 @@ def predict(
     role, index = config.role, config.index
     if spec.role != role:
         raise DataError(f"model role '{spec.role}' != configuration role '{role}'")
+    if spec.metric != norm.metric:
+        raise DataError(f"model {spec.spec_string()} given a matrix of metric '{norm.metric}'")
     key = role, spec.alpha
     scenario, row, chains = norm.__dict__.get("_scenario_memo", _NO_MEMO)
     chain = chains.get(key) if scenario is config.scenario else None
@@ -542,27 +547,21 @@ def pair_words(scenario: Scenario, pair, lexicon) -> list[str]:
     return [lexicon.nouns[scenario.nouns[i]] for i in pair]
 
 
-def pair_from_words(scenario: Scenario, words, lexicon, label: str) -> tuple[int, ...]:
-    """Sorted scenario positions of noun words, named by label on error."""
-    positions = []
-    for word, noun in zip(words, _word_indices(words, lexicon.noun_index, "noun")):
-        if noun not in scenario.nouns:
-            raise DataError(f"{label} '{word}' not in scenario")
-        positions.append(scenario.nouns.index(noun))
-    return tuple(sorted(positions))
-
-
 def clue_word(scenario: Scenario, position: int, lexicon) -> str:
     """The adjective word at a scenario clue position."""
     return lexicon.adjectives[scenario.adjectives[position]]
 
 
-def clue_from_word(scenario: Scenario, word, lexicon, label: str) -> int:
-    """Scenario clue position of an adjective word, named by label on error."""
-    (adjective,) = _word_indices([word], lexicon.adjective_index, "adjective")
-    if adjective not in scenario.adjectives:
-        raise DataError(f"{label} '{word}' not in scenario")
-    return scenario.adjectives.index(adjective)
+def word_positions(scenario: Scenario, words, lexicon, kind: str, label: str) -> tuple[int, ...]:
+    """Sorted scenario positions of a list of words of one kind ("noun" or "adjective"), each word's type
+    and lexicon entry checked before any word's place in the scenario, which an error names by label."""
+    members = getattr(scenario, f"{kind}s")
+    positions = []
+    for word, item in zip(words, _word_indices(words, getattr(lexicon, f"{kind}_index"), kind)):
+        if item not in members:
+            raise DataError(f"{label} '{word}' not in scenario")
+        positions.append(members.index(item))
+    return tuple(sorted(positions))
 
 
 def scenario_record(scenario: Scenario, lexicon) -> dict:
@@ -602,11 +601,11 @@ def configuration_from_record(record: dict, lexicon) -> Configuration:
     if role == SPEAKER:
         if "target_pair" not in record:
             raise DataError("speaker configuration record lacks target_pair")
-        index: object = pair_from_words(scenario, record["target_pair"], lexicon, "target noun")
+        index: object = word_positions(scenario, record["target_pair"], lexicon, "noun", "target noun")
     elif role == LISTENER:
         if "clue" not in record:
             raise DataError("listener configuration record lacks clue")
-        index = clue_from_word(scenario, record["clue"], lexicon, "clue")
+        (index,) = word_positions(scenario, [record["clue"]], lexicon, "adjective", "clue")
     else:
         raise DataError(f"unknown role {role!r}")
     return Configuration(scenario, role, index)

@@ -178,6 +178,26 @@ def test_malformed_response_records(lexicon, record, message):
         response_from_record(record, lexicon)
 
 
+SPEAKER = {"scenario": SCENARIO, "role": "speaker", "target_pair": ["noun0", "noun2"]}
+
+
+@pytest.mark.parametrize("parse, record, message", [
+    # every word's lexicon entry is checked before any word's place in the scenario
+    (configuration_from_record, {**SPEAKER, "target_pair": ["noun3", "missing"]}, "noun 'missing' absent"),
+    (configuration_from_record, {**SPEAKER, "target_pair": ["noun3", "noun0"]}, "target noun 'noun3' not in scenario"),
+    (response_from_record, {"configuration": LISTENER, "answers": [[["noun3", "missing"], 1]]},
+     "noun 'missing' absent"),
+    (response_from_record, {"configuration": LISTENER, "answers": [[["noun0", "noun3"], 1]]},
+     "answer noun 'noun3' not in scenario"),
+    (response_from_record, {"configuration": SPEAKER, "answers": [["missing", 1]]}, "adjective 'missing' absent"),
+    (response_from_record, {"configuration": SPEAKER, "answers": [["adj2", 1]]},
+     "answer adjective 'adj2' not in scenario"),
+])
+def test_record_words_are_looked_up_before_they_are_placed(lexicon, parse, record, message):
+    with raises(message):
+        parse(record, lexicon)
+
+
 def test_response_file_lines(tmp_path, lexicon):
     path = tmp_path / "responses.jsonl"
     good = '{"configuration": {"scenario": {"nouns": ["noun0", "noun1"], "adjectives": ["adj0"]}, ' \

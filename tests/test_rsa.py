@@ -737,6 +737,54 @@ def test_predict_dispatch_and_role_mismatch(rng):
         predict(norm, listener_config, ModelSpec("bigram", "speaker", "pragmatic", 1.0))
 
 
+@pytest.mark.parametrize("primed", [False, True])
+def test_predict_rejects_a_matrix_of_another_metric(rng, primed):
+    # alone, or while _primed has the scenario out with a chain for the same role and alpha on this matrix
+    norm = random_normalized(rng, 5, 4)
+    scenario = Scenario((0, 1, 2), (0, 1, 2))
+    config = Configuration(scenario, "listener", 1)
+    spec = ModelSpec("embedding-cosine", "listener", "literal")
+    tables = {"bigram": norm, "embedding-cosine": random_normalized(rng, 5, 4, metric="embedding-cosine")}
+    specs = [ModelSpec("bigram", "listener", "literal"), spec]
+    for _ in rsa._primed(tables, [scenario], specs) if primed else [scenario]:
+        with pytest.raises(DataError, match="^model embedding-cosine:literal given a matrix of metric 'bigram'$"):
+            predict(norm, config, spec)
+
+
+FLOAT_MAX = np.finfo(float).max
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(2, 8), m=st.integers(1, 20), floors=st.floats(0, 0.7), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(0, np.log(FLOAT_MAX) - np.log(1e-3)), role=st.sampled_from(rsa.ROLES),
+       batch=st.sampled_from([1, 7]))
+# a column whose every cell alpha * (gap to its row's top) overflows to -inf, unless shifted by its own top
+@example(k=8, m=3, floors=0.3, seed=8, scale=0.0, role="speaker", batch=7)
+@example(k=3, m=3, floors=0.0, seed=0, scale=np.log(FLOAT_MAX / 1e308), role="listener", batch=1)
+@example(k=5, m=8, floors=0.3, seed=1, scale=np.log(FLOAT_MAX / 5e307), role="speaker", batch=7)
+def test_any_positive_alpha_gives_distributions(k, m, floors, seed, scale, role, batch):
+    # alpha log-uniform from 1e-3 (scale at its top) up to the float maximum (scale 0): every
+    # predict and predict_stack row of a table from quantile_normalize is a distribution, with
+    # no RuntimeWarning, and the two agree bit for bit
+    alpha = float(FLOAT_MAX * np.exp(-scale))
+    rng = np.random.default_rng(seed)
+    norm = random_normalized(rng, k + 1, m + 1, mask_frac=floors)
+    spec = ModelSpec("bigram", role, "pragmatic", alpha)
+    configs = []
+    for _ in range(batch):
+        scenario = Scenario(tuple(rng.permutation(k + 1)[:k].tolist()), tuple(rng.permutation(m + 1)[:m].tolist()))
+        indices = range(m) if role == "listener" else scenario.pairs
+        configs += [Configuration(scenario, role, index) for index in indices]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        stack = rsa.predict_stack({"bigram": norm}, [spec], *rsa.config_columns(configs))[:, 0]
+        lone = np.array([predict(norm, config, spec).probs for config in configs])
+    for probs in (stack, lone):
+        assert np.isfinite(probs).all() and (probs >= 0).all()
+        assert (np.abs(probs.sum(axis=1) - 1.0) <= 1e-9).all()
+    assert stack.tobytes() == lone.tobytes()
+
+
 def test_agents_consistent_with_cores(rng):
     norm = random_normalized(rng, 6, 6)
     scenario = Scenario((5, 1, 3, 0), (2, 4))
