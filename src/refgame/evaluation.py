@@ -7,10 +7,10 @@ counts, aggregated as mean plus standard error. Gameplay success is
 computed analytically by summing over clue choices instead of sampling.
 Response files place answer words in their scenario by rsa.word_positions.
 
-Scoring, model agreement and gameplay run rsa._run_batches on batches
-that rsa._by_shape cuts: up to rsa._CHUNK records, configurations or
-scenarios of one shape from anywhere in the list, with the bits and
-first error of a loop over them. Scoring and agreement make one
+Scoring, model agreement and gameplay hand rsa._run_batches one shape
+key per record, configuration or scenario; it runs batches of up to
+rsa._CHUNK items of one shape from anywhere in the list, with the bits
+and first error of a loop over them. Scoring and agreement make one
 rsa.predict_stack call per model and one row-wise Spearman pass a batch;
 agreement_measure caches each model's stack and row ranks for all pairs.
 Gameplay predicts each clue and pair while rsa._primed has its scenario
@@ -193,8 +193,8 @@ def score_responses(tables, model, records) -> ScoreReport:
         correlations = _rank_correlation(_centered_ranks(probs), _centered_ranks(counts))
         return (_top_mask(probs) & _top_mask(counts)).any(axis=1), correlations
 
-    batches = rsa._by_shape((config.role, config.scenario.k, config.scenario.m) for config in configurations)
-    tops, ranks = rsa._run_batches(batches, compute, lambda p: f"{label}: record {p + 1}")
+    shapes = ((config.role, config.scenario.k, config.scenario.m) for config in configurations)
+    tops, ranks = rsa._run_batches(shapes, compute, lambda p: f"{label}: record {p + 1}")
     # one float object per nonzero value (Spearman over a few answers takes a few); zeros keep their sign
     distinct: dict = {}
     tops = tuple(tops.astype(int).tolist())
@@ -260,8 +260,8 @@ def simulate_gameplay(tables, scenarios, speaker_spec, listener_spec) -> Gamepla
         success = np.cumsum(speaker * listener.swapaxes(1, 2), axis=2)[:, :, -1]
         return np.fromiter(map(tuple, success.tolist()), object, len(batch)), success.mean(axis=1)
 
-    batches = rsa._by_shape((scenario.k, scenario.m) for scenario in scenarios)
-    successes, scenario_means = rsa._run_batches(batches, play, lambda p: f"gameplay: scenario {p + 1}")
+    shapes = ((scenario.k, scenario.m) for scenario in scenarios)
+    successes, scenario_means = rsa._run_batches(shapes, play, lambda p: f"gameplay: scenario {p + 1}")
     with prefix_errors("gameplay"):
         mean, sem = aggregate(chain.from_iterable(successes))
     return GameplayReport(scenarios, tuple(successes), tuple(scenario_means.tolist()), mean, sem)
@@ -272,7 +272,7 @@ def simulate_gameplay(tables, scenarios, speaker_spec, listener_spec) -> Gamepla
 
 def metric_rank_correlation(a: NormalizedAssociation, b: NormalizedAssociation) -> float:
     """Spearman correlation between two metrics' normalized cells, from cached ranks."""
-    if a.lexicon.nouns != b.lexicon.nouns or a.lexicon.adjectives != b.lexicon.adjectives:
+    if a.lexicon != b.lexicon:
         raise DataError("matrices disagree on the lexicon")
     return float(_rank_correlation(a._ranks, b._ranks)[0])
 
@@ -292,9 +292,9 @@ def model_agreement(spec_a, spec_b, tables, configurations) -> tuple[float, floa
 
 def agreement_measure(specs, tables, configurations):
     """A measure(i, j) that gives model_agreement(specs[i], specs[j],
-    tables, configurations), errors included, from batches cut once. One
-    cache holds each model's prediction stack for a batch and its centered
-    row ranks, so each is built once however many pairs it serves."""
+    tables, configurations), errors included, cutting its batches on each
+    call. One cache holds each model's prediction stack for a batch and its
+    centered row ranks, so each is built once however many pairs it serves."""
     configurations = list(configurations)
     if not configurations:
         raise DataError("no configurations given")
@@ -302,7 +302,7 @@ def agreement_measure(specs, tables, configurations):
         raise DataError("configurations mix roles")
     specs = [parse_model_spec(spec, configurations[0].role) for spec in specs]
     tables = Tables.of(tables)
-    batches = rsa._by_shape((config.role, config.scenario.k, config.scenario.m) for config in configurations)
+    shapes = [(config.scenario.k, config.scenario.m) for config in configurations]
 
     @cache
     def predicted(index, positions):
@@ -317,7 +317,7 @@ def agreement_measure(specs, tables, configurations):
             return (_top_mask(a) & _top_mask(b)).any(axis=1), _rank_correlation(ranks_a, ranks_b)
 
         where = f"{specs[i].spec_string()} vs {specs[j].spec_string()}: configuration"
-        matches, correlations = rsa._run_batches(batches, compute, lambda p: f"{where} {p + 1}")
+        matches, correlations = rsa._run_batches(shapes, compute, lambda p: f"{where} {p + 1}")
         return float(np.mean(matches)), float(np.mean(correlations))
 
     return measure

@@ -10,7 +10,9 @@ whole scenario down.
 
 Search is plain Monte Carlo in three phases over one array of keys from the
 seeded generator alone, so one seed gives one result: the distinct keys in
-first-seen order, a utility for each, and the top_k by a stable sort.
+first-seen order, a utility for each from rsa._run_batches on one shape key
+for all, so in runs of consecutive keys, and the top_k by a stable sort.
+model_information_bits checks its rows by rsa._check_probabilities.
 """
 
 from __future__ import annotations
@@ -173,11 +175,7 @@ def model_information_bits(prediction_probs):
     probs = float_array(prediction_probs, "prediction matrix")
     if probs.ndim not in (2, 3):
         raise DataError("prediction matrix must be 2-d, or a 3-d stack of 2-d matrices")
-    if probs.shape[-1] == 0:
-        raise DataError("empty distribution")
-    low = probs.min(initial=0.0)  # NaN if any probability is; 0.0 for an empty stack
-    if not low >= 0:
-        raise DataError("negative probability" if low < 0 else "NaN probability")
+    rsa._check_probabilities(probs)
     n_models = probs.shape[-2]
     if n_models < 2:
         warnings.warn("fewer than two models: utility is identically 0", stacklevel=2)
@@ -369,10 +367,10 @@ def monte_carlo_search(tables, models, settings: SearchSettings) -> list[DesignC
 
     # 1. The distinct keys, first seen first; keys depend on the seed alone.
     keys = _first_seen(_search_keys(n_nouns, n_adjs, settings))
-    # 2. Each key's utility, by rsa._run_batches on batches of up to rsa._CHUNK consecutive keys: in joint mode each
-    # scenario from the chains _primed primes; in a separate mode one predict_stack and information pass a batch.
-    batches = np.split(np.arange(len(keys)), range(rsa._CHUNK, len(keys), rsa._CHUNK))
-    (utility,) = rsa._run_batches(batches, utilities, where)
+    # 2. Each key's utility, by rsa._run_batches on one shape key for all keys, so its batches are runs of
+    # consecutive keys: in joint mode each scenario from the chains _primed primes; in a separate mode one
+    # predict_stack and information pass a batch.
+    (utility,) = rsa._run_batches([None] * len(keys), utilities, where)
     # 3. The first top_k of a stable sort: ties keep first-seen order, and -0.0 ties with 0.0.
     best = np.argsort(-utility, kind="stable")[: settings.top_k]
     return [

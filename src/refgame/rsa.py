@@ -16,9 +16,10 @@ predict_stack and predict's lone run: it groups specs by matrix, builds
 one score stack per matrix of N scenarios of one shape, given as index
 arrays, and runs the chain once per (role, alpha) on it; predict_stack
 gathers every spec's row of a batch. Scoring, comparison, search and
-gameplay run batches of up to _CHUNK items of one shape, from anywhere
-in a list, through _run_batches, whose one failure rule runs a failing
-batch's items and all later ones alone and names the first to fail.
+gameplay hand _run_batches one shape key per item: it runs batches of
+up to _CHUNK items of one key, from anywhere in a list, and on a failing
+batch runs its items and all later ones alone, naming the first to fail.
+_check_probabilities is the one check of probability rows.
 Joint search and gameplay run _primed on each batch of scenarios; while
 it has a scenario out, each matrix's memo is that scenario with its row
 of the batch's chains, which predict reads; it runs any other scenario
@@ -242,6 +243,15 @@ def parse_model_spec(spec, role: str) -> ModelSpec:
     return ModelSpec(metric, role, depth, alpha)
 
 
+def _check_probabilities(probs: np.ndarray) -> None:
+    """Raise on probability rows (the last axis) with no answers, then on a NaN, then on a negative."""
+    if probs.shape[-1] == 0:
+        raise DataError("empty distribution")
+    low = probs.min(initial=0.0)  # NaN if any probability is; 0.0 for an empty stack
+    if not low >= 0:
+        raise DataError("negative probability" if low < 0 else "NaN probability")
+
+
 @dataclass(frozen=True, eq=False)
 class PredictionDistribution:
     """A probability distribution over a configuration's answers."""
@@ -254,11 +264,7 @@ class PredictionDistribution:
         support = tuple(self.support)
         if probs.ndim != 1 or len(support) != probs.size:
             raise DataError("support and probabilities differ in length")
-        if probs.size == 0:
-            raise DataError("empty distribution")
-        low = probs.min()
-        if not low >= 0:
-            raise DataError("negative probability" if low < 0 else "NaN probability")
+        _check_probabilities(probs)
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-9:
             raise DataError(f"probabilities sum to {total!r}")
@@ -434,21 +440,16 @@ def _stack_chains(tables, specs, nouns: np.ndarray, adjectives: np.ndarray) -> d
     return chains
 
 
-def _by_shape(shapes) -> list:
-    """Positions of items, given by their shape keys, in batches of up to _CHUNK
-    positions that share a key, each batch ascending, keys in first-seen order."""
+def _run_batches(shapes, run, where) -> list:
+    """Each array run(batch) returns, an entry per position, joined in position order, for items given
+    by their shape keys in batches of up to _CHUNK positions of one key, each ascending, keys in first-seen
+    order; run has each item's bits run alone. On a batch's DataError each position of it and of every
+    later batch runs alone, ascending, and the first to fail (as a loop over positions would meet it,
+    since earlier batches passed) raises "<where(position)>: <its error>"; else the batch's own error."""
     groups: dict = {}
     for position, shape in enumerate(shapes):
         groups.setdefault(shape, []).append(position)
-    return [group[i : i + _CHUNK] for group in groups.values() for i in range(0, len(group), _CHUNK)]
-
-
-def _run_batches(batches, run, where) -> list:
-    """Each array run(batch) returns, an entry per position, joined in position order, for batches
-    of positions, each up to _CHUNK items of one shape from anywhere in the list, on which run has
-    each item's bits run alone. On a batch's DataError each position of it and of every later batch
-    runs alone, ascending, and the first to fail (as a loop over positions would meet it, since earlier
-    batches passed) raises "<where(position)>: <its error>"; else the batch's own error is raised."""
+    batches = [group[i : i + _CHUNK] for group in groups.values() for i in range(0, len(group), _CHUNK)]
     results = []
     for number, batch in enumerate(batches):
         try:

@@ -372,23 +372,24 @@ def batch_only(runs):
 
 
 def test_run_batches_raises_the_batch_error_when_no_position_fails_alone():
+    # one shape key: one batch [0, 1, 2]
     runs = []
     with pytest.raises(DataError, match="^batch only$"):
-        rsa._run_batches([[0, 1, 2]], batch_only(runs), lambda position: f"record {position + 1}")
+        rsa._run_batches(["a"] * 3, batch_only(runs), lambda position: f"record {position + 1}")
     assert runs == [[0, 1, 2], [0], [1], [2]]
 
 
 def test_run_batches_runs_no_passed_batch_again():
-    # the second batch fails: only it and the batches after it run alone
+    # batches [0, 1] and [2, 3]; the second fails: only it and the batches after it run alone
     runs = []
     with pytest.raises(DataError, match="^batch only$"):
-        rsa._run_batches([[0, 1], [2, 3]], batch_only(runs), lambda position: f"record {position + 1}")
+        rsa._run_batches(["a", "a", "b", "b"], batch_only(runs), lambda position: f"record {position + 1}")
     assert runs == [[0, 1], [2, 3], [2], [3]]
 
 
 def test_run_batches_names_the_lowest_position_that_fails_alone():
-    # batches interleave positions, as groups of one shape do; position 3 fails,
-    # in the batch after the first failing one, and position 5 fails earlier
+    # shape keys interleave positions in batches [0, 2], [1, 5] and [3, 4]; position 3
+    # fails, in the batch after the first failing one, and position 5 fails earlier
     runs = []
 
     def run(positions):
@@ -397,9 +398,8 @@ def test_run_batches_names_the_lowest_position_that_fails_alone():
             raise DataError("bad item")
         return [0.5] * len(positions)
 
-    batches = [[0, 2], [1, 5], [3, 4]]
     with pytest.raises(DataError, match="^record 4: bad item$"):
-        rsa._run_batches(batches, run, lambda position: f"record {position + 1}")
+        rsa._run_batches(["a", "b", "a", "c", "c", "b"], run, lambda position: f"record {position + 1}")
     assert runs == [[0, 2], [1, 5], [1], [3]]
 
 
@@ -409,10 +409,19 @@ def test_run_batches_names_the_lowest_position_that_fails_alone():
 ])
 def test_by_shape_batches_each_key_from_anywhere_in_first_seen_order(monkeypatch, chunk, batches):
     # positions that share a shape key, wherever they lie, make batches of
-    # up to _CHUNK (read at call time), each ascending, keys in first-seen order
+    # up to _CHUNK (read at call time), each ascending, keys in first-seen order;
+    # each batch's entries come back in position order
     monkeypatch.setattr(rsa, "_CHUNK", chunk)
     shapes = [(3, 3), (5, 8), (3, 3), (2, 1), (5, 8), (3, 3)]
-    assert rsa._by_shape(iter(shapes)) == batches
+    runs = []
+
+    def run(positions):
+        runs.append(list(positions))
+        return (np.array(positions) * 10,)
+
+    (joined,) = rsa._run_batches(iter(shapes), run, str)
+    assert runs == batches
+    assert joined.tolist() == [0, 10, 20, 30, 40, 50]
 
 
 # ---------------------------------------------------------------------------

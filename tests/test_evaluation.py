@@ -559,6 +559,12 @@ def test_metric_rank_correlation_lexicon_check(rng):
     b = random_normalized(rng, 5, 4, metric="b")
     with pytest.raises(DataError, match="lexicon"):
         metric_rank_correlation(a, b)
+    # one section in reverse order: a lexicon of the same shape and words is still another lexicon
+    nouns, adjectives = a.lexicon.nouns, a.lexicon.adjectives
+    for other in (Lexicon(nouns[::-1], adjectives), Lexicon(nouns, adjectives[::-1])):
+        b = NormalizedAssociation("b", other, a.values, a.zero_mask)
+        with pytest.raises(DataError, match="^matrices disagree on the lexicon$"):
+            metric_rank_correlation(a, b)
 
 
 @st.composite

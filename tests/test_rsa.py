@@ -24,6 +24,7 @@ from refgame import (
     answer_support,
     listener_probs,
     model_agreement,
+    model_information_bits,
     noun_pairs,
     parse_model_spec,
     predict,
@@ -700,11 +701,26 @@ def test_prediction_distribution_validation():
     [([np.nan, np.nan], "NaN probability"),
      ([np.nan, 1.0], "NaN probability"),
      ([1.5, np.nan, -0.5], "NaN probability"),
-     ([1.25, -0.25], "negative probability")],
+     ([1.25, -0.25], "negative probability"),
+     ([], "empty distribution")],
 )
 def test_prediction_distribution_rejects_nan(probs, message):
-    with pytest.raises(DataError, match=f"^{message}$"):
-        PredictionDistribution(tuple(range(len(probs))), np.array(probs))
+    # one table of bad rows for the one probability-row check: a distribution,
+    # a 2-d information matrix (the row alone, or after a valid row) and a 3-d
+    # stack all raise the row's text, before the fewer-than-two-models warning
+    bad = np.array(probs, dtype=float)
+    good = np.full_like(bad, 1 / max(bad.size, 1))
+    checks = [
+        lambda: PredictionDistribution(tuple(range(bad.size)), bad),
+        lambda: model_information_bits(bad[None]),
+        lambda: model_information_bits(np.stack([good, bad])),
+        lambda: model_information_bits(np.array([[good, good], [good, bad]])),
+    ]
+    for check in checks:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"^{message}$"):
+                check()
 
 
 def test_argmax_answers_tie_tolerance():
