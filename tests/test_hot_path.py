@@ -347,6 +347,19 @@ def test_information_bits_one_model_warns_like_loop():
         assert model_information_bits(np.full((3, 1, 2), 0.5)).tolist() == [0.0] * 3
 
 
+@pytest.mark.parametrize("bad, message", [
+    ([[np.nan, 1.0], [0.5, 0.5]], "NaN probability"),
+    ([[-0.5, 1.5], [0.5, 0.5]], "negative probability"),
+    ([[0.5, np.nan]], "NaN probability"),
+    (np.zeros((2, 0)), "empty distribution"),
+])
+def test_information_bits_reject_bad_distributions(bad, message):
+    bad = np.asarray(bad, dtype=float)
+    for probs in (bad, np.stack([np.full_like(bad, 0.5), bad])):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            model_information_bits(probs)
+
+
 def test_information_bits_of_an_empty_stack_is_empty():
     assert model_information_bits(np.zeros((0, 2, 3))).shape == (0,)
 
